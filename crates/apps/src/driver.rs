@@ -7,10 +7,13 @@
 
 use adcp_core::AdcpSwitch;
 use adcp_rmt::RmtSwitch;
-use adcp_sim::packet::{FrameBuf, Packet, PacketMeta, PortId};
-use adcp_sim::stats::{LatencySummary, Meter};
+use adcp_sim::datapath::{FlowCounters, Shell};
+use adcp_sim::packet::{Packet, PortId};
+use adcp_sim::stats::LatencySummary;
 use adcp_sim::time::{Duration, SimTime};
 use serde::Serialize;
+
+pub use adcp_sim::datapath::Delivered;
 
 /// Which architecture (and, for RMT, which central-table lowering) an app
 /// variant targets.
@@ -35,25 +38,34 @@ impl TargetKind {
     }
 }
 
-/// A delivered packet, unified across switch models.
-#[derive(Debug, Clone)]
-pub struct DeliveredPkt {
-    /// TX port.
-    pub port: PortId,
-    /// Last-bit time.
-    pub time: SimTime,
-    /// Final frame bytes (moved from the switch's delivery record).
-    pub data: FrameBuf,
-    /// Final metadata.
-    pub meta: PacketMeta,
-}
-
-/// Either switch model behind one interface.
+/// Either switch model behind one interface. Derefs to the [`Shell`] of
+/// whichever it holds, so everything that is shell state — deliveries,
+/// `out_meter`, `latency`, `metrics_json`, `trace_json`, `tm_buffer_hwm` —
+/// is reached without a per-model forward.
 pub enum AnySwitch {
     /// The RMT baseline.
     Rmt(Box<RmtSwitch>),
     /// The coflow processor.
     Adcp(Box<AdcpSwitch>),
+}
+
+impl std::ops::Deref for AnySwitch {
+    type Target = Shell;
+    fn deref(&self) -> &Shell {
+        match self {
+            AnySwitch::Rmt(s) => s,
+            AnySwitch::Adcp(s) => s,
+        }
+    }
+}
+
+impl std::ops::DerefMut for AnySwitch {
+    fn deref_mut(&mut self) -> &mut Shell {
+        match self {
+            AnySwitch::Rmt(s) => s,
+            AnySwitch::Adcp(s) => s,
+        }
+    }
 }
 
 impl AnySwitch {
@@ -90,32 +102,6 @@ impl AnySwitch {
         }
     }
 
-    /// Drain deliveries.
-    pub fn take_delivered(&mut self) -> Vec<DeliveredPkt> {
-        match self {
-            AnySwitch::Rmt(s) => s
-                .take_delivered()
-                .into_iter()
-                .map(|d| DeliveredPkt {
-                    port: d.port,
-                    time: d.time,
-                    data: d.data,
-                    meta: d.meta,
-                })
-                .collect(),
-            AnySwitch::Adcp(s) => s
-                .take_delivered()
-                .into_iter()
-                .map(|d| DeliveredPkt {
-                    port: d.port,
-                    time: d.time,
-                    data: d.data,
-                    meta: d.meta,
-                })
-                .collect(),
-        }
-    }
-
     /// Assert packet conservation.
     pub fn check_conservation(&self) {
         match self {
@@ -124,80 +110,15 @@ impl AnySwitch {
         }
     }
 
-    /// (injected, delivered, total drops, recirc passes).
-    pub fn flow_counts(&self) -> (u64, u64, u64, u64) {
+    /// The counters both models share, plus (total drops, recirc passes)
+    /// from the classes each keeps for itself.
+    fn counts(&self) -> (&FlowCounters, u64, u64) {
         match self {
-            AnySwitch::Rmt(s) => (
-                s.counters.injected,
-                s.counters.delivered,
-                s.counters.total_drops(),
-                s.counters.recirc_passes,
-            ),
-            AnySwitch::Adcp(s) => (
-                s.counters.injected,
-                s.counters.delivered,
-                s.counters.total_drops(),
-                0,
-            ),
-        }
-    }
-
-    /// (match-table lookups, hits, deparser buffer allocations) — the
-    /// post-run counter snapshot both switch models keep.
-    pub fn mat_stats(&self) -> (u64, u64, u64) {
-        match self {
-            AnySwitch::Rmt(s) => (
-                s.counters.mat_lookups,
-                s.counters.mat_hits,
-                s.counters.deparse_allocs,
-            ),
-            AnySwitch::Adcp(s) => (
-                s.counters.mat_lookups,
-                s.counters.mat_hits,
-                s.counters.deparse_allocs,
-            ),
-        }
-    }
-
-    /// High-water mark of the TM shared buffer(s), in cells.
-    pub fn tm_buffer_hwm(&self) -> u64 {
-        match self {
-            AnySwitch::Rmt(s) => s.tm_buffer_hwm(),
-            AnySwitch::Adcp(s) => s.tm_buffer_hwm(),
-        }
-    }
-
-    /// The delivered-traffic meter.
-    pub fn out_meter(&self) -> &Meter {
-        match self {
-            AnySwitch::Rmt(s) => &s.out_meter,
-            AnySwitch::Adcp(s) => &s.out_meter,
-        }
-    }
-
-    /// End-to-end latency summary.
-    pub fn latency(&self) -> LatencySummary {
-        match self {
-            AnySwitch::Rmt(s) => LatencySummary::from(&s.latency),
-            AnySwitch::Adcp(s) => LatencySummary::from(&s.latency),
-        }
-    }
-
-    /// Export the per-stage metrics registry as JSON, syncing the ad-hoc
-    /// counters into it first (hence `&mut`).
-    pub fn metrics_json(&mut self) -> serde::Value {
-        match self {
-            AnySwitch::Rmt(s) => s.metrics_json(),
-            AnySwitch::Adcp(s) => s.metrics_json(),
-        }
-    }
-
-    /// Export the journey tracer (sampled hops, drop forensics, control
-    /// instants) as JSON. `{"enabled": false}` when tracing is off.
-    pub fn trace_json(&self) -> serde::Value {
-        match self {
-            AnySwitch::Rmt(s) => s.trace_json(),
-            AnySwitch::Adcp(s) => s.trace_json(),
+            AnySwitch::Rmt(s) => {
+                let c = &s.counters;
+                (c, c.total_drops(), c.recirc_passes)
+            }
+            AnySwitch::Adcp(s) => (&s.counters, s.counters.total_drops(), 0),
         }
     }
 }
@@ -249,37 +170,30 @@ impl AppReport {
     pub fn from_switch(
         app: &str,
         target: TargetKind,
-        sw: &mut AnySwitch,
+        sw: &AnySwitch,
         makespan: SimTime,
         correct: bool,
         notes: Vec<String>,
     ) -> Self {
-        let metrics = sw.metrics_json();
-        let trace = sw.trace_json();
-        let (injected, delivered, drops, recirc) = sw.flow_counts();
-        let (mat_lookups, mat_hits, deparse_allocs) = sw.mat_stats();
+        let (flow, drops, recirc_passes) = sw.counts();
         let elapsed = Duration(makespan.as_ps().max(1));
         AppReport {
             app: app.to_string(),
             target: target.label().to_string(),
             correct,
-            injected,
-            delivered,
+            injected: flow.injected,
+            delivered: flow.delivered,
             drops,
-            recirc_passes: recirc,
+            recirc_passes,
             makespan_ns: makespan.as_ps() as f64 / 1e3,
-            goodput_gbps: sw.out_meter().goodput_gbps(elapsed),
-            elements_per_sec: sw.out_meter().elements_per_sec(elapsed),
-            mat_lookups,
-            mat_hit_rate: if mat_lookups == 0 {
-                0.0
-            } else {
-                mat_hits as f64 / mat_lookups as f64
-            },
-            deparse_allocs,
-            latency: sw.latency(),
-            metrics,
-            trace,
+            goodput_gbps: sw.out_meter.goodput_gbps(elapsed),
+            elements_per_sec: sw.out_meter.elements_per_sec(elapsed),
+            mat_lookups: flow.mat_lookups,
+            mat_hit_rate: flow.mat_hit_rate(),
+            deparse_allocs: flow.deparse_allocs,
+            latency: LatencySummary::from(&sw.latency),
+            metrics: sw.metrics_json(),
+            trace: sw.trace_json(),
             notes,
         }
     }

@@ -34,4 +34,4 @@ pub mod migrate;
 pub mod netlock;
 pub mod paramserv;
 
-pub use driver::{AnySwitch, AppReport, DeliveredPkt, TargetKind};
+pub use driver::{AnySwitch, AppReport, Delivered, TargetKind};

@@ -213,7 +213,7 @@ pub struct MigrateOutcome {
 /// carries the pre-increment counter it observed, so per shard the
 /// observed values must be exactly the multiset `{0, 1, ..., n-1}` —
 /// any lost, duplicated, or misordered-on-one-cell update breaks it.
-fn check_counts(delivered: &[crate::driver::DeliveredPkt], packets: u32) -> bool {
+fn check_counts(delivered: &[crate::driver::Delivered], packets: u32) -> bool {
     if delivered.len() != packets as usize {
         return false;
     }

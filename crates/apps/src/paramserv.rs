@@ -246,7 +246,7 @@ pub fn run(kind: TargetKind, cfg: &ParamServerCfg) -> AppReport {
     // the expected destinations.
     let delivered = sw.take_delivered();
     let num_chunks = (cfg.model_size / width) as usize;
-    let mut per_slot: HashMap<u32, Vec<&crate::driver::DeliveredPkt>> = HashMap::new();
+    let mut per_slot: HashMap<u32, Vec<&crate::driver::Delivered>> = HashMap::new();
     for d in &delivered {
         let (slot, _) = read_slot_and_values(&d.data, width as usize);
         per_slot.entry(slot).or_default().push(d);

@@ -20,8 +20,9 @@
 pub mod partition;
 pub mod switch;
 
+pub use adcp_sim::datapath::Delivered;
 pub use partition::{MigrateError, MigrationStrategy, PartitionMap, PartitionScheme};
-pub use switch::{AdcpConfig, AdcpCounters, AdcpSwitch, Delivered, DemuxPolicy, MigrationStats};
+pub use switch::{AdcpConfig, AdcpCounters, AdcpSwitch, DemuxPolicy, MigrationStats};
 
 #[cfg(test)]
 mod tests {

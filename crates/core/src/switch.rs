@@ -1,16 +1,21 @@
 //! The event-driven ADCP switch model (the paper's Figure 4).
 //!
-//! Packet life cycle:
+//! The second wiring of the shared datapath parts (`adcp_sim::datapath`,
+//! `adcp_lang::codec`; see DESIGN.md, "One datapath, two wirings") — RMT's
+//! plus a 1:m demux, a second TM and the central slot set between the two:
 //!
 //! ```text
-//! inject -> RX port -> 1:m demux -> ingress pipeline (port_rate/m clock)
+//! inject -> RX port -> 1:m demux -> ingress slot (port_rate/m clock)
 //!        -> TM1 (application-defined partition + schedule)
-//!        -> central pipeline  (the global partitioned area, §3.1)
+//!        -> central slot  (the global partitioned area, §3.1)
 //!        -> TM2 (classic any-port scheduler, multicast-capable)
-//!        -> egress pipeline -> m:1 mux -> TX port -> delivered
+//!        -> egress slot -> m:1 mux -> TX port -> delivered
 //! ```
 //!
-//! Differences from [`adcp-rmt`]'s model, each lifting one RMT limitation:
+//! This file holds only what is the ADCP's own: the demux, TM1's partition
+//! map with live migration (fence, commit, first-touch copy), merge
+//! gating, sharded central execution, and the per-flow INT table. Each
+//! lifts one RMT limitation:
 //!
 //! * **Two traffic managers** create the central pipelines. State placed
 //!   there by TM1 (by hash, range, or merge order — the program decides via
@@ -23,28 +28,23 @@
 //!   pipeline clock is `port_rate/m` — Table 3's scaling story (§3.3).
 
 use crate::partition::{MigrateError, MigrationStrategy, PartitionMap};
-use adcp_lang::phv::Phv;
 use adcp_lang::target::TargetModel;
 use adcp_lang::{
-    compile, deparse_into, ActionOp, CompileError, CompileOptions, Entry, Placement, Program,
-    RegId, Region, RegionState, RegisterFile, TableError,
+    compile, parse_packet, ActionOp, CompileError, CompileOptions, Entry, HeaderId, PacketCodec,
+    ParseOutcome, ParseScratch, Phv, PhvLayout, Placement, Program, RegId, Region, RegionRunStats,
+    RegionState, RegisterFile, TableError,
 };
-use adcp_sim::event::EventQueue;
-use adcp_sim::int::{
-    IntFlowCell, IntFlowTable, IntKnob, IntStack, IntStamp, Postcard, POSTCARDS_CAP,
-};
-use adcp_sim::metrics::{CounterId, GaugeId, HistId, MetricsRegistry, SeriesId};
-use adcp_sim::packet::{EgressSpec, FrameBuf, Packet, PacketStore, PortId};
-use adcp_sim::port::{RxPort, TxPort};
-use adcp_sim::queue::BufferPool;
+use adcp_sim::datapath::{Agenda, FlowCounters, RegionMetrics, Shell, ShellSpec, Slot, TmSpec};
+use adcp_sim::int::{IntFlowCell, IntFlowTable};
+use adcp_sim::metrics::{CounterId, GaugeId};
+use adcp_sim::packet::{EgressSpec, Packet, PortId};
 use adcp_sim::sched::ScheduledQueues;
-use adcp_sim::stats::{LatencyHist, Meter};
 use adcp_sim::time::{Duration, SimTime};
-use adcp_sim::trace::{CtrlEvent, DropReason, HopCtx, JourneyTracer, Site};
-use std::sync::Arc;
+use adcp_sim::trace::{CtrlEvent, DropReason, HopCtx, Site};
 
-/// Retained points per queue-depth/buffer-occupancy time series.
-const SERIES_CAP: usize = 512;
+/// Shell indices of the two traffic managers.
+const TM1: usize = 0;
+const TM2: usize = 1;
 
 /// Pipe cycles charged per register cell copied during a state migration.
 /// Both strategies pay it — drain as one bulk window at commit, incremental
@@ -56,39 +56,10 @@ const CELL_COPY_CYCLES: u64 = 8;
 /// (flows hash onto slots; collisions merge, as real register state would).
 const INT_FLOW_CELLS: usize = 1024;
 
-/// Pre-registered handles into the per-stage [`MetricsRegistry`]. Handles
-/// are plain indices, so per-event recording is array math — no string
-/// lookups on the hot path.
+/// Registry handles only the ADCP has: the `ctrl` scope and the per-flow
+/// INT aggregation.
 #[derive(Clone, Copy)]
-struct MetricHandles {
-    rx_pkts: CounterId,
-    mac_fcs_drops: CounterId,
-    parse_errors: CounterId,
-    parse_span: HistId,
-    ingress_span: HistId,
-    tm1_drops: CounterId,
-    tm1_queue_drops: CounterId,
-    tm1_residency: HistId,
-    tm1_queue_depth: SeriesId,
-    tm1_buffer: SeriesId,
-    tm1_buffer_gauge: GaugeId,
-    central_span: HistId,
-    tm2_drops: CounterId,
-    tm2_queue_drops: CounterId,
-    tm2_mcast_copies: CounterId,
-    tm2_residency: HistId,
-    tm2_queue_depth: SeriesId,
-    tm2_buffer: SeriesId,
-    tm2_buffer_gauge: GaugeId,
-    egress_span: HistId,
-    deparse_allocs: CounterId,
-    mat_lookups: CounterId,
-    mat_hits: CounterId,
-    drops_filtered: CounterId,
-    drops_no_decision: CounterId,
-    drops_bad_port: CounterId,
-    tx_pkts: CounterId,
-    tx_latency: HistId,
+struct AdcpHandles {
     ctrl_migrations: CounterId,
     ctrl_moved_keys: CounterId,
     ctrl_paused_ns: CounterId,
@@ -96,90 +67,8 @@ struct MetricHandles {
     ctrl_held_pkts: CounterId,
     ctrl_misroutes: CounterId,
     ctrl_epoch: GaugeId,
-    int_stamps: CounterId,
-    int_postcards: CounterId,
-    int_truncated: CounterId,
-    int_postcards_dropped: CounterId,
     int_path_changes: CounterId,
     int_flows: GaugeId,
-    /// Per-region pipeline occupancy (total busy cycles, busiest pipe),
-    /// in ingress/central/egress order. Pre-registered so the end-of-run
-    /// mirror is handle writes, not name lookups.
-    busy: [(CounterId, GaugeId); 3],
-}
-
-fn register_metrics(m: &mut MetricsRegistry) -> MetricHandles {
-    let rx = m.scope("rx");
-    let mac = m.scope("mac");
-    let parser = m.scope("parser");
-    let ingress = m.scope("ingress");
-    let tm1 = m.scope("tm1");
-    let central = m.scope("central");
-    let tm2 = m.scope("tm2");
-    let egress = m.scope("egress");
-    let deparser = m.scope("deparser");
-    let mat = m.scope("mat");
-    let drops = m.scope("drops");
-    let tx = m.scope("tx");
-    let ctrl = m.scope("ctrl");
-    let int = m.scope("int");
-    MetricHandles {
-        rx_pkts: m.counter(rx, "packets"),
-        mac_fcs_drops: m.counter(mac, "fcs_drops"),
-        parse_errors: m.counter(parser, "errors"),
-        parse_span: m.hist(parser, "span_ps"),
-        ingress_span: m.hist(ingress, "span_ps"),
-        tm1_drops: m.counter(tm1, "buffer_drops"),
-        tm1_queue_drops: m.counter(tm1, "queue_drops"),
-        tm1_residency: m.hist(tm1, "residency_ps"),
-        tm1_queue_depth: m.series(tm1, "queue_pkts", SERIES_CAP),
-        tm1_buffer: m.series(tm1, "buffer_cells", SERIES_CAP),
-        tm1_buffer_gauge: m.gauge(tm1, "buffer_cells"),
-        central_span: m.hist(central, "span_ps"),
-        tm2_drops: m.counter(tm2, "buffer_drops"),
-        tm2_queue_drops: m.counter(tm2, "queue_drops"),
-        tm2_mcast_copies: m.counter(tm2, "mcast_copies"),
-        tm2_residency: m.hist(tm2, "residency_ps"),
-        tm2_queue_depth: m.series(tm2, "queue_pkts", SERIES_CAP),
-        tm2_buffer: m.series(tm2, "buffer_cells", SERIES_CAP),
-        tm2_buffer_gauge: m.gauge(tm2, "buffer_cells"),
-        egress_span: m.hist(egress, "span_ps"),
-        deparse_allocs: m.counter(deparser, "allocs"),
-        mat_lookups: m.counter(mat, "lookups"),
-        mat_hits: m.counter(mat, "hits"),
-        drops_filtered: m.counter(drops, "filtered"),
-        drops_no_decision: m.counter(drops, "no_decision"),
-        drops_bad_port: m.counter(drops, "bad_port"),
-        tx_pkts: m.counter(tx, "packets"),
-        tx_latency: m.hist(tx, "latency_ps"),
-        ctrl_migrations: m.counter(ctrl, "migrations"),
-        ctrl_moved_keys: m.counter(ctrl, "moved_keys"),
-        ctrl_paused_ns: m.counter(ctrl, "paused_ns"),
-        ctrl_redirected_pkts: m.counter(ctrl, "redirected_pkts"),
-        ctrl_held_pkts: m.counter(ctrl, "held_pkts"),
-        ctrl_misroutes: m.counter(ctrl, "misroutes"),
-        ctrl_epoch: m.gauge(ctrl, "epoch"),
-        int_stamps: m.counter(int, "stamps"),
-        int_postcards: m.counter(int, "postcards"),
-        int_truncated: m.counter(int, "stack_truncated"),
-        int_postcards_dropped: m.counter(int, "postcards_dropped"),
-        int_path_changes: m.counter(int, "path_changes"),
-        int_flows: m.gauge(int, "active_flow_cells"),
-        busy: [
-            (
-                m.counter(ingress, "busy_cycles"),
-                m.gauge(ingress, "busy_cycles_max_pipe"),
-            ),
-            (
-                m.counter(central, "busy_cycles"),
-                m.gauge(central, "busy_cycles_max_pipe"),
-            ),
-            (
-                m.counter(egress, "busy_cycles"),
-                m.gauge(egress, "busy_cycles_max_pipe"),
-            ),
-        ],
-    }
 }
 
 /// Registers referenced by central-region table actions, with cell counts:
@@ -286,26 +175,12 @@ impl Default for AdcpConfig {
     }
 }
 
-/// Drop/flow accounting; see [`AdcpSwitch::check_conservation`].
+/// Drop/flow accounting: the shared [`FlowCounters`] (reachable as plain
+/// fields through `Deref`) plus one buffer and one queue class per TM; see
+/// [`AdcpSwitch::check_conservation`].
 #[derive(Debug, Clone, Default)]
 pub struct AdcpCounters {
-    /// Packets injected.
-    pub injected: u64,
-    /// Extra copies created by TM2 multicast.
-    pub mcast_copies: u64,
-    /// Packets delivered.
-    pub delivered: u64,
-    /// Parse failures (any pipeline).
-    pub parse_errors: u64,
-    /// Sealed frames whose check sequence failed on injection (corrupted
-    /// on the wire); discarded before touching any table or register.
-    pub fcs_drops: u64,
-    /// Dropped by a program `Drop` action.
-    pub filtered: u64,
-    /// Reached TM2 with no forwarding decision.
-    pub no_decision: u64,
-    /// Forwarding decision named a nonexistent port.
-    pub bad_port: u64,
+    flow: FlowCounters,
     /// TM1 buffer exhaustion.
     pub tm1_drops: u64,
     /// TM1 per-queue tail drops.
@@ -314,34 +189,19 @@ pub struct AdcpCounters {
     pub tm2_drops: u64,
     /// TM2 per-queue tail drops.
     pub tm2_queue_drops: u64,
-    /// Match-table key lookups executed, all regions and lanes (refreshed
-    /// at quiescence from the per-table counters).
-    pub mat_lookups: u64,
-    /// Match-table lookups that hit an installed entry.
-    pub mat_hits: u64,
-    /// Frame buffers rebuilt by the deparser — the hot path's remaining
-    /// per-region-exit allocation (delivery and multicast copies share
-    /// payload buffers instead of allocating).
-    pub deparse_allocs: u64,
+}
+
+impl std::ops::Deref for AdcpCounters {
+    type Target = FlowCounters;
+    fn deref(&self) -> &FlowCounters {
+        &self.flow
+    }
 }
 
 impl AdcpCounters {
-    /// Fraction of match-table lookups that hit (0 when none ran).
-    pub fn mat_hit_rate(&self) -> f64 {
-        if self.mat_lookups == 0 {
-            0.0
-        } else {
-            self.mat_hits as f64 / self.mat_lookups as f64
-        }
-    }
-
     /// Sum of all drop classes.
     pub fn total_drops(&self) -> u64 {
-        self.parse_errors
-            + self.fcs_drops
-            + self.filtered
-            + self.no_decision
-            + self.bad_port
+        self.flow.drops()
             + self.tm1_drops
             + self.tm1_queue_drops
             + self.tm2_drops
@@ -349,44 +209,26 @@ impl AdcpCounters {
     }
 }
 
-/// A packet that left the switch.
-#[derive(Debug, Clone)]
-pub struct Delivered {
-    /// TX port it left on.
-    pub port: PortId,
-    /// Time its last bit left.
-    pub time: SimTime,
-    /// Final frame contents (moved from the in-switch packet — taking
-    /// delivery does not copy the payload).
-    pub data: FrameBuf,
-    /// Final metadata.
-    pub meta: adcp_sim::packet::PacketMeta,
-}
-
 struct IngressPipe {
-    next_slot: SimTime,
-    busy_cycles: u64,
+    slot: Slot,
     state: RegionState,
 }
 
 struct CentralPipe {
-    next_slot: SimTime,
-    busy_cycles: u64,
+    slot: Slot,
     /// MergeOrder: when the current wait-for-merge-ready began.
     merge_wait_since: Option<SimTime>,
     state: RegionState,
-    /// One queue per ingress pipeline feeding this central pipe, so the
+    /// TM1's queues towards this pipe, one per ingress pipeline, so the
     /// order-preserving merge has per-input streams to merge (§3.1).
     queues: ScheduledQueues,
-    pull_scheduled: bool,
 }
 
 struct EgressPipe {
-    next_slot: SimTime,
-    busy_cycles: u64,
+    slot: Slot,
     state: RegionState,
+    /// TM2's queue towards this egress lane.
     queues: ScheduledQueues,
-    pull_scheduled: bool,
 }
 
 /// Outcome of the serial head of a central pull (see
@@ -405,53 +247,34 @@ enum CentralStage {
 }
 
 /// Result of the shardable compute stage of a central pull: the parsed and
-/// region-processed PHV plus everything the serial epilogue needs to
-/// deparse, trace, and schedule.
+/// region-processed PHV plus the slot it claimed — everything the serial
+/// epilogue needs to deparse, trace, and schedule.
 struct CentralRun {
-    phv: Phv,
-    extracted: Vec<adcp_lang::HeaderId>,
-    consumed: usize,
-    depth: u32,
+    out: ParseOutcome,
     entry: SimTime,
 }
 
 /// The compute-heavy middle of a central pull: parse, PHV intrinsics
-/// setup, pipeline-slot bump, and the central MAU region. Touches only the
+/// setup, pipeline-slot claim, and the central MAU region. Touches only the
 /// one pipe's state (plus shared read-only program/layout), so a sharded
 /// batch can run it for distinct pipes on worker threads; the serial path
 /// calls it inline with the switch's recycled scratch PHV.
 fn central_compute(
     program: &Program,
-    layout: &adcp_lang::PhvLayout,
+    layout: &PhvLayout,
     period: Duration,
     now: SimTime,
     pipe: &mut CentralPipe,
     pkt: &mut Packet,
-    scratch: (Phv, Vec<adcp_lang::HeaderId>),
+    scratch: ParseScratch,
 ) -> Result<CentralRun, ()> {
-    let (sphv, sext) = scratch;
-    let Ok(out) = program
-        .parser
-        .parse_reusing(&program.headers, layout, &pkt.data, sphv, sext)
-    else {
-        return Err(());
-    };
-    let mut phv = out.phv;
-    phv.intr.ingress_port = pkt.meta.ingress_port;
+    let mut out = parse_packet(program, layout, pkt, scratch).map_err(|_| ())?;
     // Move (not clone) the forwarding decision into the PHV; writeback
     // moves it back.
-    phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
-    let entry = now.max(pipe.next_slot);
-    pipe.next_slot = entry + period;
-    pipe.busy_cycles += 1;
-    pipe.state.run(program, layout, &mut phv);
-    Ok(CentralRun {
-        phv,
-        extracted: out.extracted,
-        consumed: out.consumed,
-        depth: out.depth,
-        entry,
-    })
+    out.phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
+    let entry = pipe.slot.claim(now, period);
+    pipe.state.run(program, layout, &mut out.phv);
+    Ok(CentralRun { out, entry })
 }
 
 enum Ev {
@@ -556,19 +379,16 @@ struct PartitionRuntime {
     mig: Option<MigrationState>,
 }
 
-/// The Application-Defined Coflow Processor.
+/// The Application-Defined Coflow Processor. Derefs to its [`Shell`] for
+/// the observers (`tracer`, `latency`, `out_meter`) and the metrics, INT
+/// and delivery accessors.
 pub struct AdcpSwitch {
     target: TargetModel,
-    /// Shared, immutable after build: pipelines borrow it per event instead
-    /// of cloning (the per-event `Program` clone dominated the old hot
-    /// path).
-    program: Arc<Program>,
-    layout: adcp_lang::PhvLayout,
+    codec: PacketCodec,
     /// Compilation result the switch was built from.
     pub placement: Placement,
     cfg: AdcpConfig,
-    rx: Vec<RxPort>,
-    tx: Vec<TxPort>,
+    shell: Shell,
     ingress: Vec<IngressPipe>,
     central: Vec<CentralPipe>,
     egress: Vec<EgressPipe>,
@@ -579,51 +399,21 @@ pub struct AdcpSwitch {
     ing_tables: RegionState,
     /// Shared egress-region match tables (same reasoning).
     eg_tables: RegionState,
-    pool1: BufferPool,
-    pool2: BufferPool,
-    events: EventQueue<Ev>,
-    /// Reusable same-timestamp dispatch batch for `run_until_idle`.
-    batch: Vec<Ev>,
-    /// Recycling arena for deparse frame buffers.
-    store: PacketStore,
-    /// Recycled parse scratch (PHV + extraction list): parse-to-writeback
-    /// is straight-line within one handler, so a single slot suffices.
-    scratch: Option<(Phv, Vec<adcp_lang::HeaderId>)>,
+    agenda: Agenda<Ev>,
+    /// Reusable buffer for the run of consecutive central events a batch
+    /// dispatch shards (beside the agenda's batch, for the same reason).
+    central_run: Vec<Ev>,
     period: Duration,
     demux_rr: Vec<u16>,
     /// Drop/flow accounting.
     pub counters: AdcpCounters,
-    /// Meter over delivered packets (throughput, goodput, keys/s).
-    pub out_meter: Meter,
-    /// End-to-end latency (created -> last bit out).
-    pub latency: LatencyHist,
-    /// Packet-journey flight recorder (sampled hop spans, always-on drop
-    /// forensics, control-plane instants).
-    pub tracer: JourneyTracer,
-    /// In-band telemetry knob (resolved from `ADCP_INT` / `cfg.int`).
-    int: IntKnob,
-    /// Postcards emitted at TX for sampled packets, awaiting a collector
-    /// ([`AdcpSwitch::take_postcards`]).
-    postcards: Vec<Postcard>,
     /// Central-register-resident per-flow INT aggregation (§3.1: the
     /// stateful summary the central pipes hold in register state).
     int_flows: IntFlowTable,
-    /// Stamps successfully written into packet header regions.
-    int_stamps: u64,
-    /// Postcards emitted at TX.
-    int_postcards: u64,
-    /// Stamps that found the header region full.
-    int_truncated: u64,
-    /// Postcards shed because the sink FIFO was full ([`POSTCARDS_CAP`]).
-    int_postcards_dropped: u64,
-    /// Sabotage hook: report TM queue depths one higher than observed.
-    int_lie_queue_depth: bool,
-    /// Per-stage metrics registry (spans, queue depths, drop classes).
-    metrics: MetricsRegistry,
-    mh: MetricHandles,
-    delivered: Vec<Delivered>,
-    in_flight: u64,
-    last_delivery: SimTime,
+    ingress_m: RegionMetrics,
+    central_m: RegionMetrics,
+    egress_m: RegionMetrics,
+    mh: AdcpHandles,
     /// Partition-map routing + migration machinery; `None` keeps the
     /// legacy modulo routing (and zero per-packet overhead).
     part: Option<PartitionRuntime>,
@@ -632,6 +422,19 @@ pub struct AdcpSwitch {
     /// Registers referenced by central-region tables with their cell
     /// counts — the state a migration moves.
     central_regs: Vec<(RegId, usize)>,
+}
+
+impl std::ops::Deref for AdcpSwitch {
+    type Target = Shell;
+    fn deref(&self) -> &Shell {
+        &self.shell
+    }
+}
+
+impl std::ops::DerefMut for AdcpSwitch {
+    fn deref_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
 }
 
 impl AdcpSwitch {
@@ -647,102 +450,88 @@ impl AdcpSwitch {
             "ADCP targets should declare central pipelines"
         );
         let placement = compile(&program, &target, opts)?;
-        let layout = program.layout();
         let n_ing = target.num_pipes() as usize;
         let n_central = target.central_pipes.max(1) as usize;
-        let speed_of = |p: u16| {
-            cfg.port_speeds
-                .iter()
-                .find(|(port, _)| *port == p)
-                .map(|(_, s)| *s)
-                .unwrap_or_else(|| target.port_speed())
-        };
-        let rx = (0..target.ports)
-            .map(|p| RxPort::new(PortId(p), speed_of(p)))
-            .collect();
-        let tx = (0..target.ports)
-            .map(|p| TxPort::new(PortId(p), speed_of(p)))
-            .collect();
         let ingress = (0..n_ing)
             .map(|_| IngressPipe {
-                next_slot: SimTime::ZERO,
-                busy_cycles: 0,
+                slot: Slot::default(),
                 state: RegionState::new(&program, Region::Ingress),
             })
             .collect();
-        let tm1 = program.tm1.policy;
         let central = (0..n_central)
             .map(|_| CentralPipe {
-                next_slot: SimTime::ZERO,
-                busy_cycles: 0,
+                slot: Slot::default(),
                 merge_wait_since: None,
                 state: RegionState::new(&program, Region::Central),
-                queues: ScheduledQueues::new(n_ing, cfg.queue_depth, tm1),
-                pull_scheduled: false,
+                queues: ScheduledQueues::new(n_ing, cfg.queue_depth, program.tm1.policy),
             })
             .collect();
-        let tm2 = program.tm2.policy;
         let egress = (0..n_ing)
             .map(|_| EgressPipe {
-                next_slot: SimTime::ZERO,
-                busy_cycles: 0,
+                slot: Slot::default(),
                 state: RegionState::new(&program, Region::Egress),
-                queues: ScheduledQueues::new(1, cfg.queue_depth, tm2),
-                pull_scheduled: false,
+                queues: ScheduledQueues::new(1, cfg.queue_depth, program.tm2.policy),
             })
             .collect();
-        let pool1 = BufferPool::new(cfg.tm_cells, cfg.cell_bytes);
-        let pool2 = BufferPool::new(cfg.tm_cells, cfg.cell_bytes);
-        let period = target.pipe_freq().period();
-        let tracer = JourneyTracer::from_env(cfg.trace, 65_536);
-        let int = IntKnob::from_env(cfg.int);
-        let demux_rr = vec![0; target.ports as usize];
-        let mut metrics = MetricsRegistry::from_env();
-        let mh = register_metrics(&mut metrics);
-        let central_regs = central_registers(&program);
-        let ing_tables = RegionState::new(&program, Region::Ingress);
-        let eg_tables = RegionState::new(&program, Region::Egress);
+        let tm = |scope, site, number| TmSpec {
+            scope,
+            site,
+            number,
+        };
+        let mut shell = Shell::new(ShellSpec {
+            ports: target.ports,
+            speed: target.port_speed(),
+            port_speeds: &cfg.port_speeds,
+            trace: cfg.trace,
+            int: cfg.int,
+            device: cfg.device,
+            tm_cells: cfg.tm_cells,
+            cell_bytes: cfg.cell_bytes,
+            scopes: &[
+                "rx", "mac", "parser", "ingress", "tm1", "central", "tm2", "egress", "deparser",
+                "mat", "drops", "tx", "ctrl", "int",
+            ],
+            tms: &[tm("tm1", Site::Tm1, 1), tm("tm2", Site::Tm2, 2)],
+        });
+        let [ingress_m, central_m, egress_m] =
+            ["ingress", "central", "egress"].map(|s| shell.region_metrics(s));
+        let m = shell.metrics_mut();
+        let (ctrl, int) = (m.scope("ctrl"), m.scope("int"));
+        let mh = AdcpHandles {
+            ctrl_migrations: m.counter(ctrl, "migrations"),
+            ctrl_moved_keys: m.counter(ctrl, "moved_keys"),
+            ctrl_paused_ns: m.counter(ctrl, "paused_ns"),
+            ctrl_redirected_pkts: m.counter(ctrl, "redirected_pkts"),
+            ctrl_held_pkts: m.counter(ctrl, "held_pkts"),
+            ctrl_misroutes: m.counter(ctrl, "misroutes"),
+            ctrl_epoch: m.gauge(ctrl, "epoch"),
+            int_path_changes: m.counter(int, "path_changes"),
+            int_flows: m.gauge(int, "active_flow_cells"),
+        };
         Ok(AdcpSwitch {
+            central_regs: central_registers(&program),
+            ing_tables: RegionState::new(&program, Region::Ingress),
+            eg_tables: RegionState::new(&program, Region::Egress),
+            period: target.pipe_freq().period(),
+            demux_rr: vec![0; target.ports as usize],
             target,
-            program: Arc::new(program),
-            layout,
+            codec: PacketCodec::new(program),
             placement,
             cfg,
-            rx,
-            tx,
+            shell,
             ingress,
             central,
             egress,
-            ing_tables,
-            eg_tables,
-            pool1,
-            pool2,
-            events: EventQueue::new(),
-            batch: Vec::new(),
-            store: PacketStore::new(),
-            scratch: None,
-            period,
-            demux_rr,
+            agenda: Agenda::default(),
+            central_run: Vec::new(),
             counters: AdcpCounters::default(),
-            out_meter: Meter::default(),
-            latency: LatencyHist::new(),
-            tracer,
-            int,
-            postcards: Vec::new(),
             int_flows: IntFlowTable::new(INT_FLOW_CELLS),
-            int_stamps: 0,
-            int_postcards: 0,
-            int_truncated: 0,
-            int_postcards_dropped: 0,
-            int_lie_queue_depth: false,
-            metrics,
+            ingress_m,
+            central_m,
+            egress_m,
             mh,
-            delivered: Vec::new(),
-            in_flight: 0,
-            last_delivery: SimTime::ZERO,
             part: None,
             mig_stats: MigrationStats::default(),
-            central_regs,
         })
     }
 
@@ -753,7 +542,7 @@ impl AdcpSwitch {
 
     /// The program it runs.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.codec.program
     }
 
     /// Number of central pipelines.
@@ -770,32 +559,30 @@ impl AdcpSwitch {
 
     // ---------------- control plane ----------------
 
-    /// Install a table entry into every pipeline hosting the table.
-    pub fn install_all(&mut self, table: &str, entry: Entry) -> Result<(), TableError> {
-        let AdcpSwitch {
-            program,
-            ing_tables,
-            central,
-            eg_tables,
-            ..
-        } = self;
-        let gi = program
-            .tables
+    fn table_index(&self, table: &str) -> usize {
+        let tables = &self.codec.program.tables;
+        tables
             .iter()
             .position(|t| t.name == table)
-            .unwrap_or_else(|| panic!("no table named {table}"));
+            .unwrap_or_else(|| panic!("no table named {table}"))
+    }
+
+    /// Install a table entry into every pipeline hosting the table.
+    pub fn install_all(&mut self, table: &str, entry: Entry) -> Result<(), TableError> {
+        let gi = self.table_index(table);
+        let program = &self.codec.program;
         match program.tables[gi].region {
             // Ingress/egress tables are installed identically everywhere, so
             // one shared copy serves every pipe — a control-plane install is
             // O(1) in the pipe count instead of cloning the entry per pipe.
-            Region::Ingress => ing_tables.install(program, gi, entry)?,
+            Region::Ingress => self.ing_tables.install(program, gi, entry)?,
             Region::Central => {
                 // Central tables stay per-pipe: §3.1 partitions this state.
-                for p in central.iter_mut() {
+                for p in self.central.iter_mut() {
                     p.state.install(program, gi, entry.clone())?;
                 }
             }
-            Region::Egress => eg_tables.install(program, gi, entry)?,
+            Region::Egress => self.eg_tables.install(program, gi, entry)?,
         }
         Ok(())
     }
@@ -809,19 +596,12 @@ impl AdcpSwitch {
         table: &str,
         entry: Entry,
     ) -> Result<(), TableError> {
-        let AdcpSwitch {
-            program, central, ..
-        } = self;
-        let gi = program
-            .tables
-            .iter()
-            .position(|t| t.name == table)
-            .unwrap_or_else(|| panic!("no table named {table}"));
-        let have = central.len();
-        let Some(pipe) = central.get_mut(cpipe) else {
+        let gi = self.table_index(table);
+        let have = self.central.len();
+        let Some(pipe) = self.central.get_mut(cpipe) else {
             return Err(TableError::NoSuchPipe { pipe: cpipe, have });
         };
-        pipe.state.install(program, gi, entry)
+        pipe.state.install(&self.codec.program, gi, entry)
     }
 
     /// Read a central pipeline's register file. `None` when `cpipe` is out
@@ -854,7 +634,7 @@ impl AdcpSwitch {
                 pipes,
             });
         }
-        if self.in_flight != 0 {
+        if self.shell.in_flight() != 0 {
             return Err(MigrateError::NotIdle);
         }
         map.epoch = 0;
@@ -956,7 +736,7 @@ impl AdcpSwitch {
                 pipes,
             });
         }
-        let now = self.events.now();
+        let now = self.agenda.events.now();
         let central_regs = self.central_regs.clone();
         let rt = self.part.as_mut().ok_or(MigrateError::NoMap)?;
         if rt.mig.is_some() {
@@ -996,7 +776,7 @@ impl AdcpSwitch {
                 });
                 if fence_left == 0 {
                     let at = now + self.copy_cost(n_moving);
-                    self.events.push(at, Ev::MigrateCommit);
+                    self.agenda.events.push(at, Ev::MigrateCommit);
                 }
             }
             MigrationStrategy::Incremental => {
@@ -1033,7 +813,7 @@ impl AdcpSwitch {
             MigrationStrategy::Drain => "drain",
             MigrationStrategy::Incremental => "incremental",
         };
-        self.tracer.record_ctrl(
+        self.shell.tracer.record_ctrl(
             now,
             CtrlEvent::MigrationBegin {
                 strategy: label,
@@ -1041,9 +821,13 @@ impl AdcpSwitch {
             },
         );
         if strategy == MigrationStrategy::Incremental {
-            self.tracer
+            self.shell
+                .tracer
                 .record_ctrl(now, CtrlEvent::EpochBump { epoch: new_epoch });
         }
+        // A control-plane call outside the event loop: mirror the new
+        // epoch now, a metrics snapshot may precede the next run.
+        self.sync();
         Ok(())
     }
 
@@ -1072,10 +856,10 @@ impl AdcpSwitch {
         // loop before control-plane code can run, but never strand a held
         // packet — the cells just moved, so plain routing is consistent.
         for (pipe, pkt) in std::mem::take(&mut mig.held) {
-            self.tm1_route(self.events.now(), pipe, pkt);
+            self.tm1_route(self.agenda.events.now(), pipe, pkt);
         }
-        self.tracer.record_ctrl(
-            self.events.now(),
+        self.shell.tracer.record_ctrl(
+            self.agenda.events.now(),
             CtrlEvent::MigrationFinalize {
                 epoch: self.partition_epoch(),
                 moved_keys: moves.len() as u64,
@@ -1084,7 +868,7 @@ impl AdcpSwitch {
         // Finalize is a control-plane call outside the event loop, so the
         // run loop's end-of-run sync has already happened: re-mirror here
         // or the ctrl scope would under-report the completed migration.
-        self.sync_metrics();
+        self.sync();
         Ok(())
     }
 
@@ -1118,58 +902,28 @@ impl AdcpSwitch {
 
     /// Offer a packet to an RX port at `t`.
     pub fn inject(&mut self, port: PortId, mut pkt: Packet, t: SimTime) {
-        assert!((port.0 as usize) < self.rx.len());
-        if pkt.meta.created == SimTime::ZERO {
-            pkt.meta.created = t;
-        }
-        self.counters.injected += 1;
-        self.in_flight += 1;
-        self.events.push(t, Ev::Inject { port: port.0, pkt });
+        self.shell
+            .accept(&mut self.counters.flow, port, &mut pkt, t);
+        self.agenda.events.push(t, Ev::Inject { port: port.0, pkt });
     }
 
     /// Run until no events remain; returns quiescence time — the later of
     /// the last event and the last bit serialized out a TX port.
     pub fn run_until_idle(&mut self) -> SimTime {
-        let mut last = self.events.now();
-        // Batched dispatch: drain every event sharing the minimal timestamp
-        // in one calendar-queue operation, then dispatch from a reusable
-        // buffer. Handlers that push more work at the same timestamp get a
-        // later seq, so those land in the *next* batch — the dispatch order
-        // is identical to the one-event-at-a-time loop.
-        let mut batch = std::mem::take(&mut self.batch);
-        let mut run: Vec<Ev> = Vec::new();
-        loop {
-            batch.clear();
-            let Some(t) = self.events.pop_batch(&mut batch) else {
-                break;
-            };
-            self.dispatch_batch(t, &mut batch, &mut run);
-            last = t;
-        }
-        self.batch = batch;
-        self.refresh_mat_counters();
-        self.sync_metrics();
-        last.max(self.last_delivery)
+        let last = self.run(None);
+        self.shell.quiescence(last)
     }
 
     /// Run every event scheduled at or before `t`, then stop — the hook a
     /// control loop uses to interleave observation and reconfiguration
     /// with live traffic. Returns the time of the last handled event.
     pub fn run_until(&mut self, t: SimTime) -> SimTime {
-        let mut last = self.events.now();
-        let mut batch = std::mem::take(&mut self.batch);
-        let mut run: Vec<Ev> = Vec::new();
-        while self.events.peek_time().is_some_and(|pt| pt <= t) {
-            batch.clear();
-            let Some(bt) = self.events.pop_batch(&mut batch) else {
-                break;
-            };
-            self.dispatch_batch(bt, &mut batch, &mut run);
-            last = bt;
-        }
-        self.batch = batch;
-        self.refresh_mat_counters();
-        self.sync_metrics();
+        self.run(Some(t))
+    }
+
+    fn run(&mut self, until: Option<SimTime>) -> SimTime {
+        let last = Agenda::run(self, until, |s| &mut s.agenda, Self::dispatch_batch);
+        self.sync();
         last
     }
 
@@ -1184,133 +938,57 @@ impl AdcpSwitch {
     /// hops (its ring is a single flat insertion-ordered log), and never
     /// while INT stamping is on (stamps and postcards must land in exact
     /// serial order for the honesty conformance check).
-    fn dispatch_batch(&mut self, t: SimTime, batch: &mut Vec<Ev>, run: &mut Vec<Ev>) {
+    fn dispatch_batch(&mut self, t: SimTime, batch: &mut Vec<Ev>) {
         let shard = self.cfg.central_workers > 1
-            && !self.tracer.hops_on()
-            && !self.int.on()
+            && !self.shell.tracer.hops_on()
+            && !self.shell.int_knob().on()
             && !self.migration_active();
+        let mut run = std::mem::take(&mut self.central_run);
         for ev in batch.drain(..) {
             if shard {
                 if matches!(ev, Ev::PullCentral { .. } | Ev::CentralOut { .. }) {
                     run.push(ev);
                     continue;
                 }
-                self.flush_central_run(t, run);
+                self.flush_central_run(t, &mut run);
             }
             self.handle(t, ev);
         }
-        self.flush_central_run(t, run);
+        self.flush_central_run(t, &mut run);
+        self.central_run = run;
     }
 
-    /// Mirror the ad-hoc [`AdcpCounters`] and per-pipe busy cycles into the
-    /// metrics registry, so the JSON export is the one complete metrics
-    /// path. Values are monotone totals; re-assigning is idempotent.
-    fn sync_metrics(&mut self) {
-        let c = self.counters.clone();
-        let mh = self.mh;
-        let m = &mut self.metrics;
-        m.set_counter(mh.rx_pkts, c.injected);
-        m.set_counter(mh.mac_fcs_drops, c.fcs_drops);
-        m.set_counter(mh.parse_errors, c.parse_errors);
-        m.set_counter(mh.tm1_drops, c.tm1_drops);
-        m.set_counter(mh.tm1_queue_drops, c.tm1_queue_drops);
-        m.set_counter(mh.tm2_drops, c.tm2_drops);
-        m.set_counter(mh.tm2_queue_drops, c.tm2_queue_drops);
-        m.set_counter(mh.tm2_mcast_copies, c.mcast_copies);
-        m.set_counter(mh.deparse_allocs, c.deparse_allocs);
-        m.set_counter(mh.mat_lookups, c.mat_lookups);
-        m.set_counter(mh.mat_hits, c.mat_hits);
-        m.set_counter(mh.drops_filtered, c.filtered);
-        m.set_counter(mh.drops_no_decision, c.no_decision);
-        m.set_counter(mh.drops_bad_port, c.bad_port);
-        m.set_counter(mh.tx_pkts, c.delivered);
-        m.set_gauge(mh.tm1_buffer_gauge, self.pool1.used());
-        m.set_gauge(mh.tm2_buffer_gauge, self.pool2.used());
-        let mig = &self.mig_stats;
+    /// Refresh the match-table totals and mirror every counter into the
+    /// metrics registry: the shared export plus the ADCP's tail.
+    fn sync(&mut self) {
+        let stats = (self.ingress.iter().map(|p| &p.state.stats))
+            .chain(self.central.iter().map(|p| &p.state.stats))
+            .chain(self.egress.iter().map(|p| &p.state.stats));
+        let c = &mut self.counters;
+        (c.flow.mat_lookups, c.flow.mat_hits) = RegionRunStats::lookup_totals(stats);
+        self.shell.export(&c.flow);
+        self.shell.export_tm(TM1, c.tm1_drops, c.tm1_queue_drops);
+        self.shell.export_tm(TM2, c.tm2_drops, c.tm2_queue_drops);
+        let (mh, mig) = (self.mh, &self.mig_stats);
+        let m = self.shell.metrics_mut();
         m.set_counter(mh.ctrl_migrations, mig.migrations);
         m.set_counter(mh.ctrl_moved_keys, mig.moved_keys);
         m.set_counter(mh.ctrl_paused_ns, mig.paused_ns);
         m.set_counter(mh.ctrl_redirected_pkts, mig.redirected_pkts);
         m.set_counter(mh.ctrl_held_pkts, mig.held_pkts);
         m.set_counter(mh.ctrl_misroutes, mig.misroutes);
-        let epoch = self.part.as_ref().map_or(0, |rt| rt.map.epoch);
-        m.set_gauge(mh.ctrl_epoch, epoch);
-        m.set_counter(mh.int_stamps, self.int_stamps);
-        m.set_counter(mh.int_postcards, self.int_postcards);
-        m.set_counter(mh.int_truncated, self.int_truncated);
-        m.set_counter(mh.int_postcards_dropped, self.int_postcards_dropped);
+        m.set_gauge(
+            mh.ctrl_epoch,
+            self.part.as_ref().map_or(0, |rt| rt.map.epoch),
+        );
         m.set_counter(mh.int_path_changes, self.int_flows.total_path_changes());
         m.set_gauge(mh.int_flows, self.int_flows.active_cells());
-        // Pipeline occupancy, aggregated (per-pipe cardinality would bloat
-        // every report on 64-port targets): total busy cycles plus the
-        // busiest pipe, per region, via the pre-registered handles.
-        let stages: [(usize, u64, u64); 3] = [
-            (
-                0,
-                self.ingress.iter().map(|p| p.busy_cycles).sum(),
-                self.ingress
-                    .iter()
-                    .map(|p| p.busy_cycles)
-                    .max()
-                    .unwrap_or(0),
-            ),
-            (
-                1,
-                self.central.iter().map(|p| p.busy_cycles).sum(),
-                self.central
-                    .iter()
-                    .map(|p| p.busy_cycles)
-                    .max()
-                    .unwrap_or(0),
-            ),
-            (
-                2,
-                self.egress.iter().map(|p| p.busy_cycles).sum(),
-                self.egress.iter().map(|p| p.busy_cycles).max().unwrap_or(0),
-            ),
-        ];
-        for (region, total, max) in stages {
-            let (id, g) = mh.busy[region];
-            self.metrics.set_counter(id, total);
-            self.metrics.set_gauge(g, max);
-        }
-    }
-
-    /// Export the per-stage metrics block (see
-    /// [`MetricsRegistry::to_json`]), synchronizing mirrored counters
-    /// first so the snapshot is complete at any point.
-    pub fn metrics_json(&mut self) -> serde::Value {
-        self.refresh_mat_counters();
-        self.sync_metrics();
-        self.metrics.to_json()
-    }
-
-    /// Shared access to the per-stage metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Export the journey tracer's state (sampled hops, drop forensics,
-    /// control-plane instants) as JSON. See [`JourneyTracer::to_json`].
-    pub fn trace_json(&self) -> serde::Value {
-        self.tracer.to_json()
-    }
-
-    /// The in-band telemetry knob in force (resolved from `ADCP_INT` at
-    /// construction, falling back to [`AdcpConfig::int`]).
-    pub fn int_knob(&self) -> IntKnob {
-        self.int
-    }
-
-    /// Device id this switch writes into its INT stamps.
-    pub fn device(&self) -> u16 {
-        self.cfg.device
-    }
-
-    /// Drain the postcards emitted since the last call (sink exports of
-    /// sampled packets' INT stacks at TX).
-    pub fn take_postcards(&mut self) -> Vec<Postcard> {
-        std::mem::take(&mut self.postcards)
+        let slots = self.ingress.iter().map(|p| &p.slot);
+        self.shell.export_busy(self.ingress_m, slots);
+        let slots = self.central.iter().map(|p| &p.slot);
+        self.shell.export_busy(self.central_m, slots);
+        let slots = self.egress.iter().map(|p| &p.slot);
+        self.shell.export_busy(self.egress_m, slots);
     }
 
     /// The central-register-resident per-flow INT aggregation cell for
@@ -1324,136 +1002,36 @@ impl AdcpSwitch {
         &self.int_flows
     }
 
-    /// INT totals: (stamps written, postcards emitted, stamps truncated).
-    pub fn int_totals(&self) -> (u64, u64, u64) {
-        (self.int_stamps, self.int_postcards, self.int_truncated)
-    }
-
-    /// Postcards shed because the sink FIFO was full — nonzero only when
-    /// nothing drained [`AdcpSwitch::take_postcards`] for
-    /// [`POSTCARDS_CAP`] sampled transmissions.
-    pub fn int_postcards_dropped(&self) -> u64 {
-        self.int_postcards_dropped
-    }
-
-    /// Sabotage hook for the conformance harness: when set, every INT
-    /// stamp reports a TM queue depth one higher than actually observed —
-    /// a plausible-but-lying datapath the honesty check must catch.
-    #[doc(hidden)]
-    pub fn set_int_lie_queue_depth(&mut self, lie: bool) {
-        self.int_lie_queue_depth = lie;
-    }
-
-    /// Append one INT stamp to a sampled packet's bounded header region.
-    /// `ctx` must be the same value handed to the journey tracer for this
-    /// hop — the honesty conformance check compares the two byte for byte.
-    fn int_stamp(
-        &mut self,
-        pkt: &mut Packet,
-        site: Site,
-        enter: SimTime,
-        exit: SimTime,
-        ctx: HopCtx,
-    ) {
-        if !self.int.samples(pkt.meta.id) {
-            return;
-        }
-        let ctx = if self.int_lie_queue_depth {
-            HopCtx {
-                queue_depth: ctx.queue_depth.map(|d| d + 1),
-                ..ctx
-            }
-        } else {
-            ctx
-        };
-        let stack = pkt
-            .meta
-            .int
-            .get_or_insert_with(|| Box::new(IntStack::with_typical_capacity()));
-        let stamp = IntStamp {
-            device: self.cfg.device,
-            site,
-            enter,
-            exit,
-            ctx,
-        };
-        if stack.push(stamp) {
-            self.int_stamps += 1;
-        } else {
-            self.int_truncated += 1;
-        }
-    }
-
-    /// Copy the per-table lookup/hit totals into [`AdcpCounters`] so a
-    /// counters snapshot taken at quiescence is complete. Totals are
-    /// monotone, so re-assigning on every call is idempotent.
-    fn refresh_mat_counters(&mut self) {
-        let stats = self
-            .ingress
-            .iter()
-            .map(|p| &p.state.stats)
-            .chain(self.central.iter().map(|p| &p.state.stats))
-            .chain(self.egress.iter().map(|p| &p.state.stats));
-        let (mut lookups, mut hits) = (0, 0);
-        for s in stats {
-            lookups += s.lookups;
-            hits += s.hits;
-        }
-        self.counters.mat_lookups = lookups;
-        self.counters.mat_hits = hits;
-    }
-
-    /// Drain delivered packets.
-    pub fn take_delivered(&mut self) -> Vec<Delivered> {
-        std::mem::take(&mut self.delivered)
-    }
-
     /// Time of the switch's next pending event, if any. A fabric driving
     /// loop advances every member switch to the global minimum of these
     /// before exchanging link traffic (see the `adcp-fabric` crate).
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.events.peek_time()
+        self.agenda.next_time()
     }
 
-    /// Packets currently inside the switch.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight
-    }
-
-    /// Panic unless every packet is accounted for. Call at idle.
+    /// Panic unless every packet is accounted for.
     pub fn check_conservation(&self) {
         let c = &self.counters;
-        assert_eq!(
+        self.shell.assert_conserved(
+            c,
             c.injected + c.mcast_copies,
-            c.delivered + c.total_drops() + self.in_flight,
-            "conservation violated: {c:?} in_flight={}",
-            self.in_flight
+            c.delivered + c.total_drops(),
         );
-    }
-
-    /// High-water mark across both TM buffers, in cells.
-    pub fn tm_buffer_hwm(&self) -> u64 {
-        self.pool1.hwm_cells.max(self.pool2.hwm_cells)
     }
 
     /// Utilization of one ingress pipeline.
     pub fn ingress_utilization(&self, pipe: usize, now: SimTime) -> f64 {
-        let total = now.as_ps() / self.period.as_ps().max(1);
-        if total == 0 {
-            0.0
-        } else {
-            self.ingress[pipe].busy_cycles as f64 / total as f64
-        }
+        self.ingress[pipe].slot.utilization(now, self.period)
     }
 
     /// Busy cycles of one ingress pipeline (demux spread checks).
     pub fn ingress_busy_cycles(&self, pipe: usize) -> u64 {
-        self.ingress[pipe].busy_cycles
+        self.ingress[pipe].slot.busy_cycles()
     }
 
     /// Busy cycles of one central pipeline (partition balance checks).
     pub fn central_busy_cycles(&self, cpipe: usize) -> u64 {
-        self.central[cpipe].busy_cycles
+        self.central[cpipe].slot.busy_cycles()
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
@@ -1469,26 +1047,42 @@ impl AdcpSwitch {
         }
     }
 
+    fn drop_at(&mut self, now: SimTime, pkt: &Packet, site: Site, reason: DropReason) {
+        let flow = &mut self.counters.flow;
+        self.shell.drop_pkt(flow, now, pkt.meta.id, site, reason);
+    }
+
+    /// Parse a packet at the head of pipeline `site`, recording the parse
+    /// span (every parse counts on this target) and accounting a failure.
+    fn parse(&mut self, now: SimTime, pkt: &Packet, site: Site) -> Option<ParseOutcome> {
+        match self.codec.parse(pkt) {
+            Ok(out) => {
+                let cost = Duration(out.depth as u64 * self.period.as_ps());
+                self.shell.record_parse(cost);
+                Some(out)
+            }
+            Err(_) => {
+                self.drop_at(now, pkt, site, DropReason::ParseError);
+                None
+            }
+        }
+    }
+
+    /// Deparse the PHV into the packet and move intrinsics into metadata.
+    fn writeback(&mut self, pkt: &mut Packet, phv: Phv, extracted: Vec<HeaderId>, consumed: usize) {
+        self.counters.flow.deparse_allocs += 1;
+        let store = &mut self.shell.store;
+        let (central_pipe, _) = self.codec.writeback(store, pkt, phv, extracted, consumed);
+        // A pipeline that names no central pipe keeps the one chosen
+        // upstream (TM1 routed on it; later stages must not erase it).
+        pkt.meta.central_pipe = central_pipe.or(pkt.meta.central_pipe);
+    }
+
     fn on_inject(&mut self, now: SimTime, port: u16, mut pkt: Packet) {
-        if !pkt.fcs_ok() {
-            // Corrupted on the wire: discard at the MAC, before the packet
-            // can reach a parser, table, or register.
-            self.counters.fcs_drops += 1;
-            self.drop_packet(
-                now,
-                pkt.meta.id,
-                Site::Rx(PortId(port)),
-                DropReason::FcsBad,
-                HopCtx::NONE,
-            );
+        let flow = &mut self.counters.flow;
+        let Some(done) = self.shell.receive(flow, now, port, &mut pkt) else {
             return;
-        }
-        let done = self.rx[port as usize].receive(&mut pkt, now);
-        if self.tracer.hops_on() {
-            self.tracer
-                .record_hop(pkt.meta.id, Site::Rx(PortId(port)), now, done, HopCtx::NONE);
-        }
-        self.int_stamp(&mut pkt, Site::Rx(PortId(port)), now, done, HopCtx::NONE);
+        };
         // 1:m demultiplex (§3.3).
         let m = self.target.demux_factor as usize;
         let lane = match self.cfg.demux {
@@ -1500,58 +1094,38 @@ impl AdcpSwitch {
             DemuxPolicy::FlowHash => (adcp_lang::fold_hash([pkt.meta.flow.0]) % m as u64) as usize,
         };
         let pipe = port as usize * m + lane;
-        self.events.push(done, Ev::IngressEnter { pipe, pkt });
+        self.agenda
+            .events
+            .push(done, Ev::IngressEnter { pipe, pkt });
     }
 
     /// Parse, run ingress region, occupy a slot, deparse.
-    fn on_ingress_enter(&mut self, now: SimTime, pipe: usize, pkt: Packet) {
-        let Some((mut phv, out_extracted, consumed, depth)) =
-            self.parse(now, &pkt, Site::IngressPipe(pipe))
-        else {
+    fn on_ingress_enter(&mut self, now: SimTime, pipe: usize, mut pkt: Packet) {
+        let site = Site::IngressPipe(pipe);
+        let Some(out) = self.parse(now, &pkt, site) else {
             return;
         };
-        phv.intr.ingress_port = pkt.meta.ingress_port;
-        let parse_done = now + Duration(depth as u64 * self.period.as_ps());
+        let mut phv = out.phv;
+        let parse_done = now + Duration(out.depth as u64 * self.period.as_ps());
         let p = &mut self.ingress[pipe];
-        let entry = parse_done.max(p.next_slot);
-        p.next_slot = entry + self.period;
-        p.busy_cycles += 1;
+        let entry = p.slot.claim(parse_done, self.period);
+        let (program, layout) = (&self.codec.program, &self.codec.layout);
         p.state
-            .run_with_tables(&self.ing_tables, &self.program, &self.layout, &mut phv);
-        self.counters.deparse_allocs += 1;
-        let mut pkt = self.writeback(pkt, phv, out_extracted, consumed);
+            .run_with_tables(&self.ing_tables, program, layout, &mut phv);
+        self.writeback(&mut pkt, phv, out.extracted, out.consumed);
         let stages = self.placement.ingress.depth().max(1) as u64;
         let exit = entry + Duration(stages * self.period.as_ps());
-        if self.tracer.hops_on() {
-            self.tracer.record_hop(
-                pkt.meta.id,
-                Site::IngressPipe(pipe),
-                entry,
-                exit,
-                HopCtx::NONE,
-            );
-        }
-        self.int_stamp(&mut pkt, Site::IngressPipe(pipe), entry, exit, HopCtx::NONE);
-        self.events.push(exit, Ev::IngressOut { pipe, pkt });
+        self.shell.hop(&mut pkt, site, entry, exit, HopCtx::NONE);
+        self.agenda.events.push(exit, Ev::IngressOut { pipe, pkt });
     }
 
     /// TM1: application-defined partitioning into central pipelines.
     fn on_ingress_out(&mut self, now: SimTime, pipe: usize, pkt: Packet) {
         // Stage span: RX handoff -> ingress pipeline exit (parse included).
-        if self.metrics.enabled() {
-            self.metrics
-                .record_span(self.mh.ingress_span, pkt.meta.arrived, now);
-        }
+        self.shell
+            .record_span(self.ingress_m.span, pkt.meta.arrived, now);
         if pkt.meta.egress == EgressSpec::Drop {
-            self.counters.filtered += 1;
-            self.drop_packet(
-                now,
-                pkt.meta.id,
-                Site::Tm1,
-                DropReason::Filtered,
-                HopCtx::NONE,
-            );
-            return;
+            return self.drop_at(now, &pkt, Site::Tm1, DropReason::Filtered);
         }
         self.tm1_route(now, pipe, pkt);
     }
@@ -1619,70 +1193,17 @@ impl AdcpSwitch {
             pkt.meta.map_epoch = Some(epoch);
             owner
         };
-        if !self.central[cpipe].queues.queue(pipe).has_room(&pkt) {
-            self.counters.tm1_queue_drops += 1;
-            self.account_tm1_unenqueue(&pkt);
-            let ctx = HopCtx {
-                queue_depth: Some(self.central[cpipe].queues.len() as u32),
-                buffer_cells: Some(self.pool1.used()),
-                epoch: pkt.meta.map_epoch,
-            };
-            self.drop_packet(
-                now,
-                pkt.meta.id,
-                Site::Tm1,
-                DropReason::QueueTail {
-                    tm: 1,
-                    queue: cpipe as u32,
-                },
-                ctx,
-            );
-            return;
-        }
-        if !self.pool1.try_alloc(&mut pkt) {
-            self.counters.tm1_drops += 1;
-            self.account_tm1_unenqueue(&pkt);
-            let ctx = HopCtx {
-                queue_depth: Some(self.central[cpipe].queues.len() as u32),
-                buffer_cells: Some(self.pool1.used()),
-                epoch: pkt.meta.map_epoch,
-            };
-            self.drop_packet(
-                now,
-                pkt.meta.id,
-                Site::Tm1,
-                DropReason::BufferExhausted { tm: 1 },
-                ctx,
-            );
-            return;
-        }
-        pkt.meta.tm_enqueued = now;
-        // Enqueue-time context, carried in the metadata so the journey
-        // tracer can attach it to the TM1-residency hop at dequeue.
-        // `ScheduledQueues::len` walks every queue, so only pay for it when
-        // a knob will consume the value.
-        if self.tracer.hops_on() || self.int.samples(pkt.meta.id) {
-            pkt.meta.tm_q_depth = Some(self.central[cpipe].queues.len() as u32 + 1);
-            pkt.meta.tm_buf_used = Some(self.pool1.used());
-        }
-        let ok = self.central[cpipe].queues.enqueue(pipe, pkt).is_ok();
-        debug_assert!(ok);
-        if self.metrics.enabled() {
-            let depth = self.central[cpipe].queues.len() as u64;
-            self.metrics.sample(self.mh.tm1_queue_depth, now, depth);
-            self.metrics
-                .sample(self.mh.tm1_buffer, now, self.pool1.used());
-            self.metrics
-                .set_gauge(self.mh.tm1_buffer_gauge, self.pool1.used());
-        }
-        self.schedule_pull_central(now, cpipe);
-    }
-
-    /// Undo the in-flight stamp of a packet that was counted for a bucket
-    /// but then dropped at TM1 admission (queue/buffer exhaustion).
-    fn account_tm1_unenqueue(&mut self, pkt: &Packet) {
-        let Some(rt) = &mut self.part else { return };
-        if let (Some(b), Some(e)) = (pkt.meta.part_bucket, pkt.meta.map_epoch) {
+        // A refused packet was already counted for its bucket above.
+        let stamp = (pkt.meta.part_bucket, pkt.meta.map_epoch);
+        let c = &mut self.counters;
+        let drops = (&mut c.tm1_queue_drops, &mut c.tm1_drops);
+        let queues = &mut self.central[cpipe].queues;
+        if self
+            .shell
+            .tm_admit(TM1, drops, queues, pipe, cpipe as u32, pkt, now)
+        {
+            self.schedule_pull_central(now, cpipe);
+        } else if let (Some(rt), (Some(b), Some(e))) = (&mut self.part, stamp) {
             if e == rt.map.epoch {
                 rt.inflight[b as usize] -= 1;
             }
@@ -1715,7 +1236,7 @@ impl AdcpSwitch {
         self.mig_stats.moved_keys += moves.len() as u64;
         self.apply_moves(&moves);
         let cost = self.copy_cost(moves.len());
-        self.central[owner].next_slot = self.central[owner].next_slot.max(now) + cost;
+        self.central[owner].slot.stall(now, cost);
     }
 
     /// Drain-strategy commit: fence drained and copy window elapsed — move
@@ -1738,14 +1259,16 @@ impl AdcpSwitch {
         self.mig_stats.migrations += 1;
         self.mig_stats.paused_ns += now.saturating_since(mig.begun).as_ps() / 1000;
         let epoch = self.partition_epoch();
-        self.tracer.record_ctrl(
+        self.shell.tracer.record_ctrl(
             now,
             CtrlEvent::MigrationCommit {
                 epoch,
                 moved_keys: moves.len() as u64,
             },
         );
-        self.tracer.record_ctrl(now, CtrlEvent::EpochBump { epoch });
+        self.shell
+            .tracer
+            .record_ctrl(now, CtrlEvent::EpochBump { epoch });
         // Release inline, in arrival order, before any later event can
         // route — preserves per-key FIFO through the pause.
         for (pipe, pkt) in mig.held {
@@ -1812,7 +1335,7 @@ impl AdcpSwitch {
             // map, so there is nothing left to check.
         }
         if let Some(at) = commit_at {
-            self.events.push(at, Ev::MigrateCommit);
+            self.agenda.events.push(at, Ev::MigrateCommit);
         }
     }
 
@@ -1835,10 +1358,8 @@ impl AdcpSwitch {
     }
 
     fn schedule_pull_central(&mut self, now: SimTime, cpipe: usize) {
-        if !self.central[cpipe].pull_scheduled {
-            self.central[cpipe].pull_scheduled = true;
-            let at = now.max(self.central[cpipe].next_slot);
-            self.events.push(at, Ev::PullCentral { cpipe });
+        if let Some(at) = self.central[cpipe].slot.arm_pull(now) {
+            self.agenda.events.push(at, Ev::PullCentral { cpipe });
         }
     }
 
@@ -1847,13 +1368,10 @@ impl AdcpSwitch {
             CentralStage::Idle => {}
             CentralStage::Reschedule(at) => self.schedule_pull_central(at, cpipe),
             CentralStage::Work(mut pkt) => {
-                let scratch = self
-                    .scratch
-                    .take()
-                    .unwrap_or_else(|| (Phv::empty(), Vec::new()));
+                let scratch = self.codec.take_scratch();
                 let res = central_compute(
-                    &self.program,
-                    &self.layout,
+                    &self.codec.program,
+                    &self.codec.layout,
                     self.period,
                     now,
                     &mut self.central[cpipe],
@@ -1866,62 +1384,39 @@ impl AdcpSwitch {
     }
 
     /// Serial head of a central pull: everything up to (and including) the
-    /// TM1 dequeue, pool release, fence accounting, and TM1-residency
-    /// observability. Never pushes events — deferred scheduling comes back
-    /// as [`CentralStage::Reschedule`] so a sharded batch can replay all
-    /// pushes in exact serial order during the epilogue.
+    /// TM1 dequeue, cell release, TM1-residency observability and fence
+    /// accounting. Never pushes pull or pipeline events — deferred
+    /// scheduling comes back as [`CentralStage::Reschedule`] so a sharded
+    /// batch can replay all pushes in exact serial order during the
+    /// epilogue.
     fn pull_central_prologue(&mut self, now: SimTime, cpipe: usize) -> CentralStage {
-        self.central[cpipe].pull_scheduled = false;
-        if now < self.central[cpipe].next_slot {
-            return CentralStage::Reschedule(self.central[cpipe].next_slot);
+        let p = &mut self.central[cpipe];
+        if let Some(at) = p.slot.begin_pull(now) {
+            return CentralStage::Reschedule(at);
         }
         // Exact-merge gating (§3.1): under MergeOrder, wait (bounded) for
         // every un-ended input queue to have a head before departing the
         // global minimum. Streams signal completion via mark_ended or by
         // ending with a max-key record.
-        if self.program.tm1.policy == adcp_sim::sched::Policy::MergeOrder
-            && !self.central[cpipe].queues.is_empty()
-            && !self.central[cpipe].queues.merge_ready()
+        if self.codec.program.tm1.policy == adcp_sim::sched::Policy::MergeOrder
+            && !p.queues.is_empty()
+            && !p.queues.merge_ready()
         {
-            let since = *self.central[cpipe].merge_wait_since.get_or_insert(now);
+            let since = *p.merge_wait_since.get_or_insert(now);
             if now.saturating_since(since) < self.cfg.merge_patience {
                 return CentralStage::Reschedule(now + self.period);
             }
             // Patience exhausted: fall through to the streaming
             // approximation so the switch can never deadlock.
         }
-        self.central[cpipe].merge_wait_since = None;
-        let Some((_, mut pkt)) = self.central[cpipe].queues.dequeue() else {
+        p.merge_wait_since = None;
+        let Some((_, mut pkt)) = p.queues.dequeue() else {
             return CentralStage::Idle;
         };
-        self.pool1.release(&mut pkt);
+        self.shell.tm_depart(TM1, &mut pkt, now);
         // Fence/epoch accounting must happen exactly when the old owner
         // consumes the packet (its register updates land in this event).
         self.account_central_dequeue(now, cpipe, &pkt);
-        if self.metrics.enabled() {
-            self.metrics
-                .record_span(self.mh.tm1_residency, pkt.meta.tm_enqueued, now);
-            self.metrics
-                .sample(self.mh.tm1_buffer, now, self.pool1.used());
-        }
-        // TM1-residency hop: enqueue -> dequeue, with the queue/buffer
-        // state observed at enqueue and the routing epoch. The context is
-        // computed once and handed to both the tracer and the INT stamp —
-        // the honesty check requires the two views to agree exactly.
-        if self.tracer.hops_on() || self.int.on() {
-            let enq = pkt.meta.tm_enqueued;
-            let ctx = HopCtx {
-                queue_depth: pkt.meta.tm_q_depth.take(),
-                buffer_cells: pkt.meta.tm_buf_used.take(),
-                epoch: pkt.meta.map_epoch,
-            };
-            if self.tracer.hops_on() {
-                self.tracer
-                    .record_hop(pkt.meta.id, Site::Tm1, enq, now, ctx);
-            }
-            self.int_stamp(&mut pkt, Site::Tm1, enq, now, ctx);
-        }
-        pkt.meta.tm_enqueued = now; // central-stage entry, for its span
         CentralStage::Work(pkt)
     }
 
@@ -1933,49 +1428,29 @@ impl AdcpSwitch {
         &mut self,
         now: SimTime,
         cpipe: usize,
-        pkt: Packet,
+        mut pkt: Packet,
         res: Result<CentralRun, ()>,
     ) {
         // The pull's register updates (if any) are in: safe to release
         // packets held behind the in-flight fence this pull drained.
         self.release_held_if_drained(now);
-        let run = match res {
-            Ok(run) => run,
-            Err(()) => {
-                self.counters.parse_errors += 1;
-                self.drop_packet(
-                    now,
-                    pkt.meta.id,
-                    Site::CentralPipe(cpipe),
-                    DropReason::ParseError,
-                    HopCtx::NONE,
-                );
-                return;
-            }
+        let site = Site::CentralPipe(cpipe);
+        let Ok(CentralRun { out, entry }) = res else {
+            return self.drop_at(now, &pkt, site, DropReason::ParseError);
         };
-        if self.metrics.enabled() {
-            self.metrics.record(
-                self.mh.parse_span,
-                Duration(run.depth as u64 * self.period.as_ps()),
-            );
-        }
-        self.counters.deparse_allocs += 1;
-        let epoch = pkt.meta.map_epoch;
-        let mut pkt = self.writeback(pkt, run.phv, run.extracted, run.consumed);
+        self.shell
+            .record_parse(Duration(out.depth as u64 * self.period.as_ps()));
+        self.writeback(&mut pkt, out.phv, out.extracted, out.consumed);
         let stages = self.placement.central.depth().max(1) as u64;
-        let exit = run.entry + Duration(stages * self.period.as_ps());
+        let exit = entry + Duration(stages * self.period.as_ps());
         let ctx = HopCtx {
-            epoch,
+            epoch: pkt.meta.map_epoch,
             ..HopCtx::NONE
         };
-        if self.tracer.hops_on() {
-            self.tracer
-                .record_hop(pkt.meta.id, Site::CentralPipe(cpipe), run.entry, exit, ctx);
-        }
-        self.int_stamp(&mut pkt, Site::CentralPipe(cpipe), run.entry, exit, ctx);
-        self.events.push(exit, Ev::CentralOut { cpipe, pkt });
+        self.shell.hop(&mut pkt, site, entry, exit, ctx);
+        self.agenda.events.push(exit, Ev::CentralOut { cpipe, pkt });
         if !self.central[cpipe].queues.is_empty() {
-            let next = self.central[cpipe].next_slot;
+            let next = self.central[cpipe].slot.next_free();
             self.schedule_pull_central(next, cpipe);
         }
     }
@@ -2004,8 +1479,8 @@ impl AdcpSwitch {
             }
         }
         let workers = self.cfg.central_workers.max(1);
-        let program = &self.program;
-        let layout = &self.layout;
+        let program = &self.codec.program;
+        let layout = &self.codec.layout;
         let period = self.period;
         // Disjoint &mut access: each pipe appears at most once per run
         // (`pull_scheduled` guarantees one outstanding pull per pipe).
@@ -2093,76 +1568,19 @@ impl AdcpSwitch {
     }
 
     /// TM2: classic scheduler; any egress port reachable, multicast native.
-    fn on_central_out(&mut self, now: SimTime, _cpipe: usize, mut pkt: Packet) {
+    fn on_central_out(&mut self, now: SimTime, _cpipe: usize, pkt: Packet) {
         // Stage span: central pipeline entry -> exit.
-        if self.metrics.enabled() {
-            self.metrics
-                .record_span(self.mh.central_span, pkt.meta.tm_enqueued, now);
-        }
-        // Move the decision out rather than cloning it (a Multicast spec
-        // owns a port list).
-        match std::mem::take(&mut pkt.meta.egress) {
-            EgressSpec::Unset | EgressSpec::Recirculate => {
-                self.counters.no_decision += 1;
-                self.drop_packet(
-                    now,
-                    pkt.meta.id,
-                    Site::Tm2,
-                    DropReason::NoDecision,
-                    HopCtx::NONE,
-                );
-            }
-            EgressSpec::Drop => {
-                self.counters.filtered += 1;
-                self.drop_packet(
-                    now,
-                    pkt.meta.id,
-                    Site::Tm2,
-                    DropReason::Filtered,
-                    HopCtx::NONE,
-                );
-            }
-            EgressSpec::Unicast(p) => {
-                pkt.meta.egress = EgressSpec::Unicast(p);
-                self.tm2_admit_one(now, p, pkt);
-            }
-            EgressSpec::Multicast(ports) => {
-                if ports.is_empty() {
-                    self.counters.no_decision += 1;
-                    self.drop_packet(
-                        now,
-                        pkt.meta.id,
-                        Site::Tm2,
-                        DropReason::NoDecision,
-                        HopCtx::NONE,
-                    );
-                    return;
-                }
-                self.counters.mcast_copies += ports.len() as u64 - 1;
-                self.in_flight += ports.len() as u64 - 1;
-                // Share the frame bytes once, then each copy bumps the
-                // payload refcount instead of copying the buffer.
-                pkt.data.make_shared();
-                for p in ports {
-                    let mut copy = pkt.clone();
-                    copy.meta.egress = EgressSpec::Unicast(p);
-                    self.tm2_admit_one(now, p, copy);
-                }
-            }
+        self.shell
+            .record_span(self.central_m.span, pkt.meta.tm_enqueued, now);
+        let flow = &mut self.counters.flow;
+        for (port, copy) in self.shell.fan_out(flow, TM2, now, pkt) {
+            self.tm2_admit_one(now, port, copy);
         }
     }
 
-    fn tm2_admit_one(&mut self, now: SimTime, port: PortId, mut pkt: Packet) {
-        if port.0 as usize >= self.tx.len() {
-            self.counters.bad_port += 1;
-            self.drop_packet(
-                now,
-                pkt.meta.id,
-                Site::Tm2,
-                DropReason::BadPort,
-                HopCtx::NONE,
-            );
-            return;
+    fn tm2_admit_one(&mut self, now: SimTime, port: PortId, pkt: Packet) {
+        if port.0 as usize >= self.shell.n_ports() {
+            return self.drop_at(now, &pkt, Site::Tm2, DropReason::BadPort);
         }
         // The m:1 mux at TX must preserve ordering (§3.3's symmetry with
         // the RX demux). Per-flow traffic stays ordered by pinning each
@@ -2177,309 +1595,76 @@ impl AdcpSwitch {
         };
         let lane = (adcp_lang::fold_hash([lane_key]) % m as u64) as usize;
         let epipe = port.0 as usize * m + lane;
-        if !self.egress[epipe].queues.queue(0).has_room(&pkt) {
-            self.counters.tm2_queue_drops += 1;
-            let ctx = HopCtx {
-                queue_depth: Some(self.egress[epipe].queues.len() as u32),
-                buffer_cells: Some(self.pool2.used()),
-                epoch: pkt.meta.map_epoch,
-            };
-            self.drop_packet(
-                now,
-                pkt.meta.id,
-                Site::Tm2,
-                DropReason::QueueTail {
-                    tm: 2,
-                    queue: epipe as u32,
-                },
-                ctx,
-            );
-            return;
+        let c = &mut self.counters;
+        let drops = (&mut c.tm2_queue_drops, &mut c.tm2_drops);
+        let queues = &mut self.egress[epipe].queues;
+        if self
+            .shell
+            .tm_admit(TM2, drops, queues, 0, epipe as u32, pkt, now)
+        {
+            self.schedule_pull_egress(now, epipe);
         }
-        if !self.pool2.try_alloc(&mut pkt) {
-            self.counters.tm2_drops += 1;
-            let ctx = HopCtx {
-                queue_depth: Some(self.egress[epipe].queues.len() as u32),
-                buffer_cells: Some(self.pool2.used()),
-                epoch: pkt.meta.map_epoch,
-            };
-            self.drop_packet(
-                now,
-                pkt.meta.id,
-                Site::Tm2,
-                DropReason::BufferExhausted { tm: 2 },
-                ctx,
-            );
-            return;
-        }
-        pkt.meta.tm_enqueued = now;
-        if self.tracer.hops_on() || self.int.samples(pkt.meta.id) {
-            pkt.meta.tm_q_depth = Some(self.egress[epipe].queues.len() as u32 + 1);
-            pkt.meta.tm_buf_used = Some(self.pool2.used());
-        }
-        let ok = self.egress[epipe].queues.enqueue(0, pkt).is_ok();
-        debug_assert!(ok);
-        if self.metrics.enabled() {
-            let depth = self.egress[epipe].queues.len() as u64;
-            self.metrics.sample(self.mh.tm2_queue_depth, now, depth);
-            self.metrics
-                .sample(self.mh.tm2_buffer, now, self.pool2.used());
-            self.metrics
-                .set_gauge(self.mh.tm2_buffer_gauge, self.pool2.used());
-        }
-        self.schedule_pull_egress(now, epipe);
     }
 
     fn schedule_pull_egress(&mut self, now: SimTime, epipe: usize) {
-        if !self.egress[epipe].pull_scheduled {
-            self.egress[epipe].pull_scheduled = true;
-            let at = now.max(self.egress[epipe].next_slot);
-            self.events.push(at, Ev::PullEgress { epipe });
+        if let Some(at) = self.egress[epipe].slot.arm_pull(now) {
+            self.agenda.events.push(at, Ev::PullEgress { epipe });
         }
     }
 
+    /// Pull from TM2 into an egress lane; the lane parses and runs its
+    /// region here, at slot entry.
     fn on_pull_egress(&mut self, now: SimTime, epipe: usize) {
-        self.egress[epipe].pull_scheduled = false;
-        if now < self.egress[epipe].next_slot {
-            let at = self.egress[epipe].next_slot;
-            self.schedule_pull_egress(at, epipe);
-            return;
+        if let Some(at) = self.egress[epipe].slot.begin_pull(now) {
+            return self.schedule_pull_egress(at, epipe);
         }
         // Busy links backpressure into TM2: the pipe only pulls when its
         // port will be able to accept the packet by the time it has
         // traversed the egress stages (pipeline/serialization overlap).
         let port = epipe / self.target.demux_factor as usize;
         let flight = Duration(self.placement.egress.depth().max(1) as u64 * self.period.as_ps());
-        if !self.egress[epipe].queues.is_empty() && self.tx[port].ready_at() > now + flight {
-            self.egress[epipe].pull_scheduled = true;
-            self.events.push(
-                SimTime(self.tx[port].ready_at().as_ps() - flight.as_ps()),
-                Ev::PullEgress { epipe },
-            );
-            return;
+        let ready = self.shell.tx_ready_at(port);
+        let p = &mut self.egress[epipe];
+        if !p.queues.is_empty() && ready > now + flight {
+            let at = p.slot.arm_pull_at(SimTime(ready.as_ps() - flight.as_ps()));
+            return self.agenda.events.push(at, Ev::PullEgress { epipe });
         }
-        let Some((_, mut pkt)) = self.egress[epipe].queues.dequeue() else {
+        let Some((_, mut pkt)) = p.queues.dequeue() else {
             return;
         };
-        self.pool2.release(&mut pkt);
-        if self.metrics.enabled() {
-            self.metrics
-                .record_span(self.mh.tm2_residency, pkt.meta.tm_enqueued, now);
-            self.metrics
-                .sample(self.mh.tm2_buffer, now, self.pool2.used());
-        }
-        // TM2-residency hop with enqueue-time queue/buffer context (one
-        // computation, shared by the tracer and the INT stamp).
-        if self.tracer.hops_on() || self.int.on() {
-            let enq = pkt.meta.tm_enqueued;
-            let ctx = HopCtx {
-                queue_depth: pkt.meta.tm_q_depth.take(),
-                buffer_cells: pkt.meta.tm_buf_used.take(),
-                epoch: pkt.meta.map_epoch,
-            };
-            if self.tracer.hops_on() {
-                self.tracer
-                    .record_hop(pkt.meta.id, Site::Tm2, enq, now, ctx);
-            }
-            self.int_stamp(&mut pkt, Site::Tm2, enq, now, ctx);
-        }
-        pkt.meta.tm_enqueued = now; // egress-stage entry, for its span
-        let Some((mut phv, extracted, consumed, _)) =
-            self.parse(now, &pkt, Site::EgressPipe(epipe))
-        else {
+        self.shell.tm_depart(TM2, &mut pkt, now);
+        let site = Site::EgressPipe(epipe);
+        let Some(out) = self.parse(now, &pkt, site) else {
             return;
         };
-        phv.intr.ingress_port = pkt.meta.ingress_port;
+        let mut phv = out.phv;
         phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
         let p = &mut self.egress[epipe];
-        let entry = now.max(p.next_slot);
-        p.next_slot = entry + self.period;
-        p.busy_cycles += 1;
+        let entry = p.slot.claim(now, self.period);
+        let (program, layout) = (&self.codec.program, &self.codec.layout);
         p.state
-            .run_with_tables(&self.eg_tables, &self.program, &self.layout, &mut phv);
-        self.counters.deparse_allocs += 1;
-        let mut pkt = self.writeback(pkt, phv, extracted, consumed);
-        let stages = self.placement.egress.depth().max(1) as u64;
-        let exit = entry + Duration(stages * self.period.as_ps());
-        if self.tracer.hops_on() {
-            self.tracer.record_hop(
-                pkt.meta.id,
-                Site::EgressPipe(epipe),
-                entry,
-                exit,
-                HopCtx::NONE,
-            );
-        }
-        self.int_stamp(&mut pkt, Site::EgressPipe(epipe), entry, exit, HopCtx::NONE);
-        self.events.push(exit, Ev::EgressOut { epipe, pkt });
+            .run_with_tables(&self.eg_tables, program, layout, &mut phv);
+        self.writeback(&mut pkt, phv, out.extracted, out.consumed);
+        let exit = entry + flight;
+        self.shell.hop(&mut pkt, site, entry, exit, HopCtx::NONE);
+        self.agenda.events.push(exit, Ev::EgressOut { epipe, pkt });
         if !self.egress[epipe].queues.is_empty() {
-            let next = self.egress[epipe].next_slot;
+            let next = self.egress[epipe].slot.next_free();
             self.schedule_pull_egress(next, epipe);
         }
     }
 
-    fn on_egress_out(&mut self, now: SimTime, epipe: usize, mut pkt: Packet) {
-        if pkt.meta.egress == EgressSpec::Drop {
-            self.counters.filtered += 1;
-            self.drop_packet(
-                now,
-                pkt.meta.id,
-                Site::EgressPipe(epipe),
-                DropReason::Filtered,
-                HopCtx::NONE,
-            );
-            return;
-        }
-        let EgressSpec::Unicast(port) = pkt.meta.egress else {
-            self.counters.no_decision += 1;
-            self.drop_packet(
-                now,
-                pkt.meta.id,
-                Site::EgressPipe(epipe),
-                DropReason::NoDecision,
-                HopCtx::NONE,
-            );
-            return;
+    fn on_egress_out(&mut self, now: SimTime, epipe: usize, pkt: Packet) {
+        let site = Site::EgressPipe(epipe);
+        let port = match pkt.meta.egress {
+            EgressSpec::Unicast(port) => port,
+            EgressSpec::Drop => return self.drop_at(now, &pkt, site, DropReason::Filtered),
+            _ => return self.drop_at(now, &pkt, site, DropReason::NoDecision),
         };
-        // Stage span: egress pipeline entry -> exit.
-        let done = self.tx[port.0 as usize].transmit(&pkt, now);
-        if self.metrics.enabled() {
-            self.metrics
-                .record_span(self.mh.egress_span, pkt.meta.tm_enqueued, now);
-            self.metrics
-                .record_span(self.mh.tx_latency, pkt.meta.created, done);
-        }
-        if self.tracer.hops_on() {
-            self.tracer
-                .record_hop(pkt.meta.id, Site::Tx(port), now, done, HopCtx::NONE);
-        }
-        self.int_stamp(&mut pkt, Site::Tx(port), now, done, HopCtx::NONE);
-        if self.int.samples(pkt.meta.id) {
-            // Sink export: fold the completed stack into the per-flow
-            // aggregation cell and emit a postcard for the collector. The
-            // stack stays on the packet — in a fabric it rides the frame
-            // to the next device, which keeps appending (INT-XD style:
-            // every device postcards, the last carries the full chain).
-            // The sink FIFO is bounded: an undrained collector sheds
-            // postcards (counted), and the shed path skips the stack
-            // clone entirely so a full FIFO costs no allocation.
-            const EMPTY: &IntStack = &IntStack {
-                stamps: Vec::new(),
-                truncated: 0,
-            };
-            let stack = pkt.meta.int.as_deref().unwrap_or(EMPTY);
-            self.int_flows.fold(pkt.meta.flow.0, stack);
-            if self.postcards.len() < POSTCARDS_CAP {
-                self.postcards.push(Postcard {
-                    device: self.cfg.device,
-                    pkt: pkt.meta.id,
-                    flow: pkt.meta.flow.0,
-                    port: port.0,
-                    time: done,
-                    stack: stack.clone(),
-                });
-                self.int_postcards += 1;
-            } else {
-                self.int_postcards_dropped += 1;
-            }
-        }
-        self.counters.delivered += 1;
-        self.in_flight -= 1;
-        self.out_meter
-            .record(pkt.wire_bytes(), pkt.meta.goodput_bytes, pkt.meta.elements);
-        self.latency.record(done.saturating_since(pkt.meta.created));
-        self.last_delivery = self.last_delivery.max(done);
-        if pkt.meta.fcs.is_some() {
-            // Deparse writebacks changed the bytes on purpose; re-stamp the
-            // frame check like a NIC recomputing the CRC on transmit.
-            pkt.reseal();
-        }
-        self.delivered.push(Delivered {
-            port,
-            time: done,
-            data: pkt.data,
-            meta: pkt.meta,
-        });
-    }
-
-    /// Parse a packet, accounting failures (attributed to the pipeline
-    /// `site` whose parser rejected it). Returns the PHV, extraction
-    /// order, header byte count, and parse depth.
-    fn parse(
-        &mut self,
-        now: SimTime,
-        pkt: &Packet,
-        site: Site,
-    ) -> Option<(Phv, Vec<adcp_lang::HeaderId>, usize, u32)> {
-        let (sphv, sext) = self
-            .scratch
-            .take()
-            .unwrap_or_else(|| (Phv::empty(), Vec::new()));
-        match self.program.parser.parse_reusing(
-            &self.program.headers,
-            &self.layout,
-            &pkt.data,
-            sphv,
-            sext,
-        ) {
-            Ok(o) => {
-                if self.metrics.enabled() {
-                    self.metrics.record(
-                        self.mh.parse_span,
-                        Duration(o.depth as u64 * self.period.as_ps()),
-                    );
-                }
-                Some((o.phv, o.extracted, o.consumed, o.depth))
-            }
-            Err(_) => {
-                self.counters.parse_errors += 1;
-                self.drop_packet(now, pkt.meta.id, site, DropReason::ParseError, HopCtx::NONE);
-                None
-            }
-        }
-    }
-
-    /// Deparse the PHV into the packet and move intrinsics into metadata.
-    /// The rebuilt frame goes into a buffer recycled through the arena; the
-    /// packet's previous buffer (when exclusively owned) returns to it.
-    fn writeback(
-        &mut self,
-        mut pkt: Packet,
-        mut phv: Phv,
-        extracted: Vec<adcp_lang::HeaderId>,
-        consumed: usize,
-    ) -> Packet {
-        let mut buf = self.store.take();
-        let payload = &pkt.data[consumed.min(pkt.data.len())..];
-        deparse_into(
-            &mut buf,
-            &self.program.headers,
-            &self.layout,
-            &phv,
-            &extracted,
-            payload,
-        );
-        let old = std::mem::replace(&mut pkt.data, FrameBuf::Owned(buf));
-        if let FrameBuf::Owned(v) = old {
-            self.store.recycle(v);
-        }
-        pkt.meta.egress = std::mem::take(&mut phv.intr.egress);
-        pkt.meta.central_pipe = phv.intr.central_pipe.or(pkt.meta.central_pipe);
-        if let Some(k) = phv.intr.sort_key {
-            pkt.meta.sort_key = Some(k);
-        }
-        pkt.meta.elements = pkt.meta.elements.max(phv.intr.elements);
-        self.scratch = Some((phv, extracted));
-        pkt
-    }
-
-    /// Account one dropped packet: decrement in-flight and hand the typed
-    /// reason (plus queue state at the moment of death) to the journey
-    /// tracer's forensics. Every ad-hoc drop counter increment is paired
-    /// 1:1 with a call here carrying the matching reason — that pairing is
-    /// what the forensics↔counter cross-check asserts.
-    fn drop_packet(&mut self, now: SimTime, id: u64, site: Site, reason: DropReason, ctx: HopCtx) {
-        self.in_flight -= 1;
-        self.tracer.record_drop(now, id, site, reason, ctx);
+        // Sink side of INT: fold the completed stack into the per-flow
+        // aggregation cell before the postcard leaves.
+        let (flow, flows) = (&mut self.counters.flow, &mut self.int_flows);
+        self.shell
+            .transmit(flow, self.egress_m.span, now, port, pkt, Some(flows));
     }
 }

@@ -36,6 +36,14 @@ pub struct RegionRunStats {
     pub reg_ops: u64,
 }
 
+impl RegionRunStats {
+    /// (lookups, hits) summed over `stats` — a switch's match-table totals
+    /// over all its pipelines' regions.
+    pub fn lookup_totals<'a>(stats: impl Iterator<Item = &'a RegionRunStats>) -> (u64, u64) {
+        stats.fold((0, 0), |(l, h), s| (l + s.lookups, h + s.hits))
+    }
+}
+
 /// Runtime state of one region of one pipeline.
 #[derive(Debug, Clone)]
 pub struct RegionState {

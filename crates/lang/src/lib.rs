@@ -17,6 +17,8 @@
 //!   (Fig. 3) and share interconnected MAU memory on ADCP (Fig. 6);
 //!   central tables lower to egress-pinning or recirculation on RMT
 //!   (Fig. 2) and place natively on ADCP (§3.1).
+//! * [`codec`] — parse at a pipeline's head, deparse + metadata writeback
+//!   at its tail; the one pair both switch models call.
 //! * [`exec`] — the interpreter: per-pipeline region state with lane
 //!   (SIMD-style) semantics for array tables.
 
@@ -24,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 pub mod action;
+pub mod codec;
 pub mod compile;
 pub mod describe;
 pub mod exec;
@@ -38,6 +41,7 @@ pub mod table;
 pub mod target;
 
 pub use action::{fold_hash, ActionDef, ActionOp, BinOp, Operand};
+pub use codec::{parse_packet, PacketCodec, ParseScratch};
 pub use compile::{
     compile, CentralImpl, CompileError, CompileOptions, PlacedTable, Placement, RegionPlan,
     RmtCentralStrategy, StagePlan,

@@ -15,7 +15,8 @@
 
 pub mod switch;
 
-pub use switch::{Delivered, RmtConfig, RmtSwitch, SwitchCounters};
+pub use adcp_sim::datapath::Delivered;
+pub use switch::{RmtConfig, RmtSwitch, SwitchCounters};
 
 #[cfg(test)]
 mod tests {

@@ -24,6 +24,8 @@
 //! * [`telemetry`] — the INT collector: drain postcards into per-flow
 //!   paths and per-queue depth series, detect microbursts, path changes
 //!   and drop hotspots, and emit schema-validated reports.
+//! * [`datapath`] — the device shell, pipeline slot, TM admit/depart and
+//!   batch run loop that both switch models are wired from.
 //! * [`rng`] — deterministic, forkable randomness.
 //! * [`shutdown`] — cooperative SIGINT/SIGTERM shutdown flag for the
 //!   long-running binaries (`adcpd`, `adcp-trace`, `conformance`).
@@ -39,6 +41,7 @@
 // so no signal-handling crate can be added). Everything else stays safe.
 #![deny(unsafe_code)]
 
+pub mod datapath;
 pub mod event;
 pub mod fault;
 pub mod int;

@@ -189,7 +189,8 @@ fn run_one(
             for out in sw.take_delivered() {
                 delivered.insert(out.meta.id);
             }
-            (sw.tracer, delivered, injected)
+            let tracer = std::mem::replace(&mut sw.tracer, JourneyTracer::disabled());
+            (tracer, delivered, injected)
         }
         Target::Rmt => {
             let cfg = if tight_tm {
@@ -218,7 +219,8 @@ fn run_one(
             for out in sw.take_delivered() {
                 delivered.insert(out.meta.id);
             }
-            (sw.tracer, delivered, injected)
+            let tracer = std::mem::replace(&mut sw.tracer, JourneyTracer::disabled());
+            (tracer, delivered, injected)
         }
     }
 }
