@@ -854,9 +854,9 @@ impl Daemon {
     /// in exactly one mirrored registry counter with the same count, for
     /// every reason the architecture can produce — and reasons without a
     /// mirror (`migration_fence`) must be absent on both sides.
-    fn drift_check(&mut self) -> Vec<String> {
-        // Force a metrics sync so the registry mirrors the live counters.
-        let _ = self.sw.metrics_json();
+    fn drift_check(&self) -> Vec<String> {
+        // The registry mirrors the live counters as of the drain that
+        // `finish` just ran to quiescence.
         let totals = self.sw.tracer.drop_totals_by_reason();
         let m = self.sw.metrics();
         let mut bad = Vec::new();

@@ -309,7 +309,7 @@ pub fn run(kind: TargetKind, cfg: &DbShuffleCfg) -> AppReport {
         "coordinator copies: {coordinator_rows} (ADCP-only capability)"
     ));
     let _ = central_pipes;
-    AppReport::from_switch("dbshuffle", kind, &mut sw, makespan, correct, notes)
+    AppReport::from_switch("dbshuffle", kind, &sw, makespan, correct, notes)
 }
 
 fn sw_install(sw: &mut AnySwitch, table: &str, entry: Entry) {

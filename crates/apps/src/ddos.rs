@@ -796,7 +796,7 @@ pub fn run(kind: TargetKind, cfg: &DdosCfg) -> DdosOutcome {
         stats.misroutes
     ));
     DdosOutcome {
-        report: AppReport::from_switch("ddos", kind, &mut sw, makespan, correct, notes),
+        report: AppReport::from_switch("ddos", kind, &sw, makespan, correct, notes),
         promotions: reference.promotions,
         demotions: reference.demotions,
         attackers_promoted,

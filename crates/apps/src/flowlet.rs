@@ -664,7 +664,7 @@ pub fn run(kind: TargetKind, cfg: &LdfCfg) -> LdfOutcome {
         reference.repicks, reference.wraps
     ));
     LdfOutcome {
-        report: AppReport::from_switch("flowlet-ldf", kind, &mut sw, makespan, correct, notes),
+        report: AppReport::from_switch("flowlet-ldf", kind, &sw, makespan, correct, notes),
         repicks: reference.repicks,
         wraps: reference.wraps,
         per_uplink,

@@ -257,7 +257,7 @@ pub fn run(kind: TargetKind, cfg: &GraphMineCfg) -> AppReport {
     if kind == TargetKind::RmtPinned {
         notes.push("release visible only at the barrier port; host relay needed".into());
     }
-    AppReport::from_switch("graphmine", kind, &mut sw, now, correct, notes)
+    AppReport::from_switch("graphmine", kind, &sw, now, correct, notes)
 }
 
 fn build_switch(

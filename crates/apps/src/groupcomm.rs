@@ -179,7 +179,7 @@ pub fn run(kind: TargetKind, cfg: &GroupCommCfg) -> AppReport {
             (max - min).as_ns_f64()
         ));
     }
-    AppReport::from_switch("groupcomm", kind, &mut sw, makespan, correct, notes)
+    AppReport::from_switch("groupcomm", kind, &sw, makespan, correct, notes)
 }
 
 #[cfg(test)]

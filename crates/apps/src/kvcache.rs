@@ -294,7 +294,7 @@ pub fn run(kind: TargetKind, cfg: &KvCacheCfg) -> CacheOutcome {
         hit_rate
     ));
     CacheOutcome {
-        report: AppReport::from_switch("kvcache", kind, &mut sw, makespan, correct, notes),
+        report: AppReport::from_switch("kvcache", kind, &sw, makespan, correct, notes),
         cache_entries: target_entries,
         hit_rate,
     }

@@ -363,7 +363,7 @@ pub fn run(kind: TargetKind, cfg: &MigrateCfg) -> MigrateOutcome {
         skew_after
     ));
     MigrateOutcome {
-        report: AppReport::from_switch("partmigrate", kind, &mut sw, makespan, correct, notes),
+        report: AppReport::from_switch("partmigrate", kind, &sw, makespan, correct, notes),
         rebalances,
         stats,
         final_epoch,

@@ -363,7 +363,7 @@ pub fn run(kind: TargetKind, cfg: &NetLockCfg) -> AppReport {
         "{} grants across {} locks, mutual exclusion verified from packet record",
         grants, cfg.locks
     ));
-    AppReport::from_switch("netlock", kind, &mut sw, now, correct, notes)
+    AppReport::from_switch("netlock", kind, &sw, now, correct, notes)
 }
 
 fn build_switch(kind: TargetKind, cfg: &NetLockCfg) -> (AnySwitch, Vec<String>) {

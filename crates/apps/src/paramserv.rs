@@ -278,7 +278,7 @@ pub fn run(kind: TargetKind, cfg: &ParamServerCfg) -> AppReport {
             "results reachable only via {ps_port}; worker distribution needs an extra host hop"
         ));
     }
-    AppReport::from_switch("paramserv", kind, &mut sw, makespan, correct, notes)
+    AppReport::from_switch("paramserv", kind, &sw, makespan, correct, notes)
 }
 
 fn build_switch(

@@ -68,6 +68,7 @@ use adcp_lang::{
     TableDef, TargetModel,
 };
 use adcp_rmt::{RmtConfig, RmtSwitch};
+use adcp_sim::datapath::{FlowCounters, Shell};
 use adcp_sim::fault::{FaultConfig, FaultInjector, FaultOutcome};
 use adcp_sim::metrics::MetricsRegistry;
 use adcp_sim::packet::{EgressSpec, FlowId, Packet, PortId};
@@ -1116,66 +1117,89 @@ fn int_honesty_check(
     Ok(())
 }
 
-/// Gather the common post-run checks and outcome from either switch's
-/// counters and deliveries. `counts` is
-/// `(injected, delivered, filtered, fcs_drops, parse_errors, no_decision,
-/// bad_port, other_drops, mcast, total_drops, lookups, hits)`.
-#[allow(clippy::too_many_arguments)]
+/// The tail both single-switch runners share, read from the switch's
+/// [`Shell`] and the counters common to both targets: drain deliveries and
+/// postcards, read the cross-target counters back through the metrics
+/// export (checking each mirror against the raw counter, so the values
+/// `compare` sees are the exported ones), run the forensics and INT
+/// honesty lanes, and hold the run to the workload's invariants.
+/// `tm_drops` is the sum of the target's own TM drop classes.
 fn finish_outcome(
     name: &str,
-    counts: (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64, u64, u64),
-    delivered_raw: Vec<(u64, u16, Vec<u8>, bool)>,
+    sw: &mut Shell,
+    c: &FlowCounters,
+    tm_drops: u64,
     regs: Vec<Vec<u64>>,
 ) -> Result<Outcome, String> {
-    let (
-        injected,
-        delivered_n,
-        filtered,
-        fcs_drops,
-        parse_errors,
-        no_decision,
-        bad_port,
-        other_drops,
-        mcast,
-        total_drops,
-        lookups,
-        hits,
-    ) = counts;
-    if parse_errors != 0 {
-        return Err(format!("{name}: {parse_errors} unexpected parse errors"));
+    let postcards = sw.take_postcards();
+    let delivered_raw = sw.take_delivered();
+    let m = sw.metrics();
+    let fcs_drops = mirrored(name, m, "mac", "fcs_drops", c.fcs_drops)?;
+    let lookups = mirrored(name, m, "mat", "lookups", c.mat_lookups)?;
+    let hits = mirrored(name, m, "mat", "hits", c.mat_hits)?;
+    mirrored(name, m, "tx", "packets", c.delivered)?;
+    mirrored(name, m, "drops", "filtered", c.filtered)?;
+    forensics_check(name, &sw.trace_json(), &m.to_json())?;
+    if sw.int_knob().on() {
+        let totals @ (int_stamps, int_postcards, int_truncated) = sw.int_totals();
+        mirrored(name, m, "int", "stamps", int_stamps)?;
+        mirrored(name, m, "int", "postcards", int_postcards)?;
+        mirrored(name, m, "int", "stack_truncated", int_truncated)?;
+        let device = sw.device();
+        int_honesty_check(name, &postcards, totals, &mut |d, pkt| {
+            (d == device).then(|| sw.tracer.journey_of(pkt))
+        })?;
     }
-    if no_decision != 0 || bad_port != 0 {
+    if c.parse_errors != 0 {
         return Err(format!(
-            "{name}: forwarding fell through (no_decision={no_decision}, bad_port={bad_port})"
+            "{name}: {} unexpected parse errors",
+            c.parse_errors
         ));
     }
-    if other_drops != 0 {
-        return Err(format!("{name}: {other_drops} unexpected TM/queue drops"));
+    if c.no_decision != 0 || c.bad_port != 0 {
+        return Err(format!(
+            "{name}: forwarding fell through (no_decision={}, bad_port={})",
+            c.no_decision, c.bad_port
+        ));
     }
-    if mcast != 0 {
-        return Err(format!("{name}: {mcast} unexpected multicast copies"));
+    if tm_drops != 0 {
+        return Err(format!("{name}: {tm_drops} unexpected TM/queue drops"));
+    }
+    if c.mcast_copies != 0 {
+        return Err(format!(
+            "{name}: {} unexpected multicast copies",
+            c.mcast_copies
+        ));
     }
     // Conservation: with no in-flight packets after run_until_idle, every
     // injected packet is either delivered or in a counted drop class.
-    if injected != delivered_n + total_drops {
+    let total_drops = c.drops() + tm_drops;
+    if c.injected != c.delivered + total_drops {
         return Err(format!(
-            "{name}: conservation violated: injected={injected} != delivered={delivered_n} + drops={total_drops}"
+            "{name}: conservation violated: injected={} != delivered={} + drops={total_drops}",
+            c.injected, c.delivered
         ));
     }
     let mut delivered = Vec::with_capacity(delivered_raw.len());
-    for (id, port, data, fcs_ok) in delivered_raw {
-        if !fcs_ok {
+    for d in delivered_raw {
+        let (id, port) = (d.meta.id, d.port.0);
+        let bytes = d.data.to_vec();
+        let pkt = Packet {
+            data: d.data,
+            meta: d.meta,
+        };
+        if !pkt.fcs_ok() {
             return Err(format!("{name}: delivered packet {id} was not re-sealed"));
         }
-        delivered.push((id, port, data));
+        delivered.push((id, port, bytes));
     }
     delivered.sort_by_key(|(id, _, _)| *id);
-    if delivered.len() as u64 != delivered_n {
+    if delivered.len() as u64 != c.delivered {
         return Err(format!("{name}: delivered count disagrees with counter"));
     }
     Ok(Outcome {
         delivered,
-        filtered,
+        filtered: c.filtered,
         fcs_drops,
         lookups,
         hits,
@@ -1319,74 +1343,14 @@ fn run_adcp(
             merged
         }
     };
-    let delivered_raw = sw
-        .take_delivered()
-        .into_iter()
-        .map(|d| {
-            let pkt = Packet {
-                data: d.data.clone(),
-                meta: d.meta.clone(),
-            };
-            (d.meta.id, d.port.0, d.data.to_vec(), pkt.fcs_ok())
-        })
-        .collect();
-    let postcards = sw.take_postcards();
-    let c = &sw.counters;
-    // Cross-target metric equality flows through the registry export: read
-    // the mirrored counters back (checking them against the raw ones) and
-    // compare *those* across targets in `compare`.
-    let m = sw.metrics();
-    let fcs_drops =
-        mirrored("adcp", m, "mac", "fcs_drops", c.fcs_drops).map_err(CaseError::Mismatch)?;
-    let mat_lookups =
-        mirrored("adcp", m, "mat", "lookups", c.mat_lookups).map_err(CaseError::Mismatch)?;
-    let mat_hits = mirrored("adcp", m, "mat", "hits", c.mat_hits).map_err(CaseError::Mismatch)?;
-    mirrored("adcp", m, "tx", "packets", c.delivered).map_err(CaseError::Mismatch)?;
-    mirrored("adcp", m, "drops", "filtered", c.filtered).map_err(CaseError::Mismatch)?;
-    forensics_check("adcp", &sw.trace_json(), &m.to_json()).map_err(CaseError::Mismatch)?;
     if sw.int_knob().on() {
-        let (int_stamps, int_postcards, int_truncated) = sw.int_totals();
-        mirrored("adcp", m, "int", "stamps", int_stamps).map_err(CaseError::Mismatch)?;
-        mirrored("adcp", m, "int", "postcards", int_postcards).map_err(CaseError::Mismatch)?;
-        mirrored("adcp", m, "int", "stack_truncated", int_truncated)
+        let path_changes = sw.int_flow_table().total_path_changes();
+        mirrored("adcp", sw.metrics(), "int", "path_changes", path_changes)
             .map_err(CaseError::Mismatch)?;
-        mirrored(
-            "adcp",
-            m,
-            "int",
-            "path_changes",
-            sw.int_flow_table().total_path_changes(),
-        )
-        .map_err(CaseError::Mismatch)?;
-        let device = sw.device();
-        int_honesty_check(
-            "adcp",
-            &postcards,
-            (int_stamps, int_postcards, int_truncated),
-            &mut |d, pkt| (d == device).then(|| sw.tracer.journey_of(pkt)),
-        )
-        .map_err(CaseError::Mismatch)?;
     }
-    finish_outcome(
-        "adcp",
-        (
-            c.injected,
-            c.delivered,
-            c.filtered,
-            fcs_drops,
-            c.parse_errors,
-            c.no_decision,
-            c.bad_port,
-            c.tm1_drops + c.tm1_queue_drops + c.tm2_drops + c.tm2_queue_drops,
-            c.mcast_copies,
-            c.total_drops(),
-            mat_lookups,
-            mat_hits,
-        ),
-        delivered_raw,
-        regs,
-    )
-    .map_err(CaseError::Mismatch)
+    let c = sw.counters.clone();
+    let tm_drops = c.tm1_drops + c.tm1_queue_drops + c.tm2_drops + c.tm2_queue_drops;
+    finish_outcome("adcp", &mut sw, &c, tm_drops, regs).map_err(CaseError::Mismatch)
 }
 
 /// Run the case on the RMT switch model with the given central strategy.
@@ -1449,64 +1413,8 @@ fn run_rmt(
         .iter()
         .map(|r| sw.central_register(0, *r).snapshot())
         .collect();
-    let delivered_raw = sw
-        .take_delivered()
-        .into_iter()
-        .map(|d| {
-            let pkt = Packet {
-                data: d.data.clone(),
-                meta: d.meta.clone(),
-            };
-            (d.meta.id, d.port.0, d.data.to_vec(), pkt.fcs_ok())
-        })
-        .collect();
-    let postcards = sw.take_postcards();
-    let c = &sw.counters;
-    // Same mirrored-read discipline as `run_adcp`: the values compared
-    // across targets come from the metrics export, not the raw counters.
-    let m = sw.metrics();
-    let fcs_drops =
-        mirrored(name, m, "mac", "fcs_drops", c.fcs_drops).map_err(CaseError::Mismatch)?;
-    let mat_lookups =
-        mirrored(name, m, "mat", "lookups", c.mat_lookups).map_err(CaseError::Mismatch)?;
-    let mat_hits = mirrored(name, m, "mat", "hits", c.mat_hits).map_err(CaseError::Mismatch)?;
-    mirrored(name, m, "tx", "packets", c.delivered).map_err(CaseError::Mismatch)?;
-    mirrored(name, m, "drops", "filtered", c.filtered).map_err(CaseError::Mismatch)?;
-    forensics_check(name, &sw.trace_json(), &m.to_json()).map_err(CaseError::Mismatch)?;
-    if sw.int_knob().on() {
-        let (int_stamps, int_postcards, int_truncated) = sw.int_totals();
-        mirrored(name, m, "int", "stamps", int_stamps).map_err(CaseError::Mismatch)?;
-        mirrored(name, m, "int", "postcards", int_postcards).map_err(CaseError::Mismatch)?;
-        mirrored(name, m, "int", "stack_truncated", int_truncated).map_err(CaseError::Mismatch)?;
-        let device = sw.device();
-        int_honesty_check(
-            name,
-            &postcards,
-            (int_stamps, int_postcards, int_truncated),
-            &mut |d, pkt| (d == device).then(|| sw.tracer.journey_of(pkt)),
-        )
-        .map_err(CaseError::Mismatch)?;
-    }
-    finish_outcome(
-        name,
-        (
-            c.injected,
-            c.delivered,
-            c.filtered,
-            fcs_drops,
-            c.parse_errors,
-            c.no_decision,
-            c.bad_port,
-            c.tm_drops + c.queue_drops,
-            c.mcast_copies,
-            c.total_drops(),
-            mat_lookups,
-            mat_hits,
-        ),
-        delivered_raw,
-        regs,
-    )
-    .map_err(CaseError::Mismatch)
+    let c = sw.counters.clone();
+    finish_outcome(name, &mut sw, &c, c.tm_drops + c.queue_drops, regs).map_err(CaseError::Mismatch)
 }
 
 /// Seeded per-key load profile → leaf ownership for a fabric case, through

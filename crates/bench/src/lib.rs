@@ -1,7 +1,7 @@
 //! # adcp-bench — the experiment harness
 //!
 //! Library behind the regenerator binaries (one per paper table/figure,
-//! see `src/bin/`) and the criterion microbenches (`benches/`):
+//! see `src/bin/`):
 //!
 //! * [`exp_tables`] — Table 1 (live application matrix), Tables 2/3
 //!   (scaling arithmetic vs the paper's printed rows).

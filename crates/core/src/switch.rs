@@ -1,7 +1,7 @@
 //! The event-driven ADCP switch model (the paper's Figure 4).
 //!
 //! The second wiring of the shared datapath parts (`adcp_sim::datapath`,
-//! `adcp_lang::codec`; see DESIGN.md, "One datapath, two wirings") — RMT's
+//! `adcp_lang::codec`; see DESIGN.md §15, "One datapath, two wirings") — RMT's
 //! plus a 1:m demux, a second TM and the central slot set between the two:
 //!
 //! ```text
@@ -34,7 +34,7 @@ use adcp_lang::{
     ParseOutcome, ParseScratch, Phv, PhvLayout, Placement, Program, RegId, Region, RegionRunStats,
     RegionState, RegisterFile, TableError,
 };
-use adcp_sim::datapath::{Agenda, FlowCounters, RegionMetrics, Shell, ShellSpec, Slot, TmSpec};
+use adcp_sim::datapath::{Agenda, FlowCounters, RegionMetrics, Shell, ShellSpec, Slot};
 use adcp_sim::int::{IntFlowCell, IntFlowTable};
 use adcp_sim::metrics::{CounterId, GaugeId};
 use adcp_sim::packet::{EgressSpec, Packet, PortId};
@@ -56,16 +56,23 @@ const CELL_COPY_CYCLES: u64 = 8;
 /// (flows hash onto slots; collisions merge, as real register state would).
 const INT_FLOW_CELLS: usize = 1024;
 
+/// Where each [`MigrationStats`] total is mirrored in the `ctrl` registry
+/// scope, and how to read it.
+type CtrlMirror = (&'static str, fn(&MigrationStats) -> u64);
+const CTRL_MIRRORED: [CtrlMirror; 6] = [
+    ("migrations", |s| s.migrations),
+    ("moved_keys", |s| s.moved_keys),
+    ("paused_ns", |s| s.paused_ns),
+    ("redirected_pkts", |s| s.redirected_pkts),
+    ("held_pkts", |s| s.held_pkts),
+    ("misroutes", |s| s.misroutes),
+];
+
 /// Registry handles only the ADCP has: the `ctrl` scope and the per-flow
 /// INT aggregation.
 #[derive(Clone, Copy)]
 struct AdcpHandles {
-    ctrl_migrations: CounterId,
-    ctrl_moved_keys: CounterId,
-    ctrl_paused_ns: CounterId,
-    ctrl_redirected_pkts: CounterId,
-    ctrl_held_pkts: CounterId,
-    ctrl_misroutes: CounterId,
+    ctrl: [CounterId; CTRL_MIRRORED.len()],
     ctrl_epoch: GaugeId,
     int_path_changes: CounterId,
     int_flows: GaugeId,
@@ -473,11 +480,6 @@ impl AdcpSwitch {
                 queues: ScheduledQueues::new(1, cfg.queue_depth, program.tm2.policy),
             })
             .collect();
-        let tm = |scope, site, number| TmSpec {
-            scope,
-            site,
-            number,
-        };
         let mut shell = Shell::new(ShellSpec {
             ports: target.ports,
             speed: target.port_speed(),
@@ -491,19 +493,14 @@ impl AdcpSwitch {
                 "rx", "mac", "parser", "ingress", "tm1", "central", "tm2", "egress", "deparser",
                 "mat", "drops", "tx", "ctrl", "int",
             ],
-            tms: &[tm("tm1", Site::Tm1, 1), tm("tm2", Site::Tm2, 2)],
+            tms: &["tm1", "tm2"],
         });
         let [ingress_m, central_m, egress_m] =
             ["ingress", "central", "egress"].map(|s| shell.region_metrics(s));
         let m = shell.metrics_mut();
         let (ctrl, int) = (m.scope("ctrl"), m.scope("int"));
         let mh = AdcpHandles {
-            ctrl_migrations: m.counter(ctrl, "migrations"),
-            ctrl_moved_keys: m.counter(ctrl, "moved_keys"),
-            ctrl_paused_ns: m.counter(ctrl, "paused_ns"),
-            ctrl_redirected_pkts: m.counter(ctrl, "redirected_pkts"),
-            ctrl_held_pkts: m.counter(ctrl, "held_pkts"),
-            ctrl_misroutes: m.counter(ctrl, "misroutes"),
+            ctrl: CTRL_MIRRORED.map(|(name, _)| m.counter(ctrl, name)),
             ctrl_epoch: m.gauge(ctrl, "epoch"),
             int_path_changes: m.counter(int, "path_changes"),
             int_flows: m.gauge(int, "active_flow_cells"),
@@ -559,17 +556,9 @@ impl AdcpSwitch {
 
     // ---------------- control plane ----------------
 
-    fn table_index(&self, table: &str) -> usize {
-        let tables = &self.codec.program.tables;
-        tables
-            .iter()
-            .position(|t| t.name == table)
-            .unwrap_or_else(|| panic!("no table named {table}"))
-    }
-
     /// Install a table entry into every pipeline hosting the table.
     pub fn install_all(&mut self, table: &str, entry: Entry) -> Result<(), TableError> {
-        let gi = self.table_index(table);
+        let gi = self.codec.table_index(table);
         let program = &self.codec.program;
         match program.tables[gi].region {
             // Ingress/egress tables are installed identically everywhere, so
@@ -596,7 +585,7 @@ impl AdcpSwitch {
         table: &str,
         entry: Entry,
     ) -> Result<(), TableError> {
-        let gi = self.table_index(table);
+        let gi = self.codec.table_index(table);
         let have = self.central.len();
         let Some(pipe) = self.central.get_mut(cpipe) else {
             return Err(TableError::NoSuchPipe { pipe: cpipe, have });
@@ -971,12 +960,9 @@ impl AdcpSwitch {
         self.shell.export_tm(TM2, c.tm2_drops, c.tm2_queue_drops);
         let (mh, mig) = (self.mh, &self.mig_stats);
         let m = self.shell.metrics_mut();
-        m.set_counter(mh.ctrl_migrations, mig.migrations);
-        m.set_counter(mh.ctrl_moved_keys, mig.moved_keys);
-        m.set_counter(mh.ctrl_paused_ns, mig.paused_ns);
-        m.set_counter(mh.ctrl_redirected_pkts, mig.redirected_pkts);
-        m.set_counter(mh.ctrl_held_pkts, mig.held_pkts);
-        m.set_counter(mh.ctrl_misroutes, mig.misroutes);
+        for (id, (_, read)) in mh.ctrl.iter().zip(CTRL_MIRRORED) {
+            m.set_counter(*id, read(mig));
+        }
         m.set_gauge(
             mh.ctrl_epoch,
             self.part.as_ref().map_or(0, |rt| rt.map.epoch),
@@ -1006,22 +992,13 @@ impl AdcpSwitch {
     /// loop advances every member switch to the global minimum of these
     /// before exchanging link traffic (see the `adcp-fabric` crate).
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.agenda.next_time()
+        self.agenda.events.peek_time()
     }
 
     /// Panic unless every packet is accounted for.
     pub fn check_conservation(&self) {
         let c = &self.counters;
-        self.shell.assert_conserved(
-            c,
-            c.injected + c.mcast_copies,
-            c.delivered + c.total_drops(),
-        );
-    }
-
-    /// Utilization of one ingress pipeline.
-    pub fn ingress_utilization(&self, pipe: usize, now: SimTime) -> f64 {
-        self.ingress[pipe].slot.utilization(now, self.period)
+        self.shell.assert_conserved(c, c, c.total_drops());
     }
 
     /// Busy cycles of one ingress pipeline (demux spread checks).
@@ -1626,8 +1603,7 @@ impl AdcpSwitch {
         let ready = self.shell.tx_ready_at(port);
         let p = &mut self.egress[epipe];
         if !p.queues.is_empty() && ready > now + flight {
-            let at = p.slot.arm_pull_at(SimTime(ready.as_ps() - flight.as_ps()));
-            return self.agenda.events.push(at, Ev::PullEgress { epipe });
+            return self.schedule_pull_egress(SimTime(ready.as_ps() - flight.as_ps()), epipe);
         }
         let Some((_, mut pkt)) = p.queues.dequeue() else {
             return;

@@ -532,8 +532,22 @@ impl Fabric {
     /// exchange link traffic; repeat until no switch has pending work.
     /// Returns the later of the last event and the last host delivery.
     pub fn run_until_idle(&mut self) -> SimTime {
+        self.run(None)
+    }
+
+    /// The same rounds, stopping before the first one later than `t`: a
+    /// run cut into such slices executes exactly the rounds of the uncut
+    /// run, in the same order.
+    pub fn run_until(&mut self, t: SimTime) -> SimTime {
+        self.run(Some(t))
+    }
+
+    fn run(&mut self, until: Option<SimTime>) -> SimTime {
         let mut last = SimTime::ZERO;
         while let Some(t) = self.next_event_time() {
+            if until.is_some_and(|u| t > u) {
+                break;
+            }
             for sw in self.leaves.iter_mut().chain(self.spines.iter_mut()) {
                 if sw.next_event_time() == Some(t) {
                     last = last.max(sw.run_until(t));

@@ -58,6 +58,16 @@ impl PacketCodec {
         }
     }
 
+    /// Global index of the table named `table`; panics on an unknown name
+    /// (a control-plane bug, not a runtime condition).
+    pub fn table_index(&self, table: &str) -> usize {
+        let tables = &self.program.tables;
+        tables
+            .iter()
+            .position(|t| t.name == table)
+            .unwrap_or_else(|| panic!("no table named {table}"))
+    }
+
     /// Take the recycled scratch (or a fresh one).
     #[inline]
     pub fn take_scratch(&mut self) -> ParseScratch {

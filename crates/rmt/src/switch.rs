@@ -1,7 +1,7 @@
 //! The event-driven RMT switch model (the paper's Figure 1).
 //!
 //! One wiring of the shared datapath parts (`adcp_sim::datapath`,
-//! `adcp_lang::codec`; see DESIGN.md, "One datapath, two wirings"):
+//! `adcp_lang::codec`; see DESIGN.md §15, "One datapath, two wirings"):
 //!
 //! ```text
 //! inject -> RX port -> ingress slot (parse, ingress region)
@@ -31,7 +31,7 @@ use adcp_lang::{
     compile, CentralImpl, CompileError, CompileOptions, Entry, PacketCodec, Placement, Program,
     RegId, Region, RegionRunStats, RegionState, RegisterFile, TableError,
 };
-use adcp_sim::datapath::{Agenda, FlowCounters, RegionMetrics, Shell, ShellSpec, Slot, TmSpec};
+use adcp_sim::datapath::{Agenda, FlowCounters, RegionMetrics, Shell, ShellSpec, Slot};
 use adcp_sim::metrics::CounterId;
 use adcp_sim::packet::{EgressSpec, Packet, PortId};
 use adcp_sim::sched::ScheduledQueues;
@@ -197,14 +197,14 @@ impl RmtSwitch {
                 central: RegionState::new(&program, Region::Central),
             })
             .collect();
-        let queues = |n| ScheduledQueues::new(n, cfg.queue_depth, program.tm2.policy);
+        let ppp = target.ports_per_pipe as usize;
         let egress = (0..n_pipes)
             .map(|_| EgressPipe {
                 slot: Slot::default(),
                 port_cursor: 0,
                 central: RegionState::new(&program, Region::Central),
                 state: RegionState::new(&program, Region::Egress),
-                queues: queues(target.ports_per_pipe as usize),
+                queues: ScheduledQueues::new(ppp, cfg.queue_depth, program.tm2.policy),
             })
             .collect();
         let mut shell = Shell::new(ShellSpec {
@@ -220,11 +220,7 @@ impl RmtSwitch {
                 "rx", "mac", "parser", "ingress", "recirc", "tm", "egress", "deparser", "mat",
                 "drops", "tx", "int",
             ],
-            tms: &[TmSpec {
-                scope: "tm",
-                site: Site::Tm1,
-                number: 1,
-            }],
+            tms: &["tm"],
         });
         let recirc = shell.metrics_mut().scope("recirc");
         Ok(RmtSwitch {
@@ -273,12 +269,8 @@ impl RmtSwitch {
 
     /// Install a table entry into every pipeline that hosts the table.
     pub fn install_all(&mut self, table: &str, entry: Entry) -> Result<(), TableError> {
+        let gi = self.codec.table_index(table);
         let program = &self.codec.program;
-        let gi = program
-            .tables
-            .iter()
-            .position(|t| t.name == table)
-            .unwrap_or_else(|| panic!("no table named {table}"));
         // One shared copy per region serves every pipe (the same entries
         // went everywhere before), making installs O(1) in the pipe count.
         // The central copy serves both lowerings: recirculation passes in
@@ -334,33 +326,34 @@ impl RmtSwitch {
     }
 
     fn run(&mut self, until: Option<SimTime>) -> SimTime {
-        let last = Agenda::run(
-            self,
-            until,
-            |s| &mut s.agenda,
-            |s, t, batch| {
-                for ev in batch.drain(..) {
-                    s.handle(t, ev);
-                }
-            },
-        );
+        let last = Agenda::run(self, until, |s| &mut s.agenda, Self::dispatch_batch);
         self.sync();
         last
     }
 
+    fn dispatch_batch(&mut self, now: SimTime, batch: &mut Vec<Ev>) {
+        for ev in batch.drain(..) {
+            self.handle(now, ev);
+        }
+    }
+
     /// Time of the switch's next pending event, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.agenda.next_time()
+        self.agenda.events.peek_time()
     }
 
     /// Refresh the match-table totals and mirror every counter into the
     /// metrics registry: the shared export plus RMT's tail.
     fn sync(&mut self) {
-        let ingress = self.ingress.iter();
-        let egress = self.egress.iter();
-        let stats = ingress
-            .flat_map(|p| [&p.state.stats, &p.central.stats])
-            .chain(egress.flat_map(|p| [&p.central.stats, &p.state.stats]));
+        let ingress = self
+            .ingress
+            .iter()
+            .map(|p| [&p.state.stats, &p.central.stats]);
+        let egress = self
+            .egress
+            .iter()
+            .map(|p| [&p.central.stats, &p.state.stats]);
+        let stats = ingress.chain(egress).flatten();
         let c = &mut self.counters;
         (c.flow.mat_lookups, c.flow.mat_hits) = RegionRunStats::lookup_totals(stats);
         self.shell.export(&c.flow);
@@ -377,11 +370,7 @@ impl RmtSwitch {
     /// Panic unless every injected packet is accounted for.
     pub fn check_conservation(&self) {
         let c = &self.counters;
-        self.shell.assert_conserved(
-            c,
-            c.injected + c.mcast_copies,
-            c.delivered + c.total_drops(),
-        );
+        self.shell.assert_conserved(c, c, c.total_drops());
     }
 
     /// Utilization (busy cycles / elapsed cycles) of an ingress pipeline.
@@ -442,8 +431,9 @@ impl RmtSwitch {
         let (central_pipe, recirculate) =
             self.codec
                 .writeback(store, &mut pkt, phv, out.extracted, out.consumed);
-        // The pass's own choices replace whatever the metadata carried: a
-        // recirculated pass that names no pipe must not inherit pass 0's.
+        // The pass's choices replace the metadata's (the ADCP keeps an
+        // upstream `central_pipe`): only the recirculation edge right after
+        // pass 0 reads them here, and delivered metadata shows which.
         pkt.meta.central_pipe = central_pipe;
         pkt.meta.recirculate = recirculate;
         let exit = entry + Duration(plan.depth().max(1) as u64 * self.period.as_ps());
@@ -531,11 +521,10 @@ impl RmtSwitch {
             earliest_ready = earliest_ready.min(SimTime(ready.as_ps() - flight));
         }
         let Some(local) = chosen else {
+            // Every backlogged port is mid-serialization; retry when the
+            // first frees up.
             if earliest_ready != SimTime::NEVER {
-                // Every backlogged port is mid-serialization; retry when
-                // the first frees up.
-                let at = p.slot.arm_pull_at(earliest_ready);
-                self.agenda.events.push(at, Ev::PullEgress { pipe });
+                self.schedule_pull(earliest_ready, pipe);
             }
             return;
         };

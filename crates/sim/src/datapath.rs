@@ -5,15 +5,16 @@
 //!   managers' buffers, the frame arena, and every observer (journey
 //!   tracer, INT, metrics registry, delivery record). Each packet–stage
 //!   crossing is reported through [`Shell::hop`] and each death through
-//!   [`Shell::drop_pkt`] or a TM admission, so a counter bump, an in-flight decrement and a
-//!   forensic record cannot be written apart.
+//!   [`Shell::drop_pkt`] or a refused [`Shell::tm_admit`], so a counter
+//!   bump, an in-flight decrement and a forensic record cannot be written
+//!   apart.
 //! * [`Slot`] — one pipeline's cycle bookkeeping (one PHV per clock).
 //! * [`Agenda`] — the event queue and the same-timestamp batch loop.
 //!
 //! A target is a wiring of these: `adcp-rmt` puts one TM between two
 //! slots per pipe and adds a recirculation edge; `adcp-core` adds a second
-//! TM, a central slot set and a 1:m port demux. DESIGN.md ("One datapath,
-//! two wirings") lists what stays target-only and why.
+//! TM, a central slot set and a 1:m port demux. DESIGN.md §15 ("One
+//! datapath, two wirings") lists what stays target-only and why.
 
 use crate::event::EventQueue;
 use crate::int::{IntFlowTable, IntKnob, IntStack, IntStamp, Postcard, POSTCARDS_CAP};
@@ -124,8 +125,8 @@ impl Slot {
         self.next_slot = self.next_slot.max(now) + d;
     }
 
-    /// Arm the pipeline's pull: the time to schedule the pull event at, or
-    /// `None` when one is already outstanding.
+    /// Arm the pipeline's pull for `now` (or a later retry time): the time
+    /// to schedule the pull event at, or `None` when one is outstanding.
     #[inline]
     pub fn arm_pull(&mut self, now: SimTime) -> Option<SimTime> {
         if self.pull_scheduled {
@@ -133,14 +134,6 @@ impl Slot {
         }
         self.pull_scheduled = true;
         Some(now.max(self.next_slot))
-    }
-
-    /// Arm the pull at exactly `at` (a pull that found every port busy
-    /// retries when the first one frees up, not at the next cycle).
-    #[inline]
-    pub fn arm_pull_at(&mut self, at: SimTime) -> SimTime {
-        self.pull_scheduled = true;
-        at
     }
 
     /// A pull event fired: disarm. `Some(t)` when the pipeline is still
@@ -194,17 +187,6 @@ struct Tm {
     buffer_gauge: GaugeId,
 }
 
-/// What a target declares about one of its traffic managers.
-#[derive(Debug, Clone, Copy)]
-pub struct TmSpec<'a> {
-    /// Registry scope (`tm`, `tm1`, `tm2`).
-    pub scope: &'a str,
-    /// Journey site of a packet resident in it.
-    pub site: Site,
-    /// TM number in typed drop reasons.
-    pub number: u8,
-}
-
 /// Everything [`Shell::new`] needs from a target's model and config.
 #[derive(Debug, Clone, Copy)]
 pub struct ShellSpec<'a> {
@@ -228,31 +210,38 @@ pub struct ShellSpec<'a> {
     /// export lists scopes in creation order, so they are created up
     /// front and everything registered later only looks them up.
     pub scopes: &'a [&'a str],
-    /// The target's traffic managers, in datapath order. The last one is
-    /// the one that replicates multicast.
-    pub tms: &'a [TmSpec<'a>],
+    /// Registry scope of each traffic manager, in datapath order: the
+    /// first is the journey model's TM1, the second its TM2. The last one
+    /// is the one that replicates multicast.
+    pub tms: &'a [&'a str],
 }
 
-#[derive(Clone, Copy)]
-struct ShellHandles {
-    rx_pkts: CounterId,
-    mac_fcs_drops: CounterId,
-    parse_errors: CounterId,
-    parse_span: HistId,
-    mcast_copies: CounterId,
-    deparse_allocs: CounterId,
-    mat_lookups: CounterId,
-    mat_hits: CounterId,
-    drops_filtered: CounterId,
-    drops_no_decision: CounterId,
-    drops_bad_port: CounterId,
-    tx_pkts: CounterId,
-    tx_latency: HistId,
-    int_stamps: CounterId,
-    int_postcards: CounterId,
-    int_truncated: CounterId,
-    int_postcards_dropped: CounterId,
-}
+/// (scope, counter name, reader) of one mirrored [`FlowCounters`] class.
+type Mirror = (&'static str, &'static str, fn(&FlowCounters) -> u64);
+
+/// Where each [`FlowCounters`] class is mirrored in the registry, and how
+/// to read it: the one list both registration and export walk.
+const MIRRORED: [Mirror; 10] = [
+    ("rx", "packets", |c| c.injected),
+    ("mac", "fcs_drops", |c| c.fcs_drops),
+    ("parser", "errors", |c| c.parse_errors),
+    ("deparser", "allocs", |c| c.deparse_allocs),
+    ("mat", "lookups", |c| c.mat_lookups),
+    ("mat", "hits", |c| c.mat_hits),
+    ("drops", "filtered", |c| c.filtered),
+    ("drops", "no_decision", |c| c.no_decision),
+    ("drops", "bad_port", |c| c.bad_port),
+    ("tx", "packets", |c| c.delivered),
+];
+
+/// `int` scope counters, in the order [`Shell::int_totals`]' fields and
+/// then the shed-postcard count are exported.
+const INT_MIRRORED: [&str; 4] = [
+    "stamps",
+    "postcards",
+    "stack_truncated",
+    "postcards_dropped",
+];
 
 /// The device around the pipelines. Targets embed one and `Deref` to it,
 /// so its observers (`tracer`, `latency`, `out_meter`) and accessors are
@@ -281,7 +270,12 @@ pub struct Shell {
     /// Sabotage hook: report TM queue depths one higher than observed.
     int_lie_queue_depth: bool,
     metrics: MetricsRegistry,
-    mh: ShellHandles,
+    mirrors: [CounterId; MIRRORED.len()],
+    int_mirrors: [CounterId; INT_MIRRORED.len()],
+    /// Registered under the last TM's scope: that is the one replicating.
+    mcast_copies: CounterId,
+    parse_span: HistId,
+    tx_latency: HistId,
     delivered: Vec<Delivered>,
     in_flight: u64,
     last_delivery: SimTime,
@@ -298,15 +292,13 @@ impl Shell {
         for s in spec.scopes {
             m.scope(s);
         }
-        let tms: Vec<Tm> = spec
-            .tms
-            .iter()
-            .map(|t| {
-                let s = m.scope(t.scope);
+        let tms: Vec<Tm> = (spec.tms.iter().zip([(Site::Tm1, 1), (Site::Tm2, 2)]))
+            .map(|(scope, (site, number))| {
+                let s = m.scope(scope);
                 Tm {
                     pool: BufferPool::new(spec.tm_cells, spec.cell_bytes),
-                    site: t.site,
-                    number: t.number,
+                    site,
+                    number,
                     buffer_drops: m.counter(s, "buffer_drops"),
                     queue_drops: m.counter(s, "queue_drops"),
                     residency: m.hist(s, "residency_ps"),
@@ -316,30 +308,13 @@ impl Shell {
                 }
             })
             .collect();
-        let [rx, mac, parser, deparser, mat, drops, tx, int] = [
-            "rx", "mac", "parser", "deparser", "mat", "drops", "tx", "int",
-        ]
-        .map(|s| m.scope(s));
-        let last_tm = m.scope(spec.tms.last().expect("a switch has a TM").scope);
-        let mh = ShellHandles {
-            rx_pkts: m.counter(rx, "packets"),
-            mac_fcs_drops: m.counter(mac, "fcs_drops"),
-            parse_errors: m.counter(parser, "errors"),
-            parse_span: m.hist(parser, "span_ps"),
-            mcast_copies: m.counter(last_tm, "mcast_copies"),
-            deparse_allocs: m.counter(deparser, "allocs"),
-            mat_lookups: m.counter(mat, "lookups"),
-            mat_hits: m.counter(mat, "hits"),
-            drops_filtered: m.counter(drops, "filtered"),
-            drops_no_decision: m.counter(drops, "no_decision"),
-            drops_bad_port: m.counter(drops, "bad_port"),
-            tx_pkts: m.counter(tx, "packets"),
-            tx_latency: m.hist(tx, "latency_ps"),
-            int_stamps: m.counter(int, "stamps"),
-            int_postcards: m.counter(int, "postcards"),
-            int_truncated: m.counter(int, "stack_truncated"),
-            int_postcards_dropped: m.counter(int, "postcards_dropped"),
-        };
+        let last_tm = m.scope(spec.tms.last().expect("a switch has a TM"));
+        let mcast_copies = m.counter(last_tm, "mcast_copies");
+        let mirrors = MIRRORED.map(|(scope, name, _)| {
+            let s = m.scope(scope);
+            m.counter(s, name)
+        });
+        let (parser, tx, int) = (m.scope("parser"), m.scope("tx"), m.scope("int"));
         Shell {
             rx: (0..spec.ports)
                 .map(|p| RxPort::new(PortId(p), speed_of(p)))
@@ -360,8 +335,12 @@ impl Shell {
             int_truncated: 0,
             int_postcards_dropped: 0,
             int_lie_queue_depth: false,
+            mirrors,
+            int_mirrors: INT_MIRRORED.map(|name| m.counter(int, name)),
+            mcast_copies,
+            parse_span: m.hist(parser, "span_ps"),
+            tx_latency: m.hist(tx, "latency_ps"),
             metrics: m,
-            mh,
             delivered: Vec::new(),
             in_flight: 0,
             last_delivery: SimTime::ZERO,
@@ -383,6 +362,7 @@ impl Shell {
 
     /// Account a packet offered to RX `port` at `t` (its first bit arrives
     /// then); the target schedules the arrival.
+    #[inline]
     pub fn accept(&mut self, flow: &mut FlowCounters, port: PortId, pkt: &mut Packet, t: SimTime) {
         assert!(
             (port.0 as usize) < self.rx.len(),
@@ -398,6 +378,7 @@ impl Shell {
     /// MAC + RX serialization: `None` when the frame check failed (the
     /// packet is dropped before it can reach a parser, table or register),
     /// else the time its last bit arrived.
+    #[inline]
     pub fn receive(
         &mut self,
         flow: &mut FlowCounters,
@@ -512,6 +493,7 @@ impl Shell {
     /// the copies to admit: none (dropped here, typed), the packet itself,
     /// or one refcounted copy per multicast port. Replication is accounted
     /// up front; the caller admits each copy (its queue choice is wiring).
+    #[inline]
     pub fn fan_out(
         &mut self,
         flow: &mut FlowCounters,
@@ -641,6 +623,7 @@ impl Shell {
     /// and end-to-end spans, the TX hop, the sink export of a sampled
     /// packet's INT stack (folded into `flows` first when the device keeps
     /// per-flow INT state), delivery accounting, and the FCS re-stamp.
+    #[inline]
     pub fn transmit(
         &mut self,
         flow: &mut FlowCounters,
@@ -655,7 +638,7 @@ impl Shell {
             self.metrics
                 .record_span(egress_span, pkt.meta.tm_enqueued, now);
             self.metrics
-                .record_span(self.mh.tx_latency, pkt.meta.created, done);
+                .record_span(self.tx_latency, pkt.meta.created, done);
         }
         self.hop(&mut pkt, Site::Tx(port), now, done, HopCtx::NONE);
         if self.int.samples(pkt.meta.id) {
@@ -713,23 +696,16 @@ impl Shell {
     /// totals; re-assigning is idempotent. Targets call this (and their
     /// own tail) whenever a run or a control-plane call returns.
     pub fn export(&mut self, c: &FlowCounters) {
-        let mh = self.mh;
         let m = &mut self.metrics;
-        m.set_counter(mh.rx_pkts, c.injected);
-        m.set_counter(mh.mac_fcs_drops, c.fcs_drops);
-        m.set_counter(mh.parse_errors, c.parse_errors);
-        m.set_counter(mh.mcast_copies, c.mcast_copies);
-        m.set_counter(mh.deparse_allocs, c.deparse_allocs);
-        m.set_counter(mh.mat_lookups, c.mat_lookups);
-        m.set_counter(mh.mat_hits, c.mat_hits);
-        m.set_counter(mh.drops_filtered, c.filtered);
-        m.set_counter(mh.drops_no_decision, c.no_decision);
-        m.set_counter(mh.drops_bad_port, c.bad_port);
-        m.set_counter(mh.tx_pkts, c.delivered);
-        m.set_counter(mh.int_stamps, self.int_stamps);
-        m.set_counter(mh.int_postcards, self.int_postcards);
-        m.set_counter(mh.int_truncated, self.int_truncated);
-        m.set_counter(mh.int_postcards_dropped, self.int_postcards_dropped);
+        for (id, (_, _, read)) in self.mirrors.iter().zip(MIRRORED) {
+            m.set_counter(*id, read(c));
+        }
+        m.set_counter(self.mcast_copies, c.mcast_copies);
+        let (stamps, postcards, truncated) = self.int_totals();
+        let int = [stamps, postcards, truncated, self.int_postcards_dropped];
+        for (id, v) in self.int_mirrors.iter().zip(int) {
+            self.metrics.set_counter(*id, v);
+        }
     }
 
     /// Mirror traffic manager `tm`'s drop classes and buffer occupancy.
@@ -756,7 +732,7 @@ impl Shell {
     #[inline]
     pub fn record_parse(&mut self, cost: Duration) {
         if self.metrics.enabled() {
-            self.metrics.record(self.mh.parse_span, cost);
+            self.metrics.record(self.parse_span, cost);
         }
     }
 
@@ -852,13 +828,19 @@ impl Shell {
         self.tms.iter().map(|t| t.pool.hwm_cells).max().unwrap_or(0)
     }
 
-    /// Panic unless `entered` (injected + replicated) equals `left`
-    /// (delivered + every drop class) plus what is still in flight.
-    /// `counters` is printed on failure.
-    pub fn assert_conserved(&self, counters: &dyn std::fmt::Debug, entered: u64, left: u64) {
+    /// Panic unless everything that entered (injected + replicated) either
+    /// left (delivered, or dropped: `total_drops` over every class, the
+    /// target's TM classes included) or is still in flight. `counters` is
+    /// printed on failure.
+    pub fn assert_conserved(
+        &self,
+        counters: &dyn std::fmt::Debug,
+        c: &FlowCounters,
+        total_drops: u64,
+    ) {
         assert_eq!(
-            entered,
-            left + self.in_flight,
+            c.injected + c.mcast_copies,
+            c.delivered + total_drops + self.in_flight,
             "conservation violated: {counters:?} in_flight={}",
             self.in_flight
         );
@@ -880,6 +862,7 @@ pub enum Copies {
 impl Iterator for Copies {
     type Item = (PortId, Packet);
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if let Copies::Many(ports, pkt) = self {
             let p = ports.next()?;
@@ -911,11 +894,6 @@ impl<E> Default for Agenda<E> {
 }
 
 impl<E> Agenda<E> {
-    /// Time of the next pending event, if any.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.events.peek_time()
-    }
-
     /// The batch run loop of switch `sw`, whose agenda `agenda` projects
     /// out: run every event scheduled at or before `until` (every event,
     /// when `None`) and return the time of the last one handled.
