@@ -977,8 +977,8 @@ fn apply_bug(mut program: Program, bug: BugHook) -> Program {
 
 /// Read a counter back from the switch's metrics registry, insisting the
 /// mirror agrees with the raw counter the harness otherwise uses: any skew
-/// means `sync_metrics` missed an update and the "one metrics path" claim
-/// is false. Returns the raw value unchanged when the registry is disabled
+/// means the switch's export missed an update and the "one export" claim
+/// (DESIGN §7) is false. Returns the raw value unchanged when the registry is disabled
 /// (`ADCP_METRICS=off`), so conformance still runs with metrics off.
 fn mirrored(
     name: &str,

@@ -31,7 +31,7 @@ use crate::partition::{MigrateError, MigrationStrategy, PartitionMap};
 use adcp_lang::target::TargetModel;
 use adcp_lang::{
     compile, parse_packet, ActionOp, CompileError, CompileOptions, Entry, HeaderId, PacketCodec,
-    ParseOutcome, ParseScratch, Phv, PhvLayout, Placement, Program, RegId, Region, RegionRunStats,
+    ParseOutcome, ParseScratch, Phv, Placement, Program, RegId, Region, RegionRunStats,
     RegionState, RegisterFile, TableError,
 };
 use adcp_sim::datapath::{Agenda, FlowCounters, RegionMetrics, Shell, ShellSpec, Slot};
@@ -67,16 +67,6 @@ const CTRL_MIRRORED: [CtrlMirror; 6] = [
     ("held_pkts", |s| s.held_pkts),
     ("misroutes", |s| s.misroutes),
 ];
-
-/// Registry handles only the ADCP has: the `ctrl` scope and the per-flow
-/// INT aggregation.
-#[derive(Clone, Copy)]
-struct AdcpHandles {
-    ctrl: [CounterId; CTRL_MIRRORED.len()],
-    ctrl_epoch: GaugeId,
-    int_path_changes: CounterId,
-    int_flows: GaugeId,
-}
 
 /// Registers referenced by central-region table actions, with cell counts:
 /// the state the global partitioned area shards, and therefore the state a
@@ -263,18 +253,18 @@ struct CentralRun {
 
 /// The compute-heavy middle of a central pull: parse, PHV intrinsics
 /// setup, pipeline-slot claim, and the central MAU region. Touches only the
-/// one pipe's state (plus shared read-only program/layout), so a sharded
+/// one pipe's state (plus the shared read-only codec), so a sharded
 /// batch can run it for distinct pipes on worker threads; the serial path
 /// calls it inline with the switch's recycled scratch PHV.
 fn central_compute(
-    program: &Program,
-    layout: &PhvLayout,
+    codec: &PacketCodec,
     period: Duration,
     now: SimTime,
     pipe: &mut CentralPipe,
     pkt: &mut Packet,
     scratch: ParseScratch,
 ) -> Result<CentralRun, ()> {
+    let (program, layout) = (&*codec.program, &codec.layout);
     let mut out = parse_packet(program, layout, pkt, scratch).map_err(|_| ())?;
     // Move (not clone) the forwarding decision into the PHV; writeback
     // moves it back.
@@ -420,7 +410,12 @@ pub struct AdcpSwitch {
     ingress_m: RegionMetrics,
     central_m: RegionMetrics,
     egress_m: RegionMetrics,
-    mh: AdcpHandles,
+    /// Registry handles only the ADCP has: the `ctrl` scope and the per-flow
+    /// INT aggregation.
+    ctrl: [CounterId; CTRL_MIRRORED.len()],
+    ctrl_epoch: GaugeId,
+    int_path_changes: CounterId,
+    int_flows_gauge: GaugeId,
     /// Partition-map routing + migration machinery; `None` keeps the
     /// legacy modulo routing (and zero per-packet overhead).
     part: Option<PartitionRuntime>,
@@ -499,13 +494,11 @@ impl AdcpSwitch {
             ["ingress", "central", "egress"].map(|s| shell.region_metrics(s));
         let m = shell.metrics_mut();
         let (ctrl, int) = (m.scope("ctrl"), m.scope("int"));
-        let mh = AdcpHandles {
+        Ok(AdcpSwitch {
             ctrl: CTRL_MIRRORED.map(|(name, _)| m.counter(ctrl, name)),
             ctrl_epoch: m.gauge(ctrl, "epoch"),
             int_path_changes: m.counter(int, "path_changes"),
-            int_flows: m.gauge(int, "active_flow_cells"),
-        };
-        Ok(AdcpSwitch {
+            int_flows_gauge: m.gauge(int, "active_flow_cells"),
             central_regs: central_registers(&program),
             ing_tables: RegionState::new(&program, Region::Ingress),
             eg_tables: RegionState::new(&program, Region::Egress),
@@ -526,7 +519,6 @@ impl AdcpSwitch {
             ingress_m,
             central_m,
             egress_m,
-            mh,
             part: None,
             mig_stats: MigrationStats::default(),
         })
@@ -958,17 +950,16 @@ impl AdcpSwitch {
         self.shell.export(&c.flow);
         self.shell.export_tm(TM1, c.tm1_drops, c.tm1_queue_drops);
         self.shell.export_tm(TM2, c.tm2_drops, c.tm2_queue_drops);
-        let (mh, mig) = (self.mh, &self.mig_stats);
         let m = self.shell.metrics_mut();
-        for (id, (_, read)) in mh.ctrl.iter().zip(CTRL_MIRRORED) {
-            m.set_counter(*id, read(mig));
+        for (id, (_, read)) in self.ctrl.iter().zip(CTRL_MIRRORED) {
+            m.set_counter(*id, read(&self.mig_stats));
         }
         m.set_gauge(
-            mh.ctrl_epoch,
+            self.ctrl_epoch,
             self.part.as_ref().map_or(0, |rt| rt.map.epoch),
         );
-        m.set_counter(mh.int_path_changes, self.int_flows.total_path_changes());
-        m.set_gauge(mh.int_flows, self.int_flows.active_cells());
+        m.set_counter(self.int_path_changes, self.int_flows.total_path_changes());
+        m.set_gauge(self.int_flows_gauge, self.int_flows.active_cells());
         let slots = self.ingress.iter().map(|p| &p.slot);
         self.shell.export_busy(self.ingress_m, slots);
         let slots = self.central.iter().map(|p| &p.slot);
@@ -1032,17 +1023,13 @@ impl AdcpSwitch {
     /// Parse a packet at the head of pipeline `site`, recording the parse
     /// span (every parse counts on this target) and accounting a failure.
     fn parse(&mut self, now: SimTime, pkt: &Packet, site: Site) -> Option<ParseOutcome> {
-        match self.codec.parse(pkt) {
-            Ok(out) => {
-                let cost = Duration(out.depth as u64 * self.period.as_ps());
-                self.shell.record_parse(cost);
-                Some(out)
-            }
-            Err(_) => {
-                self.drop_at(now, pkt, site, DropReason::ParseError);
-                None
-            }
-        }
+        let Ok(out) = self.codec.parse(pkt) else {
+            self.drop_at(now, pkt, site, DropReason::ParseError);
+            return None;
+        };
+        let cost = Duration(out.depth as u64 * self.period.as_ps());
+        self.shell.record_parse(cost);
+        Some(out)
     }
 
     /// Deparse the PHV into the packet and move intrinsics into metadata.
@@ -1347,8 +1334,7 @@ impl AdcpSwitch {
             CentralStage::Work(mut pkt) => {
                 let scratch = self.codec.take_scratch();
                 let res = central_compute(
-                    &self.codec.program,
-                    &self.codec.layout,
+                    &self.codec,
                     self.period,
                     now,
                     &mut self.central[cpipe],
@@ -1427,8 +1413,7 @@ impl AdcpSwitch {
         self.shell.hop(&mut pkt, site, entry, exit, ctx);
         self.agenda.events.push(exit, Ev::CentralOut { cpipe, pkt });
         if !self.central[cpipe].queues.is_empty() {
-            let next = self.central[cpipe].slot.next_free();
-            self.schedule_pull_central(next, cpipe);
+            self.schedule_pull_central(now, cpipe);
         }
     }
 
@@ -1456,8 +1441,7 @@ impl AdcpSwitch {
             }
         }
         let workers = self.cfg.central_workers.max(1);
-        let program = &self.codec.program;
-        let layout = &self.codec.layout;
+        let codec = &self.codec;
         let period = self.period;
         // Disjoint &mut access: each pipe appears at most once per run
         // (`pull_scheduled` guarantees one outstanding pull per pipe).
@@ -1489,8 +1473,7 @@ impl AdcpSwitch {
                             .into_iter()
                             .map(|(i, pipe, mut pkt)| {
                                 let res = central_compute(
-                                    program,
-                                    layout,
+                                    codec,
                                     period,
                                     now,
                                     pipe,
@@ -1625,8 +1608,7 @@ impl AdcpSwitch {
         self.shell.hop(&mut pkt, site, entry, exit, HopCtx::NONE);
         self.agenda.events.push(exit, Ev::EgressOut { epipe, pkt });
         if !self.egress[epipe].queues.is_empty() {
-            let next = self.egress[epipe].slot.next_free();
-            self.schedule_pull_egress(next, epipe);
+            self.schedule_pull_egress(now, epipe);
         }
     }
 

@@ -537,12 +537,12 @@ impl RmtSwitch {
         // exit, in `on_egress_out`.
         let entry = p.slot.claim(now, self.period);
         let exit = entry + Duration(flight);
-        let backlog = (!p.queues.is_empty()).then(|| p.slot.next_free());
+        let backlog = !p.queues.is_empty();
         self.shell
             .hop(&mut pkt, Site::EgressPipe(pipe), entry, exit, HopCtx::NONE);
         self.agenda.events.push(exit, Ev::EgressOut { pipe, pkt });
-        if let Some(next) = backlog {
-            self.schedule_pull(next, pipe);
+        if backlog {
+            self.schedule_pull(now, pipe);
         }
     }
 

@@ -113,12 +113,6 @@ impl Slot {
         entry
     }
 
-    /// Start of the first free cycle.
-    #[inline]
-    pub fn next_free(&self) -> SimTime {
-        self.next_slot
-    }
-
     /// Keep the pipeline occupied for `d` from `now` (or from the end of
     /// the work already claimed, whichever is later).
     pub fn stall(&mut self, now: SimTime, d: Duration) {
@@ -126,7 +120,8 @@ impl Slot {
     }
 
     /// Arm the pipeline's pull for `now` (or a later retry time): the time
-    /// to schedule the pull event at, or `None` when one is outstanding.
+    /// to schedule the pull event at — not before the first free cycle —
+    /// or `None` when one is outstanding.
     #[inline]
     pub fn arm_pull(&mut self, now: SimTime) -> Option<SimTime> {
         if self.pull_scheduled {
@@ -188,7 +183,6 @@ struct Tm {
 }
 
 /// Everything [`Shell::new`] needs from a target's model and config.
-#[derive(Debug, Clone, Copy)]
 pub struct ShellSpec<'a> {
     /// Front-panel ports.
     pub ports: u16,
@@ -547,17 +541,16 @@ impl Shell {
         now: SimTime,
     ) -> bool {
         let t = &mut self.tms[tm];
-        let (site, tm_no) = (t.site, t.number);
+        let site = t.site;
+        let tail = DropReason::QueueTail {
+            tm: t.number,
+            queue: qid,
+        };
+        let exhausted = DropReason::BufferExhausted { tm: t.number };
         let refused = if !queues.queue(q).has_room(&pkt) {
-            Some((
-                drops.0,
-                DropReason::QueueTail {
-                    tm: tm_no,
-                    queue: qid,
-                },
-            ))
+            Some((drops.0, tail))
         } else if !t.pool.try_alloc(&mut pkt) {
-            Some((drops.1, DropReason::BufferExhausted { tm: tm_no }))
+            Some((drops.1, exhausted))
         } else {
             None
         };
