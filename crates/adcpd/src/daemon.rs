@@ -28,10 +28,10 @@
 //! # Determinism contract
 //!
 //! A [`SoakReport`] is a pure function of [`DaemonCfg`]: it contains sim
-//! time, event counts and SLO math — never wall-clock readings, file
-//! paths, or worker counts. `central_workers` only changes which OS
-//! threads execute central pulls, so reports must be **byte-identical**
-//! across worker counts; the soak test pins 1/2/4.
+//! time, event counts and SLO math — never wall-clock readings or file
+//! paths. The daemon runs on one thread, so two runs of one configuration
+//! must produce **byte-identical** reports; the soak test pins that,
+//! plain and with INT on.
 
 use crate::menu::{self, Oracle, ServeApp, ServeProgram, SHARDS};
 use crate::slo::{SloPolicy, SloTracker};
@@ -128,7 +128,9 @@ pub struct DaemonCfg {
     pub skew_policy: SkewPolicy,
     /// Central pipes active at start.
     pub initial_pipes: u32,
-    /// Central worker threads (wall-clock only; never observable).
+    /// Inert: the daemon is single-threaded. The last field of
+    /// `adcp_core::AdcpConfig` says why this one is still here.
+    #[doc(hidden)]
     pub workers: usize,
     /// Fault schedule (non-overlapping windows; first match wins).
     pub faults: Vec<FaultWindow>,
@@ -137,9 +139,8 @@ pub struct DaemonCfg {
     /// Slices between stream snapshots.
     pub stream_every: u64,
     /// Stamp INT telemetry on the datapath and stream the collector's
-    /// report per snapshot. Off by default: INT-on serializes central
-    /// execution (the stamps observe per-pull TM state), so the soak's
-    /// sharded-execution coverage keeps it opt-in.
+    /// report per snapshot. Off by default: stamping is paid per hop and
+    /// the plain soak reads no postcards.
     pub int: bool,
 }
 
@@ -225,12 +226,6 @@ impl DaemonCfg {
             ..DaemonCfg::soak_quick(seed)
         }
     }
-
-    /// Override the worker-thread count (builder style).
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n.max(1);
-        self
-    }
 }
 
 /// One scale/rebalance action as it appears in the report.
@@ -304,7 +299,7 @@ pub struct SloSummary {
 }
 
 /// The deterministic end-of-run report (see the crate docs for the
-/// byte-identical-across-workers contract).
+/// byte-identical-rerun contract).
 #[derive(Debug, Clone, Serialize)]
 pub struct SoakReport {
     /// Serving program name.
@@ -399,7 +394,7 @@ pub struct Daemon {
     telemetry_alerts: u64,
     next_id: u64,
     arrivals_buf: Vec<SimTime>,
-    // Run accounting (all sim-derived, hence worker-independent).
+    // Run accounting (all sim-derived).
     arrivals: u64,
     wire_dropped: u64,
     injected: u64,
@@ -427,15 +422,12 @@ impl Daemon {
             CompileOptions::default(),
             AdcpConfig {
                 queue_depth: cfg.queue_depth,
-                central_workers: cfg.workers.max(1),
                 int: cfg.int,
                 ..AdcpConfig::default()
             },
         )
         .map_err(|e| format!("serving program failed to compile: {e:?}"))?;
-        // Drops-only tracing: exact forensics at zero hop-ring cost, and
-        // — critically — `hops_on() == false` keeps sharded central
-        // execution eligible, so the worker count stays unobservable.
+        // Drops-only tracing: exact forensics at zero hop-ring cost.
         sw.tracer = JourneyTracer::with_sample(0, 1);
         let pipes = cfg.initial_pipes.clamp(1, sw.num_central() as u32);
         sw.install_partition_map(PartitionMap::uniform(SHARDS as u32, pipes))
@@ -620,12 +612,6 @@ impl Daemon {
                     "skew-rebalance"
                 }
             };
-            if matches!(ev.kind, RebalanceKind::ScaleUp | RebalanceKind::ScaleDown) {
-                // Track compute capacity with the active pipe set. Worker
-                // count is wall-clock-only, so this cannot perturb the
-                // report.
-                self.sw.set_central_workers(ev.pipes as usize);
-            }
             self.trace.instant(
                 name,
                 slice.end,

@@ -21,11 +21,12 @@
 //!   graceful drain, and the zero-drift soak report.
 //!
 //! Determinism is load-bearing: a soak report is a pure function of the
-//! [`daemon::DaemonCfg`] — it contains no wall-clock times and no worker
-//! counts, so the same config must produce **byte-identical** reports at
-//! any `central_workers` setting (CI runs 1/2/4). The daemon keeps the
-//! journey tracer in drops-only mode (`JourneyTracer::with_sample(0, 1)`)
-//! so forensics stay exact without disabling sharded execution.
+//! [`daemon::DaemonCfg`] — it contains no wall-clock times, and the daemon
+//! runs on one thread, so the same config must produce **byte-identical**
+//! reports on every run (CI reruns it, plain and with INT on). The daemon
+//! keeps the journey tracer in drops-only mode
+//! (`JourneyTracer::with_sample(0, 1)`) so forensics stay exact at zero
+//! hop-ring cost.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

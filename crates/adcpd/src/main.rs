@@ -9,7 +9,7 @@
 //! * `--serve` — serve until SIGINT/SIGTERM (or `--slices N`), then
 //!   drain gracefully and report. Exit code reflects invariant health.
 //!
-//! Common flags: `--seed N`, `--workers N`, `--app shardcount|shardmax`,
+//! Common flags: `--seed N`, `--app shardcount|shardmax`,
 //! `--out DIR` (rotating metrics/trace stream), `--json` (report as JSON
 //! on stdout instead of the human summary).
 
@@ -22,7 +22,6 @@ use std::process::ExitCode;
 struct Cli {
     mode: Mode,
     seed: u64,
-    workers: usize,
     app: Option<ServeApp>,
     out: Option<PathBuf>,
     json: bool,
@@ -41,7 +40,6 @@ fn parse_args() -> Result<Cli, String> {
     let mut cli = Cli {
         mode: Mode::Serve,
         seed: 7,
-        workers: 1,
         app: None,
         out: None,
         json: false,
@@ -62,11 +60,6 @@ fn parse_args() -> Result<Cli, String> {
                 cli.seed = grab("--seed")?
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--workers" => {
-                cli.workers = grab("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
             }
             "--app" => {
                 let v = grab("--app")?;
@@ -104,8 +97,6 @@ FLAGS:
     --soak             full soak (4x the sim time of --soak-quick)
     --serve            serve until SIGINT/SIGTERM (default mode)
     --seed N           master seed (default 7)
-    --workers N        central worker threads (wall-clock only; the
-                       report is byte-identical across worker counts)
     --app NAME         shardcount | shardmax (default shardcount)
     --out DIR          stream rotating metrics-/trace-*.json into DIR
     --int              stamp INT telemetry and stream telemetry-*.json
@@ -196,8 +187,7 @@ fn main() -> ExitCode {
             slices: u64::MAX,
             ..DaemonCfg::soak_quick(cli.seed)
         },
-    }
-    .with_workers(cli.workers);
+    };
     if let Some(app) = cli.app {
         cfg.app = app;
     }

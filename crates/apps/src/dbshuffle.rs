@@ -39,9 +39,6 @@ pub struct DbShuffleCfg {
     pub coordinator_port: u16,
     /// RNG seed.
     pub seed: u64,
-    /// Central-pipeline worker threads (ADCP only; output is
-    /// byte-identical for any value).
-    pub central_workers: usize,
 }
 
 impl Default for DbShuffleCfg {
@@ -57,7 +54,6 @@ impl Default for DbShuffleCfg {
             },
             coordinator_port: 15,
             seed: 3,
-            central_workers: 1,
         }
     }
 }
@@ -230,7 +226,6 @@ fn read_key_value(data: &[u8]) -> (u64, u64) {
 /// Run one shuffle variant end to end; verify per-key totals and routing.
 pub fn run(kind: TargetKind, cfg: &DbShuffleCfg) -> AppReport {
     let (mut sw, notes, central_pipes) = build_switch(kind, cfg);
-    sw.set_central_workers(cfg.central_workers);
 
     // Control plane: route entries. ADCP multicasts each reducer's rows to
     // {reducer, coordinator}; RMT unicasts (pinning makes the coordinator
@@ -375,7 +370,6 @@ mod tests {
             },
             coordinator_port: 15,
             seed: 21,
-            central_workers: 1,
         }
     }
 

@@ -80,8 +80,6 @@ pub struct DdosCfg {
     pub ticks: u32,
     /// RNG seed.
     pub seed: u64,
-    /// ADCP central-worker threads (byte-identical output for any value).
-    pub central_workers: usize,
 }
 
 impl Default for DdosCfg {
@@ -101,7 +99,6 @@ impl Default for DdosCfg {
             rebalance: true,
             ticks: 12,
             seed: 11,
-            central_workers: 1,
         }
     }
 }
@@ -657,7 +654,6 @@ pub fn run(kind: TargetKind, cfg: &DdosCfg) -> DdosOutcome {
                 },
             )
             .expect("ddos compiles on ADCP");
-            sw.set_central_workers(cfg.central_workers);
             let mut notes = sw.placement.notes.clone();
             let mut rebalances = 0usize;
             let mut skew_before = 0.0f64;

@@ -93,15 +93,6 @@ impl AnySwitch {
         }
     }
 
-    /// Set the central-pipeline worker count. ADCP only — the RMT targets
-    /// have no central pipelines, so this is a no-op there. Output is
-    /// byte-identical for any value.
-    pub fn set_central_workers(&mut self, n: usize) {
-        if let AnySwitch::Adcp(s) = self {
-            s.set_central_workers(n);
-        }
-    }
-
     /// Assert packet conservation.
     pub fn check_conservation(&self) {
         match self {

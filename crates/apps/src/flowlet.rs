@@ -68,8 +68,6 @@ pub struct LdfCfg {
     pub time_base: u32,
     /// RNG seed.
     pub seed: u64,
-    /// ADCP central-worker threads (byte-identical output for any value).
-    pub central_workers: usize,
 }
 
 impl Default for LdfCfg {
@@ -83,7 +81,6 @@ impl Default for LdfCfg {
             skew: 0.9,
             time_base: 0,
             seed: 4,
-            central_workers: 1,
         }
     }
 }
@@ -510,7 +507,7 @@ pub fn run(kind: TargetKind, cfg: &LdfCfg) -> LdfOutcome {
     let prog = program(kind, cfg.uplinks, n_slots, cfg.gap_ticks, collector);
     let (mut sw, notes, replicas) = match kind {
         TargetKind::Adcp => {
-            let mut sw = AdcpSwitch::new(
+            let sw = AdcpSwitch::new(
                 prog,
                 TargetModel::adcp_reference(),
                 CompileOptions::default(),
@@ -520,7 +517,6 @@ pub fn run(kind: TargetKind, cfg: &LdfCfg) -> LdfOutcome {
                 },
             )
             .expect("flowlet-ldf compiles on ADCP");
-            sw.set_central_workers(cfg.central_workers);
             let n = sw.placement.notes.clone();
             let reps = sw.num_central();
             (AnySwitch::Adcp(Box::new(sw)), n, reps)

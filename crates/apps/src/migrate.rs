@@ -47,10 +47,6 @@ pub struct MigrateCfg {
     pub clients: u16,
     /// Inter-packet gap, ns.
     pub gap_ns: u64,
-    /// Packets injected per timestamp: consecutive groups of `burst`
-    /// packets share one injection time (spread across the client
-    /// ports), modeling synchronized senders. `1` staggers every packet.
-    pub burst: u16,
     /// Popularity-rank-to-key multiplier. With the default 4, the hottest
     /// keys all fold onto the same central pipeline under the initial
     /// uniform map — the "unlucky hash" the control plane must fix.
@@ -62,10 +58,6 @@ pub struct MigrateCfg {
     pub ticks: u32,
     /// RNG seed.
     pub seed: u64,
-    /// Central-pipeline worker threads (ADCP only; output is
-    /// byte-identical for any value — the switch serializes automatically
-    /// while a migration's fences are in flight).
-    pub central_workers: usize,
 }
 
 impl Default for MigrateCfg {
@@ -76,12 +68,10 @@ impl Default for MigrateCfg {
             packets: 4_000,
             clients: 4,
             gap_ns: 200,
-            burst: 1,
             stride: 4,
             strategy: Some(MigrationStrategy::Incremental),
             ticks: 8,
             seed: 31,
-            central_workers: 1,
         }
     }
 }
@@ -238,8 +228,7 @@ pub fn run(kind: TargetKind, cfg: &MigrateCfg) -> MigrateOutcome {
         .map(|_| ((zipf.sample(&mut rng) * cfg.stride) % cfg.keyspace as u64) as u16)
         .collect();
     let gap_ps = cfg.gap_ns * 1_000;
-    let burst = cfg.burst.max(1) as u64;
-    let span_ps = (cfg.packets as u64).div_ceil(burst) * gap_ps;
+    let span_ps = cfg.packets as u64 * gap_ps;
 
     let (mut sw, mut notes, rebalances, stats, final_epoch, skew_before, skew_after) = match kind {
         TargetKind::Adcp => {
@@ -250,7 +239,6 @@ pub fn run(kind: TargetKind, cfg: &MigrateCfg) -> MigrateOutcome {
                 AdcpConfig::default(),
             )
             .expect("partmigrate compiles on ADCP");
-            sw.set_central_workers(cfg.central_workers);
             let notes = sw.placement.notes.clone();
             let n_pipes = sw.num_central() as u32;
             sw.install_partition_map(PartitionMap::uniform(SHARDS as u32, n_pipes))
@@ -259,7 +247,7 @@ pub fn run(kind: TargetKind, cfg: &MigrateCfg) -> MigrateOutcome {
                 sw.inject(
                     PortId(i as u16 % cfg.clients),
                     pkt(i as u64, collector.0, key),
-                    SimTime(i as u64 / burst * gap_ps),
+                    SimTime(i as u64 * gap_ps),
                 );
             }
             let mut ctl = cfg.strategy.map(|strategy| {
@@ -331,7 +319,7 @@ pub fn run(kind: TargetKind, cfg: &MigrateCfg) -> MigrateOutcome {
                 sw.inject(
                     PortId(i as u16 % cfg.clients),
                     pkt(i as u64, collector.0, key),
-                    SimTime(i as u64 / burst * gap_ps),
+                    SimTime(i as u64 * gap_ps),
                 );
             }
             (

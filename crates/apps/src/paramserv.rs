@@ -43,9 +43,6 @@ pub struct ParamServerCfg {
     pub width: u32,
     /// RNG seed for the chunk interleaving.
     pub seed: u64,
-    /// Central-pipeline worker threads (ADCP only; output is
-    /// byte-identical for any value).
-    pub central_workers: usize,
 }
 
 impl Default for ParamServerCfg {
@@ -55,7 +52,6 @@ impl Default for ParamServerCfg {
             model_size: 256,
             width: 16,
             seed: 1,
-            central_workers: 1,
         }
     }
 }
@@ -230,7 +226,6 @@ pub fn run(kind: TargetKind, cfg: &ParamServerCfg) -> AppReport {
     let ps_port = PortId(cfg.workers as u16); // one past the workers
 
     let (mut sw, notes) = build_switch(kind, cfg, &worker_ports, ps_port);
-    sw.set_central_workers(cfg.central_workers);
 
     // Inject every worker's chunk stream, interleaved.
     let mut rng = SimRng::seed_from(cfg.seed);
@@ -350,7 +345,6 @@ mod tests {
             model_size: 64,
             width: 16,
             seed: 7,
-            central_workers: 1,
         }
     }
 
@@ -407,7 +401,6 @@ mod tests {
                     model_size: 32,
                     width,
                     seed: 9,
-                    central_workers: 1,
                 },
             );
             assert!(r.correct, "width {width}: {r:?}");
@@ -423,7 +416,6 @@ mod tests {
                 model_size: 32,
                 width: 16,
                 seed: 1,
-                central_workers: 1,
             },
         );
         // With one worker every chunk completes on its first packet.

@@ -1,10 +1,10 @@
-//! E-D1: the serving-daemon soak matrix — both serving apps × central
-//! worker counts 1/2/4 through the compressed fault choreography, each
-//! run graded on invariant health and byte-identity across workers.
+//! E-D1: the serving-daemon soak matrix — both serving apps through the
+//! compressed fault choreography, each run twice and graded on invariant
+//! health and byte-identity of the rerun.
 //!
 //! Usage: `exp_soak [--quick] [--seed N] [--json]`
 //! Exit status 1 if any run is unhealthy, misses a scale direction, or
-//! diverges across worker counts.
+//! diverges on rerun.
 
 use adcp_bench::exp_soak::exp_soak;
 use adcp_bench::report::{print_json, print_table, want_json};
@@ -23,7 +23,7 @@ fn main() {
     let rows = exp_soak(quick, seed);
     let ok = rows
         .iter()
-        .all(|r| r.healthy && r.identical_across_workers && r.scale_ups >= 1 && r.scale_downs >= 1);
+        .all(|r| r.healthy && r.identical_rerun && r.scale_ups >= 1 && r.scale_downs >= 1);
     if want_json() {
         print_json("exp_soak", &rows);
     } else {
@@ -32,7 +32,6 @@ fn main() {
             .map(|r| {
                 vec![
                     r.app.clone(),
-                    r.workers.to_string(),
                     format!("{:.1}", r.sim_ns as f64 / 1e6),
                     r.arrivals.to_string(),
                     r.delivered.to_string(),
@@ -40,15 +39,14 @@ fn main() {
                     format!("{}+{}+{}", r.scale_ups, r.scale_downs, r.skew_rebalances),
                     r.misroutes.to_string(),
                     r.healthy.to_string(),
-                    r.identical_across_workers.to_string(),
+                    r.identical_rerun.to_string(),
                 ]
             })
             .collect();
         print_table(
-            "E-D1 — serving-daemon soak: SLO autoscaling under faults, workers 1/2/4",
+            "E-D1 — serving-daemon soak: SLO autoscaling under faults",
             &[
                 "app",
-                "workers",
                 "sim_ms",
                 "arrivals",
                 "delivered",
@@ -56,7 +54,7 @@ fn main() {
                 "up+down+skew",
                 "misroutes",
                 "healthy",
-                "identical",
+                "identical_rerun",
             ],
             &cells,
         );
@@ -64,8 +62,8 @@ fn main() {
             "\nreading: every run drains with forensics == registry (zero drift),\n\
              a clean serving oracle, exact conservation, and zero misroutes; the\n\
              burn-rate loop scales up at every diurnal peak and releases pipes in\n\
-             the troughs; and the report bytes are identical for 1/2/4 central\n\
-             workers — execution parallelism is unobservable by construction."
+             the troughs; and a second run of the same configuration reports\n\
+             the same bytes."
         );
     }
     std::process::exit(if ok { 0 } else { 1 });

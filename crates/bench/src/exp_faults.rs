@@ -46,7 +46,6 @@ pub fn ablate_faults(quick: bool) -> Vec<FaultRow> {
         model_size: if quick { 2048 } else { 4096 },
         width: 16,
         seed: 77,
-        central_workers: 1,
     };
     [0.0, 0.01, 0.05, 0.1, 0.2]
         .into_iter()

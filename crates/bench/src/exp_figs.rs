@@ -51,7 +51,6 @@ fn fig2_impl(quick: bool, parallel: bool) -> Vec<Fig2Row> {
         model_size: if quick { 64 } else { 256 },
         width: 1,
         seed: 2,
-        central_workers: 1,
     };
     let kinds = vec![
         TargetKind::Adcp,
@@ -212,7 +211,6 @@ pub fn fig5(quick: bool) -> Vec<Fig5Row> {
         model_size: if quick { 256 } else { 1024 },
         width: 16,
         seed: 3,
-        central_workers: 1,
     };
     let target = TargetModel::adcp_reference();
     let worker_ports: Vec<PortId> = (0..cfg.workers as u16).map(PortId).collect();

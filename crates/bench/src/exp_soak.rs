@@ -2,29 +2,27 @@
 //!
 //! Runs the compressed soak choreography — diurnal + MMPP open-loop
 //! traffic through the drop/corrupt/delay fault schedule with the
-//! SLO-driven autoscaler live — across both serving applications and
-//! central worker counts 1/2/4, and distills each run's [`SoakReport`]
-//! into one row. Two properties carry the experiment:
+//! SLO-driven autoscaler live — twice per serving application, and
+//! distills each app's [`SoakReport`] into one row. Two properties carry
+//! the experiment:
 //!
 //! * every run must end **healthy**: forensics ≡ registry with zero
 //!   drift, serving-oracle clean, packet conservation exact,
 //!   `misroutes == 0`, and the autoscaler must have scaled up *and*
 //!   down at least once; and
-//! * within an app, the full report must be **byte-identical across
-//!   worker counts** — the wall-clock execution strategy is not allowed
-//!   to be observable.
+//! * within an app, the second run's full report must be
+//!   **byte-identical** to the first — a report is a pure function of the
+//!   configuration.
 
 use adcpd::daemon::{Daemon, DaemonCfg, SoakReport};
 use adcpd::menu::ServeApp;
 use serde::Serialize;
 
-/// One soak run distilled for the E-D1 table.
+/// One app's soak distilled for the E-D1 table.
 #[derive(Debug, Clone, Serialize)]
 pub struct SoakRow {
     /// Serving application.
     pub app: String,
-    /// Central worker threads the run executed with.
-    pub workers: usize,
     /// Simulated time served, ns.
     pub sim_ns: u64,
     /// Open-loop arrivals generated.
@@ -45,14 +43,13 @@ pub struct SoakRow {
     pub misroutes: u64,
     /// All invariants held at drain.
     pub healthy: bool,
-    /// Report bytes match the workers=1 run of the same app.
-    pub identical_across_workers: bool,
+    /// A second run of the same configuration reported the same bytes.
+    pub identical_rerun: bool,
 }
 
-fn row(app: ServeApp, r: &SoakReport, workers: usize, identical: bool) -> SoakRow {
+fn row(app: ServeApp, r: &SoakReport, identical_rerun: bool) -> SoakRow {
     SoakRow {
         app: app.name().to_string(),
-        workers,
         sim_ns: r.sim_ns,
         arrivals: r.arrivals,
         delivered: r.delivered,
@@ -63,20 +60,20 @@ fn row(app: ServeApp, r: &SoakReport, workers: usize, identical: bool) -> SoakRo
         skew_rebalances: r.skew_rebalances,
         misroutes: r.misroutes,
         healthy: r.healthy,
-        identical_across_workers: identical,
+        identical_rerun,
     }
 }
 
-/// Run the E-D1 matrix: `{shardcount, shardmax} × workers {1, 2, 4}`,
-/// quick (compressed) or full (4× sim time). Interruptible at run
-/// boundaries via [`crate::shutdown`]; completed rows are still returned.
+/// Run the E-D1 matrix: `{shardcount, shardmax}`, each run twice, quick
+/// (compressed) or full (4× sim time). Interruptible at run boundaries via
+/// [`crate::shutdown`]; completed rows are still returned.
 pub fn exp_soak(quick: bool, seed: u64) -> Vec<SoakRow> {
     let mut rows = Vec::new();
-    'apps: for app in [ServeApp::ShardCount, ServeApp::ShardMax] {
-        let mut baseline_json: Option<String> = None;
-        for workers in [1usize, 2, 4] {
+    for app in [ServeApp::ShardCount, ServeApp::ShardMax] {
+        let mut runs = Vec::new();
+        for _ in 0..2 {
             if crate::shutdown::requested() {
-                break 'apps;
+                return rows;
             }
             let mut cfg = if quick {
                 DaemonCfg::soak_quick(seed)
@@ -84,19 +81,10 @@ pub fn exp_soak(quick: bool, seed: u64) -> Vec<SoakRow> {
                 DaemonCfg::soak(seed)
             };
             cfg.app = app;
-            let r = Daemon::new(cfg.with_workers(workers))
-                .expect("daemon builds")
-                .run();
-            let json = r.to_json();
-            let identical = match &baseline_json {
-                None => {
-                    baseline_json = Some(json);
-                    true
-                }
-                Some(base) => *base == json,
-            };
-            rows.push(row(app, &r, workers, identical));
+            runs.push(Daemon::new(cfg).expect("daemon builds").run());
         }
+        let identical = runs[0].to_json() == runs[1].to_json();
+        rows.push(row(app, &runs[0], identical));
     }
     rows
 }
@@ -106,16 +94,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_matrix_is_healthy_and_worker_invariant() {
+    fn quick_matrix_is_healthy_and_rerun_identical() {
         let rows = exp_soak(true, 7);
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 2);
         for r in &rows {
-            assert!(r.healthy, "{}/{} unhealthy", r.app, r.workers);
-            assert!(
-                r.identical_across_workers,
-                "{}/{} diverged",
-                r.app, r.workers
-            );
+            assert!(r.healthy, "{} unhealthy", r.app);
+            assert!(r.identical_rerun, "{} diverged on rerun", r.app);
             assert!(
                 r.scale_ups >= 1 && r.scale_downs >= 1,
                 "{} loop never closed",

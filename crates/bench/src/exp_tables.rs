@@ -52,7 +52,6 @@ fn table1_jobs(quick: bool) -> Vec<Job> {
             model_size: 64,
             width: 16,
             seed: 1,
-            central_workers: 1,
         }
     } else {
         paramserv::ParamServerCfg::default()

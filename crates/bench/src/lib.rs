@@ -19,8 +19,8 @@
 //!   flowlet forwarding, DDoS detection with live hot-range isolation) at
 //!   up to a million live flows per target.
 //! * [`exp_soak`] — E-D1: the `adcpd` serving-daemon soak matrix — both
-//!   serving apps × central workers 1/2/4 through the fault choreography,
-//!   graded on invariant health and byte-identity across worker counts.
+//!   serving apps through the fault choreography, each run twice, graded
+//!   on invariant health and byte-identity of the rerun.
 //! * [`conformance`] — the E-C1 differential conformance harness: random
 //!   program/workload generation, three-way RMT↔ADCP↔reference
 //!   equivalence, fault-injection soak, and failure shrinking behind the

@@ -75,7 +75,6 @@ fn suite_jobs(quick: bool) -> Vec<Job> {
             model_size: 64,
             width: 16,
             seed: 1,
-            central_workers: 1,
         }
     } else {
         paramserv::ParamServerCfg::default()

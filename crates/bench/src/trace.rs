@@ -60,7 +60,6 @@ pub fn run_one_with(
                     model_size: 64,
                     width: 16,
                     seed: 1,
-                    central_workers: 1,
                 }
             } else {
                 paramserv::ParamServerCfg::default()

@@ -14,8 +14,7 @@
 //!
 //! This file holds only what is the ADCP's own: the demux, TM1's partition
 //! map with live migration (fence, commit, first-touch copy), merge
-//! gating, sharded central execution, and the per-flow INT table. Each
-//! lifts one RMT limitation:
+//! gating, and the per-flow INT table. Each lifts one RMT limitation:
 //!
 //! * **Two traffic managers** create the central pipelines. State placed
 //!   there by TM1 (by hash, range, or merge order — the program decides via
@@ -30,9 +29,8 @@
 use crate::partition::{MigrateError, MigrationStrategy, PartitionMap};
 use adcp_lang::target::TargetModel;
 use adcp_lang::{
-    compile, parse_packet, ActionOp, CompileError, CompileOptions, Entry, HeaderId, PacketCodec,
-    ParseOutcome, ParseScratch, Phv, Placement, Program, RegId, Region, RegionRunStats,
-    RegionState, RegisterFile, TableError,
+    compile, ActionOp, CompileError, CompileOptions, Entry, HeaderId, PacketCodec, ParseOutcome,
+    Phv, Placement, Program, RegId, Region, RegionRunStats, RegionState, RegisterFile, TableError,
 };
 use adcp_sim::datapath::{Agenda, FlowCounters, RegionMetrics, Shell, ShellSpec, Slot};
 use adcp_sim::int::{IntFlowCell, IntFlowTable};
@@ -143,15 +141,14 @@ pub struct AdcpConfig {
     /// approximation. Applications that want exact merges mark unused
     /// inputs ended and terminate streams with end-of-stream records.
     pub merge_patience: Duration,
-    /// Worker threads for central-pipeline execution (§3.1: central pipes
-    /// are architecturally independent between TM1 and TM2). `1` keeps the
-    /// fully serial event loop; `>1` runs the compute-heavy part of
-    /// same-timestamp central pulls (parse + MAU region) on scoped worker
-    /// threads, with all observable effects (event pushes, counters,
-    /// metrics, drops) replayed on the coordinator in the exact serial
-    /// order — output is byte-identical for any worker count. The serial
-    /// path is used automatically while a migration is in flight or the
-    /// journey tracer is retaining hops.
+    /// Inert, as are the switch's setter of the same name and
+    /// `DaemonCfg::workers` in `adcpd`: central pulls always run inline on
+    /// the event loop (DESIGN §10 has the measurements). The three names
+    /// remain only because the frozen `benchmark/` package spells them
+    /// (`driven.rs:914`, `serve.rs:47,171,288`); nothing under `crates/`
+    /// reads them, and the next `benchmark` PR removes them together with
+    /// those four lines.
+    #[doc(hidden)]
     pub central_workers: usize,
 }
 
@@ -226,52 +223,6 @@ struct EgressPipe {
     state: RegionState,
     /// TM2's queue towards this egress lane.
     queues: ScheduledQueues,
-}
-
-/// Outcome of the serial head of a central pull (see
-/// [`AdcpSwitch::pull_central_prologue`]).
-// `Work(Packet)` lives only across one central pull; boxing it would cost
-// a heap round-trip per central event on the hot path.
-#[allow(clippy::large_enum_variant)]
-enum CentralStage {
-    /// Nothing to do (queue empty).
-    Idle,
-    /// Re-arm the pull at this time — deferred so the sharded path can
-    /// replay every event push in serial order during the epilogue.
-    Reschedule(SimTime),
-    /// A packet dequeued and accounted, ready for parse + region compute.
-    Work(Packet),
-}
-
-/// Result of the shardable compute stage of a central pull: the parsed and
-/// region-processed PHV plus the slot it claimed — everything the serial
-/// epilogue needs to deparse, trace, and schedule.
-struct CentralRun {
-    out: ParseOutcome,
-    entry: SimTime,
-}
-
-/// The compute-heavy middle of a central pull: parse, PHV intrinsics
-/// setup, pipeline-slot claim, and the central MAU region. Touches only the
-/// one pipe's state (plus the shared read-only codec), so a sharded
-/// batch can run it for distinct pipes on worker threads; the serial path
-/// calls it inline with the switch's recycled scratch PHV.
-fn central_compute(
-    codec: &PacketCodec,
-    period: Duration,
-    now: SimTime,
-    pipe: &mut CentralPipe,
-    pkt: &mut Packet,
-    scratch: ParseScratch,
-) -> Result<CentralRun, ()> {
-    let (program, layout) = (&*codec.program, &codec.layout);
-    let mut out = parse_packet(program, layout, pkt, scratch).map_err(|_| ())?;
-    // Move (not clone) the forwarding decision into the PHV; writeback
-    // moves it back.
-    out.phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
-    let entry = pipe.slot.claim(now, period);
-    pipe.state.run(program, layout, &mut out.phv);
-    Ok(CentralRun { out, entry })
 }
 
 enum Ev {
@@ -350,12 +301,12 @@ struct MigrationState {
     /// Packets held at TM1 (with their ingress pipe) until the shard is
     /// consistent again. Released in arrival order.
     held: Vec<(usize, Packet)>,
-    /// Incremental only: the fence drained during the current central
-    /// pull's prologue — release `held` once that pull's register updates
-    /// have been applied (`finish_central`), never before. Releasing in
-    /// the prologue would let the first released packet copy-on-first-
-    /// touch the moving cells *under* the final fence packet's pending
-    /// RMW, stranding its increment on the old owner.
+    /// Incremental only: the fence drained at the current central pull's
+    /// dequeue — release `held` once that pull's register updates have
+    /// been applied (after the region run in `on_pull_central`), never
+    /// before. Releasing at the dequeue would let the first released
+    /// packet copy-on-first-touch the moving cells *under* the final fence
+    /// packet's pending RMW, stranding its increment on the old owner.
     release_at_exec: bool,
     /// Incremental only: when the current hold window started.
     pause_started: Option<SimTime>,
@@ -397,9 +348,6 @@ pub struct AdcpSwitch {
     /// Shared egress-region match tables (same reasoning).
     eg_tables: RegionState,
     agenda: Agenda<Ev>,
-    /// Reusable buffer for the run of consecutive central events a batch
-    /// dispatch shards (beside the agenda's batch, for the same reason).
-    central_run: Vec<Ev>,
     period: Duration,
     demux_rr: Vec<u16>,
     /// Drop/flow accounting.
@@ -513,7 +461,6 @@ impl AdcpSwitch {
             central,
             egress,
             agenda: Agenda::default(),
-            central_run: Vec::new(),
             counters: AdcpCounters::default(),
             int_flows: IntFlowTable::new(INT_FLOW_CELLS),
             ingress_m,
@@ -652,20 +599,9 @@ impl AdcpSwitch {
         self.part.as_ref().is_some_and(|rt| rt.mig.is_some())
     }
 
-    /// Set the central-pipeline worker count (see
-    /// [`AdcpConfig::central_workers`]). Output is byte-identical for any
-    /// value; `>1` parallelizes the central compute stage. Safe to call at
-    /// runtime between events — the serving daemon retunes it whenever the
-    /// autoscaler grows or shrinks the active pipe set, so the execution
-    /// engine's parallelism follows the data plane's.
-    pub fn set_central_workers(&mut self, n: usize) {
-        self.cfg.central_workers = n.max(1);
-    }
-
-    /// Current central-pipeline worker count.
-    pub fn central_workers(&self) -> usize {
-        self.cfg.central_workers
-    }
+    /// Inert; the last field of [`AdcpConfig`] says why it is still here.
+    #[doc(hidden)]
+    pub fn set_central_workers(&mut self, _n: usize) {}
 
     /// Distinct central pipes owning at least one partition bucket under
     /// the map in force — the autoscaler's "active" pipe count. Falls back
@@ -903,40 +839,9 @@ impl AdcpSwitch {
     }
 
     fn run(&mut self, until: Option<SimTime>) -> SimTime {
-        let last = Agenda::run(self, until, |s| &mut s.agenda, Self::dispatch_batch);
+        let last = Agenda::run(self, until, |s| &mut s.agenda, Self::handle);
         self.sync();
         last
-    }
-
-    /// Dispatch one same-timestamp batch. With central workers enabled,
-    /// runs of consecutive central events (`PullCentral` interleaved with
-    /// `CentralOut`, the steady-state cadence of a loaded switch) are
-    /// buffered and executed as one sharded barrier; any other event kind
-    /// flushes the buffer first so relative order is untouched. Sharding
-    /// applies only when it cannot change observable behavior: never while
-    /// a migration's fences are in flight (commit/hold release must
-    /// interleave exactly), never while the journey tracer retains
-    /// hops (its ring is a single flat insertion-ordered log), and never
-    /// while INT stamping is on (stamps and postcards must land in exact
-    /// serial order for the honesty conformance check).
-    fn dispatch_batch(&mut self, t: SimTime, batch: &mut Vec<Ev>) {
-        let shard = self.cfg.central_workers > 1
-            && !self.shell.tracer.hops_on()
-            && !self.shell.int_knob().on()
-            && !self.migration_active();
-        let mut run = std::mem::take(&mut self.central_run);
-        for ev in batch.drain(..) {
-            if shard {
-                if matches!(ev, Ev::PullCentral { .. } | Ev::CentralOut { .. }) {
-                    run.push(ev);
-                    continue;
-                }
-                self.flush_central_run(t, &mut run);
-            }
-            self.handle(t, ev);
-        }
-        self.flush_central_run(t, &mut run);
-        self.central_run = run;
     }
 
     /// Refresh the match-table totals and mirror every counter into the
@@ -1286,7 +1191,7 @@ impl AdcpSwitch {
                         // packet — but its register updates are still
                         // pending in this event, so the actual release
                         // (and any first-touch copy it triggers) waits
-                        // for `finish_central`.
+                        // for the region run.
                         if let Some(start) = mig.pause_started.take() {
                             self.mig_stats.paused_ns += now.saturating_since(start).as_ps() / 1000;
                         }
@@ -1304,8 +1209,8 @@ impl AdcpSwitch {
     }
 
     /// Release packets held for an incremental migration whose fence
-    /// drained during the current pull's prologue. Runs from
-    /// [`AdcpSwitch::finish_central`] — after the draining packet's
+    /// drained at the current pull's dequeue. Runs from
+    /// [`AdcpSwitch::on_pull_central`] — after the draining packet's
     /// register updates have landed, before any later event can route —
     /// so first-touch copies see complete state and per-key FIFO holds.
     fn release_held_if_drained(&mut self, now: SimTime) {
@@ -1327,35 +1232,12 @@ impl AdcpSwitch {
         }
     }
 
+    /// Pull from TM1 into a central pipe; the pipe parses and runs its
+    /// region here, at slot entry.
     fn on_pull_central(&mut self, now: SimTime, cpipe: usize) {
-        match self.pull_central_prologue(now, cpipe) {
-            CentralStage::Idle => {}
-            CentralStage::Reschedule(at) => self.schedule_pull_central(at, cpipe),
-            CentralStage::Work(mut pkt) => {
-                let scratch = self.codec.take_scratch();
-                let res = central_compute(
-                    &self.codec,
-                    self.period,
-                    now,
-                    &mut self.central[cpipe],
-                    &mut pkt,
-                    scratch,
-                );
-                self.finish_central(now, cpipe, pkt, res);
-            }
-        }
-    }
-
-    /// Serial head of a central pull: everything up to (and including) the
-    /// TM1 dequeue, cell release, TM1-residency observability and fence
-    /// accounting. Never pushes pull or pipeline events — deferred
-    /// scheduling comes back as [`CentralStage::Reschedule`] so a sharded
-    /// batch can replay all pushes in exact serial order during the
-    /// epilogue.
-    fn pull_central_prologue(&mut self, now: SimTime, cpipe: usize) -> CentralStage {
         let p = &mut self.central[cpipe];
         if let Some(at) = p.slot.begin_pull(now) {
-            return CentralStage::Reschedule(at);
+            return self.schedule_pull_central(at, cpipe);
         }
         // Exact-merge gating (§3.1): under MergeOrder, wait (bounded) for
         // every un-ended input queue to have a head before departing the
@@ -1367,40 +1249,36 @@ impl AdcpSwitch {
         {
             let since = *p.merge_wait_since.get_or_insert(now);
             if now.saturating_since(since) < self.cfg.merge_patience {
-                return CentralStage::Reschedule(now + self.period);
+                return self.schedule_pull_central(now + self.period, cpipe);
             }
             // Patience exhausted: fall through to the streaming
             // approximation so the switch can never deadlock.
         }
         p.merge_wait_since = None;
         let Some((_, mut pkt)) = p.queues.dequeue() else {
-            return CentralStage::Idle;
+            return;
         };
         self.shell.tm_depart(TM1, &mut pkt, now);
         // Fence/epoch accounting must happen exactly when the old owner
         // consumes the packet (its register updates land in this event).
         self.account_central_dequeue(now, cpipe, &pkt);
-        CentralStage::Work(pkt)
-    }
-
-    /// Serial tail of a central pull: observability, writeback into the
-    /// arena, the CentralOut push, and the next pull. Runs on the
-    /// coordinator thread in event order whether the compute stage ran
-    /// inline or on a worker.
-    fn finish_central(
-        &mut self,
-        now: SimTime,
-        cpipe: usize,
-        mut pkt: Packet,
-        res: Result<CentralRun, ()>,
-    ) {
-        // The pull's register updates (if any) are in: safe to release
-        // packets held behind the in-flight fence this pull drained.
-        self.release_held_if_drained(now);
         let site = Site::CentralPipe(cpipe);
-        let Ok(CentralRun { out, entry }) = res else {
+        let Ok(mut out) = self.codec.parse(&pkt) else {
+            // No slot claimed, no region run; a fence this dequeue drained
+            // still releases before the drop is recorded.
+            self.release_held_if_drained(now);
             return self.drop_at(now, &pkt, site, DropReason::ParseError);
         };
+        // Move (not clone) the forwarding decision into the PHV; writeback
+        // moves it back.
+        out.phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
+        let p = &mut self.central[cpipe];
+        let entry = p.slot.claim(now, self.period);
+        let (program, layout) = (&self.codec.program, &self.codec.layout);
+        p.state.run(program, layout, &mut out.phv);
+        // The pull's register updates are in: safe to release packets
+        // held behind the in-flight fence this pull drained.
+        self.release_held_if_drained(now);
         self.shell
             .record_parse(Duration(out.depth as u64 * self.period.as_ps()));
         self.writeback(&mut pkt, out.phv, out.extracted, out.consumed);
@@ -1415,116 +1293,6 @@ impl AdcpSwitch {
         if !self.central[cpipe].queues.is_empty() {
             self.schedule_pull_central(now, cpipe);
         }
-    }
-
-    /// Sharded execution of a buffered run of same-timestamp central
-    /// events — `PullCentral` pulls interleaved with `CentralOut` exits
-    /// (§3.1: central pipes are independent between TM1 and TM2). Three
-    /// stages. (1) Serial prologues for every pull, in pull order: the
-    /// prologue touches only TM1-side state (central input queues, pool1,
-    /// fence accounting, TM1 metrics) and never pushes events, while the
-    /// `CentralOut` handler touches only TM2-side state (egress queues,
-    /// pool2, delivery counters) — disjoint, so hoisting the prologues
-    /// above intervening exits is unobservable. (2) Parallel parse +
-    /// MAU-region compute partitioned by pipe; each worker owns disjoint
-    /// [`CentralPipe`] state. (3) Serial replay of the run in its original
-    /// event order — `CentralOut` events through the ordinary handler,
-    /// pull epilogues in place of their pulls — so every event push,
-    /// counter, metric, and drop lands in the exact sequence the serial
-    /// loop would have produced. `(time, seq)` assignment, and therefore
-    /// the entire simulation, is byte-identical for any worker count.
-    fn central_run_sharded(&mut self, now: SimTime, run: &mut Vec<Ev>) {
-        let mut staged: Vec<Option<(usize, CentralStage)>> = run.iter().map(|_| None).collect();
-        for (i, ev) in run.iter().enumerate() {
-            if let Ev::PullCentral { cpipe } = *ev {
-                staged[i] = Some((cpipe, self.pull_central_prologue(now, cpipe)));
-            }
-        }
-        let workers = self.cfg.central_workers.max(1);
-        let codec = &self.codec;
-        let period = self.period;
-        // Disjoint &mut access: each pipe appears at most once per run
-        // (`pull_scheduled` guarantees one outstanding pull per pipe).
-        let mut pipe_refs: Vec<Option<&mut CentralPipe>> =
-            self.central.iter_mut().map(Some).collect();
-        let mut buckets: Vec<Vec<(usize, &mut CentralPipe, Packet)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (i, slot) in staged.iter_mut().enumerate() {
-            let Some((cpipe, st)) = slot else { continue };
-            if matches!(st, CentralStage::Work(_)) {
-                let CentralStage::Work(pkt) = std::mem::replace(st, CentralStage::Idle) else {
-                    unreachable!()
-                };
-                let pr = pipe_refs[*cpipe]
-                    .take()
-                    .expect("one outstanding pull per central pipe");
-                buckets[*cpipe % workers].push((i, pr, pkt));
-            }
-        }
-        let mut done: Vec<Option<(Packet, Result<CentralRun, ()>)>> =
-            run.iter().map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .filter(|b| !b.is_empty())
-                .map(|bucket| {
-                    s.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(|(i, pipe, mut pkt)| {
-                                let res = central_compute(
-                                    codec,
-                                    period,
-                                    now,
-                                    pipe,
-                                    &mut pkt,
-                                    (Phv::empty(), Vec::new()),
-                                );
-                                (i, pkt, res)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, pkt, res) in h.join().expect("central worker panicked") {
-                    done[i] = Some((pkt, res));
-                }
-            }
-        });
-        for (i, ev) in run.drain(..).enumerate() {
-            match ev {
-                Ev::PullCentral { cpipe } => match staged[i].take() {
-                    Some((_, CentralStage::Reschedule(at))) => {
-                        self.schedule_pull_central(at, cpipe)
-                    }
-                    Some((_, CentralStage::Idle)) => {
-                        if let Some((pkt, res)) = done[i].take() {
-                            self.finish_central(now, cpipe, pkt, res);
-                        }
-                    }
-                    _ => unreachable!("pull staged exactly once"),
-                },
-                other => self.handle(now, other),
-            }
-        }
-    }
-
-    /// Drain the buffered central run: fewer than two pulls means there is
-    /// nothing to overlap, so every event goes through the ordinary serial
-    /// handler; otherwise the run executes as one sharded barrier.
-    fn flush_central_run(&mut self, now: SimTime, run: &mut Vec<Ev>) {
-        let n_pulls = run
-            .iter()
-            .filter(|e| matches!(e, Ev::PullCentral { .. }))
-            .count();
-        if n_pulls < 2 {
-            for ev in run.drain(..) {
-                self.handle(now, ev);
-            }
-            return;
-        }
-        self.central_run_sharded(now, run);
     }
 
     /// TM2: classic scheduler; any egress port reachable, multicast native.

@@ -48,7 +48,7 @@ pub struct FabricConfig {
     pub link_speed: LinkSpeed,
     /// Propagation latency of every inter-switch link (must be > 0).
     pub link_latency: Duration,
-    /// Per-switch configuration (buffering, demux, `central_workers`, …).
+    /// Per-switch configuration (buffering, demux, tracing, INT, …).
     pub switch: AdcpConfig,
 }
 
@@ -150,8 +150,8 @@ pub struct LinkReport {
 }
 
 /// Everything observable about a finished fabric run, in a deterministic
-/// serialization order (the shard-determinism tests compare these byte for
-/// byte across `central_workers` settings).
+/// serialization order (the observer-noninterference test compares these
+/// byte for byte with every observability knob off and on).
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct FabricReport {
     /// Frames injected at host ports.

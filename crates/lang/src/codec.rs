@@ -15,27 +15,6 @@ use crate::program::Program;
 use adcp_sim::packet::{FrameBuf, Packet, PacketStore};
 use std::sync::Arc;
 
-/// A recycled PHV and extracted-header list for the parse hot path.
-pub type ParseScratch = (Phv, Vec<HeaderId>);
-
-/// Parse `pkt` into a PHV built from `scratch`, with the ingress-port
-/// intrinsic set. Free-standing so that sharded execution can parse on
-/// worker threads against a shared program.
-#[inline]
-pub fn parse_packet(
-    program: &Program,
-    layout: &PhvLayout,
-    pkt: &Packet,
-    (phv, extracted): ParseScratch,
-) -> Result<ParseOutcome, ParseError> {
-    let mut out =
-        program
-            .parser
-            .parse_reusing(&program.headers, layout, &pkt.data, phv, extracted)?;
-    out.phv.intr.ingress_port = pkt.meta.ingress_port;
-    Ok(out)
-}
-
 /// A switch's program plus the parse/deparse state around it.
 pub struct PacketCodec {
     /// Shared, immutable after build: pipelines borrow it per event instead
@@ -45,7 +24,7 @@ pub struct PacketCodec {
     pub layout: PhvLayout,
     /// Parse-to-writeback is straight-line within one handler, so a single
     /// slot suffices.
-    scratch: Option<ParseScratch>,
+    scratch: Option<(Phv, Vec<HeaderId>)>,
 }
 
 impl PacketCodec {
@@ -68,19 +47,21 @@ impl PacketCodec {
             .unwrap_or_else(|| panic!("no table named {table}"))
     }
 
-    /// Take the recycled scratch (or a fresh one).
-    #[inline]
-    pub fn take_scratch(&mut self) -> ParseScratch {
-        self.scratch
-            .take()
-            .unwrap_or_else(|| (Phv::empty(), Vec::new()))
-    }
-
-    /// Parse `pkt` with the recycled scratch.
+    /// Parse `pkt` into a PHV built from the recycled scratch (or a fresh
+    /// one), with the ingress-port intrinsic set.
     #[inline]
     pub fn parse(&mut self, pkt: &Packet) -> Result<ParseOutcome, ParseError> {
-        let scratch = self.take_scratch();
-        parse_packet(&self.program, &self.layout, pkt, scratch)
+        let (phv, extracted) = self
+            .scratch
+            .take()
+            .unwrap_or_else(|| (Phv::empty(), Vec::new()));
+        let (program, layout) = (&self.program, &self.layout);
+        let mut out =
+            program
+                .parser
+                .parse_reusing(&program.headers, layout, &pkt.data, phv, extracted)?;
+        out.phv.intr.ingress_port = pkt.meta.ingress_port;
+        Ok(out)
     }
 
     /// Deparse: the pipeline's modifications become the packet. The

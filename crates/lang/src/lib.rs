@@ -41,7 +41,7 @@ pub mod table;
 pub mod target;
 
 pub use action::{fold_hash, ActionDef, ActionOp, BinOp, Operand};
-pub use codec::{parse_packet, PacketCodec, ParseScratch};
+pub use codec::PacketCodec;
 pub use compile::{
     compile, CentralImpl, CompileError, CompileOptions, PlacedTable, Placement, RegionPlan,
     RmtCentralStrategy, StagePlan,

@@ -326,15 +326,9 @@ impl RmtSwitch {
     }
 
     fn run(&mut self, until: Option<SimTime>) -> SimTime {
-        let last = Agenda::run(self, until, |s| &mut s.agenda, Self::dispatch_batch);
+        let last = Agenda::run(self, until, |s| &mut s.agenda, Self::handle);
         self.sync();
         last
-    }
-
-    fn dispatch_batch(&mut self, now: SimTime, batch: &mut Vec<Ev>) {
-        for ev in batch.drain(..) {
-            self.handle(now, ev);
-        }
     }
 
     /// Time of the switch's next pending event, if any.

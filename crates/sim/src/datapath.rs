@@ -887,21 +887,21 @@ impl<E> Default for Agenda<E> {
 }
 
 impl<E> Agenda<E> {
-    /// The batch run loop of switch `sw`, whose agenda `agenda` projects
-    /// out: run every event scheduled at or before `until` (every event,
-    /// when `None`) and return the time of the last one handled.
+    /// The run loop of switch `sw`, whose agenda `agenda` projects out:
+    /// hand every event scheduled at or before `until` (every event, when
+    /// `None`) to `handle` and return the time of the last one.
     ///
     /// Every event sharing the minimal timestamp is drained in one
-    /// calendar-queue operation and handed to `dispatch` in a reusable
-    /// buffer. Handlers that push more work at the same timestamp get a
-    /// later seq, so those land in the *next* batch — the dispatch order is
-    /// identical to a one-event-at-a-time loop, and a run cut into
-    /// `until`-slices handles the same batches in the same order.
+    /// calendar-queue operation into a reusable buffer. Handlers that push
+    /// more work at the same timestamp get a later seq, so those land in
+    /// the *next* batch — the order is identical to a one-event-at-a-time
+    /// loop, and a run cut into `until`-slices handles the same events in
+    /// the same order.
     pub fn run<S>(
         sw: &mut S,
         until: Option<SimTime>,
         agenda: impl Fn(&mut S) -> &mut Agenda<E>,
-        mut dispatch: impl FnMut(&mut S, SimTime, &mut Vec<E>),
+        mut handle: impl FnMut(&mut S, SimTime, E),
     ) -> SimTime {
         let mut last = agenda(sw).events.now();
         let mut batch = std::mem::take(&mut agenda(sw).batch);
@@ -913,7 +913,9 @@ impl<E> Agenda<E> {
             let Some(t) = events.pop_batch(&mut batch) else {
                 break;
             };
-            dispatch(sw, t, &mut batch);
+            for ev in batch.drain(..) {
+                handle(sw, t, ev);
+            }
             last = t;
         }
         agenda(sw).batch = batch;

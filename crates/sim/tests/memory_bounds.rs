@@ -62,8 +62,8 @@ fn registry_series_footprint_is_bounded() {
 
 #[test]
 fn tracer_logs_are_bounded_with_exact_forensics() {
-    // Serving-daemon configuration: hop ring off (capacity 0) so sharded
-    // execution stays enabled, forensics always exact.
+    // Serving-daemon configuration: hop ring off (capacity 0), forensics
+    // always exact.
     let mut t = JourneyTracer::with_sample(0, 1);
     let n = event_count();
     for i in 0..n {

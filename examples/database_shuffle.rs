@@ -30,7 +30,6 @@ fn main() {
         },
         coordinator_port: 15,
         seed: 9,
-        central_workers: 1,
     };
     println!(
         "db shuffle: {} mappers x {} rows -> {} reducers, filter keeps {:.0}%\n",

@@ -26,7 +26,6 @@ fn main() {
         model_size: arg(2, 1024),
         width: arg(3, 16),
         seed: 42,
-        central_workers: 1,
     };
     println!(
         "parameter server: {} workers, {} weights, width {} (RMT variants go scalar)\n",

@@ -22,7 +22,6 @@ fn all_programs() -> Vec<Program> {
         model_size: 256,
         width: 1, // scalar so it compiles everywhere
         seed: 1,
-        central_workers: 1,
     };
     let ports: Vec<PortId> = (0..8).map(PortId).collect();
     let db = dbshuffle::DbShuffleCfg::default();
@@ -84,7 +83,6 @@ fn central_impl_depends_on_target_not_strategy_when_native() {
         model_size: 64,
         width: 1,
         seed: 1,
-        central_workers: 1,
     };
     let ports: Vec<PortId> = (0..4).map(PortId).collect();
     let prog = paramserv::program(&ps, TargetKind::Adcp, 4, &ports, PortId(4));

@@ -27,7 +27,6 @@ fn all_apps_all_variants_correct() {
         model_size: 64,
         width: 8,
         seed: 1,
-        central_workers: 1,
     };
     for k in kinds {
         assert!(paramserv::run(k, &ps).correct, "paramserv {k:?}");
@@ -84,7 +83,6 @@ fn paramserv_tolerates_lossy_links() {
         model_size: 256,
         width: 16,
         seed: 33,
-        central_workers: 1,
     };
     let worker_ports: Vec<PortId> = (0..cfg.workers as u16).map(PortId).collect();
     let target = TargetModel::adcp_reference();

@@ -52,7 +52,6 @@ fn recirculation_bandwidth_tax() {
         model_size: 128,
         width: 1,
         seed: 11,
-        central_workers: 1,
     };
     let adcp = paramserv::run(TargetKind::Adcp, &cfg);
     let recirc = paramserv::run(TargetKind::RmtRecirc, &cfg);
@@ -77,7 +76,6 @@ fn egress_pinning_restricts_output() {
         model_size: 64,
         width: 1,
         seed: 12,
-        central_workers: 1,
     };
     let pinned = paramserv::run(TargetKind::RmtPinned, &cfg);
     assert!(pinned.correct);
