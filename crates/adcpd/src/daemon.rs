@@ -46,7 +46,7 @@ use adcp_sim::shutdown;
 use adcp_sim::stats::LatencyHist;
 use adcp_sim::telemetry::{Collector, CollectorCfg};
 use adcp_sim::time::{Duration, SimTime, TimeSlicer};
-use adcp_sim::trace::{drop_counter_candidates, JourneyTracer, DROP_CHECK_REASONS};
+use adcp_sim::trace::JourneyTracer;
 use adcp_workloads::arrival::{DiurnalCfg, MmppCfg, OpenLoopSource};
 use adcp_workloads::keys::ZipfKeys;
 use serde::Serialize;
@@ -836,37 +836,34 @@ impl Daemon {
         self.finish()
     }
 
-    /// Forensics ≡ registry: every drop the tracer recorded must appear
-    /// in exactly one mirrored registry counter with the same count, for
-    /// every reason the architecture can produce — and reasons without a
-    /// mirror (`migration_fence`) must be absent on both sides.
+    /// Forensics ≡ ledger: the tracer's per-reason drop totals must equal
+    /// the counter class each reason charges, for every reason the
+    /// architecture can produce — and the two grand totals must agree, so
+    /// a reason outside this list cannot hide on either side.
     fn drift_check(&self) -> Vec<String> {
-        // The registry mirrors the live counters as of the drain that
-        // `finish` just ran to quiescence.
         let totals = self.sw.tracer.drop_totals_by_reason();
-        let m = self.sw.metrics();
+        let c = &self.sw.counters;
         let mut bad = Vec::new();
-        for &(reason, tm) in DROP_CHECK_REASONS {
-            let forensic = totals.get(&(reason, tm as u8)).copied().unwrap_or(0);
-            let mut counter = None;
-            for &(scope, name) in drop_counter_candidates(reason, tm) {
-                if let Some(v) = m.counter_value(scope, name) {
-                    counter = Some(v);
-                    break;
-                }
-            }
-            match counter {
-                Some(v) if v != forensic => bad.push(format!(
-                    "{reason}(tm{tm}): forensics {forensic} != registry {v}"
-                )),
-                None if forensic != 0 => bad.push(format!(
-                    "{reason}(tm{tm}): {forensic} forensic drops with no registry counter"
-                )),
-                _ => {}
+        for (reason, tm, counter) in [
+            ("fcs_bad", 0, c.fcs_drops),
+            ("parse_error", 0, c.parse_errors),
+            ("filtered", 0, c.filtered),
+            ("no_decision", 0, c.no_decision),
+            ("bad_port", 0, c.bad_port),
+            ("queue_tail", 1, c.tm[0].queue),
+            ("queue_tail", 2, c.tm[1].queue),
+            ("buffer_exhausted", 1, c.tm[0].buffer),
+            ("buffer_exhausted", 2, c.tm[1].buffer),
+        ] {
+            let forensic = totals.get(&(reason, tm)).copied().unwrap_or(0);
+            if forensic != counter {
+                bad.push(format!(
+                    "{reason}(tm{tm}): forensics {forensic} != counter {counter}"
+                ));
             }
         }
         let t_total = self.sw.tracer.total_drops();
-        let c_total = self.sw.counters.total_drops();
+        let c_total = c.total_drops();
         if t_total != c_total {
             bad.push(format!("tracer total {t_total} != counter total {c_total}"));
         }

@@ -285,12 +285,12 @@ impl Oracle {
             // Every packet that cleared TM1 into the central region bumped
             // exactly one cell; it then either egressed or died in TM2.
             let c = &sw.counters;
-            let expect = c.delivered + c.tm2_drops + c.tm2_queue_drops;
+            let expect = c.delivered + c.tm[1].total();
             if reg_total != expect {
                 bad.push(format!(
                     "register total {reg_total} != delivered {} + tm2 drops {} (lost or duplicated increments)",
                     c.delivered,
-                    c.tm2_drops + c.tm2_queue_drops
+                    c.tm[1].total()
                 ));
             }
         }

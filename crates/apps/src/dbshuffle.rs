@@ -241,18 +241,18 @@ pub fn run(kind: TargetKind, cfg: &DbShuffleCfg) -> AppReport {
             action,
             params,
         };
-        sw_install(&mut sw, "route", entry);
+        sw.install_all("route", entry).expect("install");
     }
     // Filter: flag==1 passes.
-    sw_install(
-        &mut sw,
+    sw.install_all(
         "filter",
         Entry {
             value: MatchValue::Exact(1),
             action: 0,
             params: vec![],
         },
-    );
+    )
+    .expect("install");
 
     // Data plane: inject every mapper's rows.
     let mut rng = SimRng::seed_from(cfg.seed);
@@ -305,13 +305,6 @@ pub fn run(kind: TargetKind, cfg: &DbShuffleCfg) -> AppReport {
     ));
     let _ = central_pipes;
     AppReport::from_switch("dbshuffle", kind, &sw, makespan, correct, notes)
-}
-
-fn sw_install(sw: &mut AnySwitch, table: &str, entry: Entry) {
-    match sw {
-        AnySwitch::Rmt(s) => s.install_all(table, entry).expect("install"),
-        AnySwitch::Adcp(s) => s.install_all(table, entry).expect("install"),
-    }
 }
 
 fn build_switch(kind: TargetKind, cfg: &DbShuffleCfg) -> (AnySwitch, Vec<String>, u32) {

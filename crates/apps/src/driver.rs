@@ -6,8 +6,9 @@
 //! returns an [`AppReport`] the benches print.
 
 use adcp_core::AdcpSwitch;
+use adcp_lang::{Entry, TableError};
 use adcp_rmt::RmtSwitch;
-use adcp_sim::datapath::{FlowCounters, Shell};
+use adcp_sim::datapath::Shell;
 use adcp_sim::packet::{Packet, PortId};
 use adcp_sim::stats::LatencySummary;
 use adcp_sim::time::{Duration, SimTime};
@@ -39,9 +40,9 @@ impl TargetKind {
 }
 
 /// Either switch model behind one interface. Derefs to the [`Shell`] of
-/// whichever it holds, so everything that is shell state — deliveries,
-/// `out_meter`, `latency`, `metrics_json`, `trace_json`, `tm_buffer_hwm` —
-/// is reached without a per-model forward.
+/// whichever it holds, so everything that is shell state — `counters`,
+/// deliveries, `out_meter`, `latency`, `trace_json`, `tm_buffer_hwm` — is
+/// reached without a per-model forward.
 pub enum AnySwitch {
     /// The RMT baseline.
     Rmt(Box<RmtSwitch>),
@@ -69,6 +70,14 @@ impl std::ops::DerefMut for AnySwitch {
 }
 
 impl AnySwitch {
+    /// Install a table entry into every pipeline hosting the table.
+    pub fn install_all(&mut self, table: &str, entry: Entry) -> Result<(), TableError> {
+        match self {
+            AnySwitch::Rmt(s) => s.install_all(table, entry),
+            AnySwitch::Adcp(s) => s.install_all(table, entry),
+        }
+    }
+
     /// Offer a packet to an RX port.
     pub fn inject(&mut self, port: PortId, pkt: Packet, t: SimTime) {
         match self {
@@ -101,15 +110,12 @@ impl AnySwitch {
         }
     }
 
-    /// The counters both models share, plus (total drops, recirc passes)
-    /// from the classes each keeps for itself.
-    fn counts(&self) -> (&FlowCounters, u64, u64) {
+    /// Export the per-stage metrics block, each value read from its owner
+    /// now.
+    pub fn metrics_json(&self) -> serde::Value {
         match self {
-            AnySwitch::Rmt(s) => {
-                let c = &s.counters;
-                (c, c.total_drops(), c.recirc_passes)
-            }
-            AnySwitch::Adcp(s) => (&s.counters, s.counters.total_drops(), 0),
+            AnySwitch::Rmt(s) => s.metrics_json(),
+            AnySwitch::Adcp(s) => s.metrics_json(),
         }
     }
 }
@@ -166,22 +172,22 @@ impl AppReport {
         correct: bool,
         notes: Vec<String>,
     ) -> Self {
-        let (flow, drops, recirc_passes) = sw.counts();
+        let c = &sw.counters;
         let elapsed = Duration(makespan.as_ps().max(1));
         AppReport {
             app: app.to_string(),
             target: target.label().to_string(),
             correct,
-            injected: flow.injected,
-            delivered: flow.delivered,
-            drops,
-            recirc_passes,
+            injected: c.injected,
+            delivered: c.delivered,
+            drops: c.total_drops(),
+            recirc_passes: c.recirc_passes,
             makespan_ns: makespan.as_ps() as f64 / 1e3,
             goodput_gbps: sw.out_meter.goodput_gbps(elapsed),
             elements_per_sec: sw.out_meter.elements_per_sec(elapsed),
-            mat_lookups: flow.mat_lookups,
-            mat_hit_rate: flow.mat_hit_rate(),
-            deparse_allocs: flow.deparse_allocs,
+            mat_lookups: c.mat_lookups,
+            mat_hit_rate: c.mat_hit_rate(),
+            deparse_allocs: c.deparse_allocs,
             latency: LatencySummary::from(&sw.latency),
             metrics: sw.metrics_json(),
             trace: sw.trace_json(),

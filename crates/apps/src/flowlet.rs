@@ -478,13 +478,6 @@ impl LdfRef {
     }
 }
 
-fn sw_install(sw: &mut AnySwitch, table: &str, entry: Entry) {
-    match sw {
-        AnySwitch::Rmt(s) => s.install_all(table, entry).expect("install"),
-        AnySwitch::Adcp(s) => s.install_all(table, entry).expect("install"),
-    }
-}
-
 /// Everything a flowlet-ldf run produced, beyond the standard report.
 #[derive(Debug)]
 pub struct LdfOutcome {
@@ -548,15 +541,15 @@ pub fn run(kind: TargetKind, cfg: &LdfCfg) -> LdfOutcome {
     };
     for (k, a) in [(0u64, 0usize), (1, 1)] {
         for table in ["classify", "ldf"] {
-            sw_install(
-                &mut sw,
+            sw.install_all(
                 table,
                 Entry {
                     value: MatchValue::Exact(k),
                     action: a,
                     params: vec![],
                 },
-            );
+            )
+            .expect("install");
         }
     }
 

@@ -234,15 +234,15 @@ pub fn run(kind: TargetKind, cfg: &KvCacheCfg) -> CacheOutcome {
     // Control plane: cache the `entries` most popular keys (Zipf key 0 is
     // the hottest).
     for k in 0..target_entries as u64 {
-        sw_install(
-            &mut sw,
+        sw.install_all(
             "cache",
             Entry {
                 value: MatchValue::Exact(k),
                 action: 0,
                 params: vec![cached_value(k)],
             },
-        );
+        )
+        .expect("install");
     }
 
     // Data plane: Zipf GET batches. Clients pace themselves — all
@@ -297,13 +297,6 @@ pub fn run(kind: TargetKind, cfg: &KvCacheCfg) -> CacheOutcome {
         report: AppReport::from_switch("kvcache", kind, &sw, makespan, correct, notes),
         cache_entries: target_entries,
         hit_rate,
-    }
-}
-
-fn sw_install(sw: &mut AnySwitch, table: &str, entry: Entry) {
-    match sw {
-        AnySwitch::Rmt(s) => s.install_all(table, entry).expect("install"),
-        AnySwitch::Adcp(s) => s.install_all(table, entry).expect("install"),
     }
 }
 

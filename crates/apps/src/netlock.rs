@@ -227,10 +227,7 @@ pub fn run(kind: TargetKind, cfg: &NetLockCfg) -> AppReport {
             action,
             params: vec![],
         };
-        match &mut sw {
-            AnySwitch::Rmt(s) => s.install_all("locksvc", e).unwrap(),
-            AnySwitch::Adcp(s) => s.install_all("locksvc", e).unwrap(),
-        }
+        sw.install_all("locksvc", e).expect("install");
     }
 
     let n = cfg.clients as usize;

@@ -58,11 +58,11 @@ use adcp_bench::journey::{
     chrome_trace, fabric_chrome_trace, forensics, format_journeys, ChromeRun, FabricChromeDevice,
 };
 use adcp_bench::report::{print_json, print_table};
-use adcp_bench::schema::{load_chrome_trace_schema, load_metrics_schema, validate};
-use adcp_bench::telemetry::{Collector, CollectorCfg};
 use adcp_bench::trace::{
     diff_metrics, flatten, metrics_block, parse_target, run_one_with, APP_NAMES,
 };
+use adcp_sim::schema::{load_chrome_trace_schema, load_metrics_schema, validate};
+use adcp_sim::telemetry::{Collector, CollectorCfg};
 
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();

@@ -68,9 +68,8 @@ use adcp_lang::{
     TableDef, TargetModel,
 };
 use adcp_rmt::{RmtConfig, RmtSwitch};
-use adcp_sim::datapath::{FlowCounters, Shell};
+use adcp_sim::datapath::Shell;
 use adcp_sim::fault::{FaultConfig, FaultInjector, FaultOutcome};
-use adcp_sim::metrics::MetricsRegistry;
 use adcp_sim::packet::{EgressSpec, FlowId, Packet, PortId};
 use adcp_sim::rng::SimRng;
 use adcp_sim::time::SimTime;
@@ -975,34 +974,8 @@ fn apply_bug(mut program: Program, bug: BugHook) -> Program {
     program
 }
 
-/// Read a counter back from the switch's metrics registry, insisting the
-/// mirror agrees with the raw counter the harness otherwise uses: any skew
-/// means the switch's export missed an update and the "one export" claim
-/// (DESIGN §7) is false. Returns the raw value unchanged when the registry is disabled
-/// (`ADCP_METRICS=off`), so conformance still runs with metrics off.
-fn mirrored(
-    name: &str,
-    m: &MetricsRegistry,
-    scope: &str,
-    metric: &str,
-    raw: u64,
-) -> Result<u64, String> {
-    if !m.enabled() {
-        return Ok(raw);
-    }
-    match m.counter_value(scope, metric) {
-        Some(v) if v == raw => Ok(v),
-        Some(v) => Err(format!(
-            "{name}: metrics mirror {scope}.{metric}={v} disagrees with raw counter {raw}"
-        )),
-        None => Err(format!(
-            "{name}: metrics registry has no {scope}.{metric} counter"
-        )),
-    }
-}
-
 /// Cross-check the journey tracer's forensic drop aggregation against the
-/// metrics registry, through the same exporter/cross-check path the
+/// exported drop counters, through the same exporter/cross-check path the
 /// `adcp-trace --forensics` CLI uses. Drop forensics are exact at any
 /// sampling rate, so this holds whenever both the tracer and the registry
 /// are on; when either is disabled (`ADCP_TRACE=off` / `ADCP_METRICS=off`)
@@ -1012,7 +985,7 @@ fn forensics_check(name: &str, trace: &serde::Value, metrics: &serde::Value) -> 
         None => Ok(()),
         Some(f) if f.ok() => Ok(()),
         Some(f) => Err(format!(
-            "{name}: drop forensics disagree with the metrics registry: {}",
+            "{name}: drop forensics disagree with the exported counters: {}",
             f.mismatches.join("; ")
         )),
     }
@@ -1043,7 +1016,7 @@ fn int_honesty_check(
     // emitted, and can never have seen more stamps or truncations than the
     // datapath recorded (fewer is legal: stamps on packets that were later
     // filtered or dropped never reach a postcard).
-    let mut collector = crate::telemetry::Collector::default();
+    let mut collector = adcp_sim::telemetry::Collector::default();
     for pc in postcards {
         collector.ingest(pc);
     }
@@ -1118,35 +1091,17 @@ fn int_honesty_check(
 }
 
 /// The tail both single-switch runners share, read from the switch's
-/// [`Shell`] and the counters common to both targets: drain deliveries and
-/// postcards, read the cross-target counters back through the metrics
-/// export (checking each mirror against the raw counter, so the values
-/// `compare` sees are the exported ones), run the forensics and INT
+/// [`Shell`]: drain deliveries and postcards, run the forensics and INT
 /// honesty lanes, and hold the run to the workload's invariants.
-/// `tm_drops` is the sum of the target's own TM drop classes.
-fn finish_outcome(
-    name: &str,
-    sw: &mut Shell,
-    c: &FlowCounters,
-    tm_drops: u64,
-    regs: Vec<Vec<u64>>,
-) -> Result<Outcome, String> {
+fn finish_outcome(name: &str, sw: &mut Shell, regs: Vec<Vec<u64>>) -> Result<Outcome, String> {
     let postcards = sw.take_postcards();
     let delivered_raw = sw.take_delivered();
-    let m = sw.metrics();
-    let fcs_drops = mirrored(name, m, "mac", "fcs_drops", c.fcs_drops)?;
-    let lookups = mirrored(name, m, "mat", "lookups", c.mat_lookups)?;
-    let hits = mirrored(name, m, "mat", "hits", c.mat_hits)?;
-    mirrored(name, m, "tx", "packets", c.delivered)?;
-    mirrored(name, m, "drops", "filtered", c.filtered)?;
-    forensics_check(name, &sw.trace_json(), &m.to_json())?;
+    let c = &sw.counters;
+    // The drop classes forensics reads are all the shell's: no target tail.
+    forensics_check(name, &sw.trace_json(), &sw.metrics_json(&[], &[]))?;
     if sw.int_knob().on() {
-        let totals @ (int_stamps, int_postcards, int_truncated) = sw.int_totals();
-        mirrored(name, m, "int", "stamps", int_stamps)?;
-        mirrored(name, m, "int", "postcards", int_postcards)?;
-        mirrored(name, m, "int", "stack_truncated", int_truncated)?;
         let device = sw.device();
-        int_honesty_check(name, &postcards, totals, &mut |d, pkt| {
+        int_honesty_check(name, &postcards, sw.int_totals(), &mut |d, pkt| {
             (d == device).then(|| sw.tracer.journey_of(pkt))
         })?;
     }
@@ -1162,6 +1117,7 @@ fn finish_outcome(
             c.no_decision, c.bad_port
         ));
     }
+    let tm_drops = c.tm[0].total() + c.tm[1].total();
     if tm_drops != 0 {
         return Err(format!("{name}: {tm_drops} unexpected TM/queue drops"));
     }
@@ -1173,7 +1129,7 @@ fn finish_outcome(
     }
     // Conservation: with no in-flight packets after run_until_idle, every
     // injected packet is either delivered or in a counted drop class.
-    let total_drops = c.drops() + tm_drops;
+    let total_drops = c.total_drops();
     if c.injected != c.delivered + total_drops {
         return Err(format!(
             "{name}: conservation violated: injected={} != delivered={} + drops={total_drops}",
@@ -1200,9 +1156,9 @@ fn finish_outcome(
     Ok(Outcome {
         delivered,
         filtered: c.filtered,
-        fcs_drops,
-        lookups,
-        hits,
+        fcs_drops: c.fcs_drops,
+        lookups: c.mat_lookups,
+        hits: c.mat_hits,
         regs,
     })
 }
@@ -1317,11 +1273,6 @@ fn run_adcp(
                     stats.migrations
                 )));
             }
-            let m = sw.metrics();
-            mirrored("adcp", m, "ctrl", "migrations", stats.migrations)
-                .map_err(CaseError::Mismatch)?;
-            mirrored("adcp", m, "ctrl", "misroutes", stats.misroutes)
-                .map_err(CaseError::Mismatch)?;
             let mut merged = Vec::with_capacity(case.state_regs.len());
             for reg in &case.state_regs {
                 let mut cells = vec![0u64; REG_CELLS as usize];
@@ -1343,14 +1294,7 @@ fn run_adcp(
             merged
         }
     };
-    if sw.int_knob().on() {
-        let path_changes = sw.int_flow_table().total_path_changes();
-        mirrored("adcp", sw.metrics(), "int", "path_changes", path_changes)
-            .map_err(CaseError::Mismatch)?;
-    }
-    let c = sw.counters.clone();
-    let tm_drops = c.tm1_drops + c.tm1_queue_drops + c.tm2_drops + c.tm2_queue_drops;
-    finish_outcome("adcp", &mut sw, &c, tm_drops, regs).map_err(CaseError::Mismatch)
+    finish_outcome("adcp", &mut sw, regs).map_err(CaseError::Mismatch)
 }
 
 /// Run the case on the RMT switch model with the given central strategy.
@@ -1413,8 +1357,7 @@ fn run_rmt(
         .iter()
         .map(|r| sw.central_register(0, *r).snapshot())
         .collect();
-    let c = sw.counters.clone();
-    finish_outcome(name, &mut sw, &c, c.tm_drops + c.queue_drops, regs).map_err(CaseError::Mismatch)
+    finish_outcome(name, &mut sw, regs).map_err(CaseError::Mismatch)
 }
 
 /// Seeded per-key load profile → leaf ownership for a fabric case, through
@@ -1535,7 +1478,7 @@ fn run_fabric(
                 c.no_decision, c.bad_port
             )));
         }
-        if c.tm1_drops + c.tm1_queue_drops + c.tm2_drops + c.tm2_queue_drops != 0 {
+        if c.tm[0].total() + c.tm[1].total() != 0 {
             return Err(CaseError::Mismatch(format!(
                 "fabric {name}: unexpected TM/queue drops"
             )));
@@ -1551,15 +1494,6 @@ fn run_fabric(
         lookups += c.mat_lookups;
         hits += c.mat_hits;
         total_drops += c.total_drops();
-        if sw.int_knob().on() {
-            let (int_stamps, int_postcards, int_truncated) = sw.int_totals();
-            let m = sw.metrics();
-            let dev = format!("fabric {name}");
-            mirrored(&dev, m, "int", "stamps", int_stamps).map_err(CaseError::Mismatch)?;
-            mirrored(&dev, m, "int", "postcards", int_postcards).map_err(CaseError::Mismatch)?;
-            mirrored(&dev, m, "int", "stack_truncated", int_truncated)
-                .map_err(CaseError::Mismatch)?;
-        }
     }
     // INT honesty, fabric-wide: postcards from every device's TX, hop
     // chains split per device and compared against that device's tracer.
@@ -2444,7 +2378,7 @@ mod tests {
         // check is skipped when the registry or tracer is env-disabled, so
         // a hostile environment can only make this test vacuous, not red —
         // guard against that by requiring both to be on.
-        let m = MetricsRegistry::from_env();
+        let m = adcp_sim::metrics::MetricsRegistry::from_env();
         let t = adcp_sim::trace::JourneyTracer::from_env(true, 8);
         if !m.enabled() || !t.is_enabled() {
             eprintln!("metrics/trace disabled via env; skipping");
@@ -2490,7 +2424,7 @@ mod tests {
         // the tracer, the registry, or INT itself is env-disabled, so a
         // hostile environment can only make this test vacuous, not red —
         // guard against that by requiring all three to be on.
-        let m = MetricsRegistry::from_env();
+        let m = adcp_sim::metrics::MetricsRegistry::from_env();
         let t = adcp_sim::trace::JourneyTracer::from_env(true, 8);
         let k = adcp_sim::int::IntKnob::from_env(true);
         if !m.enabled() || !t.is_enabled() || !k.on() {

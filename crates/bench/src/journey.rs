@@ -412,24 +412,6 @@ pub fn forensics(trace: &Value, metrics: &Value) -> Option<Forensics> {
     let mut mismatches = Vec::new();
     for &(reason, tm) in DROP_CHECK_REASONS {
         let forensic = totals.remove(&(reason.to_string(), tm)).unwrap_or(0);
-        if reason == "migration_fence" {
-            // The migration protocol holds fenced packets; it never drops
-            // them. A nonzero count means the fence broke.
-            if forensic != 0 {
-                mismatches.push(format!(
-                    "migration_fence recorded {forensic} drops (must stay 0)"
-                ));
-            }
-            checks.push(CheckRow {
-                reason: reason.into(),
-                tm,
-                forensic,
-                counter: 0,
-                counter_name: "(must be zero)".into(),
-                ok: forensic == 0,
-            });
-            continue;
-        }
         let candidates = counter_candidates(reason, tm);
         let found = candidates
             .iter()
@@ -736,8 +718,9 @@ mod tests {
             Value::Object(o)
         }];
         let doc = fabric_chrome_trace(&devices, &crossings, overlay);
-        let schema = crate::schema::load_chrome_trace_schema().unwrap();
-        crate::schema::validate(&doc, &schema).expect("fabric doc conforms to the chrome schema");
+        let schema = adcp_sim::schema::load_chrome_trace_schema().unwrap();
+        adcp_sim::schema::validate(&doc, &schema)
+            .expect("fabric doc conforms to the chrome schema");
         let events = doc.get("traceEvents").and_then(Value::as_array).unwrap();
         let ph = |e: &Value, want: &str| e.get("ph").and_then(Value::as_str) == Some(want);
         let start = events.iter().find(|e| ph(e, "s")).expect("flow start");

@@ -26,7 +26,7 @@
 //!   equivalence, fault-injection soak, and failure shrinking behind the
 //!   `conformance` binary.
 //! * [`journey`] — journey-tracer consumers: Chrome-trace/Perfetto export,
-//!   drop forensics cross-checked against the metrics registry, and
+//!   drop forensics cross-checked against the exported counters, and
 //!   packet-walk printing (behind `adcp-trace --chrome/--forensics/
 //!   --journeys`).
 //! * [`par`] — order-preserving scoped-thread map; every sweep above runs
@@ -34,14 +34,8 @@
 //! * [`report`] — console tables and `--json` output.
 //! * [`snapshot`] — the `bench_snapshot` throughput suite behind
 //!   `BENCH_<date>.json` perf-trajectory files.
-//! * [`telemetry`] — the INT collector: drain datapath postcards into
-//!   per-flow paths and per-queue depth series, detect microbursts (EWMA
-//!   threshold), path changes (digest flips) and drop hotspots, and emit
-//!   schema-validated reports plus Chrome-trace overlays.
 //! * [`trace`] — app dispatch and per-stage flattening for the
 //!   `adcp-trace` binary.
-//! * [`schema`] — the JSON-Schema-subset validator behind
-//!   `adcp-trace --validate` and `schemas/*.schema.json`.
 //! * [`shutdown`] — SIGINT/SIGTERM latch (re-exported from `adcp-sim`)
 //!   behind the graceful-exit paths of `adcp-trace --app table1`,
 //!   `conformance`, and `exp_soak`: long sweeps stop at the next case
@@ -63,9 +57,7 @@ pub mod exp_tse;
 pub mod journey;
 pub mod par;
 pub mod report;
-pub mod schema;
 pub mod snapshot;
-pub mod telemetry;
 pub mod trace;
 
 pub use adcp_sim::shutdown;

@@ -22,7 +22,7 @@ pub mod switch;
 
 pub use adcp_sim::datapath::Delivered;
 pub use partition::{MigrateError, MigrationStrategy, PartitionMap, PartitionScheme};
-pub use switch::{AdcpConfig, AdcpCounters, AdcpSwitch, DemuxPolicy, MigrationStats};
+pub use switch::{AdcpConfig, AdcpSwitch, DemuxPolicy, MigrationStats};
 
 #[cfg(test)]
 mod tests {

@@ -32,9 +32,9 @@ use adcp_lang::{
     compile, ActionOp, CompileError, CompileOptions, Entry, HeaderId, PacketCodec, ParseOutcome,
     Phv, Placement, Program, RegId, Region, RegionRunStats, RegionState, RegisterFile, TableError,
 };
-use adcp_sim::datapath::{Agenda, FlowCounters, RegionMetrics, Shell, ShellSpec, Slot};
+use adcp_sim::datapath::{Agenda, Shell, ShellSpec, Slot};
 use adcp_sim::int::{IntFlowCell, IntFlowTable};
-use adcp_sim::metrics::{CounterId, GaugeId};
+use adcp_sim::metrics::HistId;
 use adcp_sim::packet::{EgressSpec, Packet, PortId};
 use adcp_sim::sched::ScheduledQueues;
 use adcp_sim::time::{Duration, SimTime};
@@ -53,18 +53,6 @@ const CELL_COPY_CYCLES: u64 = 8;
 /// Slots in the central-register-resident per-flow INT aggregation table
 /// (flows hash onto slots; collisions merge, as real register state would).
 const INT_FLOW_CELLS: usize = 1024;
-
-/// Where each [`MigrationStats`] total is mirrored in the `ctrl` registry
-/// scope, and how to read it.
-type CtrlMirror = (&'static str, fn(&MigrationStats) -> u64);
-const CTRL_MIRRORED: [CtrlMirror; 6] = [
-    ("migrations", |s| s.migrations),
-    ("moved_keys", |s| s.moved_keys),
-    ("paused_ns", |s| s.paused_ns),
-    ("redirected_pkts", |s| s.redirected_pkts),
-    ("held_pkts", |s| s.held_pkts),
-    ("misroutes", |s| s.misroutes),
-];
 
 /// Registers referenced by central-region table actions, with cell counts:
 /// the state the global partitioned area shards, and therefore the state a
@@ -169,40 +157,6 @@ impl Default for AdcpConfig {
     }
 }
 
-/// Drop/flow accounting: the shared [`FlowCounters`] (reachable as plain
-/// fields through `Deref`) plus one buffer and one queue class per TM; see
-/// [`AdcpSwitch::check_conservation`].
-#[derive(Debug, Clone, Default)]
-pub struct AdcpCounters {
-    flow: FlowCounters,
-    /// TM1 buffer exhaustion.
-    pub tm1_drops: u64,
-    /// TM1 per-queue tail drops.
-    pub tm1_queue_drops: u64,
-    /// TM2 buffer exhaustion.
-    pub tm2_drops: u64,
-    /// TM2 per-queue tail drops.
-    pub tm2_queue_drops: u64,
-}
-
-impl std::ops::Deref for AdcpCounters {
-    type Target = FlowCounters;
-    fn deref(&self) -> &FlowCounters {
-        &self.flow
-    }
-}
-
-impl AdcpCounters {
-    /// Sum of all drop classes.
-    pub fn total_drops(&self) -> u64 {
-        self.flow.drops()
-            + self.tm1_drops
-            + self.tm1_queue_drops
-            + self.tm2_drops
-            + self.tm2_queue_drops
-    }
-}
-
 struct IngressPipe {
     slot: Slot,
     state: RegionState,
@@ -258,7 +212,7 @@ enum Ev {
     MigrateCommit,
 }
 
-/// Control-plane migration totals, mirrored into the `ctrl` metrics scope.
+/// Control-plane migration totals, exported as the `ctrl` metrics scope.
 #[derive(Debug, Clone, Default)]
 pub struct MigrationStats {
     /// Completed migrations.
@@ -328,8 +282,8 @@ struct PartitionRuntime {
 }
 
 /// The Application-Defined Coflow Processor. Derefs to its [`Shell`] for
-/// the observers (`tracer`, `latency`, `out_meter`) and the metrics, INT
-/// and delivery accessors.
+/// the ledger (`counters`), the observers (`tracer`, `latency`,
+/// `out_meter`) and the INT and delivery accessors.
 pub struct AdcpSwitch {
     target: TargetModel,
     codec: PacketCodec,
@@ -350,24 +304,17 @@ pub struct AdcpSwitch {
     agenda: Agenda<Ev>,
     period: Duration,
     demux_rr: Vec<u16>,
-    /// Drop/flow accounting.
-    pub counters: AdcpCounters,
     /// Central-register-resident per-flow INT aggregation (§3.1: the
     /// stateful summary the central pipes hold in register state).
     int_flows: IntFlowTable,
-    ingress_m: RegionMetrics,
-    central_m: RegionMetrics,
-    egress_m: RegionMetrics,
-    /// Registry handles only the ADCP has: the `ctrl` scope and the per-flow
-    /// INT aggregation.
-    ctrl: [CounterId; CTRL_MIRRORED.len()],
-    ctrl_epoch: GaugeId,
-    int_path_changes: CounterId,
-    int_flows_gauge: GaugeId,
+    /// Stage-span histograms of the three regions.
+    ingress_span: HistId,
+    central_span: HistId,
+    egress_span: HistId,
     /// Partition-map routing + migration machinery; `None` keeps the
     /// legacy modulo routing (and zero per-packet overhead).
     part: Option<PartitionRuntime>,
-    /// Migration totals, mirrored into the `ctrl` metrics scope.
+    /// Migration totals.
     mig_stats: MigrationStats,
     /// Registers referenced by central-region tables with their cell
     /// counts — the state a migration moves.
@@ -438,15 +385,12 @@ impl AdcpSwitch {
             ],
             tms: &["tm1", "tm2"],
         });
-        let [ingress_m, central_m, egress_m] =
-            ["ingress", "central", "egress"].map(|s| shell.region_metrics(s));
         let m = shell.metrics_mut();
-        let (ctrl, int) = (m.scope("ctrl"), m.scope("int"));
+        let [ingress_span, central_span, egress_span] = ["ingress", "central", "egress"].map(|s| {
+            let s = m.scope(s);
+            m.hist(s, "span_ps")
+        });
         Ok(AdcpSwitch {
-            ctrl: CTRL_MIRRORED.map(|(name, _)| m.counter(ctrl, name)),
-            ctrl_epoch: m.gauge(ctrl, "epoch"),
-            int_path_changes: m.counter(int, "path_changes"),
-            int_flows_gauge: m.gauge(int, "active_flow_cells"),
             central_regs: central_registers(&program),
             ing_tables: RegionState::new(&program, Region::Ingress),
             eg_tables: RegionState::new(&program, Region::Egress),
@@ -461,11 +405,10 @@ impl AdcpSwitch {
             central,
             egress,
             agenda: Agenda::default(),
-            counters: AdcpCounters::default(),
             int_flows: IntFlowTable::new(INT_FLOW_CELLS),
-            ingress_m,
-            central_m,
-            egress_m,
+            ingress_span,
+            central_span,
+            egress_span,
             part: None,
             mig_stats: MigrationStats::default(),
         })
@@ -621,7 +564,7 @@ impl AdcpSwitch {
         }
     }
 
-    /// Migration totals (also mirrored into the `ctrl` metrics scope).
+    /// Migration totals (the `ctrl` scope of the metrics export).
     pub fn migration_stats(&self) -> &MigrationStats {
         &self.mig_stats
     }
@@ -742,9 +685,6 @@ impl AdcpSwitch {
                 .tracer
                 .record_ctrl(now, CtrlEvent::EpochBump { epoch: new_epoch });
         }
-        // A control-plane call outside the event loop: mirror the new
-        // epoch now, a metrics snapshot may precede the next run.
-        self.sync();
         Ok(())
     }
 
@@ -782,10 +722,6 @@ impl AdcpSwitch {
                 moved_keys: moves.len() as u64,
             },
         );
-        // Finalize is a control-plane call outside the event loop, so the
-        // run loop's end-of-run sync has already happened: re-mirror here
-        // or the ctrl scope would under-report the completed migration.
-        self.sync();
         Ok(())
     }
 
@@ -819,8 +755,7 @@ impl AdcpSwitch {
 
     /// Offer a packet to an RX port at `t`.
     pub fn inject(&mut self, port: PortId, mut pkt: Packet, t: SimTime) {
-        self.shell
-            .accept(&mut self.counters.flow, port, &mut pkt, t);
+        self.shell.accept(port, &mut pkt, t);
         self.agenda.events.push(t, Ev::Inject { port: port.0, pkt });
     }
 
@@ -840,37 +775,45 @@ impl AdcpSwitch {
 
     fn run(&mut self, until: Option<SimTime>) -> SimTime {
         let last = Agenda::run(self, until, |s| &mut s.agenda, Self::handle);
-        self.sync();
-        last
-    }
-
-    /// Refresh the match-table totals and mirror every counter into the
-    /// metrics registry: the shared export plus the ADCP's tail.
-    fn sync(&mut self) {
+        // The per-pipe region stats are the truth for match-table work;
+        // the ledger's two totals are their fold.
         let stats = (self.ingress.iter().map(|p| &p.state.stats))
             .chain(self.central.iter().map(|p| &p.state.stats))
             .chain(self.egress.iter().map(|p| &p.state.stats));
-        let c = &mut self.counters;
-        (c.flow.mat_lookups, c.flow.mat_hits) = RegionRunStats::lookup_totals(stats);
-        self.shell.export(&c.flow);
-        self.shell.export_tm(TM1, c.tm1_drops, c.tm1_queue_drops);
-        self.shell.export_tm(TM2, c.tm2_drops, c.tm2_queue_drops);
-        let m = self.shell.metrics_mut();
-        for (id, (_, read)) in self.ctrl.iter().zip(CTRL_MIRRORED) {
-            m.set_counter(*id, read(&self.mig_stats));
-        }
-        m.set_gauge(
-            self.ctrl_epoch,
-            self.part.as_ref().map_or(0, |rt| rt.map.epoch),
-        );
-        m.set_counter(self.int_path_changes, self.int_flows.total_path_changes());
-        m.set_gauge(self.int_flows_gauge, self.int_flows.active_cells());
-        let slots = self.ingress.iter().map(|p| &p.slot);
-        self.shell.export_busy(self.ingress_m, slots);
-        let slots = self.central.iter().map(|p| &p.slot);
-        self.shell.export_busy(self.central_m, slots);
-        let slots = self.egress.iter().map(|p| &p.slot);
-        self.shell.export_busy(self.egress_m, slots);
+        let c = &mut self.shell.counters;
+        (c.mat_lookups, c.mat_hits) = RegionRunStats::lookup_totals(stats);
+        last
+    }
+
+    /// Export the per-stage metrics block: the shell's (see
+    /// [`Shell::metrics_json`]) plus what only the ADCP has — pipeline
+    /// occupancy of the three regions, the `ctrl` scope and the per-flow
+    /// INT aggregation — each read from its owner now.
+    pub fn metrics_json(&self) -> serde::Value {
+        let ingress = Slot::busy_total_and_max(self.ingress.iter().map(|p| &p.slot));
+        let central = Slot::busy_total_and_max(self.central.iter().map(|p| &p.slot));
+        let egress = Slot::busy_total_and_max(self.egress.iter().map(|p| &p.slot));
+        let mig = &self.mig_stats;
+        let counters = [
+            ("ingress", "busy_cycles", ingress.0),
+            ("central", "busy_cycles", central.0),
+            ("egress", "busy_cycles", egress.0),
+            ("ctrl", "migrations", mig.migrations),
+            ("ctrl", "moved_keys", mig.moved_keys),
+            ("ctrl", "paused_ns", mig.paused_ns),
+            ("ctrl", "redirected_pkts", mig.redirected_pkts),
+            ("ctrl", "held_pkts", mig.held_pkts),
+            ("ctrl", "misroutes", mig.misroutes),
+            ("int", "path_changes", self.int_flows.total_path_changes()),
+        ];
+        let gauges = [
+            ("ingress", "busy_cycles_max_pipe", ingress.1),
+            ("central", "busy_cycles_max_pipe", central.1),
+            ("egress", "busy_cycles_max_pipe", egress.1),
+            ("ctrl", "epoch", self.partition_epoch()),
+            ("int", "active_flow_cells", self.int_flows.active_cells()),
+        ];
+        self.shell.metrics_json(&counters, &gauges)
     }
 
     /// The central-register-resident per-flow INT aggregation cell for
@@ -893,8 +836,7 @@ impl AdcpSwitch {
 
     /// Panic unless every packet is accounted for.
     pub fn check_conservation(&self) {
-        let c = &self.counters;
-        self.shell.assert_conserved(c, c, c.total_drops());
+        self.shell.assert_conserved();
     }
 
     /// Busy cycles of one ingress pipeline (demux spread checks).
@@ -921,8 +863,7 @@ impl AdcpSwitch {
     }
 
     fn drop_at(&mut self, now: SimTime, pkt: &Packet, site: Site, reason: DropReason) {
-        let flow = &mut self.counters.flow;
-        self.shell.drop_pkt(flow, now, pkt.meta.id, site, reason);
+        self.shell.drop_pkt(now, pkt.meta.id, site, reason);
     }
 
     /// Parse a packet at the head of pipeline `site`, recording the parse
@@ -939,7 +880,7 @@ impl AdcpSwitch {
 
     /// Deparse the PHV into the packet and move intrinsics into metadata.
     fn writeback(&mut self, pkt: &mut Packet, phv: Phv, extracted: Vec<HeaderId>, consumed: usize) {
-        self.counters.flow.deparse_allocs += 1;
+        self.shell.counters.deparse_allocs += 1;
         let store = &mut self.shell.store;
         let (central_pipe, _) = self.codec.writeback(store, pkt, phv, extracted, consumed);
         // A pipeline that names no central pipe keeps the one chosen
@@ -948,8 +889,7 @@ impl AdcpSwitch {
     }
 
     fn on_inject(&mut self, now: SimTime, port: u16, mut pkt: Packet) {
-        let flow = &mut self.counters.flow;
-        let Some(done) = self.shell.receive(flow, now, port, &mut pkt) else {
+        let Some(done) = self.shell.receive(now, port, &mut pkt) else {
             return;
         };
         // 1:m demultiplex (§3.3).
@@ -992,7 +932,7 @@ impl AdcpSwitch {
     fn on_ingress_out(&mut self, now: SimTime, pipe: usize, pkt: Packet) {
         // Stage span: RX handoff -> ingress pipeline exit (parse included).
         self.shell
-            .record_span(self.ingress_m.span, pkt.meta.arrived, now);
+            .record_span(self.ingress_span, pkt.meta.arrived, now);
         if pkt.meta.egress == EgressSpec::Drop {
             return self.drop_at(now, &pkt, Site::Tm1, DropReason::Filtered);
         }
@@ -1064,12 +1004,10 @@ impl AdcpSwitch {
         };
         // A refused packet was already counted for its bucket above.
         let stamp = (pkt.meta.part_bucket, pkt.meta.map_epoch);
-        let c = &mut self.counters;
-        let drops = (&mut c.tm1_queue_drops, &mut c.tm1_drops);
         let queues = &mut self.central[cpipe].queues;
         if self
             .shell
-            .tm_admit(TM1, drops, queues, pipe, cpipe as u32, pkt, now)
+            .tm_admit(TM1, queues, pipe, cpipe as u32, pkt, now)
         {
             self.schedule_pull_central(now, cpipe);
         } else if let (Some(rt), (Some(b), Some(e))) = (&mut self.part, stamp) {
@@ -1299,9 +1237,8 @@ impl AdcpSwitch {
     fn on_central_out(&mut self, now: SimTime, _cpipe: usize, pkt: Packet) {
         // Stage span: central pipeline entry -> exit.
         self.shell
-            .record_span(self.central_m.span, pkt.meta.tm_enqueued, now);
-        let flow = &mut self.counters.flow;
-        for (port, copy) in self.shell.fan_out(flow, TM2, now, pkt) {
+            .record_span(self.central_span, pkt.meta.tm_enqueued, now);
+        for (port, copy) in self.shell.fan_out(TM2, now, pkt) {
             self.tm2_admit_one(now, port, copy);
         }
     }
@@ -1323,13 +1260,8 @@ impl AdcpSwitch {
         };
         let lane = (adcp_lang::fold_hash([lane_key]) % m as u64) as usize;
         let epipe = port.0 as usize * m + lane;
-        let c = &mut self.counters;
-        let drops = (&mut c.tm2_queue_drops, &mut c.tm2_drops);
         let queues = &mut self.egress[epipe].queues;
-        if self
-            .shell
-            .tm_admit(TM2, drops, queues, 0, epipe as u32, pkt, now)
-        {
+        if self.shell.tm_admit(TM2, queues, 0, epipe as u32, pkt, now) {
             self.schedule_pull_egress(now, epipe);
         }
     }
@@ -1389,8 +1321,8 @@ impl AdcpSwitch {
         };
         // Sink side of INT: fold the completed stack into the per-flow
         // aggregation cell before the postcard leaves.
-        let (flow, flows) = (&mut self.counters.flow, &mut self.int_flows);
+        let flows = &mut self.int_flows;
         self.shell
-            .transmit(flow, self.egress_m.span, now, port, pkt, Some(flows));
+            .transmit(self.egress_span, now, port, pkt, Some(flows));
     }
 }

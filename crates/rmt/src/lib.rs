@@ -16,7 +16,7 @@
 pub mod switch;
 
 pub use adcp_sim::datapath::Delivered;
-pub use switch::{RmtConfig, RmtSwitch, SwitchCounters};
+pub use switch::{RmtConfig, RmtSwitch};
 
 #[cfg(test)]
 mod tests {
@@ -335,7 +335,7 @@ mod tests {
             sw.inject(PortId((i % 24) as u16 + 8), pkt(i, 1, 300), SimTime::ZERO);
         }
         sw.run_until_idle();
-        assert!(sw.counters.tm_drops > 0, "tiny pool must drop");
+        assert!(sw.counters.tm[0].buffer > 0, "tiny pool must drop");
         assert!(sw.counters.delivered > 0, "but some get through");
         sw.check_conservation();
     }
@@ -359,7 +359,7 @@ mod tests {
             sw.inject(PortId((i % 32) as u16), pkt(i, 1, 1500), SimTime::ZERO);
         }
         sw.run_until_idle();
-        assert!(sw.counters.queue_drops > 0);
+        assert!(sw.counters.tm[0].queue > 0);
         sw.check_conservation();
     }
 

@@ -31,8 +31,8 @@ use adcp_lang::{
     compile, CentralImpl, CompileError, CompileOptions, Entry, PacketCodec, Placement, Program,
     RegId, Region, RegionRunStats, RegionState, RegisterFile, TableError,
 };
-use adcp_sim::datapath::{Agenda, FlowCounters, RegionMetrics, Shell, ShellSpec, Slot};
-use adcp_sim::metrics::CounterId;
+use adcp_sim::datapath::{Agenda, Shell, ShellSpec, Slot};
+use adcp_sim::metrics::HistId;
 use adcp_sim::packet::{EgressSpec, Packet, PortId};
 use adcp_sim::sched::ScheduledQueues;
 use adcp_sim::time::{Duration, SimTime};
@@ -80,35 +80,6 @@ impl Default for RmtConfig {
     }
 }
 
-/// Aggregate drop/flow accounting: the shared [`FlowCounters`] (reachable
-/// as plain fields through `Deref`) plus the classes only RMT has. The
-/// conservation invariant is `injected + mcast_copies == delivered +
-/// Σ drops + in_flight`; [`RmtSwitch::check_conservation`] asserts it.
-#[derive(Debug, Clone, Default)]
-pub struct SwitchCounters {
-    flow: FlowCounters,
-    /// TM shared-buffer exhaustion.
-    pub tm_drops: u64,
-    /// Per-queue tail drops.
-    pub queue_drops: u64,
-    /// Total recirculation passes taken.
-    pub recirc_passes: u64,
-}
-
-impl std::ops::Deref for SwitchCounters {
-    type Target = FlowCounters;
-    fn deref(&self) -> &FlowCounters {
-        &self.flow
-    }
-}
-
-impl SwitchCounters {
-    /// Sum of all drop classes.
-    pub fn total_drops(&self) -> u64 {
-        self.flow.drops() + self.tm_drops + self.queue_drops
-    }
-}
-
 /// Per-ingress-pipeline state.
 struct IngressPipe {
     slot: Slot,
@@ -139,8 +110,9 @@ enum Ev {
     EgressOut { pipe: usize, pkt: Packet },
 }
 
-/// The RMT switch. Derefs to its [`Shell`] for the observers (`tracer`,
-/// `latency`, `out_meter`) and the metrics, INT and delivery accessors.
+/// The RMT switch. Derefs to its [`Shell`] for the ledger (`counters`),
+/// the observers (`tracer`, `latency`, `out_meter`) and the INT and
+/// delivery accessors.
 pub struct RmtSwitch {
     target: TargetModel,
     codec: PacketCodec,
@@ -160,11 +132,9 @@ pub struct RmtSwitch {
     eg_tables: RegionState,
     agenda: Agenda<Ev>,
     period: Duration,
-    /// Drop/flow accounting.
-    pub counters: SwitchCounters,
-    ingress_m: RegionMetrics,
-    egress_m: RegionMetrics,
-    recirc_passes: CounterId,
+    /// Stage-span histograms of the two regions.
+    ingress_span: HistId,
+    egress_span: HistId,
 }
 
 impl std::ops::Deref for RmtSwitch {
@@ -222,11 +192,14 @@ impl RmtSwitch {
             ],
             tms: &["tm"],
         });
-        let recirc = shell.metrics_mut().scope("recirc");
+        let m = shell.metrics_mut();
+        let [ingress_span, egress_span] = ["ingress", "egress"].map(|s| {
+            let s = m.scope(s);
+            m.hist(s, "span_ps")
+        });
         Ok(RmtSwitch {
-            ingress_m: shell.region_metrics("ingress"),
-            egress_m: shell.region_metrics("egress"),
-            recirc_passes: shell.metrics_mut().counter(recirc, "passes"),
+            ingress_span,
+            egress_span,
             ing_tables: RegionState::new(&program, Region::Ingress),
             central_tables: RegionState::new(&program, Region::Central),
             eg_tables: RegionState::new(&program, Region::Egress),
@@ -239,7 +212,6 @@ impl RmtSwitch {
             ingress,
             egress,
             agenda: Agenda::default(),
-            counters: SwitchCounters::default(),
         })
     }
 
@@ -306,8 +278,7 @@ impl RmtSwitch {
 
     /// Offer a packet to an RX port at `t` (its first bit arrives then).
     pub fn inject(&mut self, port: PortId, mut pkt: Packet, t: SimTime) {
-        self.shell
-            .accept(&mut self.counters.flow, port, &mut pkt, t);
+        self.shell.accept(port, &mut pkt, t);
         self.agenda.events.push(t, Ev::Inject { port: port.0, pkt });
     }
 
@@ -327,18 +298,8 @@ impl RmtSwitch {
 
     fn run(&mut self, until: Option<SimTime>) -> SimTime {
         let last = Agenda::run(self, until, |s| &mut s.agenda, Self::handle);
-        self.sync();
-        last
-    }
-
-    /// Time of the switch's next pending event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.agenda.events.peek_time()
-    }
-
-    /// Refresh the match-table totals and mirror every counter into the
-    /// metrics registry: the shared export plus RMT's tail.
-    fn sync(&mut self) {
+        // The per-pipe region stats are the truth for match-table work;
+        // the ledger's two totals are their fold.
         let ingress = self
             .ingress
             .iter()
@@ -347,24 +308,39 @@ impl RmtSwitch {
             .egress
             .iter()
             .map(|p| [&p.central.stats, &p.state.stats]);
-        let stats = ingress.chain(egress).flatten();
-        let c = &mut self.counters;
-        (c.flow.mat_lookups, c.flow.mat_hits) = RegionRunStats::lookup_totals(stats);
-        self.shell.export(&c.flow);
-        self.shell.export_tm(TM, c.tm_drops, c.queue_drops);
-        self.shell
-            .metrics_mut()
-            .set_counter(self.recirc_passes, c.recirc_passes);
-        let slots = self.ingress.iter().map(|p| &p.slot);
-        self.shell.export_busy(self.ingress_m, slots);
-        let slots = self.egress.iter().map(|p| &p.slot);
-        self.shell.export_busy(self.egress_m, slots);
+        let c = &mut self.shell.counters;
+        (c.mat_lookups, c.mat_hits) =
+            RegionRunStats::lookup_totals(ingress.chain(egress).flatten());
+        last
+    }
+
+    /// Time of the switch's next pending event, if any.
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        self.agenda.events.peek_time()
+    }
+
+    /// Export the per-stage metrics block: the shell's (see
+    /// [`Shell::metrics_json`]) plus what only RMT has — pipeline
+    /// occupancy of its two regions and the recirculation passes — each
+    /// read from its owner now.
+    pub fn metrics_json(&self) -> serde::Value {
+        let ingress = Slot::busy_total_and_max(self.ingress.iter().map(|p| &p.slot));
+        let egress = Slot::busy_total_and_max(self.egress.iter().map(|p| &p.slot));
+        let counters = [
+            ("ingress", "busy_cycles", ingress.0),
+            ("recirc", "passes", self.shell.counters.recirc_passes),
+            ("egress", "busy_cycles", egress.0),
+        ];
+        let gauges = [
+            ("ingress", "busy_cycles_max_pipe", ingress.1),
+            ("egress", "busy_cycles_max_pipe", egress.1),
+        ];
+        self.shell.metrics_json(&counters, &gauges)
     }
 
     /// Panic unless every injected packet is accounted for.
     pub fn check_conservation(&self) {
-        let c = &self.counters;
-        self.shell.assert_conserved(c, c, c.total_drops());
+        self.shell.assert_conserved();
     }
 
     /// Utilization (busy cycles / elapsed cycles) of an ingress pipeline.
@@ -383,13 +359,11 @@ impl RmtSwitch {
     }
 
     fn drop_at(&mut self, now: SimTime, pkt: &Packet, site: Site, reason: DropReason) {
-        let flow = &mut self.counters.flow;
-        self.shell.drop_pkt(flow, now, pkt.meta.id, site, reason);
+        self.shell.drop_pkt(now, pkt.meta.id, site, reason);
     }
 
     fn on_inject(&mut self, now: SimTime, port: u16, mut pkt: Packet) {
-        let flow = &mut self.counters.flow;
-        let Some(done) = self.shell.receive(flow, now, port, &mut pkt) else {
+        let Some(done) = self.shell.receive(now, port, &mut pkt) else {
             return;
         };
         let pipe = self.pipe_of_port(PortId(port));
@@ -420,7 +394,7 @@ impl RmtSwitch {
             )
         };
         state.run_with_tables(tables, &self.codec.program, &self.codec.layout, &mut phv);
-        self.counters.flow.deparse_allocs += 1;
+        self.shell.counters.deparse_allocs += 1;
         let store = &mut self.shell.store;
         let (central_pipe, recirculate) =
             self.codec
@@ -441,7 +415,7 @@ impl RmtSwitch {
             // Stage span: RX handoff -> first ingress pass exit (parse
             // included; recirculation passes are counted separately).
             self.shell
-                .record_span(self.ingress_m.span, pkt.meta.arrived, now);
+                .record_span(self.ingress_span, pkt.meta.arrived, now);
         }
         if pkt.meta.recirculate && pass == 0 {
             // Recirculation: loop back into the ingress pipeline that hosts
@@ -451,15 +425,14 @@ impl RmtSwitch {
             let pipe = central.map_or(pipe, |c| c as usize % self.ingress.len());
             pkt.meta.recirculate = false;
             pkt.meta.recirc_count += 1;
-            self.counters.recirc_passes += 1;
+            self.shell.counters.recirc_passes += 1;
             self.shell
                 .hop(&mut pkt, Site::Recirculated, now, now, HopCtx::NONE);
             let ev = Ev::IngressEnter { pipe, pkt, pass: 1 };
             return self.agenda.events.push(now + self.recirc_latency, ev);
         }
         // The TM replicates multicast; each copy is accounted separately.
-        let flow = &mut self.counters.flow;
-        for (port, copy) in self.shell.fan_out(flow, TM, now, pkt) {
+        for (port, copy) in self.shell.fan_out(TM, now, pkt) {
             self.tm_admit_one(now, port, copy);
         }
     }
@@ -470,12 +443,10 @@ impl RmtSwitch {
         }
         let pipe = self.pipe_of_port(port);
         let local = (port.0 % self.target.ports_per_pipe) as usize;
-        let c = &mut self.counters;
-        let drops = (&mut c.queue_drops, &mut c.tm_drops);
         let queues = &mut self.egress[pipe].queues;
         if self
             .shell
-            .tm_admit(TM, drops, queues, local, port.0 as u32, pkt, now)
+            .tm_admit(TM, queues, local, port.0 as u32, pkt, now)
         {
             self.schedule_pull(now, pipe);
         }
@@ -572,7 +543,7 @@ impl RmtSwitch {
         let store = &mut self.shell.store;
         self.codec
             .deparse(store, &mut pkt, &phv, &out.extracted, out.consumed);
-        self.counters.flow.deparse_allocs += 1;
+        self.shell.counters.deparse_allocs += 1;
         self.codec.recycle(phv, out.extracted);
         let Some(port) = dest else {
             return self.drop_at(now, &pkt, site, DropReason::NoDecision);
@@ -580,8 +551,6 @@ impl RmtSwitch {
         pkt.meta.egress = EgressSpec::Unicast(port);
         // Egress pinning invariant: the port belongs to this pipeline.
         debug_assert_eq!(self.pipe_of_port(port), pipe, "egress pinning violated");
-        let flow = &mut self.counters.flow;
-        self.shell
-            .transmit(flow, self.egress_m.span, now, port, pkt, None);
+        self.shell.transmit(self.egress_span, now, port, pkt, None);
     }
 }

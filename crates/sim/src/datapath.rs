@@ -18,7 +18,7 @@
 
 use crate::event::EventQueue;
 use crate::int::{IntFlowTable, IntKnob, IntStack, IntStamp, Postcard, POSTCARDS_CAP};
-use crate::metrics::{CounterId, GaugeId, HistId, MetricsRegistry, SeriesId};
+use crate::metrics::{HistId, MetricsRegistry, SeriesId};
 use crate::packet::{EgressSpec, FrameBuf, Packet, PacketMeta, PacketStore, PortId};
 use crate::port::{LinkSpeed, RxPort, TxPort};
 use crate::queue::BufferPool;
@@ -30,12 +30,29 @@ use crate::trace::{DropReason, HopCtx, JourneyTracer, Site};
 /// Retained points per queue-depth/buffer-occupancy time series.
 const SERIES_CAP: usize = 512;
 
-/// Flow and drop accounting common to both targets; each target's counter
-/// struct embeds one and adds its own traffic-manager drop classes. The
-/// conservation invariant is `injected + mcast_copies == delivered +
-/// Σ drops + in_flight` (see [`Shell::assert_conserved`]).
+/// One traffic manager's drop classes.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TmDrops {
+    /// Per-queue tail drops.
+    pub queue: u64,
+    /// Shared-buffer exhaustion.
+    pub buffer: u64,
+}
+
+impl TmDrops {
+    /// Both classes.
+    pub fn total(&self) -> u64 {
+        self.queue + self.buffer
+    }
+}
+
+/// Every flow and drop count of a switch: the single ledger, owned by the
+/// [`Shell`] and bumped where the event happens. Conservation is
+/// `injected + mcast_copies == delivered + total_drops() + in_flight`
+/// (see [`Shell::assert_conserved`]); the metrics export reads these
+/// fields when it is asked, it keeps no copy.
 #[derive(Debug, Clone, Default)]
-pub struct FlowCounters {
+pub struct Counters {
     /// Packets handed to the switch's `inject`.
     pub injected: u64,
     /// Extra packet copies created by multicast replication.
@@ -53,8 +70,7 @@ pub struct FlowCounters {
     pub no_decision: u64,
     /// Forwarding decision named a nonexistent port.
     pub bad_port: u64,
-    /// Match-table key lookups executed, all regions and lanes (refreshed
-    /// from the per-table counters whenever a run returns).
+    /// Match-table key lookups executed, all regions and lanes.
     pub mat_lookups: u64,
     /// Match-table lookups that hit an installed entry.
     pub mat_hits: u64,
@@ -62,9 +78,14 @@ pub struct FlowCounters {
     /// per-pass allocation (delivery and multicast copies share payload
     /// buffers instead of allocating).
     pub deparse_allocs: u64,
+    /// Recirculation passes taken (always 0 on a target without the edge).
+    pub recirc_passes: u64,
+    /// Drop classes of each traffic manager, in datapath order (a
+    /// single-TM target leaves the second pair at 0).
+    pub tm: [TmDrops; 2],
 }
 
-impl FlowCounters {
+impl Counters {
     /// Fraction of match-table lookups that hit (0 when none ran).
     pub fn mat_hit_rate(&self) -> f64 {
         if self.mat_lookups == 0 {
@@ -74,9 +95,10 @@ impl FlowCounters {
         }
     }
 
-    /// Sum of the drop classes no traffic manager is charged for.
-    pub fn drops(&self) -> u64 {
-        self.parse_errors + self.fcs_drops + self.filtered + self.no_decision + self.bad_port
+    /// Sum of all drop classes.
+    pub fn total_drops(&self) -> u64 {
+        let tm = self.tm[0].total() + self.tm[1].total();
+        self.parse_errors + self.fcs_drops + self.filtered + self.no_decision + self.bad_port + tm
     }
 }
 
@@ -144,6 +166,15 @@ impl Slot {
         self.busy_cycles
     }
 
+    /// A region's occupancy as the metrics export reports it, aggregated
+    /// (per-pipe cardinality would bloat every report on 64-port targets):
+    /// (total busy cycles, the busiest pipe's).
+    pub fn busy_total_and_max<'a>(slots: impl Iterator<Item = &'a Slot>) -> (u64, u64) {
+        slots.fold((0, 0), |(t, m), s| {
+            (t + s.busy_cycles, s.busy_cycles.max(m))
+        })
+    }
+
     /// Busy cycles over the cycles elapsed by `now`.
     pub fn utilization(&self, now: SimTime, period: Duration) -> f64 {
         let total = now.as_ps() / period.as_ps().max(1);
@@ -155,31 +186,19 @@ impl Slot {
     }
 }
 
-/// Registry handles of one pipeline region (`ingress`, `central`,
-/// `egress`): the stage-span histogram, and the occupancy totals exported
-/// by [`Shell::export_busy`].
-#[derive(Debug, Clone, Copy)]
-pub struct RegionMetrics {
-    /// Stage span (`span_ps`), recorded by the target where the span ends.
-    pub span: HistId,
-    busy: CounterId,
-    busy_max: GaugeId,
-}
-
 /// One traffic manager as the shell sees it: a shared-memory cell pool,
-/// the site and TM number its hops and drops are attributed to, and its
-/// registry handles. The queues themselves belong to the pipelines the TM
-/// feeds, because which queue a packet joins is the target's wiring.
+/// the site and TM number its hops and drops are attributed to, its
+/// registry scope and handles. The queues themselves belong to the
+/// pipelines the TM feeds, because which queue a packet joins is the
+/// target's wiring.
 struct Tm {
     pool: BufferPool,
     site: Site,
     number: u8,
-    buffer_drops: CounterId,
-    queue_drops: CounterId,
+    scope: &'static str,
     residency: HistId,
     queue_depth: SeriesId,
     buffer: SeriesId,
-    buffer_gauge: GaugeId,
 }
 
 /// Everything [`Shell::new`] needs from a target's model and config.
@@ -207,43 +226,18 @@ pub struct ShellSpec<'a> {
     /// Registry scope of each traffic manager, in datapath order: the
     /// first is the journey model's TM1, the second its TM2. The last one
     /// is the one that replicates multicast.
-    pub tms: &'a [&'a str],
+    pub tms: &'a [&'static str],
 }
 
-/// (scope, counter name, reader) of one mirrored [`FlowCounters`] class.
-type Mirror = (&'static str, &'static str, fn(&FlowCounters) -> u64);
-
-/// Where each [`FlowCounters`] class is mirrored in the registry, and how
-/// to read it: the one list both registration and export walk.
-const MIRRORED: [Mirror; 10] = [
-    ("rx", "packets", |c| c.injected),
-    ("mac", "fcs_drops", |c| c.fcs_drops),
-    ("parser", "errors", |c| c.parse_errors),
-    ("deparser", "allocs", |c| c.deparse_allocs),
-    ("mat", "lookups", |c| c.mat_lookups),
-    ("mat", "hits", |c| c.mat_hits),
-    ("drops", "filtered", |c| c.filtered),
-    ("drops", "no_decision", |c| c.no_decision),
-    ("drops", "bad_port", |c| c.bad_port),
-    ("tx", "packets", |c| c.delivered),
-];
-
-/// `int` scope counters, in the order [`Shell::int_totals`]' fields and
-/// then the shed-postcard count are exported.
-const INT_MIRRORED: [&str; 4] = [
-    "stamps",
-    "postcards",
-    "stack_truncated",
-    "postcards_dropped",
-];
-
 /// The device around the pipelines. Targets embed one and `Deref` to it,
-/// so its observers (`tracer`, `latency`, `out_meter`) and accessors are
-/// the switch's own.
+/// so its ledger (`counters`), observers (`tracer`, `latency`,
+/// `out_meter`) and accessors are the switch's own.
 pub struct Shell {
     rx: Vec<RxPort>,
     tx: Vec<TxPort>,
     tms: Vec<Tm>,
+    /// Flow and drop accounting.
+    pub counters: Counters,
     /// Recycling arena for deparse frame buffers.
     pub store: PacketStore,
     /// Throughput/goodput/keys meter over delivered packets.
@@ -264,10 +258,6 @@ pub struct Shell {
     /// Sabotage hook: report TM queue depths one higher than observed.
     int_lie_queue_depth: bool,
     metrics: MetricsRegistry,
-    mirrors: [CounterId; MIRRORED.len()],
-    int_mirrors: [CounterId; INT_MIRRORED.len()],
-    /// Registered under the last TM's scope: that is the one replicating.
-    mcast_copies: CounterId,
     parse_span: HistId,
     tx_latency: HistId,
     delivered: Vec<Delivered>,
@@ -287,28 +277,21 @@ impl Shell {
             m.scope(s);
         }
         let tms: Vec<Tm> = (spec.tms.iter().zip([(Site::Tm1, 1), (Site::Tm2, 2)]))
-            .map(|(scope, (site, number))| {
+            .map(|(&scope, (site, number))| {
                 let s = m.scope(scope);
                 Tm {
                     pool: BufferPool::new(spec.tm_cells, spec.cell_bytes),
                     site,
                     number,
-                    buffer_drops: m.counter(s, "buffer_drops"),
-                    queue_drops: m.counter(s, "queue_drops"),
+                    scope,
                     residency: m.hist(s, "residency_ps"),
                     queue_depth: m.series(s, "queue_pkts", SERIES_CAP),
                     buffer: m.series(s, "buffer_cells", SERIES_CAP),
-                    buffer_gauge: m.gauge(s, "buffer_cells"),
                 }
             })
             .collect();
-        let last_tm = m.scope(spec.tms.last().expect("a switch has a TM"));
-        let mcast_copies = m.counter(last_tm, "mcast_copies");
-        let mirrors = MIRRORED.map(|(scope, name, _)| {
-            let s = m.scope(scope);
-            m.counter(s, name)
-        });
-        let (parser, tx, int) = (m.scope("parser"), m.scope("tx"), m.scope("int"));
+        assert!(!tms.is_empty(), "a switch has a TM");
+        let (parser, tx) = (m.scope("parser"), m.scope("tx"));
         Shell {
             rx: (0..spec.ports)
                 .map(|p| RxPort::new(PortId(p), speed_of(p)))
@@ -317,6 +300,7 @@ impl Shell {
                 .map(|p| TxPort::new(PortId(p), speed_of(p)))
                 .collect(),
             tms,
+            counters: Counters::default(),
             store: PacketStore::new(),
             out_meter: Meter::default(),
             latency: LatencyHist::new(),
@@ -329,9 +313,6 @@ impl Shell {
             int_truncated: 0,
             int_postcards_dropped: 0,
             int_lie_queue_depth: false,
-            mirrors,
-            int_mirrors: INT_MIRRORED.map(|name| m.counter(int, name)),
-            mcast_copies,
             parse_span: m.hist(parser, "span_ps"),
             tx_latency: m.hist(tx, "latency_ps"),
             metrics: m,
@@ -341,23 +322,12 @@ impl Shell {
         }
     }
 
-    /// Register a pipeline region's handles under `scope`.
-    pub fn region_metrics(&mut self, scope: &str) -> RegionMetrics {
-        let m = &mut self.metrics;
-        let s = m.scope(scope);
-        RegionMetrics {
-            span: m.hist(s, "span_ps"),
-            busy: m.counter(s, "busy_cycles"),
-            busy_max: m.gauge(s, "busy_cycles_max_pipe"),
-        }
-    }
-
     // ---------------- the datapath ----------------
 
     /// Account a packet offered to RX `port` at `t` (its first bit arrives
     /// then); the target schedules the arrival.
     #[inline]
-    pub fn accept(&mut self, flow: &mut FlowCounters, port: PortId, pkt: &mut Packet, t: SimTime) {
+    pub fn accept(&mut self, port: PortId, pkt: &mut Packet, t: SimTime) {
         assert!(
             (port.0 as usize) < self.rx.len(),
             "inject on nonexistent {port}"
@@ -365,7 +335,7 @@ impl Shell {
         if pkt.meta.created == SimTime::ZERO {
             pkt.meta.created = t;
         }
-        flow.injected += 1;
+        self.counters.injected += 1;
         self.in_flight += 1;
     }
 
@@ -373,16 +343,10 @@ impl Shell {
     /// packet is dropped before it can reach a parser, table or register),
     /// else the time its last bit arrived.
     #[inline]
-    pub fn receive(
-        &mut self,
-        flow: &mut FlowCounters,
-        now: SimTime,
-        port: u16,
-        pkt: &mut Packet,
-    ) -> Option<SimTime> {
+    pub fn receive(&mut self, now: SimTime, port: u16, pkt: &mut Packet) -> Option<SimTime> {
         let site = Site::Rx(PortId(port));
         if !pkt.fcs_ok() {
-            self.drop_pkt(flow, now, pkt.meta.id, site, DropReason::FcsBad);
+            self.drop_pkt(now, pkt.meta.id, site, DropReason::FcsBad);
             return None;
         }
         let done = self.rx[port as usize].receive(pkt, now);
@@ -440,45 +404,29 @@ impl Shell {
     }
 
     /// Drop packet `id` at `site` for a reason no traffic manager is
-    /// charged for; the reason picks the [`FlowCounters`] class, so the two
-    /// cannot disagree.
+    /// charged for.
     #[inline]
-    pub fn drop_pkt(
-        &mut self,
-        flow: &mut FlowCounters,
-        now: SimTime,
-        id: u64,
-        site: Site,
-        reason: DropReason,
-    ) {
-        let counter = match reason {
-            DropReason::FcsBad => &mut flow.fcs_drops,
-            DropReason::ParseError => &mut flow.parse_errors,
-            DropReason::Filtered => &mut flow.filtered,
-            DropReason::NoDecision => &mut flow.no_decision,
-            DropReason::BadPort => &mut flow.bad_port,
-            DropReason::BufferExhausted { .. }
-            | DropReason::QueueTail { .. }
-            | DropReason::MigrationFence => unreachable!("{reason} is charged by a TM admission"),
-        };
-        self.account_drop(counter, now, id, site, reason, HopCtx::NONE);
+    pub fn drop_pkt(&mut self, now: SimTime, id: u64, site: Site, reason: DropReason) {
+        self.account_drop(now, id, site, reason, HopCtx::NONE);
     }
 
-    /// Account one dropped packet: bump its class `counter`, decrement
-    /// in-flight, and hand the typed reason (plus queue state at the moment
-    /// of death) to the journey tracer's forensics — in one place, so the
-    /// forensics↔counter cross-check holds by construction.
+    /// Account one dropped packet: bump the [`Counters`] class its reason
+    /// names, decrement in-flight, and hand the typed reason (plus queue
+    /// state at the moment of death) to the journey tracer's forensics —
+    /// in one place, so the forensics↔counter cross-check holds by
+    /// construction.
     #[inline]
-    fn account_drop(
-        &mut self,
-        counter: &mut u64,
-        now: SimTime,
-        id: u64,
-        site: Site,
-        reason: DropReason,
-        ctx: HopCtx,
-    ) {
-        *counter += 1;
+    fn account_drop(&mut self, now: SimTime, id: u64, site: Site, reason: DropReason, ctx: HopCtx) {
+        let c = &mut self.counters;
+        *match reason {
+            DropReason::FcsBad => &mut c.fcs_drops,
+            DropReason::ParseError => &mut c.parse_errors,
+            DropReason::Filtered => &mut c.filtered,
+            DropReason::NoDecision => &mut c.no_decision,
+            DropReason::BadPort => &mut c.bad_port,
+            DropReason::QueueTail { tm, .. } => &mut c.tm[tm as usize - 1].queue,
+            DropReason::BufferExhausted { tm } => &mut c.tm[tm as usize - 1].buffer,
+        } += 1;
         self.in_flight -= 1;
         self.tracer.record_drop(now, id, site, reason, ctx);
     }
@@ -488,13 +436,7 @@ impl Shell {
     /// or one refcounted copy per multicast port. Replication is accounted
     /// up front; the caller admits each copy (its queue choice is wiring).
     #[inline]
-    pub fn fan_out(
-        &mut self,
-        flow: &mut FlowCounters,
-        tm: usize,
-        now: SimTime,
-        mut pkt: Packet,
-    ) -> Copies {
+    pub fn fan_out(&mut self, tm: usize, now: SimTime, mut pkt: Packet) -> Copies {
         // Move the decision out rather than cloning it (a Multicast spec
         // owns a port list).
         let reason = match std::mem::take(&mut pkt.meta.egress) {
@@ -504,7 +446,7 @@ impl Shell {
                 return Copies::One(p, pkt);
             }
             EgressSpec::Multicast(ports) if !ports.is_empty() => {
-                flow.mcast_copies += ports.len() as u64 - 1;
+                self.counters.mcast_copies += ports.len() as u64 - 1;
                 self.in_flight += ports.len() as u64 - 1;
                 // Share the frame bytes once, so each copy bumps the
                 // payload refcount instead of copying the buffer.
@@ -513,7 +455,7 @@ impl Shell {
             }
             _ => DropReason::NoDecision,
         };
-        self.drop_pkt(flow, now, pkt.meta.id, self.tms[tm].site, reason);
+        self.drop_pkt(now, pkt.meta.id, self.tms[tm].site, reason);
         Copies::None
     }
 
@@ -524,16 +466,14 @@ impl Shell {
     }
 
     /// Admit `pkt` to queue `q` of `queues` under traffic manager `tm`:
-    /// queue-room check, cell allocation, typed drop (charged to the
-    /// matching one of `drops` = (queue tail, buffer exhausted), with the
-    /// queue reported as `qid`), enqueue-time context, occupancy samples.
-    /// Returns whether the packet was enqueued.
+    /// queue-room check, cell allocation, typed drop (charged to that TM's
+    /// queue-tail or buffer class, with the queue reported as `qid`),
+    /// enqueue-time context, occupancy samples. Returns whether the packet
+    /// was enqueued.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // one packet, one queue address, one TM
     pub fn tm_admit(
         &mut self,
         tm: usize,
-        drops: (&mut u64, &mut u64),
         queues: &mut ScheduledQueues,
         q: usize,
         qid: u32,
@@ -548,20 +488,20 @@ impl Shell {
         };
         let exhausted = DropReason::BufferExhausted { tm: t.number };
         let refused = if !queues.queue(q).has_room(&pkt) {
-            Some((drops.0, tail))
+            Some(tail)
         } else if !t.pool.try_alloc(&mut pkt) {
-            Some((drops.1, exhausted))
+            Some(exhausted)
         } else {
             None
         };
         let used = t.pool.used();
-        if let Some((counter, reason)) = refused {
+        if let Some(reason) = refused {
             let ctx = HopCtx {
                 queue_depth: Some(queues.len() as u32),
                 buffer_cells: Some(used),
                 epoch: pkt.meta.map_epoch,
             };
-            self.account_drop(counter, now, pkt.meta.id, site, reason, ctx);
+            self.account_drop(now, pkt.meta.id, site, reason, ctx);
             return false;
         }
         pkt.meta.tm_enqueued = now;
@@ -578,7 +518,6 @@ impl Shell {
             let t = &self.tms[tm];
             self.metrics.sample(t.queue_depth, now, queues.len() as u64);
             self.metrics.sample(t.buffer, now, used);
-            self.metrics.set_gauge(t.buffer_gauge, used);
         }
         true
     }
@@ -619,7 +558,6 @@ impl Shell {
     #[inline]
     pub fn transmit(
         &mut self,
-        flow: &mut FlowCounters,
         egress_span: HistId,
         now: SimTime,
         port: PortId,
@@ -663,7 +601,7 @@ impl Shell {
                 self.int_postcards_dropped += 1;
             }
         }
-        flow.delivered += 1;
+        self.counters.delivered += 1;
         self.in_flight -= 1;
         self.out_meter
             .record(pkt.wire_bytes(), pkt.meta.goodput_bytes, pkt.meta.elements);
@@ -684,40 +622,47 @@ impl Shell {
 
     // ---------------- export ----------------
 
-    /// Mirror the counters both targets keep into the registry, so the
-    /// JSON export is the one complete metrics path. Values are monotone
-    /// totals; re-assigning is idempotent. Targets call this (and their
-    /// own tail) whenever a run or a control-plane call returns.
-    pub fn export(&mut self, c: &FlowCounters) {
-        let m = &mut self.metrics;
-        for (id, (_, _, read)) in self.mirrors.iter().zip(MIRRORED) {
-            m.set_counter(*id, read(c));
+    /// Export the per-stage metrics block (see
+    /// [`MetricsRegistry::to_json_with`]): what the registry alone observes
+    /// (span histograms, occupancy series) plus every counter and gauge,
+    /// read from its owner now — the ledger, the INT totals, the TM pools,
+    /// then the target's own `counters` and `gauges` rows `(scope, name,
+    /// value)`. A target's gauges never fall, so each one's high-water
+    /// mark is its value.
+    pub fn metrics_json(
+        &self,
+        counters: &[(&str, &str, u64)],
+        gauges: &[(&str, &str, u64)],
+    ) -> serde::Value {
+        let c = &self.counters;
+        let mut cs = vec![
+            ("rx", "packets", c.injected),
+            ("mac", "fcs_drops", c.fcs_drops),
+            ("parser", "errors", c.parse_errors),
+            ("deparser", "allocs", c.deparse_allocs),
+            ("mat", "lookups", c.mat_lookups),
+            ("mat", "hits", c.mat_hits),
+            ("drops", "filtered", c.filtered),
+            ("drops", "no_decision", c.no_decision),
+            ("drops", "bad_port", c.bad_port),
+            ("tx", "packets", c.delivered),
+            ("int", "stamps", self.int_stamps),
+            ("int", "postcards", self.int_postcards),
+            ("int", "stack_truncated", self.int_truncated),
+            ("int", "postcards_dropped", self.int_postcards_dropped),
+        ];
+        let mut gs = Vec::new();
+        for (t, drops) in self.tms.iter().zip(&c.tm) {
+            cs.push((t.scope, "buffer_drops", drops.buffer));
+            cs.push((t.scope, "queue_drops", drops.queue));
+            gs.push((t.scope, "buffer_cells", t.pool.used(), t.pool.hwm_cells));
         }
-        m.set_counter(self.mcast_copies, c.mcast_copies);
-        let (stamps, postcards, truncated) = self.int_totals();
-        let int = [stamps, postcards, truncated, self.int_postcards_dropped];
-        for (id, v) in self.int_mirrors.iter().zip(int) {
-            self.metrics.set_counter(*id, v);
-        }
-    }
-
-    /// Mirror traffic manager `tm`'s drop classes and buffer occupancy.
-    pub fn export_tm(&mut self, tm: usize, buffer_drops: u64, queue_drops: u64) {
-        let t = &self.tms[tm];
-        self.metrics.set_counter(t.buffer_drops, buffer_drops);
-        self.metrics.set_counter(t.queue_drops, queue_drops);
-        self.metrics.set_gauge(t.buffer_gauge, t.pool.used());
-    }
-
-    /// Mirror one region's pipeline occupancy, aggregated (per-pipe
-    /// cardinality would bloat every report on 64-port targets): total
-    /// busy cycles plus the busiest pipe.
-    pub fn export_busy<'a>(&mut self, rm: RegionMetrics, slots: impl Iterator<Item = &'a Slot>) {
-        let (total, max) = slots.fold((0, 0), |(t, m), s| {
-            (t + s.busy_cycles, s.busy_cycles.max(m))
-        });
-        self.metrics.set_counter(rm.busy, total);
-        self.metrics.set_gauge(rm.busy_max, max);
+        // The last TM is the one that replicates.
+        let last_tm = self.tms[self.tms.len() - 1].scope;
+        cs.push((last_tm, "mcast_copies", c.mcast_copies));
+        cs.extend_from_slice(counters);
+        gs.extend(gauges.iter().map(|&(s, n, v)| (s, n, v, v)));
+        self.metrics.to_json_with(&cs, &gs)
     }
 
     /// Record a parse's span: parse latency scales with structural depth,
@@ -739,22 +684,15 @@ impl Shell {
 
     // ---------------- accessors ----------------
 
-    /// Shared access to the per-stage metrics registry. Mirrored counters
-    /// are as of the last run or control-plane call.
+    /// Shared access to the per-stage metrics registry: the span
+    /// histograms and occupancy series only it observes.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 
-    /// Registry access for a target's own handles (registration at build,
-    /// its export tail).
+    /// Registry access for a target to register its own handles at build.
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.metrics
-    }
-
-    /// Export the per-stage metrics block (see
-    /// [`MetricsRegistry::to_json`]).
-    pub fn metrics_json(&self) -> serde::Value {
-        self.metrics.to_json()
     }
 
     /// Export the journey tracer's state (sampled hops, drop forensics,
@@ -822,19 +760,13 @@ impl Shell {
     }
 
     /// Panic unless everything that entered (injected + replicated) either
-    /// left (delivered, or dropped: `total_drops` over every class, the
-    /// target's TM classes included) or is still in flight. `counters` is
-    /// printed on failure.
-    pub fn assert_conserved(
-        &self,
-        counters: &dyn std::fmt::Debug,
-        c: &FlowCounters,
-        total_drops: u64,
-    ) {
+    /// left (delivered, or dropped in some class) or is still in flight.
+    pub fn assert_conserved(&self) {
+        let c = &self.counters;
         assert_eq!(
             c.injected + c.mcast_copies,
-            c.delivered + total_drops + self.in_flight,
-            "conservation violated: {counters:?} in_flight={}",
+            c.delivered + c.total_drops() + self.in_flight,
+            "conservation violated: {c:?} in_flight={}",
             self.in_flight
         );
     }

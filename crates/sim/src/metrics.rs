@@ -300,15 +300,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Overwrite a counter's value (used when mirroring a counter that is
-    /// maintained elsewhere into the registry at quiescence).
-    #[inline]
-    pub fn set_counter(&mut self, id: CounterId, v: u64) {
-        if self.enabled {
-            self.counters[id.0].value = v;
-        }
-    }
-
     /// Set a gauge's instantaneous value (high-water mark kept).
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, v: u64) {
@@ -353,7 +344,7 @@ impl MetricsRegistry {
     }
 
     /// Look up a counter's current value by scope and name (slow path, for
-    /// tests and cross-target conformance checks).
+    /// tests).
     pub fn counter_value(&self, scope: &str, name: &str) -> Option<u64> {
         let si = self.scopes.iter().position(|s| s == scope)?;
         self.counters
@@ -405,18 +396,48 @@ impl MetricsRegistry {
     /// Scope and metric order is registration order (deterministic), so the
     /// encoded JSON is byte-stable for a given simulation.
     pub fn to_json(&self) -> Value {
+        self.to_json_with(&[], &[])
+    }
+
+    /// [`MetricsRegistry::to_json`] plus values whose owner is not the
+    /// registry, read by the caller at this moment: `counters` rows are
+    /// `(scope, name, value)`, `gauges` rows `(scope, name, value, hwm)`.
+    /// Each lands in its (already registered) scope after the registry's
+    /// own entries, in slice order. A disabled registry reports nothing,
+    /// so the rows keep their names and read 0.
+    pub fn to_json_with(
+        &self,
+        derived_counters: &[(&str, &str, u64)],
+        derived_gauges: &[(&str, &str, u64, u64)],
+    ) -> Value {
+        let known = |s: &str| self.scopes.iter().any(|n| n == s);
+        debug_assert!(
+            derived_counters.iter().all(|&(s, ..)| known(s))
+                && derived_gauges.iter().all(|&(s, ..)| known(s)),
+            "derived metric in an unregistered scope"
+        );
+        let on = |v: u64| if self.enabled { v } else { 0 };
+        let gauge_json = |value: u64, hwm: u64| {
+            let mut o = Map::new();
+            o.insert("value".into(), Value::U64(value));
+            o.insert("hwm".into(), Value::U64(hwm));
+            Value::Object(o)
+        };
         let mut scopes = Map::new();
         for (si, sname) in self.scopes.iter().enumerate() {
             let mut counters = Map::new();
             for c in self.counters.iter().filter(|c| c.scope == si) {
                 counters.insert(c.name.clone(), Value::U64(c.value));
             }
+            for &(_, name, v) in derived_counters.iter().filter(|&&(s, ..)| s == sname) {
+                counters.insert(name.into(), Value::U64(on(v)));
+            }
             let mut gauges = Map::new();
             for g in self.gauges.iter().filter(|g| g.scope == si) {
-                let mut o = Map::new();
-                o.insert("value".into(), Value::U64(g.value.value));
-                o.insert("hwm".into(), Value::U64(g.value.hwm));
-                gauges.insert(g.name.clone(), Value::Object(o));
+                gauges.insert(g.name.clone(), gauge_json(g.value.value, g.value.hwm));
+            }
+            for &(_, name, v, hwm) in derived_gauges.iter().filter(|&&(s, ..)| s == sname) {
+                gauges.insert(name.into(), gauge_json(on(v), on(hwm)));
             }
             let mut hists = Map::new();
             for h in self.hists.iter().filter(|h| h.scope == si) {
@@ -522,6 +543,26 @@ mod tests {
             .expect("gauge exported");
         assert_eq!(gj.get("value").and_then(|v| v.as_u64()), Some(3));
         assert_eq!(gj.get("hwm").and_then(|v| v.as_u64()), Some(10));
+    }
+
+    #[test]
+    fn derived_rows_follow_the_registry_and_a_disabled_one_reports_zero() {
+        let export = |mut m: MetricsRegistry| {
+            let s = m.scope("tm");
+            let c = m.counter(s, "native");
+            m.inc(c);
+            let json = m.to_json_with(&[("tm", "drops", 7)], &[("tm", "cells", 3, 9)]);
+            serde_json::to_string(&json).unwrap()
+        };
+        let on = export(MetricsRegistry::new_enabled());
+        assert!(on.contains(r#""counters":{"native":1,"drops":7}"#), "{on}");
+        assert!(on.contains(r#""cells":{"value":3,"hwm":9}"#), "{on}");
+        let off = export(MetricsRegistry::new_disabled());
+        assert!(
+            off.contains(r#""counters":{"native":0,"drops":0}"#),
+            "{off}"
+        );
+        assert!(off.contains(r#""cells":{"value":0,"hwm":0}"#), "{off}");
     }
 
     #[test]

@@ -112,10 +112,6 @@ pub enum DropReason {
     NoDecision,
     /// The forwarding decision named a port that does not exist.
     BadPort,
-    /// Reserved: dropped at a live-migration fence. The current protocol
-    /// *holds* fenced packets instead of dropping them, so this count must
-    /// stay zero — the forensics cross-check asserts exactly that.
-    MigrationFence,
 }
 
 impl DropReason {
@@ -129,7 +125,6 @@ impl DropReason {
             DropReason::Filtered => "filtered",
             DropReason::NoDecision => "no_decision",
             DropReason::BadPort => "bad_port",
-            DropReason::MigrationFence => "migration_fence",
         }
     }
 
@@ -544,9 +539,9 @@ impl JourneyTracer {
     }
 
     /// Exact drop totals aggregated per `(reason label, tm)` — what the
-    /// forensics report cross-checks against the metrics registry (the
-    /// registry counts per reason and TM, not per queue or site). See
-    /// [`drop_counter_candidates`] for the counter each pair mirrors.
+    /// forensics report cross-checks against the switch's counters (which
+    /// count per reason and TM, not per queue or site). See
+    /// [`drop_counter_candidates`] for the counter each pair must equal.
     pub fn drop_totals_by_reason(&self) -> BTreeMap<(&'static str, u8), u64> {
         let mut out: BTreeMap<(&'static str, u8), u64> = BTreeMap::new();
         for (&(_, reason), &n) in &self.drop_counts {
@@ -741,13 +736,11 @@ fn ctx_json(o: &mut Map, ctx: &HopCtx) {
     }
 }
 
-/// The registry counter each forensic drop reason mirrors, as `(reason,
+/// The exported counter each forensic drop reason must equal, as `(reason,
 /// tm) -> [(scope, name)]` candidates — the first scope present in a
 /// metrics block wins (ADCP scopes its TMs `tm1`/`tm2`; the RMT
-/// baseline's single TM is scoped `tm` and mapped onto tm 1). This is the
-/// single source of truth for the forensics ≡ registry cross-check; the
-/// bench harness (JSON-level forensics report) and the serving daemon
-/// (native zero-drift soak check) both consume it.
+/// baseline's single TM is scoped `tm` and mapped onto tm 1). The bench
+/// harness's JSON-level forensics report reads it.
 pub fn drop_counter_candidates(reason: &str, tm: u64) -> &'static [(&'static str, &'static str)] {
     match (reason, tm) {
         ("fcs_bad", _) => &[("mac", "fcs_drops")],
@@ -763,11 +756,10 @@ pub fn drop_counter_candidates(reason: &str, tm: u64) -> &'static [(&'static str
     }
 }
 
-/// Every `(reason, tm)` a forensics ≡ registry cross-check must consider
+/// Every `(reason, tm)` a forensics ≡ counters cross-check must consider
 /// even when the forensic side recorded nothing — a counter that moved
 /// without a matching forensic record is exactly the failure mode to
-/// catch. (`migration_fence` has no mirrored counter; it must stay absent
-/// on both sides.)
+/// catch.
 pub const DROP_CHECK_REASONS: &[(&str, u64)] = &[
     ("fcs_bad", 0),
     ("parse_error", 0),
@@ -778,7 +770,6 @@ pub const DROP_CHECK_REASONS: &[(&str, u64)] = &[
     ("queue_tail", 2),
     ("buffer_exhausted", 1),
     ("buffer_exhausted", 2),
-    ("migration_fence", 0),
 ];
 
 #[cfg(test)]

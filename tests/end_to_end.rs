@@ -179,11 +179,7 @@ fn incast_overload_conserves() {
     sw.check_conservation();
     assert!(sw.counters.delivered > 0);
     assert!(
-        sw.counters.tm1_drops
-            + sw.counters.tm1_queue_drops
-            + sw.counters.tm2_drops
-            + sw.counters.tm2_queue_drops
-            > 0,
+        sw.counters.tm[0].total() + sw.counters.tm[1].total() > 0,
         "a 16-cell buffer must overflow under a 2000-packet incast"
     );
 }

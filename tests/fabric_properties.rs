@@ -176,7 +176,7 @@ fn conservation_holds_fabric_wide_under_faults() {
             assert_eq!(c.bad_port, 0, "seed {seed:#x} {name}: bad_port");
             assert_eq!(c.filtered, 0, "seed {seed:#x} {name}: filtered");
             assert_eq!(
-                c.tm1_drops + c.tm1_queue_drops + c.tm2_drops + c.tm2_queue_drops,
+                c.tm[0].total() + c.tm[1].total(),
                 0,
                 "seed {seed:#x} {name}: TM/queue drops"
             );
@@ -290,18 +290,18 @@ fn journeys_chain_across_switches() {
 }
 
 /// On every device, forensic drop totals reconstructed from the journey
-/// trace agree with the metrics registry (skipped per device only when the
+/// trace agree with the exported counters (skipped per device only when the
 /// tracer/registry is env-disabled, in which case there is nothing to
 /// check — same contract as the conformance harness).
 #[test]
 fn forensics_agree_with_metrics_on_every_switch() {
     let run = run_faulty(0xF0E5_FAB5);
     for (name, sw) in devices(&run.fabric) {
-        match forensics(&sw.trace_json(), &sw.metrics().to_json()) {
+        match forensics(&sw.trace_json(), &sw.metrics_json()) {
             None => {}
             Some(f) => assert!(
                 f.ok(),
-                "{name}: forensics disagree with the registry: {}",
+                "{name}: forensics disagree with the counters: {}",
                 f.mismatches.join("; ")
             ),
         }

@@ -131,9 +131,9 @@ fn run_one(
     let mut inj = FaultInjector::new(fault_cfg(&mut rng), SimRng::seed_from(seed ^ 0xFA17));
 
     let entries: Vec<(u16, u16)> = (0..INSTALLED_DSTS).map(|d| (d, d % 8)).collect();
-    let install = |name: &str, sw_install: &mut dyn FnMut(&str, Entry)| {
+    let install = |name: &str, install_into: &mut dyn FnMut(&str, Entry)| {
         for &(dst, port) in &entries {
-            sw_install(
+            install_into(
                 name,
                 Entry {
                     value: MatchValue::Exact(dst.into()),

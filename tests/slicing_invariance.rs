@@ -8,6 +8,9 @@
 //!
 //! Slice points come from the simulator's own seeded [`SimRng`] (the
 //! offline build cannot fetch proptest), so failures reproduce exactly.
+//!
+//! The zero-slice edge rides along: the metrics export must be current
+//! when *no* run has happened since the last inject or control-plane call.
 
 use adcp::core::{AdcpConfig, AdcpSwitch, MigrationStrategy, PartitionMap};
 use adcp::fabric::{demo_fabric, FabricConfig, DEMO_CELLS};
@@ -113,12 +116,12 @@ fn frames(delivered: &[Delivered]) -> String {
     format!("{rows:?}")
 }
 
-/// Everything the shell of a finished switch can show.
-fn shell_state(sw: &mut Shell) -> String {
+/// Everything the shell of a finished switch can show, after the switch's
+/// own `metrics` export.
+fn shell_state(sw: &mut Shell, metrics: String) -> String {
     format!(
-        "{}\n{}\n{}\n{:?}",
+        "{}\n{metrics}\n{}\n{:?}",
         frames(&sw.take_delivered()),
-        serde_json::to_string(&sw.metrics_json()).unwrap(),
         serde_json::to_string(&sw.trace_json()).unwrap(),
         sw.take_postcards(),
     )
@@ -160,7 +163,8 @@ fn run_adcp(seed: u64, cuts: &[SimTime]) -> String {
     let regs: Vec<_> = (0..pipes as usize)
         .map(|p| sw.central_register(p, RegId(0)).unwrap().snapshot())
         .collect();
-    let shell = shell_state(&mut sw);
+    let metrics = serde_json::to_string(&sw.metrics_json()).unwrap();
+    let shell = shell_state(&mut sw, metrics);
     format!(
         "{regs:?}\n{:?}\n{:?}\n{shell}",
         sw.counters,
@@ -195,7 +199,8 @@ fn run_rmt(seed: u64, cuts: &[SimTime]) -> String {
     let regs: Vec<_> = (0..pipes)
         .map(|p| sw.central_register(p, RegId(0)).snapshot())
         .collect();
-    let shell = shell_state(&mut sw);
+    let metrics = serde_json::to_string(&sw.metrics_json()).unwrap();
+    let shell = shell_state(&mut sw, metrics);
     format!("{regs:?}\n{:?}\n{shell}", sw.counters)
 }
 
@@ -272,4 +277,95 @@ fn rmt_is_slicing_invariant() {
 #[test]
 fn fabric_is_slicing_invariant() {
     any_slicing_equals_one_run(3, None, run_fabric);
+}
+
+/// One exported counter, or gauge value when `kind` is `"gauges"`.
+fn exported(metrics: &serde_json::Value, scope: &str, kind: &str, name: &str) -> u64 {
+    let mut path = vec!["scopes", scope, kind, name];
+    if kind == "gauges" {
+        path.push("value");
+    }
+    path.iter()
+        .try_fold(metrics, |v, k| v.get(k))
+        .and_then(|v| v.as_u64())
+        .unwrap_or_else(|| panic!("no {scope}.{name} in the export"))
+}
+
+#[test]
+fn export_is_current_before_any_run() {
+    let (port, pkt, at) = workload(0).swap_remove(0);
+    let mut adcp = AdcpSwitch::new(
+        counting_program(false),
+        TargetModel::adcp_reference(),
+        CompileOptions::default(),
+        AdcpConfig::default(),
+    )
+    .unwrap();
+    let mut rmt = RmtSwitch::new(
+        counting_program(true),
+        TargetModel::rmt_12t(),
+        CompileOptions::default(),
+        RmtConfig::default(),
+    )
+    .unwrap();
+    if !adcp.metrics().enabled() {
+        eprintln!("metrics disabled via env; skipping");
+        return;
+    }
+    adcp.inject(PortId(port), pkt.clone(), at);
+    rmt.inject(PortId(port), pkt, at);
+    assert_eq!((adcp.counters.injected, rmt.counters.injected), (1, 1));
+    for metrics in [adcp.metrics_json(), rmt.metrics_json()] {
+        assert_eq!(exported(&metrics, "rx", "counters", "packets"), 1);
+    }
+}
+
+#[test]
+fn ctrl_scope_follows_an_idle_migration_with_no_run_between() {
+    let mut sw = AdcpSwitch::new(
+        counting_program(false),
+        TargetModel::adcp_reference(),
+        CompileOptions::default(),
+        AdcpConfig::default(),
+    )
+    .unwrap();
+    if !sw.metrics().enabled() {
+        eprintln!("metrics disabled via env; skipping");
+        return;
+    }
+    let pipes = sw.num_central() as u32;
+    let uniform = PartitionMap::uniform(CELLS, pipes);
+    let rotated = PartitionMap::from_buckets(
+        (0..CELLS)
+            .map(|b| (uniform.owner_of_bucket(b) + 1) % pipes)
+            .collect(),
+    );
+    sw.install_partition_map(uniform).unwrap();
+    let ctrl = |sw: &AdcpSwitch| {
+        let m = sw.metrics_json();
+        (
+            exported(&m, "ctrl", "counters", "migrations"),
+            exported(&m, "ctrl", "counters", "moved_keys"),
+            exported(&m, "ctrl", "gauges", "epoch"),
+        )
+    };
+    let owners = |sw: &AdcpSwitch| {
+        let stats = sw.migration_stats();
+        (stats.migrations, stats.moved_keys, sw.partition_epoch())
+    };
+    sw.begin_migration(rotated, MigrationStrategy::Incremental)
+        .unwrap();
+    assert_eq!(
+        owners(&sw),
+        (0, 0, 1),
+        "incremental: the epoch moves at begin"
+    );
+    assert_eq!(ctrl(&sw), owners(&sw));
+    sw.finalize_migration().unwrap();
+    assert_eq!(
+        owners(&sw),
+        (1, CELLS as u64, 1),
+        "every cell changed owner"
+    );
+    assert_eq!(ctrl(&sw), owners(&sw));
 }
