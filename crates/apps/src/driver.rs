@@ -147,8 +147,8 @@ pub struct AppReport {
     pub mat_lookups: u64,
     /// Fraction of lookups that hit an installed entry.
     pub mat_hit_rate: f64,
-    /// Frame buffers the deparser rebuilt (the per-pass allocation left in
-    /// the hot path; payload copies are shared, not reallocated).
+    /// Writeback passes (pipeline traversals that reached their deparser;
+    /// see `Counters::deparse_allocs` — a count of passes, not of buffers).
     pub deparse_allocs: u64,
     /// Latency summary of delivered packets.
     pub latency: LatencySummary,

@@ -879,10 +879,9 @@ impl AdcpSwitch {
     }
 
     /// Deparse the PHV into the packet and move intrinsics into metadata.
-    fn writeback(&mut self, pkt: &mut Packet, phv: Phv, extracted: Vec<HeaderId>, consumed: usize) {
+    fn writeback(&mut self, pkt: &mut Packet, phv: Phv, extracted: Vec<HeaderId>) {
         self.shell.counters.deparse_allocs += 1;
-        let store = &mut self.shell.store;
-        let (central_pipe, _) = self.codec.writeback(store, pkt, phv, extracted, consumed);
+        let (central_pipe, _) = self.codec.writeback(pkt, phv, extracted);
         // A pipeline that names no central pipe keeps the one chosen
         // upstream (TM1 routed on it; later stages must not erase it).
         pkt.meta.central_pipe = central_pipe.or(pkt.meta.central_pipe);
@@ -921,7 +920,7 @@ impl AdcpSwitch {
         let (program, layout) = (&self.codec.program, &self.codec.layout);
         p.state
             .run_with_tables(&self.ing_tables, program, layout, &mut phv);
-        self.writeback(&mut pkt, phv, out.extracted, out.consumed);
+        self.writeback(&mut pkt, phv, out.extracted);
         let stages = self.placement.ingress.depth().max(1) as u64;
         let exit = entry + Duration(stages * self.period.as_ps());
         self.shell.hop(&mut pkt, site, entry, exit, HopCtx::NONE);
@@ -1219,7 +1218,7 @@ impl AdcpSwitch {
         self.release_held_if_drained(now);
         self.shell
             .record_parse(Duration(out.depth as u64 * self.period.as_ps()));
-        self.writeback(&mut pkt, out.phv, out.extracted, out.consumed);
+        self.writeback(&mut pkt, out.phv, out.extracted);
         let stages = self.placement.central.depth().max(1) as u64;
         let exit = entry + Duration(stages * self.period.as_ps());
         let ctx = HopCtx {
@@ -1303,7 +1302,7 @@ impl AdcpSwitch {
         let (program, layout) = (&self.codec.program, &self.codec.layout);
         p.state
             .run_with_tables(&self.eg_tables, program, layout, &mut phv);
-        self.writeback(&mut pkt, phv, out.extracted, out.consumed);
+        self.writeback(&mut pkt, phv, out.extracted);
         let exit = entry + flight;
         self.shell.hop(&mut pkt, site, entry, exit, HopCtx::NONE);
         self.agenda.events.push(exit, Ev::EgressOut { epipe, pkt });

@@ -4,15 +4,19 @@
 //! Everything in `adcp_sim::datapath` moves a packet without reading it;
 //! this is the part that reads it. A [`PacketCodec`] owns the program, its
 //! PHV layout and one recycled parse scratch, turns frame bytes into a PHV
-//! at a pipeline's head ([`PacketCodec::parse`]) and the (possibly
-//! modified) PHV back into frame bytes and metadata at its tail
-//! ([`PacketCodec::writeback`]).
+//! at a pipeline's head ([`PacketCodec::parse`]) and the PHV's
+//! modifications back into frame bytes and metadata at its tail
+//! ([`PacketCodec::writeback`]). No action adds or removes a header, so a
+//! frame keeps its length and layout through a pipeline and the tail only
+//! has to patch the fields the pipeline wrote, where they already sit. The
+//! full rebuild, [`crate::parser::deparse`], is the reference this is
+//! checked against — on every traversal of a debug build.
 
-use crate::header::HeaderId;
-use crate::parser::{deparse_into, ParseError, ParseOutcome};
+use crate::header::{deposit_bits, FieldId, FieldRef, HeaderId};
+use crate::parser::{ParseError, ParseOutcome};
 use crate::phv::{Phv, PhvLayout};
 use crate::program::Program;
-use adcp_sim::packet::{FrameBuf, Packet, PacketStore};
+use adcp_sim::packet::Packet;
 use std::sync::Arc;
 
 /// A switch's program plus the parse/deparse state around it.
@@ -64,31 +68,43 @@ impl PacketCodec {
         Ok(out)
     }
 
-    /// Deparse: the pipeline's modifications become the packet. The
-    /// rebuilt frame goes into a buffer recycled through `store`; the
-    /// packet's previous buffer (when exclusively owned) returns to it.
+    /// Deparse: the pipeline's modifications become the packet. Each field
+    /// written since the parse is deposited at its wire offset in the
+    /// packet's own buffer; a pass that wrote nothing touches no byte, and
+    /// a shared (multicast) frame is copied once, at its first such field.
     #[inline]
-    pub fn deparse(
-        &self,
-        store: &mut PacketStore,
-        pkt: &mut Packet,
-        phv: &Phv,
-        extracted: &[HeaderId],
-        consumed: usize,
-    ) {
-        let mut buf = store.take();
-        let payload = &pkt.data[consumed.min(pkt.data.len())..];
-        deparse_into(
-            &mut buf,
-            &self.program.headers,
-            &self.layout,
-            phv,
-            extracted,
-            payload,
-        );
-        if let FrameBuf::Owned(v) = std::mem::replace(&mut pkt.data, FrameBuf::Owned(buf)) {
-            store.recycle(v);
+    pub fn deparse(&self, pkt: &mut Packet, phv: &Phv, extracted: &[HeaderId]) {
+        let headers = &self.program.headers;
+        #[cfg(debug_assertions)]
+        let rebuilt = {
+            let consumed: u32 = extracted
+                .iter()
+                .map(|h| headers[h.0 as usize].total_bytes())
+                .sum();
+            let payload = &pkt.data[consumed as usize..];
+            crate::parser::deparse(headers, &self.layout, phv, extracted, payload)
+        };
+        if !phv.is_clean() {
+            let mut off = 0u32;
+            for h in extracted {
+                for (fi, f) in headers[h.0 as usize].fields.iter().enumerate() {
+                    let field = FieldRef::new(*h, FieldId(fi as u16));
+                    if let Some(vals) = phv.written(&self.layout, field) {
+                        let frame = pkt.data.make_mut();
+                        for (e, &v) in vals.iter().enumerate() {
+                            let at = off + e as u32 * f.bits as u32;
+                            let ok = deposit_bits(frame, at, f.bits, v);
+                            debug_assert!(ok, "the parser read this field from this frame");
+                        }
+                    }
+                    off += f.total_bits();
+                }
+                // The parser steps header by header in whole bytes.
+                off = off.next_multiple_of(8);
+            }
         }
+        #[cfg(debug_assertions)]
+        assert_eq!(&pkt.data[..], &rebuilt[..], "patch != rebuild");
         pkt.meta.elements = pkt.meta.elements.max(phv.intr.elements);
     }
 
@@ -105,13 +121,11 @@ impl PacketCodec {
     #[inline]
     pub fn writeback(
         &mut self,
-        store: &mut PacketStore,
         pkt: &mut Packet,
         mut phv: Phv,
         extracted: Vec<HeaderId>,
-        consumed: usize,
     ) -> (Option<u32>, bool) {
-        self.deparse(store, pkt, &phv, &extracted, consumed);
+        self.deparse(pkt, &phv, &extracted);
         pkt.meta.egress = std::mem::take(&mut phv.intr.egress);
         if let Some(k) = phv.intr.sort_key {
             pkt.meta.sort_key = Some(k);
@@ -119,5 +133,67 @@ impl PacketCodec {
         let choices = (phv.intr.central_pipe, phv.intr.recirculate);
         self.recycle(phv, extracted);
         choices
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::header::{FieldDef, HeaderDef};
+    use crate::parser::{deparse, ParserSpec, ParserState, StateId, Transition};
+    use crate::program::ProgramBuilder;
+    use adcp_sim::packet::FlowId;
+
+    /// `states` extractions of one `tag:8, val:16` header, then accept.
+    fn codec(states: u16) -> PacketCodec {
+        let mut b = ProgramBuilder::new("t");
+        let fields = vec![FieldDef::scalar("tag", 8), FieldDef::scalar("val", 16)];
+        let h = b.header(HeaderDef::new("h", fields));
+        let state = |i| ParserState {
+            extracts: h,
+            transition: if i + 1 == states {
+                Transition::Accept
+            } else {
+                Transition::Goto(StateId(i + 1))
+            },
+        };
+        b.parser(ParserSpec {
+            states: (0..states).map(state).collect(),
+        });
+        PacketCodec::new(b.build())
+    }
+
+    fn val() -> FieldRef {
+        FieldRef::new(HeaderId(0), FieldId(1))
+    }
+
+    #[test]
+    fn every_parse_hands_out_a_clean_phv() {
+        let mut c = codec(1);
+        let mut pkt = Packet::new(1, FlowId(1), [1, 2, 3, 0xEE]);
+        let out = c.parse(&pkt).unwrap();
+        assert!(out.phv.is_clean(), "extraction is not a write");
+        let mut phv = out.phv;
+        phv.set(&c.layout, val(), 0xABCD);
+        assert!(!phv.is_clean());
+        c.writeback(&mut pkt, phv, out.extracted);
+        assert_eq!(&pkt.data[..], &[1, 0xAB, 0xCD, 0xEE]);
+        // The recycled scratch was dirty; the next PHV is not.
+        assert!(c.parse(&pkt).unwrap().phv.is_clean());
+    }
+
+    #[test]
+    fn header_extracted_twice_is_written_back_at_both() {
+        let mut c = codec(2);
+        let mut pkt = Packet::new(1, FlowId(1), [1, 2, 3, 4, 5, 6, 0xEE]);
+        let out = c.parse(&pkt).unwrap();
+        // The PHV holds the second instance; the rebuild replays it twice.
+        assert_eq!(out.phv.get(&c.layout, val()), 0x0506);
+        let payload = &pkt.data[out.consumed..];
+        let headers = &c.program.headers;
+        let want = deparse(headers, &c.layout, &out.phv, &out.extracted, payload);
+        c.writeback(&mut pkt, out.phv, out.extracted);
+        assert_eq!(&pkt.data[..], &[4, 5, 6, 4, 5, 6, 0xEE]);
+        assert_eq!(&pkt.data[..], &want[..]);
     }
 }

@@ -92,7 +92,10 @@ pub struct ParseOutcome {
 
 /// Reassemble a packet from a (possibly modified) PHV: the extracted
 /// headers are re-serialized in wire order, followed by the untouched
-/// payload. This is the deparser at the end of each pipeline.
+/// payload. This is the reference deparser: the switches patch written
+/// fields in place (`PacketCodec::deparse`), and the reference interpreter,
+/// the property tests and every debug-build traversal compare that against
+/// this rebuild.
 pub fn deparse(
     headers: &[HeaderDef],
     layout: &PhvLayout,
@@ -105,8 +108,9 @@ pub fn deparse(
     out
 }
 
-/// [`deparse`] into a caller-supplied buffer (cleared first), so hot paths
-/// can recycle frame buffers instead of allocating one per traversal.
+/// [`deparse`] into a caller-supplied buffer (cleared first). `pub` only
+/// because the frozen `benchmark/src/probes.rs` spells it, like
+/// `adcp_sim::packet::PacketStore` (see there).
 pub fn deparse_into(
     out: &mut Vec<u8>,
     headers: &[HeaderDef],
@@ -168,7 +172,8 @@ impl ParserSpec {
     /// [`ParserSpec::parse`], but recycling a scratch PHV and extraction
     /// list from a previous outcome — hot paths avoid the per-traversal
     /// field-vector allocations. The scratch values are reshaped to the
-    /// layout's zero state first, so any previous contents are irrelevant.
+    /// layout's zero state first, so any previous contents are irrelevant,
+    /// and the PHV is handed out with an empty dirty set.
     pub fn parse_reusing(
         &self,
         headers: &[HeaderDef],
@@ -182,12 +187,14 @@ impl ParserSpec {
         let mut offset = 0usize;
         let mut state = StateId(0);
         let mut depth = 0u32;
+        let mut repeated = false;
         loop {
             depth += 1;
             if depth > self.states.len() as u32 {
                 return Err(ParseError::DepthExceeded);
             }
             let st = &self.states[state.0 as usize];
+            repeated |= phv.is_valid(st.extracts);
             let hdr = &headers[st.extracts.0 as usize];
             let hdr_bytes = hdr.total_bytes() as usize;
             if offset + hdr_bytes > data.len() {
@@ -217,12 +224,18 @@ impl ParserSpec {
             offset += hdr_bytes;
             match &st.transition {
                 Transition::Accept => {
+                    // Extraction is not a write — unless a header was
+                    // extracted twice: the PHV holds its last instance and
+                    // the deparser replays that at both, so all stays dirty.
+                    if !repeated {
+                        phv.clear_dirty();
+                    }
                     return Ok(ParseOutcome {
                         phv,
                         consumed: offset,
                         depth,
                         extracted,
-                    })
+                    });
                 }
                 Transition::Goto(next) => state = *next,
                 Transition::Select {

@@ -102,8 +102,14 @@ impl PhvLayout {
                 .map(|&(_, c)| vec![0u64; c as usize])
                 .collect(),
             valid: vec![false; self.headers],
+            dirty: vec![0; self.dirty_words()],
             intr: Intrinsics::default(),
         }
+    }
+
+    /// Words of a dirty set: one bit per slot, scalars first.
+    fn dirty_words(&self) -> usize {
+        (self.scalar_widths.len() + self.array_dims.len()).div_ceil(64)
     }
 
     /// Reshape a recycled [`Phv`] to this layout in place — the zero-state
@@ -123,6 +129,8 @@ impl PhvLayout {
         }
         phv.valid.clear();
         phv.valid.resize(self.headers, false);
+        phv.dirty.clear();
+        phv.dirty.resize(self.dirty_words(), 0);
         phv.intr = Intrinsics::default();
     }
 }
@@ -148,13 +156,26 @@ pub struct Intrinsics {
 }
 
 /// A per-packet header vector instance.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Phv {
     scalars: Vec<u64>,
     arrays: Vec<Vec<u64>>,
     valid: Vec<bool>,
+    /// Slots written since the parse, one bit each (scalars first; a whole
+    /// array slot is one bit): what the deparser has to put back on the
+    /// wire. Bookkeeping, not part of the PHV's value.
+    dirty: Vec<u64>,
     /// Intrinsic metadata.
     pub intr: Intrinsics,
+}
+
+/// Two PHVs are equal when they hold the same values, whichever writes got
+/// them there.
+impl PartialEq for Phv {
+    fn eq(&self, o: &Phv) -> bool {
+        (&self.scalars, &self.arrays, &self.valid, &self.intr)
+            == (&o.scalars, &o.arrays, &o.valid, &o.intr)
+    }
 }
 
 impl Phv {
@@ -166,6 +187,7 @@ impl Phv {
             scalars: Vec::new(),
             arrays: Vec::new(),
             valid: Vec::new(),
+            dirty: Vec::new(),
             intr: Intrinsics::default(),
         }
     }
@@ -197,33 +219,48 @@ impl Phv {
         }
     }
 
-    /// Write a scalar field, masking to the field width.
+    /// Write a scalar field (element 0 of arrays), masking to the field
+    /// width.
     pub fn set(&mut self, layout: &PhvLayout, f: FieldRef, v: u64) {
-        match layout.slots[&f] {
-            Slot::Scalar(i) => {
-                let w = layout.scalar_widths[i];
-                self.scalars[i] = mask_to(v, w);
-            }
-            Slot::Array(i) => {
-                let (w, _) = layout.array_dims[i];
-                self.arrays[i][0] = mask_to(v, w);
-            }
-        }
+        self.set_elem(layout, f, 0, v);
     }
 
-    /// Write one element of an array field.
+    /// Write one element of a field, masking to the field width, and mark
+    /// the field's slot dirty.
     pub fn set_elem(&mut self, layout: &PhvLayout, f: FieldRef, elem: usize, v: u64) {
-        match layout.slots[&f] {
+        let (cell, w, bit) = match layout.slots[&f] {
             Slot::Scalar(i) => {
                 debug_assert_eq!(elem, 0);
-                let w = layout.scalar_widths[i];
-                self.scalars[i] = mask_to(v, w);
+                (&mut self.scalars[i], layout.scalar_widths[i], i)
             }
             Slot::Array(i) => {
-                let (w, _) = layout.array_dims[i];
-                self.arrays[i][elem] = mask_to(v, w);
+                let bit = self.scalars.len() + i;
+                (&mut self.arrays[i][elem], layout.array_dims[i].0, bit)
             }
-        }
+        };
+        *cell = mask_to(v, w);
+        self.dirty[bit / 64] |= 1 << (bit % 64);
+    }
+
+    /// Forget every write so far: the parser hands a PHV out this way,
+    /// because extraction puts nothing in it that the frame does not hold.
+    pub fn clear_dirty(&mut self) {
+        self.dirty.fill(0);
+    }
+
+    /// The elements of `f` if it was written since the parse (`None` for an
+    /// untouched field) — what the deparser patches into the frame.
+    pub fn written<'a>(&'a self, layout: &PhvLayout, f: FieldRef) -> Option<&'a [u64]> {
+        let (bit, vals) = match layout.slots[&f] {
+            Slot::Scalar(i) => (i, std::slice::from_ref(&self.scalars[i])),
+            Slot::Array(i) => (self.scalars.len() + i, &self.arrays[i][..]),
+        };
+        ((self.dirty[bit / 64] >> (bit % 64)) & 1 == 1).then_some(vals)
+    }
+
+    /// True if nothing was written since the parse.
+    pub fn is_clean(&self) -> bool {
+        self.dirty.iter().all(|&w| w == 0)
     }
 
     /// Mark a header as present in this packet.
@@ -316,6 +353,42 @@ mod tests {
         assert!(phv.is_valid(HeaderId(0)));
         assert!(!phv.is_valid(HeaderId(1)));
         assert!(!phv.is_valid(HeaderId(9)), "unknown header is not valid");
+    }
+
+    #[test]
+    fn dirty_set_tracks_slots_not_values() {
+        let (_, l) = layout();
+        let all = [fr(0, 0), fr(0, 1), fr(1, 0), fr(1, 1)];
+        let mut phv = l.instantiate();
+        assert!(phv.is_clean());
+        // Lane 7 of the array marks the array's slot and no other.
+        phv.set_elem(&l, fr(1, 1), 7, 5);
+        assert!(!phv.is_clean());
+        assert_eq!(
+            phv.written(&l, fr(1, 1)),
+            Some(&[0, 0, 0, 0, 0, 0, 0, 5][..])
+        );
+        for f in &all[..3] {
+            assert_eq!(phv.written(&l, *f), None, "{f}");
+        }
+        // A scalar write marks its own slot; the value handed back is masked.
+        phv.set(&l, fr(0, 1), 0x1_FFFF);
+        assert_eq!(phv.written(&l, fr(0, 1)), Some(&[0xFFFF][..]));
+        assert_eq!(phv.written(&l, fr(0, 0)), None);
+        // Dirty bits are not part of the value: same values, different routes.
+        let mut other = l.instantiate();
+        other.set_elem(&l, fr(1, 1), 7, 5);
+        other.set(&l, fr(0, 1), 0xFFFF);
+        other.clear_dirty();
+        assert!(other.is_clean());
+        assert_eq!(phv, other);
+        other.set(&l, fr(0, 0), 1);
+        assert_ne!(phv, other);
+        // Recycling hands back an empty set, whatever the PHV held.
+        l.reinstantiate(&mut phv);
+        assert!(phv.is_clean());
+        assert!(all.iter().all(|f| phv.written(&l, *f).is_none()));
+        assert_eq!(phv, l.instantiate());
     }
 
     #[test]

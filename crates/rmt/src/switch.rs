@@ -395,10 +395,7 @@ impl RmtSwitch {
         };
         state.run_with_tables(tables, &self.codec.program, &self.codec.layout, &mut phv);
         self.shell.counters.deparse_allocs += 1;
-        let store = &mut self.shell.store;
-        let (central_pipe, recirculate) =
-            self.codec
-                .writeback(store, &mut pkt, phv, out.extracted, out.consumed);
+        let (central_pipe, recirculate) = self.codec.writeback(&mut pkt, phv, out.extracted);
         // The pass's choices replace the metadata's (the ADCP keeps an
         // upstream `central_pipe`): only the recirculation edge right after
         // pass 0 reads them here, and delivered metadata shows which.
@@ -540,9 +537,7 @@ impl RmtSwitch {
         }
         // Only the frame is written back: the forwarding decision was made
         // at the TM and stays `dest`.
-        let store = &mut self.shell.store;
-        self.codec
-            .deparse(store, &mut pkt, &phv, &out.extracted, out.consumed);
+        self.codec.deparse(&mut pkt, &phv, &out.extracted);
         self.shell.counters.deparse_allocs += 1;
         self.codec.recycle(phv, out.extracted);
         let Some(port) = dest else {

@@ -2,8 +2,8 @@
 //! everything that moves a packet without reading it.
 //!
 //! * [`Shell`] — the device around the pipelines: RX/TX ports, the traffic
-//!   managers' buffers, the frame arena, and every observer (journey
-//!   tracer, INT, metrics registry, delivery record). Each packet–stage
+//!   managers' buffers, and every observer (journey tracer, INT, metrics
+//!   registry, delivery record). Each packet–stage
 //!   crossing is reported through [`Shell::hop`] and each death through
 //!   [`Shell::drop_pkt`] or a refused [`Shell::tm_admit`], so a counter
 //!   bump, an in-flight decrement and a forensic record cannot be written
@@ -19,7 +19,7 @@
 use crate::event::EventQueue;
 use crate::int::{IntFlowTable, IntKnob, IntStack, IntStamp, Postcard, POSTCARDS_CAP};
 use crate::metrics::{HistId, MetricsRegistry, SeriesId};
-use crate::packet::{EgressSpec, FrameBuf, Packet, PacketMeta, PacketStore, PortId};
+use crate::packet::{EgressSpec, FrameBuf, Packet, PacketMeta, PortId};
 use crate::port::{LinkSpeed, RxPort, TxPort};
 use crate::queue::BufferPool;
 use crate::sched::ScheduledQueues;
@@ -74,9 +74,10 @@ pub struct Counters {
     pub mat_lookups: u64,
     /// Match-table lookups that hit an installed entry.
     pub mat_hits: u64,
-    /// Frame buffers rebuilt by the deparser — the hot path's remaining
-    /// per-pass allocation (delivery and multicast copies share payload
-    /// buffers instead of allocating).
+    /// Writeback passes: one per pipeline traversal that reached its
+    /// deparser. A count of passes, not of buffers — a pass patches the
+    /// frame in place and allocates nothing; the name stays because every
+    /// golden and the frozen benchmark read the count under it.
     pub deparse_allocs: u64,
     /// Recirculation passes taken (always 0 on a target without the edge).
     pub recirc_passes: u64,
@@ -238,8 +239,6 @@ pub struct Shell {
     tms: Vec<Tm>,
     /// Flow and drop accounting.
     pub counters: Counters,
-    /// Recycling arena for deparse frame buffers.
-    pub store: PacketStore,
     /// Throughput/goodput/keys meter over delivered packets.
     pub out_meter: Meter,
     /// End-to-end latency (created -> last bit out).
@@ -301,7 +300,6 @@ impl Shell {
                 .collect(),
             tms,
             counters: Counters::default(),
-            store: PacketStore::new(),
             out_meter: Meter::default(),
             latency: LatencyHist::new(),
             tracer: JourneyTracer::from_env(spec.trace, 65_536),

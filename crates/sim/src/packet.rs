@@ -196,13 +196,13 @@ pub fn frame_check(data: &[u8]) -> u64 {
 /// shared immutable one.
 ///
 /// The hot path — deparse writeback at the end of every pipeline traversal
-/// — wants an *owned* `Vec<u8>` it can recycle through a [`PacketStore`]
-/// instead of allocating a fresh `Arc<[u8]>` (allocation + full copy) per
-/// traversal. The multicast path wants *shared* bytes so replicating a
-/// packet to `n` ports bumps a refcount `n` times instead of copying the
-/// frame `n` times. This enum gives each path its shape: buffers start
-/// `Owned`, [`FrameBuf::make_shared`] converts once before a fan-out, and
-/// clones of a `Shared` buffer stay cheap.
+/// — patches the fields the pipeline wrote into an *owned* `Vec<u8>` in
+/// place. The multicast path wants *shared* bytes so replicating a packet
+/// to `n` ports bumps a refcount `n` times instead of copying the frame `n`
+/// times. This enum gives each path its shape: buffers start `Owned`,
+/// [`FrameBuf::make_shared`] converts once before a fan-out, clones of a
+/// `Shared` buffer stay cheap, and [`FrameBuf::make_mut`] gives a copy its
+/// own bytes back the first time a pipeline writes to it.
 #[derive(Debug, Clone)]
 pub enum FrameBuf {
     /// Exclusively owned, mutable in place, recyclable.
@@ -229,12 +229,16 @@ impl FrameBuf {
         }
     }
 
-    /// Take the owned buffer out for recycling, if this frame is the
-    /// exclusive owner of its bytes.
-    pub fn take_owned(&mut self) -> Option<Vec<u8>> {
+    /// The bytes, writable in place. Copy-on-write: a shared frame becomes
+    /// an owned copy first (one allocation + copy, so that the sibling
+    /// clones never see the write); an owned one is handed out as is.
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        if let FrameBuf::Shared(a) = self {
+            *self = FrameBuf::Owned(a.to_vec());
+        }
         match self {
-            FrameBuf::Owned(v) => Some(std::mem::take(v)),
-            FrameBuf::Shared(_) => None,
+            FrameBuf::Owned(v) => v,
+            FrameBuf::Shared(_) => unreachable!("made owned above"),
         }
     }
 }
@@ -276,23 +280,17 @@ impl<const N: usize> From<[u8; N]> for FrameBuf {
 
 /// Recycling arena for frame buffers.
 ///
-/// Each switch owns one; the deparser takes a cleared buffer from the free
-/// list instead of allocating, and writeback/delivery paths return the
-/// packet's previous owned buffer to it. Under steady load the free list
-/// reaches the in-flight high-water mark and the per-traversal allocation
-/// rate drops to zero (the `deparse_allocs` counter keeps reporting
-/// *logical* rebuilds, which is what the conformance goldens pin).
+/// Nothing on the run path uses one: writeback patches a frame in its own
+/// buffer, so there is no per-pass buffer to hand out or take back. Like
+/// `adcp_lang::deparse_into`, it stays `pub` only because the frozen
+/// `benchmark/src/probes.rs` spells it (`sim.store_ns_per_frame`); both go
+/// with the probe at the next `benchmark` PR.
 #[derive(Debug, Default)]
 pub struct PacketStore {
     free: Vec<Vec<u8>>,
-    /// Buffers handed out (logical rebuilds served by the arena).
-    pub taken: u64,
-    /// Hand-outs served from the free list rather than a fresh allocation.
-    pub recycled: u64,
 }
 
-/// Free-list depth cap: past this the arena stops hoarding. Generous
-/// relative to realistic in-flight packet counts; it only bounds pathology.
+/// Free-list depth cap: past this the arena stops hoarding.
 const STORE_MAX_FREE: usize = 4096;
 
 impl PacketStore {
@@ -303,14 +301,7 @@ impl PacketStore {
 
     /// Get an empty buffer, reusing a recycled one when available.
     pub fn take(&mut self) -> Vec<u8> {
-        self.taken += 1;
-        match self.free.pop() {
-            Some(buf) => {
-                self.recycled += 1;
-                buf
-            }
-            None => Vec::new(),
-        }
+        self.free.pop().unwrap_or_default()
     }
 
     /// Return a buffer to the free list (cleared, capacity kept).
@@ -320,19 +311,13 @@ impl PacketStore {
             self.free.push(buf);
         }
     }
-
-    /// Buffers currently parked in the free list.
-    pub fn free_len(&self) -> usize {
-        self.free.len()
-    }
 }
 
 /// A simulated packet: bytes plus metadata.
 ///
 /// The payload is a [`FrameBuf`]: owned along the straight-line pipeline
-/// path (so deparse writeback can recycle buffers through a
-/// [`PacketStore`]), converted to shared refcounted bytes once when a
-/// multicast fan-out is about to clone it.
+/// path (so deparse writeback can patch it in place), converted to shared
+/// refcounted bytes once when a multicast fan-out is about to clone it.
 #[derive(Debug, Clone)]
 pub struct Packet {
     /// Frame contents (headers followed by payload).

@@ -382,14 +382,15 @@ fn freq_period_roundtrip() {
 /// exactly (the end of each pipeline is a lossless re-serialization).
 mod parse_roundtrip {
     use super::*;
-    use adcp::lang::{HeaderId, ParserSpec};
+    use adcp::lang::{FieldId, FieldRef, HeaderId, PacketCodec, ParserSpec, ProgramBuilder};
+    use adcp::sim::packet::FrameBuf;
 
-    fn arb_header(rng: &mut SimRng) -> HeaderDef {
+    fn arb_header(rng: &mut SimRng, max_count: u16) -> HeaderDef {
         let nfields = rng.range(1usize..5);
         let mut fs: Vec<FieldDef> = (0..nfields)
             .map(|i| {
                 let bits = rng.range(1u8..=32);
-                let count = rng.range(1u16..=4);
+                let count = rng.range(1u16..=max_count);
                 if count > 1 {
                     FieldDef::array(format!("f{i}"), bits, count)
                 } else {
@@ -411,7 +412,7 @@ mod parse_roundtrip {
         let mut rng = SimRng::seed_from(0x9A25);
         let mut tried = 0;
         while tried < CASES {
-            let headers = vec![arb_header(&mut rng)];
+            let headers = vec![arb_header(&mut rng, 4)];
             let layout = PhvLayout::build(&headers);
             let spec = ParserSpec::single(HeaderId(0));
             let need = headers[0].total_bytes() as usize;
@@ -432,6 +433,65 @@ mod parse_roundtrip {
                 &data[out.consumed..],
             );
             assert_eq!(rebuilt, data);
+        }
+    }
+
+    /// The switches' deparser patches the fields a pipeline wrote into the
+    /// packet's own buffer; `adcp::lang::deparse` rebuilds the whole frame.
+    /// Same bytes for any header shape (arrays up to 33 wide), any subset of
+    /// fields written, any values (wider than the field: masked) — for an
+    /// owned frame and for a shared multicast copy, whose sibling must not
+    /// see the write. Nothing written: no byte moves and no buffer changes.
+    #[test]
+    fn writeback_in_place_matches_rebuild() {
+        let mut rng = SimRng::seed_from(0x1B17);
+        for case in 0..CASES {
+            let mut b = ProgramBuilder::new("p");
+            let h = b.header(arb_header(&mut rng, 33));
+            b.parser(ParserSpec::single(h));
+            let mut codec = PacketCodec::new(b.build());
+            let fields = codec.program.headers[0].fields.clone();
+            let len = codec.program.headers[0].total_bytes() as usize + rng.range(0usize..64);
+            let data: Vec<u8> = (0..len).map(|_| rng.range(0u8..=255)).collect();
+            let mut writes = Vec::new();
+            for (fi, f) in fields.iter().enumerate() {
+                if case % 4 != 0 && rng.range(0u8..2) == 1 {
+                    let field = FieldRef::new(h, FieldId(fi as u16));
+                    for _ in 0..rng.range(1u16..=f.count) {
+                        writes.push((field, rng.range(0..f.count) as usize, rng.u64()));
+                    }
+                }
+            }
+            for shared in [false, true] {
+                let mut pkt = Packet::new(1, FlowId(1), data.clone());
+                if shared {
+                    pkt.data.make_shared();
+                }
+                let sibling = pkt.clone();
+                let buf = pkt.data.as_ptr();
+                let out = codec.parse(&pkt).unwrap();
+                let mut phv = out.phv;
+                for &(f, e, v) in &writes {
+                    phv.set_elem(&codec.layout, f, e, v);
+                }
+                let (headers, layout) = (&codec.program.headers, &codec.layout);
+                let payload = &data[out.consumed..];
+                let want = adcp::lang::deparse(headers, layout, &phv, &out.extracted, payload);
+                codec.deparse(&mut pkt, &phv, &out.extracted);
+                codec.recycle(phv, out.extracted);
+                assert_eq!(&pkt.data[..], &want[..], "case {case} shared={shared}");
+                assert_eq!(&sibling.data[..], &data[..], "sibling copy written");
+                let still_shared = matches!(pkt.data, FrameBuf::Shared(_));
+                if writes.is_empty() {
+                    assert_eq!(&pkt.data[..], &data[..]);
+                    assert_eq!(still_shared, shared);
+                } else {
+                    assert!(!still_shared, "a written frame owns its bytes");
+                }
+                // In place: only a shared frame that was written moves.
+                let moved = pkt.data.as_ptr() != buf;
+                assert_eq!(moved, shared && !writes.is_empty(), "case {case}");
+            }
         }
     }
 }
