@@ -1631,6 +1631,16 @@ fn compare(name: &str, reference: &Outcome, got: &Outcome, check_mat: bool) -> R
 /// Run one spec end to end: generate, execute on all four targets, compare,
 /// and (under faults) check the degradation invariants.
 pub fn run_spec(spec: &CaseSpec, bug: BugHook) -> Result<(), CaseError> {
+    run_spec_seen(spec, bug).map(drop)
+}
+
+/// What each leg made of a case, the reference first: the outcome it
+/// observed, or the target's own reason for rejecting the case.
+type Seen = Vec<(String, Result<Outcome, String>)>;
+
+/// [`run_spec`], keeping what every leg observed for [`pin_text`].
+fn run_spec_seen(spec: &CaseSpec, bug: BugHook) -> Result<Seen, CaseError> {
+    let mut seen = Seen::new();
     if spec.fabric && spec.migrate.is_some() {
         return Err(CaseError::Skip(
             "fabric and migrate modes are mutually exclusive".into(),
@@ -1687,6 +1697,7 @@ pub fn run_spec(spec: &CaseSpec, bug: BugHook) -> Result<(), CaseError> {
             }),
         )?;
         compare("adcp-partitioned", &reference, &base, true).map_err(CaseError::Mismatch)?;
+        seen.push(("adcp-partitioned".into(), Ok(base)));
         for strategy in strategies(mk.strategy_sel) {
             let plan = MigratePlan {
                 initial: &initial,
@@ -1700,8 +1711,10 @@ pub fn run_spec(spec: &CaseSpec, bug: BugHook) -> Result<(), CaseError> {
                 true,
             )
             .map_err(CaseError::Mismatch)?;
+            seen.push((format!("adcp-migrate-{strategy:?}"), Ok(got)));
         }
-        return Ok(());
+        seen.insert(0, ("reference".into(), Ok(reference)));
+        return Ok(seen);
     }
 
     if spec.fabric {
@@ -1723,23 +1736,42 @@ pub fn run_spec(spec: &CaseSpec, bug: BugHook) -> Result<(), CaseError> {
             }),
         )?;
         compare("adcp-partitioned", &reference, &single, true).map_err(CaseError::Mismatch)?;
+        seen.push(("adcp-partitioned".into(), Ok(single)));
         let fab = run_fabric(&case, &prepared, spec, bug)?;
         compare("fabric", &reference, &fab, false).map_err(CaseError::Mismatch)?;
-        return Ok(());
+        seen.push(("fabric".into(), Ok(fab)));
+        seen.insert(0, ("reference".into(), Ok(reference)));
+        return Ok(seen);
     }
 
     let adcp = run_adcp(&case, &prepared, bug, None)?;
     compare("adcp", &reference, &adcp, true).map_err(CaseError::Mismatch)?;
+    seen.push(("adcp".into(), Ok(adcp)));
     if case.has_array_actions {
         // §3.2 separation: scalar MAUs must refuse array action ops.
-        assert_rmt_rejects(&case)?;
+        let [pinned, recirc] = assert_rmt_rejects(&case)?;
+        seen.push(("rmt-pinned".into(), Err(pinned)));
+        seen.push(("rmt-recirc".into(), Err(recirc)));
     } else {
         let pinned = run_rmt(&case, &prepared, SwitchTarget::RmtPinned)?;
         compare("rmt-pinned", &reference, &pinned, true).map_err(CaseError::Mismatch)?;
+        seen.push(("rmt-pinned".into(), Ok(pinned)));
         let recirc = run_rmt(&case, &prepared, SwitchTarget::RmtRecirc)?;
         compare("rmt-recirc", &reference, &recirc, true).map_err(CaseError::Mismatch)?;
+        seen.push(("rmt-recirc".into(), Ok(recirc)));
     }
-    Ok(())
+    seen.insert(0, ("reference".into(), Ok(reference)));
+    Ok(seen)
+}
+
+/// Everything every leg of `spec` observed, as text: per leg its whole
+/// outcome (delivered frames, counts, register snapshots) or the reason the
+/// target gave for rejecting the case, or else why the case gave no
+/// verdict. Exists for `tests/conformance_pin.rs`, which holds a refactor
+/// of this module to the same verdicts and bytes.
+#[doc(hidden)]
+pub fn pin_text(spec: &CaseSpec) -> String {
+    format!("{:?}", run_spec_seen(spec, BugHook::None))
 }
 
 /// The strategies a `strategy_sel` knob requests (2 = both).
@@ -1776,27 +1808,33 @@ fn perturb_owners(map: &PartitionMap, seed: u64, n_pipes: u32) -> PartitionMap {
 
 /// An array-action program must fail RMT compilation under *both* central
 /// strategies; RMT silently accepting one is itself a conformance bug.
-fn assert_rmt_rejects(case: &GenCase) -> Result<(), CaseError> {
-    for (program, strategy) in [
+/// Returns the two rejections in the compiler's words.
+fn assert_rmt_rejects(case: &GenCase) -> Result<[String; 2], CaseError> {
+    let mut reasons = [String::new(), String::new()];
+    for (i, (program, strategy)) in [
         (&case.program, RmtCentralStrategy::EgressPin),
         (&case.program_recirc, RmtCentralStrategy::Recirculate),
-    ] {
-        if RmtSwitch::new(
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        match RmtSwitch::new(
             program.clone(),
             TargetModel::rmt_12t(),
             CompileOptions {
                 rmt_central: strategy,
             },
             RmtConfig::default(),
-        )
-        .is_ok()
-        {
-            return Err(CaseError::Mismatch(format!(
-                "rmt ({strategy:?}) compiled an array-action program it must reject (§3.2)"
-            )));
+        ) {
+            Err(e) => reasons[i] = format!("{e:?}"),
+            Ok(_) => {
+                return Err(CaseError::Mismatch(format!(
+                    "rmt ({strategy:?}) compiled an array-action program it must reject (§3.2)"
+                )))
+            }
         }
     }
-    Ok(())
+    Ok(reasons)
 }
 
 // ---------------------------------------------------------------------------
