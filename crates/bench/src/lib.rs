@@ -21,10 +21,14 @@
 //! * [`exp_soak`] — E-D1: the `adcpd` serving-daemon soak matrix — both
 //!   serving apps through the fault choreography, each run twice, graded
 //!   on invariant health and byte-identity of the rerun.
-//! * [`conformance`] — the E-C1 differential conformance harness: random
-//!   program/workload generation, three-way RMT↔ADCP↔reference
-//!   equivalence, fault-injection soak, and failure shrinking behind the
-//!   `conformance` binary.
+//! * [`conformance`] — the E-C1 differential conformance harness behind the
+//!   `conformance` binary, a module directory: `gen` (random program and
+//!   workload, fault schedule), `reference` (the plain interpreter),
+//!   `legs` (one row per target — ADCP, both RMT lowerings, partitioned
+//!   and migrated ADCP, the fabric — and the sabotage hooks), `checks`
+//!   (per-device sanity, INT honesty, outcome comparison), `run` (a spec
+//!   over its rows, cases over their clean and fault phases) and `shrink`
+//!   (minimise a failure, write and replay its artifact).
 //! * [`journey`] — journey-tracer consumers: Chrome-trace/Perfetto export,
 //!   drop forensics cross-checked against the exported counters, and
 //!   packet-walk printing (behind `adcp-trace --chrome/--forensics/

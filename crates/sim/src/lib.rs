@@ -13,9 +13,10 @@
 //! * [`sched`] — FIFO / strict-priority / DRR / order-preserving-merge
 //!   schedulers (the last is the §3.1 "expanded TM semantics").
 //! * [`fault`] — drop/corrupt/delay fault injection.
-//! * [`stats`] — counters, throughput meters, latency histograms.
-//! * [`metrics`] — per-stage metrics registry (counters, gauges, span
-//!   histograms, queue-depth series) with uniform JSON export.
+//! * [`stats`] — throughput meters, latency histograms.
+//! * [`metrics`] — per-stage metrics registry (span histograms,
+//!   queue-depth series; counters and gauges exported as derived rows)
+//!   with uniform JSON export.
 //! * [`trace`] — sampled packet-journey flight recorder with always-on
 //!   drop forensics and control-plane instants.
 //! * [`int`] — in-band network telemetry: per-hop stamps the datapath
@@ -64,7 +65,7 @@ pub use event::EventQueue;
 pub use fault::{FaultConfig, FaultInjector, FaultOutcome};
 pub use int::{IntFlowTable, IntKnob, IntStack, IntStamp, Postcard, INT_MAX_HOPS};
 pub use link::Link;
-pub use metrics::{CounterId, GaugeId, HistId, MetricsRegistry, ScopeId, SeriesId, TimeSeries};
+pub use metrics::{HistId, MetricsRegistry, ScopeId, SeriesId, TimeSeries};
 pub use packet::{
     synthetic_packet, CoflowId, EgressSpec, FlowId, Packet, PacketMeta, PortId, MIN_WIRE_BYTES,
 };
@@ -73,6 +74,6 @@ pub use queue::{BoundedQueue, BufferPool, EnqueueResult};
 pub use rng::SimRng;
 pub use sched::{Policy, ScheduledQueues};
 pub use shaper::TokenBucket;
-pub use stats::{Counter, LatencyHist, LatencySummary, Meter};
+pub use stats::{LatencyHist, LatencySummary, Meter};
 pub use time::{Clock, ClockId, ClockSet, Duration, Freq, SimTime};
 pub use trace::{CtrlEvent, DropReason, Hop, HopCtx, JourneyTracer, Site};

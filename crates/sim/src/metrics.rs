@@ -8,16 +8,19 @@
 //! lightweight registry of named scopes (parser, MAU stages, TM1/TM2,
 //! central pipelines, queues, deparser), each holding:
 //!
-//! * **counters** — monotonically increasing event counts;
-//! * **gauges** — instantaneous values with a high-water mark;
 //! * **histograms** — the fixed [`LatencyHist`], for span-style stage
 //!   timing recorded on every packet;
 //! * **time series** — bounded, self-decimating `(time, value)` samples for
 //!   queue-depth and buffer-occupancy traces.
 //!
-//! Handles ([`CounterId`], [`GaugeId`], [`HistId`], [`SeriesId`]) are plain
-//! vector indices, so the hot path is an array index plus an integer add —
-//! no string hashing per event. The whole registry can be disabled (the
+//! Counters and gauges have owners elsewhere (the switch shell's ledger,
+//! the buffer pools): the export reads them when asked and lists them as
+//! derived rows ([`MetricsRegistry::to_json_with`]), so the registry holds
+//! no second copy.
+//!
+//! Handles ([`HistId`], [`SeriesId`]) are plain vector indices, so the hot
+//! path is an array index plus an integer add — no string hashing per
+//! event. The whole registry can be disabled (the
 //! `ADCP_METRICS=off` environment variable, or
 //! [`MetricsRegistry::new_disabled`]) so `bench_snapshot` can measure the
 //! instrumentation overhead itself; recording into a disabled registry is a
@@ -35,14 +38,6 @@ use serde::{Map, Value};
 /// Handle to a named scope (a pipeline stage or other component).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScopeId(usize);
-
-/// Handle to a counter registered in some scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a gauge registered in some scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
 
 /// Handle to a latency histogram registered in some scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,27 +132,17 @@ struct Named<T> {
 ///
 /// let mut m = MetricsRegistry::new_enabled();
 /// let parser = m.scope("parser");
-/// let errors = m.counter(parser, "errors");
 /// let span = m.hist(parser, "span_ps");
-/// m.inc(errors);
 /// m.record(span, Duration(1500));
-/// let json = m.to_json();
+/// let json = m.to_json_with(&[("parser", "errors", 1)], &[]);
 /// assert!(json.get("scopes").is_some());
 /// ```
 #[derive(Debug, Clone)]
 pub struct MetricsRegistry {
     enabled: bool,
     scopes: Vec<String>,
-    counters: Vec<Named<u64>>,
-    gauges: Vec<Named<Gauge>>,
     hists: Vec<Named<LatencyHist>>,
     series: Vec<Named<TimeSeries>>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Gauge {
-    value: u64,
-    hwm: u64,
 }
 
 impl Default for MetricsRegistry {
@@ -172,8 +157,6 @@ impl MetricsRegistry {
         MetricsRegistry {
             enabled: true,
             scopes: Vec::new(),
-            counters: Vec::new(),
-            gauges: Vec::new(),
             hists: Vec::new(),
             series: Vec::new(),
         }
@@ -216,40 +199,6 @@ impl MetricsRegistry {
         ScopeId(self.scopes.len() - 1)
     }
 
-    /// Find or create a counter in `scope`.
-    pub fn counter(&mut self, scope: ScopeId, name: &str) -> CounterId {
-        if let Some(i) = self
-            .counters
-            .iter()
-            .position(|c| c.scope == scope.0 && c.name == name)
-        {
-            return CounterId(i);
-        }
-        self.counters.push(Named {
-            scope: scope.0,
-            name: name.to_string(),
-            value: 0,
-        });
-        CounterId(self.counters.len() - 1)
-    }
-
-    /// Find or create a gauge in `scope`.
-    pub fn gauge(&mut self, scope: ScopeId, name: &str) -> GaugeId {
-        if let Some(i) = self
-            .gauges
-            .iter()
-            .position(|g| g.scope == scope.0 && g.name == name)
-        {
-            return GaugeId(i);
-        }
-        self.gauges.push(Named {
-            scope: scope.0,
-            name: name.to_string(),
-            value: Gauge::default(),
-        });
-        GaugeId(self.gauges.len() - 1)
-    }
-
     /// Find or create a latency histogram in `scope`.
     pub fn hist(&mut self, scope: ScopeId, name: &str) -> HistId {
         if let Some(i) = self
@@ -282,32 +231,6 @@ impl MetricsRegistry {
             value: TimeSeries::new(cap),
         });
         SeriesId(self.series.len() - 1)
-    }
-
-    /// Increment a counter by one.
-    #[inline]
-    pub fn inc(&mut self, id: CounterId) {
-        if self.enabled {
-            self.counters[id.0].value += 1;
-        }
-    }
-
-    /// Increment a counter by `n`.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        if self.enabled {
-            self.counters[id.0].value += n;
-        }
-    }
-
-    /// Set a gauge's instantaneous value (high-water mark kept).
-    #[inline]
-    pub fn set_gauge(&mut self, id: GaugeId, v: u64) {
-        if self.enabled {
-            let g = &mut self.gauges[id.0].value;
-            g.value = v;
-            g.hwm = g.hwm.max(v);
-        }
     }
 
     /// Record a duration into a histogram.
@@ -343,23 +266,12 @@ impl MetricsRegistry {
         }
     }
 
-    /// Look up a counter's current value by scope and name (slow path, for
-    /// tests).
-    pub fn counter_value(&self, scope: &str, name: &str) -> Option<u64> {
-        let si = self.scopes.iter().position(|s| s == scope)?;
-        self.counters
-            .iter()
-            .find(|c| c.scope == si && c.name == name)
-            .map(|c| c.value)
-    }
-
     /// Total `(t, v)` points currently retained across every registered
     /// series — the only part of the registry whose size could depend on
-    /// run length. Counters, gauges and histograms are fixed-size at
-    /// registration, and every series self-decimates at its cap, so this
-    /// number (and hence the registry's footprint) must hold steady over
-    /// an arbitrarily long soak; the memory-bound regression test pins
-    /// that down.
+    /// run length. Histograms are fixed-size at registration and every
+    /// series self-decimates at its cap, so this number (and hence the
+    /// registry's footprint) must hold steady over an arbitrarily long
+    /// soak; the memory-bound regression test pins that down.
     pub fn retained_series_points(&self) -> usize {
         self.series.iter().map(|s| s.value.points().len()).sum()
     }
@@ -402,8 +314,7 @@ impl MetricsRegistry {
     /// [`MetricsRegistry::to_json`] plus values whose owner is not the
     /// registry, read by the caller at this moment: `counters` rows are
     /// `(scope, name, value)`, `gauges` rows `(scope, name, value, hwm)`.
-    /// Each lands in its (already registered) scope after the registry's
-    /// own entries, in slice order. A disabled registry reports nothing,
+    /// Each lands in its (already registered) scope, in slice order. A disabled registry reports nothing,
     /// so the rows keep their names and read 0.
     pub fn to_json_with(
         &self,
@@ -426,16 +337,10 @@ impl MetricsRegistry {
         let mut scopes = Map::new();
         for (si, sname) in self.scopes.iter().enumerate() {
             let mut counters = Map::new();
-            for c in self.counters.iter().filter(|c| c.scope == si) {
-                counters.insert(c.name.clone(), Value::U64(c.value));
-            }
             for &(_, name, v) in derived_counters.iter().filter(|&&(s, ..)| s == sname) {
                 counters.insert(name.into(), Value::U64(on(v)));
             }
             let mut gauges = Map::new();
-            for g in self.gauges.iter().filter(|g| g.scope == si) {
-                gauges.insert(g.name.clone(), gauge_json(g.value.value, g.value.hwm));
-            }
             for &(_, name, v, hwm) in derived_gauges.iter().filter(|&&(s, ..)| s == sname) {
                 gauges.insert(name.into(), gauge_json(on(v), on(hwm)));
             }
@@ -500,68 +405,43 @@ mod tests {
         let a = m.scope("parser");
         let b = m.scope("tm1");
         assert_eq!(m.scope("parser"), a);
-        let c1 = m.counter(a, "errors");
-        let c2 = m.counter(b, "errors");
-        assert_ne!(c1, c2, "same name in different scopes is distinct");
-        assert_eq!(m.counter(a, "errors"), c1);
-        m.inc(c1);
-        m.add(c1, 4);
-        assert_eq!(m.counter_value("parser", "errors"), Some(5));
-        assert_eq!(m.counter_value("tm1", "errors"), Some(0));
-        assert_eq!(m.counter_value("nope", "errors"), None);
+        let h1 = m.hist(a, "span_ps");
+        let h2 = m.hist(b, "span_ps");
+        assert_ne!(h1, h2, "same name in different scopes is distinct");
+        assert_eq!(m.hist(a, "span_ps"), h1);
+        m.record(h1, Duration(100));
+        m.record(h1, Duration(200));
+        assert_eq!(m.hist_ref("parser", "span_ps").unwrap().count(), 2);
+        assert_eq!(m.hist_ref("tm1", "span_ps").unwrap().count(), 0);
+        assert!(m.hist_ref("nope", "span_ps").is_none());
     }
 
     #[test]
     fn disabled_registry_records_nothing() {
         let mut m = MetricsRegistry::new_disabled();
         let s = m.scope("tm1");
-        let c = m.counter(s, "drops");
         let h = m.hist(s, "span_ps");
         let ts = m.series(s, "depth", 8);
-        m.inc(c);
         m.record(h, Duration(100));
         m.sample(ts, SimTime(1), 5);
-        assert_eq!(m.counter_value("tm1", "drops"), Some(0));
         assert_eq!(m.hist_ref("tm1", "span_ps").unwrap().count(), 0);
+        assert_eq!(m.retained_series_points(), 0);
         let json = m.to_json();
         assert_eq!(json.get("enabled").and_then(|v| v.as_bool()), Some(false));
     }
 
     #[test]
-    fn gauge_tracks_hwm() {
-        let mut m = MetricsRegistry::new_enabled();
-        let s = m.scope("pool");
-        let g = m.gauge(s, "used");
-        m.set_gauge(g, 10);
-        m.set_gauge(g, 3);
-        let json = m.to_json();
-        let gj = json
-            .get("scopes")
-            .and_then(|v| v.get("pool"))
-            .and_then(|v| v.get("gauges"))
-            .and_then(|v| v.get("used"))
-            .expect("gauge exported");
-        assert_eq!(gj.get("value").and_then(|v| v.as_u64()), Some(3));
-        assert_eq!(gj.get("hwm").and_then(|v| v.as_u64()), Some(10));
-    }
-
-    #[test]
-    fn derived_rows_follow_the_registry_and_a_disabled_one_reports_zero() {
+    fn derived_rows_land_in_their_scope_and_a_disabled_registry_reports_zero() {
         let export = |mut m: MetricsRegistry| {
-            let s = m.scope("tm");
-            let c = m.counter(s, "native");
-            m.inc(c);
+            m.scope("tm");
             let json = m.to_json_with(&[("tm", "drops", 7)], &[("tm", "cells", 3, 9)]);
             serde_json::to_string(&json).unwrap()
         };
         let on = export(MetricsRegistry::new_enabled());
-        assert!(on.contains(r#""counters":{"native":1,"drops":7}"#), "{on}");
+        assert!(on.contains(r#""counters":{"drops":7}"#), "{on}");
         assert!(on.contains(r#""cells":{"value":3,"hwm":9}"#), "{on}");
         let off = export(MetricsRegistry::new_disabled());
-        assert!(
-            off.contains(r#""counters":{"native":0,"drops":0}"#),
-            "{off}"
-        );
+        assert!(off.contains(r#""counters":{"drops":0}"#), "{off}");
         assert!(off.contains(r#""cells":{"value":0,"hwm":0}"#), "{off}");
     }
 
@@ -585,13 +465,11 @@ mod tests {
     fn json_shape_is_stable() {
         let mut m = MetricsRegistry::new_enabled();
         let s = m.scope("egress");
-        let c = m.counter(s, "tx_pkts");
         let h = m.hist(s, "span_ps");
         let ts = m.series(s, "depth", 16);
-        m.add(c, 2);
         m.record(h, Duration(5000));
         m.sample(ts, SimTime(10), 1);
-        let json = m.to_json();
+        let json = m.to_json_with(&[("egress", "tx_pkts", 2)], &[]);
         let scope = json
             .get("scopes")
             .and_then(|v| v.get("egress"))

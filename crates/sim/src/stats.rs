@@ -1,31 +1,10 @@
-//! Measurement primitives: counters, meters, and latency histograms.
+//! Measurement primitives: meters and latency histograms.
 //!
 //! The regenerators in `adcp-bench` report packets/s, keys/s, Gbps, goodput,
 //! and latency percentiles; all of those are computed from the types here.
 
 use crate::time::{Duration, SimTime};
 use serde::Serialize;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Default, Clone, Copy, Serialize)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Increment by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Tracks bytes and packets over simulated time and converts to rates.
 #[derive(Debug, Default, Clone, Serialize)]
@@ -377,14 +356,6 @@ mod tests {
         empty.merge(&a);
         assert_eq!(empty.count(), a.count());
         assert_eq!(empty.min_ps(), a.min_ps());
-    }
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 
     #[test]

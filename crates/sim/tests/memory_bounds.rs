@@ -9,7 +9,7 @@
 //! count, which release CI runs at the full 10⁸).
 
 use adcp_sim::metrics::MetricsRegistry;
-use adcp_sim::time::SimTime;
+use adcp_sim::time::{Duration, SimTime};
 use adcp_sim::trace::{DropReason, HopCtx, JourneyTracer, Site, CTRL_LOG_CAP, DROP_LOG_CAP};
 
 /// Full soak scale in release; two orders smaller under debug profiles.
@@ -28,7 +28,7 @@ fn registry_series_footprint_is_bounded() {
     let series_cap = 512;
     let qd = m.series(scope, "queue_depth", series_cap);
     let oc = m.series(scope, "occupancy", series_cap);
-    let ctr = m.counter(scope, "queue_drops");
+    let span = m.hist(scope, "span_ps");
 
     let n = event_count();
     for i in 0..n {
@@ -38,7 +38,7 @@ fn registry_series_footprint_is_bounded() {
             m.sample(oc, t, i % 131);
         }
         if i % 97 == 0 {
-            m.inc(ctr);
+            m.record(span, Duration(i % 4096));
         }
     }
 
