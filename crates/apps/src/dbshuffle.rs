@@ -16,14 +16,13 @@
 //!   are pinned to reducers), but totals are visible *only* to the owning
 //!   reducer, and half the stages (ingress) do no aggregation work.
 
-use crate::driver::{AnySwitch, AppReport, TargetKind};
-use adcp_core::{AdcpConfig, AdcpSwitch};
+use crate::driver::{self, AppReport, TargetKind};
+use crate::suite::Scale;
 use adcp_lang::{
-    fold_hash, ActionDef, ActionOp, CompileOptions, Entry, FieldDef, FieldId, FieldRef, HeaderDef,
-    HeaderId, KeySpec, MatchKind, MatchValue, Operand, ParserSpec, Program, ProgramBuilder,
-    RegAluOp, Region, RegisterDef, RmtCentralStrategy, TableDef, TargetModel,
+    fold_hash, ActionDef, ActionOp, Entry, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId,
+    KeySpec, MatchKind, MatchValue, Operand, ParserSpec, Program, ProgramBuilder, RegAluOp, Region,
+    RegisterDef, TableDef,
 };
-use adcp_rmt::{RmtConfig, RmtSwitch};
 use adcp_sim::packet::{FlowId, Packet, PortId};
 use adcp_sim::rng::SimRng;
 use adcp_sim::time::SimTime;
@@ -55,6 +54,17 @@ impl Default for DbShuffleCfg {
             coordinator_port: 15,
             seed: 3,
         }
+    }
+}
+
+impl DbShuffleCfg {
+    /// The size the suite runs at `scale` ([`crate::suite`]).
+    pub fn sized(scale: Scale) -> Self {
+        let mut cfg = Self::default();
+        if scale == Scale::Quick {
+            cfg.workload.rows_per_mapper = 150;
+        }
+        cfg
     }
 }
 
@@ -225,7 +235,11 @@ fn read_key_value(data: &[u8]) -> (u64, u64) {
 
 /// Run one shuffle variant end to end; verify per-key totals and routing.
 pub fn run(kind: TargetKind, cfg: &DbShuffleCfg) -> AppReport {
-    let (mut sw, notes, central_pipes) = build_switch(kind, cfg);
+    let mut sw = driver::build(kind, |target| {
+        program(cfg, kind, driver::state_pipes(target))
+    })
+    .expect("dbshuffle compiles on every target");
+    let notes = sw.placement().notes.clone();
 
     // Control plane: route entries. ADCP multicasts each reducer's rows to
     // {reducer, coordinator}; RMT unicasts (pinning makes the coordinator
@@ -303,48 +317,7 @@ pub fn run(kind: TargetKind, cfg: &DbShuffleCfg) -> AppReport {
     notes.push(format!(
         "coordinator copies: {coordinator_rows} (ADCP-only capability)"
     ));
-    let _ = central_pipes;
     AppReport::from_switch("dbshuffle", kind, &sw, makespan, correct, notes)
-}
-
-fn build_switch(kind: TargetKind, cfg: &DbShuffleCfg) -> (AnySwitch, Vec<String>, u32) {
-    match kind {
-        TargetKind::Adcp => {
-            let target = TargetModel::adcp_reference();
-            let cp = target.central_pipes as u32;
-            let prog = program(cfg, kind, cp);
-            let sw = AdcpSwitch::new(
-                prog,
-                target,
-                CompileOptions::default(),
-                AdcpConfig::default(),
-            )
-            .expect("dbshuffle compiles on ADCP");
-            let notes = sw.placement.notes.clone();
-            (AnySwitch::Adcp(Box::new(sw)), notes, cp)
-        }
-        TargetKind::RmtRecirc | TargetKind::RmtPinned => {
-            let target = TargetModel::rmt_12t();
-            let cp = target.num_pipes() as u32;
-            let prog = program(cfg, kind, cp);
-            let strategy = if kind == TargetKind::RmtRecirc {
-                RmtCentralStrategy::Recirculate
-            } else {
-                RmtCentralStrategy::EgressPin
-            };
-            let sw = RmtSwitch::new(
-                prog,
-                target,
-                CompileOptions {
-                    rmt_central: strategy,
-                },
-                RmtConfig::default(),
-            )
-            .expect("dbshuffle compiles on RMT");
-            let notes = sw.placement.notes.clone();
-            (AnySwitch::Rmt(Box::new(sw)), notes, cp)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -29,19 +29,19 @@
 //! mitigation) is predicted by an exact host reference and every
 //! delivered packet is checked against it — across the live migrations.
 
-use crate::driver::{AnySwitch, AppReport, TargetKind};
+use crate::driver::{self, AnySwitch, AppReport, TargetKind};
 use crate::flowlet::MAX_RMT_SLOTS;
+use crate::suite::Scale;
 use adcp_core::{
     AdcpConfig, AdcpSwitch, DemuxPolicy, MigrationStats, MigrationStrategy, PartitionMap,
     PartitionScheme,
 };
 use adcp_ctrl::{plan_rebalance, LoadSnapshot};
 use adcp_lang::{
-    ActionDef, ActionOp, BinOp, CompileOptions, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId,
-    Operand, ParserSpec, Program, ProgramBuilder, RegAluOp, RegId, Region, RegisterDef,
-    RmtCentralStrategy, TableDef, TargetModel,
+    ActionDef, ActionOp, BinOp, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId, Operand,
+    ParserSpec, Program, ProgramBuilder, RegAluOp, RegId, Region, RegisterDef, TableDef,
 };
-use adcp_rmt::{RmtConfig, RmtSwitch};
+use adcp_rmt::RmtConfig;
 use adcp_sim::packet::{FlowId, Packet, PortId};
 use adcp_sim::time::SimTime;
 use adcp_workloads::{AttackRamp, TrafficCfg, TrafficGen};
@@ -99,6 +99,31 @@ impl Default for DdosCfg {
             rebalance: true,
             ticks: 12,
             seed: 11,
+        }
+    }
+}
+
+impl DdosCfg {
+    /// The size the suite runs at `scale` ([`crate::suite`]): a million
+    /// live sources at full, the same program at sanity size when quick.
+    pub fn sized(scale: Scale) -> Self {
+        match scale {
+            Scale::Quick => DdosCfg {
+                flows: 4_000,
+                attackers: 4,
+                pkts: 2_000,
+                cool_pkts: 1_000,
+                window_pkts: 200,
+                ..Self::default()
+            },
+            Scale::Full => DdosCfg {
+                flows: 1_000_000,
+                attackers: 32,
+                pkts: 40_000,
+                cool_pkts: 10_000,
+                window_pkts: 2_000,
+                ..Self::default()
+            },
         }
     }
 }
@@ -642,122 +667,91 @@ pub fn run(kind: TargetKind, cfg: &DdosCfg) -> DdosOutcome {
     };
 
     let span_ps = (total + 1) * INJECT_GAP_PS;
-    let (mut sw, mut notes, rebalances, stats, final_epoch, skew_before, skew_after) = match kind {
-        TargetKind::Adcp => {
-            let mut sw = AdcpSwitch::new(
-                prog,
-                TargetModel::adcp_reference(),
-                CompileOptions::default(),
-                AdcpConfig {
-                    demux: DemuxPolicy::FlowHash,
-                    ..Default::default()
-                },
-            )
-            .expect("ddos compiles on ADCP");
-            let mut notes = sw.placement.notes.clone();
+    let mut sw = driver::build_with(
+        kind,
+        AdcpConfig {
+            demux: DemuxPolicy::FlowHash,
+            ..Default::default()
+        },
+        RmtConfig::default(),
+        |_| prog,
+    )
+    .expect("ddos compiles on every target");
+    let mut notes = sw.placement().notes.clone();
+    let (rebalances, stats, final_epoch, skew_before, skew_after) =
+        if kind == TargetKind::Adcp && cfg.rebalance {
             let mut rebalances = 0usize;
             let mut skew_before = 0.0f64;
-            if cfg.rebalance {
-                let pipes = sw.num_central() as u32;
-                sw.install_partition_map(initial_map(n_slots, pipes))
-                    .expect("map installs on the idle switch");
-                let ticks = cfg.ticks.max(1) as u64;
-                let min_samples = (total / 6).max(64);
-                let mut sw_any = AnySwitch::Adcp(Box::new(sw));
-                let mut i = 0u64;
-                for k in 1..=ticks {
-                    let bound = SimTime(span_ps * k / ticks);
-                    while i < total && (i + 1) * INJECT_GAP_PS <= bound.as_ps() {
-                        inject_one(&mut sw_any, i, events[i as usize].0);
-                        i += 1;
-                    }
-                    let now = sw_any.run_until(bound);
-                    let AnySwitch::Adcp(sw) = &mut sw_any else {
-                        unreachable!()
-                    };
-                    if let Some(note) = security_tick(
-                        sw,
-                        state_reg,
-                        n_slots,
-                        now,
-                        1.4,
-                        min_samples,
-                        &mut skew_before,
-                        &mut rebalances,
-                    ) {
-                        notes.push(note);
-                    }
-                }
-                while i < total {
-                    inject_one(&mut sw_any, i, events[i as usize].0);
+            let adcp = sw.adcp_mut();
+            let pipes = adcp.num_central() as u32;
+            adcp.install_partition_map(initial_map(n_slots, pipes))
+                .expect("map installs on the idle switch");
+            let ticks = cfg.ticks.max(1) as u64;
+            let min_samples = (total / 6).max(64);
+            let mut i = 0u64;
+            for k in 1..=ticks {
+                let bound = SimTime(span_ps * k / ticks);
+                while i < total && (i + 1) * INJECT_GAP_PS <= bound.as_ps() {
+                    inject_one(&mut sw, i, events[i as usize].0);
                     i += 1;
                 }
-                let end = sw_any.run_until_idle();
-                let AnySwitch::Adcp(sw) = &mut sw_any else {
-                    unreachable!()
-                };
-                // Finalize a trailing incremental migration.
-                security_tick(
-                    sw,
+                let now = sw.run_until(bound);
+                if let Some(note) = security_tick(
+                    sw.adcp_mut(),
                     state_reg,
                     n_slots,
-                    end,
-                    f64::INFINITY,
-                    u64::MAX,
+                    now,
+                    1.4,
+                    min_samples,
                     &mut skew_before,
                     &mut rebalances,
-                );
-                let skew_after = LoadSnapshot::from_switch(sw).map_or(1.0, |s| s.skew());
-                let stats = sw.migration_stats().clone();
-                let epoch = sw.partition_epoch();
-                (
-                    sw_any,
-                    notes,
-                    rebalances,
-                    stats,
-                    epoch,
-                    skew_before,
-                    skew_after,
-                )
-            } else {
-                notes.push("control plane off: skew persists".into());
-                let mut sw_any = AnySwitch::Adcp(Box::new(sw));
-                for (i, &(src, _)) in events.iter().enumerate() {
-                    inject_one(&mut sw_any, i as u64, src);
-                    if i % 50_000 == 49_999 {
-                        sw_any.run_until(SimTime((i as u64 + 1) * INJECT_GAP_PS));
-                    }
+                ) {
+                    notes.push(note);
                 }
-                (sw_any, notes, 0, MigrationStats::default(), 0, 1.0, 1.0)
             }
-        }
-        _ => {
-            let strategy = if kind == TargetKind::RmtRecirc {
-                RmtCentralStrategy::Recirculate
-            } else {
-                RmtCentralStrategy::EgressPin
-            };
-            let sw = RmtSwitch::new(
-                prog,
-                TargetModel::rmt_12t(),
-                CompileOptions {
-                    rmt_central: strategy,
-                },
-                RmtConfig::default(),
+            while i < total {
+                inject_one(&mut sw, i, events[i as usize].0);
+                i += 1;
+            }
+            let end = sw.run_until_idle();
+            let adcp = sw.adcp_mut();
+            // Finalize a trailing incremental migration.
+            security_tick(
+                adcp,
+                state_reg,
+                n_slots,
+                end,
+                f64::INFINITY,
+                u64::MAX,
+                &mut skew_before,
+                &mut rebalances,
+            );
+            let skew_after = LoadSnapshot::from_switch(adcp).map_or(1.0, |s| s.skew());
+            let stats = adcp.migration_stats().clone();
+            (
+                rebalances,
+                stats,
+                adcp.partition_epoch(),
+                skew_before,
+                skew_after,
             )
-            .expect("ddos compiles on RMT");
-            let mut notes = sw.placement.notes.clone();
-            notes.push("no global partitioned area: the attack skew stays where it lands".into());
-            let mut sw_any = AnySwitch::Rmt(Box::new(sw));
+        } else {
+            notes.push(
+                if kind == TargetKind::Adcp {
+                    "control plane off: skew persists"
+                } else {
+                    "no global partitioned area: the attack skew stays where it lands"
+                }
+                .into(),
+            );
             for (i, &(src, _)) in events.iter().enumerate() {
-                inject_one(&mut sw_any, i as u64, src);
+                inject_one(&mut sw, i as u64, src);
                 if i % 50_000 == 49_999 {
-                    sw_any.run_until(SimTime((i as u64 + 1) * INJECT_GAP_PS));
+                    sw.run_until(SimTime((i as u64 + 1) * INJECT_GAP_PS));
                 }
             }
-            (sw_any, notes, 0, MigrationStats::default(), 0, 1.0, 1.0)
-        }
-    };
+            (0, MigrationStats::default(), 0, 1.0, 1.0)
+        };
 
     let makespan = sw.run_until_idle();
     sw.check_conservation();
@@ -894,38 +888,24 @@ mod tests {
         let sources = 1u64 << 20;
         let n = slots_for(TargetKind::Adcp, sources);
         assert_eq!(n, 1 << 20);
-        let (prog, _) = program(TargetKind::Adcp, n, 25, 8, PortId(10), PortId(6));
-        let sw = AdcpSwitch::new(
-            prog,
-            TargetModel::adcp_reference(),
-            CompileOptions::default(),
-            AdcpConfig::default(),
-        )
+        let sw = driver::build(TargetKind::Adcp, |_| {
+            program(TargetKind::Adcp, n, 25, 8, PortId(10), PortId(6)).0
+        })
         .expect("million-source detector compiles on ADCP");
+        let notes = &sw.placement().notes;
         assert!(
-            sw.placement
-                .notes
-                .iter()
-                .any(|n| n.contains("partitioned across")),
-            "{:?}",
-            sw.placement.notes
+            notes.iter().any(|n| n.contains("partitioned across")),
+            "{notes:?}"
         );
 
         let nr = slots_for(TargetKind::RmtPinned, sources);
         assert_eq!(nr, MAX_RMT_SLOTS);
-        let (prog, _) = program(TargetKind::RmtPinned, nr, 25, 8, PortId(10), PortId(6));
-        let sw = RmtSwitch::new(
-            prog,
-            TargetModel::rmt_12t(),
-            CompileOptions::default(),
-            RmtConfig::default(),
-        )
+        let sw = driver::build(TargetKind::RmtPinned, |_| {
+            program(TargetKind::RmtPinned, nr, 25, 8, PortId(10), PortId(6)).0
+        })
         .expect("folded million-source detector compiles on RMT");
-        assert!(
-            sw.placement.notes.iter().any(|n| n.contains("spans")),
-            "{:?}",
-            sw.placement.notes
-        );
+        let notes = &sw.placement().notes;
+        assert!(notes.iter().any(|n| n.contains("spans")), "{notes:?}");
     }
 
     #[test]

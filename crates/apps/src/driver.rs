@@ -5,9 +5,12 @@
 //! with a workload, verifies results against a closed-form reference, and
 //! returns an [`AppReport`] the benches print.
 
-use adcp_core::AdcpSwitch;
-use adcp_lang::{Entry, TableError};
-use adcp_rmt::RmtSwitch;
+use adcp_core::{AdcpConfig, AdcpSwitch};
+use adcp_lang::{
+    CompileError, CompileOptions, Entry, Placement, Program, RmtCentralStrategy, TableError,
+    TargetModel,
+};
+use adcp_rmt::{RmtConfig, RmtSwitch};
 use adcp_sim::datapath::Shell;
 use adcp_sim::packet::{Packet, PortId};
 use adcp_sim::stats::LatencySummary;
@@ -69,7 +72,96 @@ impl std::ops::DerefMut for AnySwitch {
     }
 }
 
+impl TargetKind {
+    /// The target preset this kind compiles for.
+    pub fn target_model(self) -> TargetModel {
+        match self {
+            TargetKind::Adcp => TargetModel::adcp_reference(),
+            TargetKind::RmtPinned | TargetKind::RmtRecirc => TargetModel::rmt_12t(),
+        }
+    }
+}
+
+/// Compile a program for `kind` and build its switch. This and
+/// [`TargetKind::target_model`] are the one place that knows which target
+/// preset, central-table lowering and constructor a [`TargetKind`] stands
+/// for; a new kind is one arm in each.
+///
+/// `program` builds the program for the preset it is handed (apps size
+/// their partition hash from it, see [`state_pipes`]). Of the two device
+/// configs only the one for `kind`'s model is used.
+pub fn build_with(
+    kind: TargetKind,
+    adcp: AdcpConfig,
+    rmt: RmtConfig,
+    program: impl FnOnce(&TargetModel) -> Program,
+) -> Result<AnySwitch, CompileError> {
+    let target = kind.target_model();
+    let program = program(&target);
+    Ok(match kind {
+        TargetKind::Adcp => {
+            let opts = CompileOptions::default();
+            AnySwitch::Adcp(Box::new(AdcpSwitch::new(program, target, opts, adcp)?))
+        }
+        TargetKind::RmtPinned | TargetKind::RmtRecirc => {
+            let opts = CompileOptions {
+                rmt_central: if kind == TargetKind::RmtRecirc {
+                    RmtCentralStrategy::Recirculate
+                } else {
+                    RmtCentralStrategy::EgressPin
+                },
+            };
+            AnySwitch::Rmt(Box::new(RmtSwitch::new(program, target, opts, rmt)?))
+        }
+    })
+}
+
+/// [`build_with`] under both models' default device config.
+pub fn build(
+    kind: TargetKind,
+    program: impl FnOnce(&TargetModel) -> Program,
+) -> Result<AnySwitch, CompileError> {
+    build_with(kind, AdcpConfig::default(), RmtConfig::default(), program)
+}
+
+/// How many pipelines a program can spread central state across on
+/// `target`: its central pipelines where it has a global partitioned area,
+/// else every ingress pipeline (where a recirculating lowering keeps it).
+pub fn state_pipes(target: &TargetModel) -> u32 {
+    u32::from(if target.has_central() {
+        target.central_pipes
+    } else {
+        target.num_pipes()
+    })
+}
+
 impl AnySwitch {
+    /// The target model the switch was built for.
+    pub fn target(&self) -> &TargetModel {
+        match self {
+            AnySwitch::Rmt(s) => s.target(),
+            AnySwitch::Adcp(s) => s.target(),
+        }
+    }
+
+    /// What the compiler made of the program (stages, lowering, notes).
+    pub fn placement(&self) -> &Placement {
+        match self {
+            AnySwitch::Rmt(s) => &s.placement,
+            AnySwitch::Adcp(s) => &s.placement,
+        }
+    }
+
+    /// The concrete ADCP, for the control-plane steps only it has (the
+    /// partition map, live migration). Panics on an RMT switch: it has no
+    /// global partitioned area to repartition.
+    pub fn adcp_mut(&mut self) -> &mut AdcpSwitch {
+        match self {
+            AnySwitch::Adcp(s) => s,
+            AnySwitch::Rmt(_) => unreachable!("only the ADCP has a partitioned area"),
+        }
+    }
+
     /// Install a table entry into every pipeline hosting the table.
     pub fn install_all(&mut self, table: &str, entry: Entry) -> Result<(), TableError> {
         match self {
@@ -217,6 +309,29 @@ impl AppReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn build_returns_the_compilers_own_rejection() {
+        // paramserv's ADCP variant sums a 16-wide array in one action —
+        // scalar MAUs cannot, and both RMT kinds must say so as an `Err`
+        // (conformance's `rmt_accepts` reports it), not panic.
+        let ports: Vec<PortId> = (0..4).map(PortId).collect();
+        for kind in [TargetKind::RmtPinned, TargetKind::RmtRecirc] {
+            let built = build(kind, |target| {
+                let cfg = crate::paramserv::ParamServerCfg::default();
+                let pipes = state_pipes(target);
+                crate::paramserv::program(&cfg, TargetKind::Adcp, pipes, &ports, PortId(4))
+            });
+            assert!(
+                matches!(
+                    built,
+                    Err(CompileError::ArrayOpUnsupported { width: 16, .. })
+                ),
+                "{kind:?}: {:?}",
+                built.err()
+            );
+        }
+    }
 
     #[test]
     fn target_labels() {

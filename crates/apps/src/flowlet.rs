@@ -33,14 +33,15 @@
 //! by the host reference. Every injected event is predicted by that
 //! reference and every delivered packet is checked against it.
 
-use crate::driver::{AnySwitch, AppReport, TargetKind};
-use adcp_core::{AdcpConfig, AdcpSwitch, DemuxPolicy};
+use crate::driver::{self, AppReport, TargetKind};
+use crate::suite::Scale;
+use adcp_core::{AdcpConfig, DemuxPolicy};
 use adcp_lang::{
-    ActionDef, ActionOp, BinOp, CompileOptions, Entry, FieldDef, FieldId, FieldRef, HeaderDef,
-    HeaderId, KeySpec, MatchKind, MatchValue, Operand, ParserSpec, Program, ProgramBuilder,
-    RegAluOp, Region, RegisterDef, RmtCentralStrategy, TableDef, TargetModel,
+    ActionDef, ActionOp, BinOp, Entry, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId, KeySpec,
+    MatchKind, MatchValue, Operand, ParserSpec, Program, ProgramBuilder, RegAluOp, Region,
+    RegisterDef, TableDef,
 };
-use adcp_rmt::{RmtConfig, RmtSwitch};
+use adcp_rmt::RmtConfig;
 use adcp_sim::packet::{FlowId, Packet, PortId};
 use adcp_sim::rng::SimRng;
 use adcp_sim::time::SimTime;
@@ -81,6 +82,23 @@ impl Default for LdfCfg {
             skew: 0.9,
             time_base: 0,
             seed: 4,
+        }
+    }
+}
+
+impl LdfCfg {
+    /// The size the suite runs at `scale` ([`crate::suite`]). Full is a
+    /// million live flows — the scale the paged register files and the O(1)
+    /// Zipf sampler exist for; quick keeps the same program at sanity size.
+    pub fn sized(scale: Scale) -> Self {
+        let (flows, pkts) = match scale {
+            Scale::Quick => (256, 1_500),
+            Scale::Full => (1_000_000, 40_000),
+        };
+        LdfCfg {
+            flows,
+            pkts,
+            ..Self::default()
         }
     }
 }
@@ -498,46 +516,20 @@ pub fn run(kind: TargetKind, cfg: &LdfCfg) -> LdfOutcome {
     let collector = PortId(6);
     let n_slots = slots_for(kind, cfg.flows);
     let prog = program(kind, cfg.uplinks, n_slots, cfg.gap_ticks, collector);
-    let (mut sw, notes, replicas) = match kind {
-        TargetKind::Adcp => {
-            let sw = AdcpSwitch::new(
-                prog,
-                TargetModel::adcp_reference(),
-                CompileOptions::default(),
-                AdcpConfig {
-                    demux: DemuxPolicy::FlowHash,
-                    ..Default::default()
-                },
-            )
-            .expect("flowlet-ldf compiles on ADCP");
-            let n = sw.placement.notes.clone();
-            let reps = sw.num_central();
-            (AnySwitch::Adcp(Box::new(sw)), n, reps)
-        }
-        _ => {
-            let strategy = if kind == TargetKind::RmtRecirc {
-                RmtCentralStrategy::Recirculate
-            } else {
-                RmtCentralStrategy::EgressPin
-            };
-            let target = TargetModel::rmt_12t();
-            let reps = if kind == TargetKind::RmtRecirc {
-                target.num_pipes() as usize
-            } else {
-                1
-            };
-            let sw = RmtSwitch::new(
-                prog,
-                target,
-                CompileOptions {
-                    rmt_central: strategy,
-                },
-                RmtConfig::default(),
-            )
-            .expect("flowlet-ldf compiles on RMT");
-            let n = sw.placement.notes.clone();
-            (AnySwitch::Rmt(Box::new(sw)), n, reps)
-        }
+    let mut sw = driver::build_with(
+        kind,
+        AdcpConfig {
+            demux: DemuxPolicy::FlowHash,
+            ..Default::default()
+        },
+        RmtConfig::default(),
+        |_| prog,
+    )
+    .expect("flowlet-ldf compiles on every target");
+    let notes = sw.placement().notes.clone();
+    let replicas = match kind {
+        TargetKind::RmtPinned => 1,
+        _ => driver::state_pipes(sw.target()) as usize,
     };
     for (k, a) in [(0u64, 0usize), (1, 1)] {
         for table in ["classify", "ldf"] {
@@ -735,40 +727,24 @@ mod tests {
         let flows = 1u64 << 20;
         let n = slots_for(TargetKind::Adcp, flows);
         assert_eq!(n, 1 << 20);
-        let sw = AdcpSwitch::new(
-            program(TargetKind::Adcp, 4, n, 16, PortId(6)),
-            TargetModel::adcp_reference(),
-            CompileOptions::default(),
-            AdcpConfig::default(),
-        )
+        let sw = driver::build(TargetKind::Adcp, |_| {
+            program(TargetKind::Adcp, 4, n, 16, PortId(6))
+        })
         .expect("million-flow state compiles on ADCP");
+        let notes = &sw.placement().notes;
         assert!(
-            sw.placement
-                .notes
-                .iter()
-                .any(|n| n.contains("partitioned across")),
-            "{:?}",
-            sw.placement.notes
+            notes.iter().any(|n| n.contains("partitioned across")),
+            "{notes:?}"
         );
-        assert!(
-            sw.placement.notes.iter().any(|n| n.contains("spans")),
-            "{:?}",
-            sw.placement.notes
-        );
+        assert!(notes.iter().any(|n| n.contains("spans")), "{notes:?}");
 
         let nr = slots_for(TargetKind::RmtPinned, flows);
         assert_eq!(nr, MAX_RMT_SLOTS);
-        let sw = RmtSwitch::new(
-            program(TargetKind::RmtPinned, 4, nr, 16, PortId(6)),
-            TargetModel::rmt_12t(),
-            CompileOptions::default(),
-            RmtConfig::default(),
-        )
+        let sw = driver::build(TargetKind::RmtPinned, |_| {
+            program(TargetKind::RmtPinned, 4, nr, 16, PortId(6))
+        })
         .expect("folded million-flow state compiles on RMT");
-        assert!(
-            sw.placement.notes.iter().any(|n| n.contains("spans")),
-            "{:?}",
-            sw.placement.notes
-        );
+        let notes = &sw.placement().notes;
+        assert!(notes.iter().any(|n| n.contains("spans")), "{notes:?}");
     }
 }

@@ -15,14 +15,12 @@
 //! behaviour, or pins the barrier to one port (requiring a host-level
 //! relay for the release).
 
-use crate::driver::{AnySwitch, AppReport, TargetKind};
-use adcp_core::{AdcpConfig, AdcpSwitch};
+use crate::driver::{self, AppReport, TargetKind};
+use crate::suite::Scale;
 use adcp_lang::{
-    ActionDef, ActionOp, CompileOptions, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId, Operand,
-    ParserSpec, Program, ProgramBuilder, RegAluOp, Region, RegisterDef, RmtCentralStrategy,
-    TableDef, TargetModel,
+    ActionDef, ActionOp, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId, Operand, ParserSpec,
+    Program, ProgramBuilder, RegAluOp, Region, RegisterDef, TableDef,
 };
-use adcp_rmt::{RmtConfig, RmtSwitch};
 use adcp_sim::packet::{FlowId, Packet, PortId};
 use adcp_sim::rng::SimRng;
 use adcp_sim::time::SimTime;
@@ -51,6 +49,18 @@ impl Default for GraphMineCfg {
             base_candidates: 4,
             seed: 5,
         }
+    }
+}
+
+impl GraphMineCfg {
+    /// The size the suite runs at `scale` ([`crate::suite`]).
+    pub fn sized(scale: Scale) -> Self {
+        let mut cfg = Self::default();
+        if scale == Scale::Quick {
+            cfg.workload.supersteps = 5;
+            cfg.workload.edges = 3000;
+        }
+        cfg
     }
 }
 
@@ -207,7 +217,17 @@ pub fn run(kind: TargetKind, cfg: &GraphMineCfg) -> AppReport {
     let partition_ports: Vec<PortId> = (0..cfg.workload.partitions as u16).map(PortId).collect();
     let barrier_port = PortId(cfg.workload.partitions as u16);
 
-    let (mut sw, notes) = build_switch(kind, cfg, expected_msgs, barrier_port, &partition_ports);
+    let mut sw = driver::build(kind, |_| {
+        program(
+            kind,
+            expected_msgs,
+            cfg.workload.supersteps,
+            barrier_port,
+            &partition_ports,
+        )
+    })
+    .expect("graphmine compiles on every target");
+    let notes = sw.placement().notes.clone();
 
     let mut correct = true;
     let mut now = SimTime::ZERO;
@@ -258,63 +278,6 @@ pub fn run(kind: TargetKind, cfg: &GraphMineCfg) -> AppReport {
         notes.push("release visible only at the barrier port; host relay needed".into());
     }
     AppReport::from_switch("graphmine", kind, &sw, now, correct, notes)
-}
-
-fn build_switch(
-    kind: TargetKind,
-    cfg: &GraphMineCfg,
-    expected_msgs: u32,
-    barrier_port: PortId,
-    partition_ports: &[PortId],
-) -> (AnySwitch, Vec<String>) {
-    let supersteps = cfg.workload.supersteps;
-    match kind {
-        TargetKind::Adcp => {
-            let target = TargetModel::adcp_reference();
-            let prog = program(
-                kind,
-                expected_msgs,
-                supersteps,
-                barrier_port,
-                partition_ports,
-            );
-            let sw = AdcpSwitch::new(
-                prog,
-                target,
-                CompileOptions::default(),
-                AdcpConfig::default(),
-            )
-            .expect("graphmine compiles on ADCP");
-            let notes = sw.placement.notes.clone();
-            (AnySwitch::Adcp(Box::new(sw)), notes)
-        }
-        TargetKind::RmtRecirc | TargetKind::RmtPinned => {
-            let target = TargetModel::rmt_12t();
-            let prog = program(
-                kind,
-                expected_msgs,
-                supersteps,
-                barrier_port,
-                partition_ports,
-            );
-            let strategy = if kind == TargetKind::RmtRecirc {
-                RmtCentralStrategy::Recirculate
-            } else {
-                RmtCentralStrategy::EgressPin
-            };
-            let sw = RmtSwitch::new(
-                prog,
-                target,
-                CompileOptions {
-                    rmt_central: strategy,
-                },
-                RmtConfig::default(),
-            )
-            .expect("graphmine compiles on RMT");
-            let notes = sw.placement.notes.clone();
-            (AnySwitch::Rmt(Box::new(sw)), notes)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -8,13 +8,14 @@
 //! verifies per-receiver completeness and in-order delivery, and reports
 //! the completion-time skew between the fastest and slowest receiver.
 
-use crate::driver::{AnySwitch, AppReport, TargetKind};
-use adcp_core::{AdcpConfig, AdcpSwitch};
+use crate::driver::{self, AppReport, TargetKind};
+use crate::suite::Scale;
+use adcp_core::AdcpConfig;
 use adcp_lang::{
-    ActionDef, ActionOp, CompileOptions, FieldDef, HeaderDef, Operand, ParserSpec, Program,
-    ProgramBuilder, Region, TableDef, TargetModel,
+    ActionDef, ActionOp, FieldDef, HeaderDef, Operand, ParserSpec, Program, ProgramBuilder, Region,
+    TableDef,
 };
-use adcp_rmt::{RmtConfig, RmtSwitch};
+use adcp_rmt::RmtConfig;
 use adcp_sim::packet::{FlowId, Packet, PortId};
 use adcp_sim::port::LinkSpeed;
 use adcp_sim::time::SimTime;
@@ -45,6 +46,17 @@ impl Default for GroupCommCfg {
             frame_bytes: 1024,
             pace_gbps: None,
         }
+    }
+}
+
+impl GroupCommCfg {
+    /// The size the suite runs at `scale` ([`crate::suite`]).
+    pub fn sized(scale: Scale) -> Self {
+        let mut cfg = Self::default();
+        if scale == Scale::Quick {
+            cfg.packets = 120;
+        }
+        cfg
     }
 }
 
@@ -98,36 +110,20 @@ pub fn run(kind: TargetKind, cfg: &GroupCommCfg) -> AppReport {
     let mut prog = program(kind);
     prog.mcast_groups.push(receivers.clone());
 
-    let (mut sw, notes) = match kind {
-        TargetKind::Adcp => {
-            let sw = AdcpSwitch::new(
-                prog,
-                TargetModel::adcp_reference(),
-                CompileOptions::default(),
-                AdcpConfig {
-                    port_speeds: slow,
-                    ..Default::default()
-                },
-            )
-            .expect("groupcomm compiles on ADCP");
-            let n = sw.placement.notes.clone();
-            (AnySwitch::Adcp(Box::new(sw)), n)
-        }
-        _ => {
-            let sw = RmtSwitch::new(
-                prog,
-                TargetModel::rmt_12t(),
-                CompileOptions::default(),
-                RmtConfig {
-                    port_speeds: slow,
-                    ..Default::default()
-                },
-            )
-            .expect("groupcomm compiles on RMT");
-            let n = sw.placement.notes.clone();
-            (AnySwitch::Rmt(Box::new(sw)), n)
-        }
-    };
+    let mut sw = driver::build_with(
+        kind,
+        AdcpConfig {
+            port_speeds: slow.clone(),
+            ..Default::default()
+        },
+        RmtConfig {
+            port_speeds: slow,
+            ..Default::default()
+        },
+        |_| prog,
+    )
+    .expect("groupcomm compiles on every target");
+    let notes = sw.placement().notes.clone();
 
     let mut bucket = cfg
         .pace_gbps

@@ -14,14 +14,13 @@
 //! [`max_cache_entries`] finds each target's largest compilable cache, and
 //! [`run`] measures the resulting hit rates.
 
-use crate::driver::{AnySwitch, AppReport, TargetKind};
-use adcp_core::{AdcpConfig, AdcpSwitch};
+use crate::driver::{self, AppReport, TargetKind};
+use crate::suite::Scale;
 use adcp_lang::{
     compile, ActionDef, ActionOp, CompileOptions, Entry, FieldDef, FieldId, FieldRef, HeaderDef,
     HeaderId, KeySpec, MatchKind, MatchValue, Operand, ParserSpec, Program, ProgramBuilder, Region,
     TableDef, TargetModel,
 };
-use adcp_rmt::{RmtConfig, RmtSwitch};
 use adcp_sim::packet::{FlowId, Packet, PortId};
 use adcp_sim::rng::SimRng;
 use adcp_sim::time::SimTime;
@@ -59,6 +58,17 @@ impl Default for KvCacheCfg {
             scale_down: 8,
             seed: 17,
         }
+    }
+}
+
+impl KvCacheCfg {
+    /// The size the suite runs at `scale` ([`crate::suite`]).
+    pub fn sized(scale: Scale) -> Self {
+        let mut cfg = Self::default();
+        if scale == Scale::Quick {
+            cfg.requests = 300;
+        }
+        cfg
     }
 }
 
@@ -198,38 +208,15 @@ pub struct CacheOutcome {
 /// target can compile (the Fig. 3 economics).
 pub fn run(kind: TargetKind, cfg: &KvCacheCfg) -> CacheOutcome {
     let server_port = PortId(cfg.clients); // one past the clients
-    let (target_entries, mut sw, notes) = match kind {
-        TargetKind::Adcp => {
-            let target = TargetModel::adcp_reference();
-            let entries = (max_cache_entries(&target, cfg.width) / cfg.scale_down.max(1))
-                .min(cfg.keyspace as u32)
-                .max(1);
-            let sw = AdcpSwitch::new(
-                program(cfg.width, entries, server_port),
-                target,
-                CompileOptions::default(),
-                AdcpConfig::default(),
-            )
-            .expect("kvcache compiles on ADCP");
-            let n = sw.placement.notes.clone();
-            (entries, AnySwitch::Adcp(Box::new(sw)), n)
-        }
-        _ => {
-            let target = TargetModel::rmt_12t();
-            let entries = (max_cache_entries(&target, cfg.width) / cfg.scale_down.max(1))
-                .min(cfg.keyspace as u32)
-                .max(1);
-            let sw = RmtSwitch::new(
-                program(cfg.width, entries, server_port),
-                target,
-                CompileOptions::default(),
-                RmtConfig::default(),
-            )
-            .expect("kvcache compiles on RMT");
-            let n = sw.placement.notes.clone();
-            (entries, AnySwitch::Rmt(Box::new(sw)), n)
-        }
-    };
+    let mut target_entries = 0;
+    let mut sw = driver::build(kind, |target| {
+        target_entries = (max_cache_entries(target, cfg.width) / cfg.scale_down.max(1))
+            .min(cfg.keyspace as u32)
+            .max(1);
+        program(cfg.width, target_entries, server_port)
+    })
+    .expect("kvcache compiles on every target");
+    let notes = sw.placement().notes.clone();
 
     // Control plane: cache the `entries` most popular keys (Zipf key 0 is
     // the hottest).

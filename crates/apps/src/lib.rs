@@ -17,8 +17,12 @@
 //! * [`ddos`] — per-source DDoS detection with threshold promotion /
 //!   demotion and a mid-attack live reshard of the hot key range.
 //!
-//! [`driver`] holds the shared switch abstraction and the [`driver::
-//! AppReport`] all apps produce.
+//! * [`migrate`] — partitioned shard counting under live repartitioning
+//!   ("partmigrate").
+//!
+//! [`driver`] holds the shared switch abstraction, the one function that
+//! turns a [`TargetKind`] into a switch, and the [`driver::AppReport`] all
+//! apps produce. [`suite`] is the table of apps every driver loops over.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,5 +37,6 @@ pub mod kvcache;
 pub mod migrate;
 pub mod netlock;
 pub mod paramserv;
+pub mod suite;
 
 pub use driver::{AnySwitch, AppReport, Delivered, TargetKind};

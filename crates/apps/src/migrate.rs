@@ -16,15 +16,14 @@
 //! the run is the no-control-plane baseline the paper's §3.1 argues
 //! against.
 
-use crate::driver::{AnySwitch, AppReport, TargetKind};
-use adcp_core::{AdcpConfig, AdcpSwitch, MigrationStats, MigrationStrategy, PartitionMap};
+use crate::driver::{self, AppReport, TargetKind};
+use crate::suite::Scale;
+use adcp_core::{MigrationStats, MigrationStrategy, PartitionMap};
 use adcp_ctrl::{Controller, LoadSnapshot, SkewPolicy};
 use adcp_lang::{
-    ActionDef, ActionOp, BinOp, CompileOptions, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId,
-    Operand, ParserSpec, Program, ProgramBuilder, RegAluOp, Region, RegisterDef,
-    RmtCentralStrategy, TableDef, TargetModel,
+    ActionDef, ActionOp, BinOp, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId, Operand,
+    ParserSpec, Program, ProgramBuilder, RegAluOp, Region, RegisterDef, TableDef,
 };
-use adcp_rmt::{RmtConfig, RmtSwitch};
 use adcp_sim::packet::{FlowId, Packet, PortId};
 use adcp_sim::rng::SimRng;
 use adcp_sim::time::SimTime;
@@ -73,6 +72,17 @@ impl Default for MigrateCfg {
             ticks: 8,
             seed: 31,
         }
+    }
+}
+
+impl MigrateCfg {
+    /// The size the suite runs at `scale` ([`crate::suite`]).
+    pub fn sized(scale: Scale) -> Self {
+        let mut cfg = Self::default();
+        if scale == Scale::Quick {
+            cfg.packets = 800;
+        }
+        cfg
     }
 }
 
@@ -230,108 +240,69 @@ pub fn run(kind: TargetKind, cfg: &MigrateCfg) -> MigrateOutcome {
     let gap_ps = cfg.gap_ns * 1_000;
     let span_ps = cfg.packets as u64 * gap_ps;
 
-    let (mut sw, mut notes, rebalances, stats, final_epoch, skew_before, skew_after) = match kind {
-        TargetKind::Adcp => {
-            let mut sw = AdcpSwitch::new(
-                program(kind, collector),
-                TargetModel::adcp_reference(),
-                CompileOptions::default(),
-                AdcpConfig::default(),
-            )
-            .expect("partmigrate compiles on ADCP");
-            let notes = sw.placement.notes.clone();
-            let n_pipes = sw.num_central() as u32;
-            sw.install_partition_map(PartitionMap::uniform(SHARDS as u32, n_pipes))
-                .expect("map installs on the idle switch");
-            for (i, &key) in keys.iter().enumerate() {
-                sw.inject(
-                    PortId(i as u16 % cfg.clients),
-                    pkt(i as u64, collector.0, key),
-                    SimTime(i as u64 * gap_ps),
-                );
-            }
-            let mut ctl = cfg.strategy.map(|strategy| {
-                Controller::new(SkewPolicy {
-                    max_over_mean: 1.25,
-                    min_samples: (cfg.packets as u64 / 10).max(32),
-                    strategy,
-                })
-            });
-            let mut skew_before = 0.0f64;
-            for k in 1..=cfg.ticks.max(1) as u64 {
-                let now = sw.run_until(SimTime(span_ps * k / cfg.ticks.max(1) as u64));
-                if let Some(ctl) = ctl.as_mut() {
-                    if ctl.events().is_empty() {
-                        if let Some(snap) = LoadSnapshot::from_switch(&sw) {
-                            skew_before = skew_before.max(snap.skew());
-                        }
-                    }
-                    ctl.tick(&mut sw, now);
-                }
-            }
-            let end = sw.run_until_idle();
+    let mut sw = driver::build(kind, |_| program(kind, collector))
+        .expect("partmigrate compiles on every target");
+    let mut notes = sw.placement().notes.clone();
+    if kind == TargetKind::Adcp {
+        let adcp = sw.adcp_mut();
+        let n_pipes = adcp.num_central() as u32;
+        adcp.install_partition_map(PartitionMap::uniform(SHARDS as u32, n_pipes))
+            .expect("map installs on the idle switch");
+    }
+    for (i, &key) in keys.iter().enumerate() {
+        sw.inject(
+            PortId(i as u16 % cfg.clients),
+            pkt(i as u64, collector.0, key),
+            SimTime(i as u64 * gap_ps),
+        );
+    }
+    let (rebalances, stats, final_epoch, skew_before, skew_after) = if kind == TargetKind::Adcp {
+        let sw = sw.adcp_mut();
+        let mut ctl = cfg.strategy.map(|strategy| {
+            Controller::new(SkewPolicy {
+                max_over_mean: 1.25,
+                min_samples: (cfg.packets as u64 / 10).max(32),
+                strategy,
+            })
+        });
+        let mut skew_before = 0.0f64;
+        for k in 1..=cfg.ticks.max(1) as u64 {
+            let now = sw.run_until(SimTime(span_ps * k / cfg.ticks.max(1) as u64));
             if let Some(ctl) = ctl.as_mut() {
-                ctl.tick(&mut sw, end); // finalize a trailing incremental migration
-            }
-            let skew_after = LoadSnapshot::from_switch(&sw).map_or(1.0, |s| s.skew());
-            let rebalances = ctl.as_ref().map_or(0, |c| c.events().len());
-            let stats = sw.migration_stats().clone();
-            let epoch = sw.partition_epoch();
-            let mut notes = notes;
-            if let Some(ctl) = &ctl {
-                for ev in ctl.events() {
-                    notes.push(format!(
-                        "rebalance at {} ns: skew {:.2}, {} buckets -> epoch {} ({:?})",
-                        ev.at_ns, ev.skew, ev.moved_buckets, ev.to_epoch, ev.strategy
-                    ));
+                if ctl.events().is_empty() {
+                    if let Some(snap) = LoadSnapshot::from_switch(sw) {
+                        skew_before = skew_before.max(snap.skew());
+                    }
                 }
-            } else {
-                notes.push("control plane off: skew persists".into());
+                ctl.tick(sw, now);
             }
-            (
-                AnySwitch::Adcp(Box::new(sw)),
-                notes,
-                rebalances,
-                stats,
-                epoch,
-                skew_before,
-                skew_after,
-            )
         }
-        _ => {
-            let strategy = if kind == TargetKind::RmtRecirc {
-                RmtCentralStrategy::Recirculate
-            } else {
-                RmtCentralStrategy::EgressPin
-            };
-            let mut sw = RmtSwitch::new(
-                program(kind, collector),
-                TargetModel::rmt_12t(),
-                CompileOptions {
-                    rmt_central: strategy,
-                },
-                RmtConfig::default(),
-            )
-            .expect("partmigrate compiles on RMT");
-            let mut notes = sw.placement.notes.clone();
-            notes.push("no global partitioned area: runs without repartitioning".into());
-            for (i, &key) in keys.iter().enumerate() {
-                sw.inject(
-                    PortId(i as u16 % cfg.clients),
-                    pkt(i as u64, collector.0, key),
-                    SimTime(i as u64 * gap_ps),
-                );
+        let end = sw.run_until_idle();
+        if let Some(ctl) = ctl.as_mut() {
+            ctl.tick(sw, end); // finalize a trailing incremental migration
+        }
+        let skew_after = LoadSnapshot::from_switch(sw).map_or(1.0, |s| s.skew());
+        let rebalances = ctl.as_ref().map_or(0, |c| c.events().len());
+        if let Some(ctl) = &ctl {
+            for ev in ctl.events() {
+                notes.push(format!(
+                    "rebalance at {} ns: skew {:.2}, {} buckets -> epoch {} ({:?})",
+                    ev.at_ns, ev.skew, ev.moved_buckets, ev.to_epoch, ev.strategy
+                ));
             }
-            (
-                AnySwitch::Rmt(Box::new(sw)),
-                notes,
-                0,
-                MigrationStats::default(),
-                0,
-                1.0,
-                1.0,
-            )
+        } else {
+            notes.push("control plane off: skew persists".into());
         }
+        (
+            rebalances,
+            sw.migration_stats().clone(),
+            sw.partition_epoch(),
+            skew_before,
+            skew_after,
+        )
+    } else {
+        notes.push("no global partitioned area: runs without repartitioning".into());
+        (0, MigrationStats::default(), 0, 1.0, 1.0)
     };
 
     let makespan = sw.run_until_idle();

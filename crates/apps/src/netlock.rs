@@ -21,14 +21,13 @@
 //! sections (grant-learned .. release-sent) never overlap and grants
 //! follow ticket order.
 
-use crate::driver::{AnySwitch, AppReport, TargetKind};
-use adcp_core::{AdcpConfig, AdcpSwitch};
+use crate::driver::{self, AppReport, TargetKind};
+use crate::suite::Scale;
 use adcp_lang::{
-    ActionDef, ActionOp, BinOp, CompileOptions, Entry, FieldDef, FieldId, FieldRef, HeaderDef,
-    HeaderId, KeySpec, MatchKind, MatchValue, Operand, ParserSpec, Program, ProgramBuilder,
-    RegAluOp, Region, RegisterDef, RmtCentralStrategy, TableDef, TargetModel,
+    ActionDef, ActionOp, BinOp, Entry, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId, KeySpec,
+    MatchKind, MatchValue, Operand, ParserSpec, Program, ProgramBuilder, RegAluOp, Region,
+    RegisterDef, TableDef,
 };
-use adcp_rmt::{RmtConfig, RmtSwitch};
 use adcp_sim::packet::{FlowId, Packet, PortId};
 use adcp_sim::time::{Duration, SimTime};
 
@@ -53,6 +52,17 @@ impl Default for NetLockCfg {
             rounds: 5,
             hold: Duration::from_ns(50),
         }
+    }
+}
+
+impl NetLockCfg {
+    /// The size the suite runs at `scale` ([`crate::suite`]).
+    pub fn sized(scale: Scale) -> Self {
+        let mut cfg = Self::default();
+        if scale == Scale::Quick {
+            cfg.rounds = 3;
+        }
+        cfg
     }
 }
 
@@ -219,7 +229,11 @@ enum ClientState {
 
 /// Run the closed-loop lock service and prove mutual exclusion.
 pub fn run(kind: TargetKind, cfg: &NetLockCfg) -> AppReport {
-    let (mut sw, notes) = build_switch(kind, cfg);
+    let mut sw = driver::build(kind, |target| {
+        program(kind, cfg, driver::state_pipes(target))
+    })
+    .expect("netlock compiles on every target");
+    let notes = sw.placement().notes.clone();
     // Install the two op-code entries.
     for (op, action) in [(OP_ACQUIRE, 0usize), (OP_RELEASE, 1usize)] {
         let e = Entry {
@@ -361,44 +375,6 @@ pub fn run(kind: TargetKind, cfg: &NetLockCfg) -> AppReport {
         grants, cfg.locks
     ));
     AppReport::from_switch("netlock", kind, &sw, now, correct, notes)
-}
-
-fn build_switch(kind: TargetKind, cfg: &NetLockCfg) -> (AnySwitch, Vec<String>) {
-    match kind {
-        TargetKind::Adcp => {
-            let target = TargetModel::adcp_reference();
-            let prog = program(kind, cfg, target.central_pipes as u32);
-            let sw = AdcpSwitch::new(
-                prog,
-                target,
-                CompileOptions::default(),
-                AdcpConfig::default(),
-            )
-            .expect("netlock compiles on ADCP");
-            let n = sw.placement.notes.clone();
-            (AnySwitch::Adcp(Box::new(sw)), n)
-        }
-        _ => {
-            let target = TargetModel::rmt_12t();
-            let prog = program(kind, cfg, target.num_pipes() as u32);
-            let strategy = if kind == TargetKind::RmtRecirc {
-                RmtCentralStrategy::Recirculate
-            } else {
-                RmtCentralStrategy::EgressPin
-            };
-            let sw = RmtSwitch::new(
-                prog,
-                target,
-                CompileOptions {
-                    rmt_central: strategy,
-                },
-                RmtConfig::default(),
-            )
-            .expect("netlock compiles on RMT");
-            let n = sw.placement.notes.clone();
-            (AnySwitch::Rmt(Box::new(sw)), n)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -18,14 +18,12 @@
 //!   only leave via that port, so distribution back to the workers needs
 //!   an extra host-level hop (the Fig. 2 restriction).
 
-use crate::driver::{AnySwitch, AppReport, TargetKind};
-use adcp_core::{AdcpConfig, AdcpSwitch};
+use crate::driver::{self, AppReport, TargetKind};
+use crate::suite::Scale;
 use adcp_lang::{
-    ActionDef, ActionOp, BinOp, CompileOptions, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId,
-    Operand, ParserSpec, Program, ProgramBuilder, RegAluOp, Region, RegisterDef,
-    RmtCentralStrategy, TableDef, TargetModel,
+    ActionDef, ActionOp, BinOp, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId, Operand,
+    ParserSpec, Program, ProgramBuilder, RegAluOp, Region, RegisterDef, TableDef,
 };
-use adcp_rmt::{RmtConfig, RmtSwitch};
 use adcp_sim::packet::{FlowId, Packet, PortId};
 use adcp_sim::rng::SimRng;
 use adcp_sim::time::SimTime;
@@ -52,6 +50,20 @@ impl Default for ParamServerCfg {
             model_size: 256,
             width: 16,
             seed: 1,
+        }
+    }
+}
+
+impl ParamServerCfg {
+    /// The size the suite runs at `scale` ([`crate::suite`]).
+    pub fn sized(scale: Scale) -> Self {
+        match scale {
+            Scale::Full => Self::default(),
+            Scale::Quick => ParamServerCfg {
+                workers: 4,
+                model_size: 64,
+                ..Self::default()
+            },
         }
     }
 }
@@ -225,7 +237,12 @@ pub fn run(kind: TargetKind, cfg: &ParamServerCfg) -> AppReport {
     let worker_ports: Vec<PortId> = (0..cfg.workers as u16).map(PortId).collect();
     let ps_port = PortId(cfg.workers as u16); // one past the workers
 
-    let (mut sw, notes) = build_switch(kind, cfg, &worker_ports, ps_port);
+    let mut sw = driver::build(kind, |target| {
+        let pipes = driver::state_pipes(target);
+        program(cfg, kind, pipes, &worker_ports, ps_port)
+    })
+    .expect("paramserv compiles on every target");
+    let notes = sw.placement().notes.clone();
 
     // Inject every worker's chunk stream, interleaved.
     let mut rng = SimRng::seed_from(cfg.seed);
@@ -274,65 +291,6 @@ pub fn run(kind: TargetKind, cfg: &ParamServerCfg) -> AppReport {
         ));
     }
     AppReport::from_switch("paramserv", kind, &sw, makespan, correct, notes)
-}
-
-fn build_switch(
-    kind: TargetKind,
-    cfg: &ParamServerCfg,
-    worker_ports: &[PortId],
-    ps_port: PortId,
-) -> (AnySwitch, Vec<String>) {
-    match kind {
-        TargetKind::Adcp => {
-            let target = TargetModel::adcp_reference();
-            let prog = program(
-                cfg,
-                kind,
-                target.central_pipes as u32,
-                worker_ports,
-                ps_port,
-            );
-            let sw = AdcpSwitch::new(
-                prog,
-                target,
-                CompileOptions::default(),
-                AdcpConfig::default(),
-            )
-            .expect("paramserv compiles on ADCP");
-            let notes = sw.placement.notes.clone();
-            (AnySwitch::Adcp(Box::new(sw)), notes)
-        }
-        TargetKind::RmtRecirc => {
-            let target = TargetModel::rmt_12t();
-            let prog = program(cfg, kind, target.num_pipes() as u32, worker_ports, ps_port);
-            let sw = RmtSwitch::new(
-                prog,
-                target,
-                CompileOptions {
-                    rmt_central: RmtCentralStrategy::Recirculate,
-                },
-                RmtConfig::default(),
-            )
-            .expect("paramserv compiles on RMT via recirculation");
-            let notes = sw.placement.notes.clone();
-            (AnySwitch::Rmt(Box::new(sw)), notes)
-        }
-        TargetKind::RmtPinned => {
-            let target = TargetModel::rmt_12t();
-            let prog = program(cfg, kind, 1, worker_ports, ps_port);
-            let sw = RmtSwitch::new(
-                prog,
-                target,
-                CompileOptions {
-                    rmt_central: RmtCentralStrategy::EgressPin,
-                },
-                RmtConfig::default(),
-            )
-            .expect("paramserv compiles on RMT via egress pinning");
-            let notes = sw.placement.notes.clone();
-            (AnySwitch::Rmt(Box::new(sw)), notes)
-        }
-    }
 }
 
 #[cfg(test)]

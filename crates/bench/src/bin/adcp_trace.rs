@@ -44,9 +44,11 @@
 //! packet id) for every inter-switch link crossing, and the INT
 //! collector's microburst / path-change anomalies overlaid per device.
 //!
-//! `--migrate` sets the control-plane policy for apps that carry one
-//! (currently `partmigrate`): pick the migration strategy or turn the
-//! controller off entirely.
+//! `--migrate` sets the control-plane policy of `partmigrate`, the one
+//! app that carries one: pick the migration strategy or turn the
+//! controller off entirely. It applies to `--app partmigrate` and to the
+//! `partmigrate` row of an `--app table1` sweep; with any other single
+//! `--app` it is a usage error (exit 2).
 //!
 //! `--diff A.json B.json` compares two saved metrics exports (raw blocks
 //! or `--json` AppReports) and prints changed counters/gauges plus scopes
@@ -54,13 +56,12 @@
 //! config change did to the per-stage picture.
 
 use adcp_apps::driver::{AppReport, TargetKind};
+use adcp_apps::suite;
 use adcp_bench::journey::{
     chrome_trace, fabric_chrome_trace, forensics, format_journeys, ChromeRun, FabricChromeDevice,
 };
 use adcp_bench::report::{print_json, print_table};
-use adcp_bench::trace::{
-    diff_metrics, flatten, metrics_block, parse_target, run_one_with, APP_NAMES,
-};
+use adcp_bench::trace::{diff_metrics, flatten, metrics_block, parse_target, run_one_with};
 use adcp_sim::schema::{load_chrome_trace_schema, load_metrics_schema, validate};
 use adcp_sim::telemetry::{Collector, CollectorCfg};
 
@@ -342,7 +343,7 @@ fn main() {
 
     let runs: Vec<(String, AppReport)> = if app == "table1" {
         let mut v = Vec::new();
-        'sweep: for &a in APP_NAMES {
+        'sweep: for a in suite::names() {
             for kind in [TargetKind::Adcp, TargetKind::RmtPinned] {
                 if adcp_bench::shutdown::requested() {
                     eprintln!(
@@ -361,13 +362,23 @@ fn main() {
         }
         v
     } else {
-        let report = run_one_with(&app, target, quick, migrate).unwrap_or_else(|| {
+        if suite::app(&app).is_none() {
+            let names: Vec<&str> = suite::names().collect();
             eprintln!(
                 "unknown --app {app:?} (want table1 or one of: {})",
-                APP_NAMES.join(", ")
+                names.join(", ")
             );
             std::process::exit(2);
-        });
+        }
+        if migrate.is_some() && app != suite::PARTMIGRATE {
+            eprintln!(
+                "--migrate sets the controller policy of --app {0} (or of the {0} row of \
+                 --app table1); {app} has no control-plane knob",
+                suite::PARTMIGRATE
+            );
+            std::process::exit(2);
+        }
+        let report = run_one_with(&app, target, quick, migrate).expect("known app");
         vec![(format!("{app} on {}", target.label()), report)]
     };
 

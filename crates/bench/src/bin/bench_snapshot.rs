@@ -1,6 +1,6 @@
 //! Record a perf-trajectory snapshot: simulated packets per wall-second for
-//! every Table 1 app on ADCP and its RMT lowering, written to
-//! `BENCH_<date>.json` (see EXPERIMENTS.md for the format).
+//! every row of `adcp_apps::suite::APPS` on ADCP and its RMT lowering,
+//! written to `BENCH_<date>.json` (see EXPERIMENTS.md for the format).
 //!
 //! Usage: `cargo run --release -p adcp-bench --bin bench_snapshot
 //!         [--quick] [--json] [--repeat N] [--out DIR]
@@ -32,8 +32,7 @@
 
 use adcp_bench::report::{eng, print_json, print_table, want_json, write_json_file};
 use adcp_bench::snapshot::{
-    check_against_baseline, measure_int_overhead, measure_overhead, measure_trace_overhead,
-    run_suite, today_utc, OverheadRow, SnapshotRow,
+    check_against_baseline, measure_overhead, run_suite, today_utc, OverheadRow, SnapshotRow,
 };
 use std::path::{Path, PathBuf};
 
@@ -48,9 +47,16 @@ fn arg_value(name: &str) -> Option<String> {
 const TRACE_OVERHEAD_SAMPLE: u64 = 64;
 
 fn overhead_main(quick: bool, reps: u32, out_dir: &Path) {
-    let (metrics_rows, metrics_pct) = measure_overhead(quick, reps);
-    let (trace_rows, trace_pct) = measure_trace_overhead(quick, reps, TRACE_OVERHEAD_SAMPLE);
-    let (int_rows, int_pct) = measure_int_overhead(quick, reps);
+    let (metrics_rows, metrics_pct) =
+        measure_overhead("ADCP_METRICS", "on", "metrics", quick, reps);
+    let (trace_rows, trace_pct) = measure_overhead(
+        "ADCP_TRACE",
+        &TRACE_OVERHEAD_SAMPLE.to_string(),
+        &format!("trace(sample={TRACE_OVERHEAD_SAMPLE})"),
+        quick,
+        reps,
+    );
+    let (int_rows, int_pct) = measure_overhead("ADCP_INT", "on", "int", quick, reps);
     let rows: Vec<OverheadRow> = metrics_rows
         .into_iter()
         .chain(trace_rows)

@@ -36,23 +36,39 @@
 //! `CONFORMANCE_BUG=lie-int-stamp` makes the ADCP target's INT stamps
 //! report one more than the observed TM queue depth while the journey
 //! tracer keeps the truth, which the INT honesty check must flag.
+//! Any other non-empty value is a usage error (exit 2, listing the four
+//! names) — never a silent unsabotaged run.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use adcp_bench::conformance::{replay, run, BugHook, CaseError, RunConfig};
 
-fn parse_bug() -> BugHook {
-    match std::env::var("CONFORMANCE_BUG").as_deref() {
-        Ok("swap-add-max") => BugHook::SwapAddMax,
-        Ok("lose-drop-forensics") => BugHook::LoseDropForensics,
-        Ok("misroute-boundary-key") => BugHook::MisrouteBoundaryKey,
-        Ok("lie-int-stamp") => BugHook::LieIntStamp,
-        Ok(other) if !other.is_empty() => {
-            eprintln!("conformance: unknown CONFORMANCE_BUG {other:?}, ignoring");
-            BugHook::None
-        }
-        _ => BugHook::None,
+/// The sabotage hooks `CONFORMANCE_BUG` can arm, by name.
+const BUG_HOOKS: [(&str, BugHook); 4] = [
+    ("swap-add-max", BugHook::SwapAddMax),
+    ("lose-drop-forensics", BugHook::LoseDropForensics),
+    ("misroute-boundary-key", BugHook::MisrouteBoundaryKey),
+    ("lie-int-stamp", BugHook::LieIntStamp),
+];
+
+/// The hook `CONFORMANCE_BUG` names; unset or empty is no sabotage. An
+/// unknown name is an error: running unsabotaged to `PASS` would read as
+/// "the harness missed the bug".
+fn parse_bug() -> Result<BugHook, String> {
+    match std::env::var("CONFORMANCE_BUG") {
+        Ok(name) if !name.is_empty() => BUG_HOOKS
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, hook)| hook)
+            .ok_or_else(|| {
+                let names: Vec<&str> = BUG_HOOKS.iter().map(|&(n, _)| n).collect();
+                format!(
+                    "unknown CONFORMANCE_BUG {name:?} (want one of: {})",
+                    names.join(", ")
+                )
+            }),
+        _ => Ok(BugHook::None),
     }
 }
 
@@ -87,7 +103,13 @@ fn main() -> ExitCode {
             }
         }
     }
-    cfg.bug = parse_bug();
+    cfg.bug = match parse_bug() {
+        Ok(bug) => bug,
+        Err(e) => {
+            eprintln!("conformance: {e}");
+            return ExitCode::from(2);
+        }
+    };
     // SIGINT/SIGTERM stop the run at the next case boundary; the partial
     // report (every case actually attempted) is still printed below.
     adcp_bench::shutdown::install();

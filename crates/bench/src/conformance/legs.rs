@@ -8,14 +8,14 @@
 //! the same `check_device`, and a [`BugHook`] reaches a row only through
 //! [`sabotage`]. Adding a target is adding a row.
 
-use adcp_apps::driver::{AnySwitch, TargetKind};
+use adcp_apps::driver::{self, AnySwitch, TargetKind};
 use adcp_core::{AdcpConfig, AdcpSwitch, MigrateError, MigrationStrategy, PartitionMap};
 use adcp_fabric::{Fabric, FabricConfig, FabricError};
 use adcp_lang::{
-    ActionOp, CompileError, CompileOptions, Entry, FabricSpec, FieldId, FieldRef, HeaderId,
-    Program, RegAluOp, RegId, RmtCentralStrategy, TableError, TargetModel,
+    ActionOp, CompileError, Entry, FabricSpec, FieldId, FieldRef, HeaderId, Program, RegAluOp,
+    RegId, TableError,
 };
-use adcp_rmt::{RmtConfig, RmtSwitch};
+use adcp_rmt::RmtConfig;
 use adcp_sim::datapath::Shell;
 use adcp_sim::packet::{Packet, PortId};
 use adcp_sim::time::SimTime;
@@ -262,15 +262,6 @@ fn wire_name(kind: TargetKind) -> &'static str {
     }
 }
 
-/// The program and central-table lowering an RMT kind compiles: the
-/// recirculating lowering needs the twin that asks for the second pass.
-fn rmt_wiring(kind: TargetKind, case: &GenCase) -> (&Program, RmtCentralStrategy) {
-    match kind {
-        RmtRecirc => (&case.program_recirc, RmtCentralStrategy::Recirculate),
-        _ => (&case.program, RmtCentralStrategy::EgressPin),
-    }
-}
-
 /// Journey tracing and INT stamping on (unless `ADCP_TRACE` / `ADCP_INT`
 /// override): every run of every ADCP device doubles as a
 /// forensics↔counter and an INT↔tracer cross-check lane.
@@ -283,28 +274,27 @@ fn adcp_lanes_on() -> AdcpConfig {
 }
 
 /// Build the switch of one kind for a case, with the same two lanes on.
+/// The recirculating lowering compiles the twin program that asks for the
+/// second pass; only the ADCP takes sabotage.
 fn build(kind: TargetKind, case: &GenCase, bug: BugHook) -> Result<AnySwitch, CompileError> {
-    match kind {
-        RmtPinned | RmtRecirc => {
-            let (program, rmt_central) = rmt_wiring(kind, case);
-            let cfg = RmtConfig {
-                trace: true,
-                int: true,
-                ..Default::default()
-            };
-            let opts = CompileOptions { rmt_central };
-            let sw = RmtSwitch::new(program.clone(), TargetModel::rmt_12t(), opts, cfg)?;
-            Ok(AnySwitch::Rmt(Box::new(sw)))
-        }
+    let rmt_lanes_on = RmtConfig {
+        trace: true,
+        int: true,
+        ..Default::default()
+    };
+    let mut sw = driver::build_with(kind, adcp_lanes_on(), rmt_lanes_on, |_| match kind {
+        RmtRecirc => case.program_recirc.clone(),
+        RmtPinned => case.program.clone(),
         Adcp => {
             let mut program = case.program.clone();
             sabotage(bug, Hooked::Program(&mut program));
-            let (target, opts) = (TargetModel::adcp_reference(), CompileOptions::default());
-            let mut sw = AdcpSwitch::new(program, target, opts, adcp_lanes_on())?;
-            sabotage(bug, Hooked::Switch(&mut sw));
-            Ok(AnySwitch::Adcp(Box::new(sw)))
+            program
         }
+    })?;
+    if let AnySwitch::Adcp(sw) = &mut sw {
+        sabotage(bug, Hooked::Switch(sw));
     }
+    Ok(sw)
 }
 
 /// An RMT row takes every scalar program. A program with array action ops
@@ -318,8 +308,8 @@ fn rmt_accepts(case: &GenCase, kind: TargetKind) -> Result<(), Reject> {
     match build(kind, case, BugHook::None) {
         Err(e) => Err(Reject::Unsupported(format!("{e:?}"))),
         Ok(_) => Err(Reject::Mismatch(format!(
-            "rmt ({:?}) compiled an array-action program it must reject (§3.2)",
-            rmt_wiring(kind, case).1
+            "{} compiled an array-action program it must reject (§3.2)",
+            wire_name(kind)
         ))),
     }
 }
@@ -351,13 +341,6 @@ fn central_snapshots(sw: &AnySwitch, reg: RegId) -> Vec<Vec<u64>> {
     }
 }
 
-fn adcp_of(sw: &mut AnySwitch) -> &mut AdcpSwitch {
-    match sw {
-        AnySwitch::Adcp(s) => s,
-        AnySwitch::Rmt(_) => unreachable!("only the ADCP has a partitioned area"),
-    }
-}
-
 /// Run the case on one switch. A partitioned row exercises the §3.1
 /// control plane: traffic starts under a uniform map and (when migrated) a
 /// seeded owner reassignment begins mid-workload. Either way the final
@@ -379,7 +362,7 @@ fn switch_leg(
     let mut sw = build(kind, case, cfg.bug)
         .map_err(|e| CaseError::Skip(format!("{name} compile: {e:?}")))?;
 
-    let n_pipes = u32::from(TargetModel::adcp_reference().central_pipes);
+    let n_pipes = u32::from(Adcp.target_model().central_pipes);
     let initial = (placement != Pinned).then(|| PartitionMap::uniform(REG_CELLS, n_pipes));
     let step = match (placement, &initial) {
         (Migrated(strategy), Some(initial)) => {
@@ -398,7 +381,7 @@ fn switch_leg(
         _ => None,
     };
     if let Some(map) = &initial {
-        adcp_of(&mut sw)
+        sw.adcp_mut()
             .install_partition_map(map.clone())
             .map_err(|e| mismatch("partition map install", e))?;
     }
@@ -407,12 +390,12 @@ fn switch_leg(
             return Ok(());
         };
         sw.run_until(*at);
-        adcp_of(sw)
+        sw.adcp_mut()
             .begin_migration(next.clone(), *strategy)
             .map_err(|e| mismatch("begin_migration", e))
     })?;
     if initial.is_some() {
-        let adcp = adcp_of(&mut sw);
+        let adcp = sw.adcp_mut();
         if adcp.migration_active() {
             adcp.finalize_migration()
                 .map_err(|e| mismatch("finalize_migration", e))?;

@@ -61,26 +61,17 @@ fn fig2_impl(quick: bool, parallel: bool) -> Vec<Fig2Row> {
         // Force scalar on ADCP too for the like-for-like convergence
         // comparison.
         let r = paramserv::run(kind, &cfg);
-        let (reachable, total) = match kind {
-            // Egress pinning: only the pinned pipeline's ports.
-            TargetKind::RmtPinned => {
-                let t = TargetModel::rmt_12t();
-                (t.ports_per_pipe, t.ports)
-            }
-            TargetKind::RmtRecirc => {
-                let t = TargetModel::rmt_12t();
-                (t.ports, t.ports)
-            }
-            TargetKind::Adcp => {
-                let t = TargetModel::adcp_reference();
-                (t.ports, t.ports)
-            }
-        };
+        let t = kind.target_model();
         Fig2Row {
             target: kind.label().into(),
             correct: r.correct,
-            reachable_ports: reachable,
-            total_ports: total,
+            // Egress pinning: only the pinned pipeline's ports.
+            reachable_ports: if kind == TargetKind::RmtPinned {
+                t.ports_per_pipe
+            } else {
+                t.ports
+            },
+            total_ports: t.ports,
             recirc_per_packet: r.recirc_passes as f64 / r.injected.max(1) as f64,
             makespan_ns: r.makespan_ns,
             p99_ns: r.latency.p99_ns,

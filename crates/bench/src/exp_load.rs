@@ -11,12 +11,11 @@
 //! bottleneck and delay grows with the backlog (the sources block rather
 //! than drop, so the overload point shows delay, not loss).
 
-use adcp_core::{AdcpConfig, AdcpSwitch};
+use adcp_apps::driver::{self, AnySwitch, TargetKind};
 use adcp_lang::{
-    ActionDef, ActionOp, CompileOptions, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId, Operand,
-    ParserSpec, Program, ProgramBuilder, Region, TableDef, TargetModel,
+    ActionDef, ActionOp, FieldDef, FieldId, FieldRef, HeaderDef, HeaderId, Operand, ParserSpec,
+    Program, ProgramBuilder, Region, TableDef,
 };
-use adcp_rmt::{RmtConfig, RmtSwitch};
 use adcp_sim::packet::{FlowId, Packet, PortId};
 use adcp_sim::stats::LatencySummary;
 use adcp_sim::time::SimTime;
@@ -69,13 +68,13 @@ pub struct LoadRow {
 }
 
 fn drive(
-    sw: &mut dyn Driver,
-    port_gbps: f64,
+    sw: &mut AnySwitch,
     load: f64,
     pkts_per_src: u32,
     frame: usize,
 ) -> (u64, u64, LatencySummary) {
     // Per-source inter-arrival: this target's wire time / load.
+    let port_gbps = f64::from(sw.target().port_speed_gbps);
     let wire_ps = ((frame.max(64) + 20) as f64 * 8.0 * 1000.0 / port_gbps) as u64;
     let gap = (wire_ps as f64 / load) as u64;
     let mut id = 0u64;
@@ -84,7 +83,7 @@ fn drive(
             let mut data = vec![0u8; frame];
             let dst = 4 + src; // distinct sink per source: no cross-contention
             data[..2].copy_from_slice(&dst.to_be_bytes());
-            sw.inject_p(
+            sw.inject(
                 PortId(src),
                 Packet::new(id, FlowId(src as u64), data),
                 SimTime(i as u64 * gap),
@@ -92,43 +91,13 @@ fn drive(
             id += 1;
         }
     }
-    sw.finish()
-}
-
-/// Small object-safe shim over the two switch types.
-trait Driver {
-    fn inject_p(&mut self, port: PortId, pkt: Packet, t: SimTime);
-    fn finish(&mut self) -> (u64, u64, LatencySummary);
-}
-
-impl Driver for RmtSwitch {
-    fn inject_p(&mut self, port: PortId, pkt: Packet, t: SimTime) {
-        self.inject(port, pkt, t);
-    }
-    fn finish(&mut self) -> (u64, u64, LatencySummary) {
-        self.run_until_idle();
-        self.check_conservation();
-        (
-            self.counters.delivered,
-            self.counters.total_drops(),
-            LatencySummary::from(&self.latency),
-        )
-    }
-}
-
-impl Driver for AdcpSwitch {
-    fn inject_p(&mut self, port: PortId, pkt: Packet, t: SimTime) {
-        self.inject(port, pkt, t);
-    }
-    fn finish(&mut self) -> (u64, u64, LatencySummary) {
-        self.run_until_idle();
-        self.check_conservation();
-        (
-            self.counters.delivered,
-            self.counters.total_drops(),
-            LatencySummary::from(&self.latency),
-        )
-    }
+    sw.run_until_idle();
+    sw.check_conservation();
+    (
+        sw.counters.delivered,
+        sw.counters.total_drops(),
+        LatencySummary::from(&sw.latency),
+    )
 }
 
 /// Sweep offered load on both architectures.
@@ -141,37 +110,22 @@ fn ablate_load_impl(quick: bool, parallel: bool) -> Vec<LoadRow> {
     let frame = 256usize;
     // One point per (load, target), in the original row order: each point
     // builds its own switch, so they run independently on worker threads.
-    let mut points: Vec<(f64, &str)> = Vec::new();
+    let mut points: Vec<(f64, TargetKind)> = Vec::new();
     for load in [0.2, 0.5, 0.8, 0.95, 1.2] {
-        points.push((load, "rmt"));
-        points.push((load, "adcp"));
+        points.push((load, TargetKind::RmtPinned));
+        points.push((load, TargetKind::Adcp));
     }
-    crate::par::map_points(parallel, points, |(load, target)| {
-        let (d, dr, lat) = if target == "rmt" {
-            let mut rmt = RmtSwitch::new(
-                forward_program(false),
-                TargetModel::rmt_12t(),
-                CompileOptions::default(),
-                RmtConfig::default(),
-            )
-            .unwrap();
-            drive(&mut rmt, 400.0, load, pkts, frame)
-        } else {
-            let mut adcp = AdcpSwitch::new(
-                forward_program(true),
-                TargetModel::adcp_reference(),
-                CompileOptions::default(),
-                AdcpConfig::default(),
-            )
-            .unwrap();
-            drive(&mut adcp, 800.0, load, pkts, frame)
-        };
+    crate::par::map_points(parallel, points, |(load, kind)| {
+        let adcp = kind == TargetKind::Adcp;
+        let mut sw = driver::build(kind, |_| forward_program(adcp))
+            .expect("forwarding compiles on every target");
+        let (delivered, drops, latency) = drive(&mut sw, load, pkts, frame);
         LoadRow {
-            target: target.into(),
+            target: if adcp { "adcp" } else { "rmt" }.into(),
             load,
-            delivered: d,
-            drops: dr,
-            latency: lat,
+            delivered,
+            drops,
+            latency,
         }
     })
 }

@@ -1,14 +1,15 @@
 //! Regenerators for the paper's tables.
 //!
-//! * Table 1 — the application matrix, run live: every app on every
-//!   architecture variant, with correctness and the architectural costs.
+//! * Table 1 — the application matrix, run live: a loop over the Table-1
+//!   rows of `adcp_apps::suite::APPS` × the targets each row lists, with
+//!   correctness and the architectural costs.
 //! * Table 2 — RMT port-multiplexing scaling (analytic, matches the paper
 //!   row for row; the one inconsistent printed row is flagged).
 //! * Table 3 — port demultiplexing examples (analytic).
 
 use adcp_analytic::scaling::{self, ScalingRow, PAPER_TABLE2};
 use adcp_apps::driver::{AppReport, TargetKind};
-use adcp_apps::{dbshuffle, graphmine, groupcomm, kvcache, netlock, paramserv};
+use adcp_apps::suite::{self, App, Scale};
 use serde::Serialize;
 
 /// One Table 1 row: an app on a variant.
@@ -19,101 +20,30 @@ pub struct Table1Row {
     pub report: AppReport,
 }
 
-/// Run every Table 1 application on every architecture variant.
+/// Run every Table 1 application on every architecture variant: the
+/// first [`suite::TABLE1`] rows of [`suite::APPS`], each on the ADCP and on
+/// every RMT lowering its row lists.
 ///
-/// `quick` shrinks the workloads (used by tests; the binary default runs
-/// the full sizes). The 16 runs are independent simulations, so they run
-/// on scoped threads ([`crate::par::par_map`]) and are collected in table
-/// order.
+/// `quick` picks the rows' quick size (used by tests; the binary default
+/// runs the full sizes). The 16 runs are independent simulations, so they
+/// run on scoped threads ([`crate::par::par_map`]) and are collected in
+/// table order.
 pub fn table1(quick: bool) -> Vec<Table1Row> {
     table1_impl(quick, true)
 }
 
 fn table1_impl(quick: bool, parallel: bool) -> Vec<Table1Row> {
-    crate::par::map_points(parallel, table1_jobs(quick), |job| Table1Row {
-        report: job(),
+    let scale = Scale::of(quick);
+    crate::par::map_points(parallel, table1_jobs(), |(app, kind)| Table1Row {
+        report: (app.run)(kind, scale),
     })
 }
 
-type Job = Box<dyn FnOnce() -> AppReport + Send>;
-
-fn table1_jobs(quick: bool) -> Vec<Job> {
-    let mut jobs: Vec<Job> = Vec::new();
-    let kinds = [
-        TargetKind::Adcp,
-        TargetKind::RmtRecirc,
-        TargetKind::RmtPinned,
-    ];
-
-    // ML parameter aggregation.
-    let ps = if quick {
-        paramserv::ParamServerCfg {
-            workers: 4,
-            model_size: 64,
-            width: 16,
-            seed: 1,
-        }
-    } else {
-        paramserv::ParamServerCfg::default()
-    };
-    for k in kinds {
-        let ps = ps.clone();
-        jobs.push(Box::new(move || paramserv::run(k, &ps)));
-    }
-
-    // Database analytics.
-    let mut db = dbshuffle::DbShuffleCfg::default();
-    if quick {
-        db.workload.rows_per_mapper = 150;
-    }
-    for k in kinds {
-        let db = db.clone();
-        jobs.push(Box::new(move || dbshuffle::run(k, &db)));
-    }
-
-    // Graph pattern mining.
-    let mut gm = graphmine::GraphMineCfg::default();
-    if quick {
-        gm.workload.supersteps = 5;
-        gm.workload.edges = 3000;
-    }
-    for k in kinds {
-        let gm = gm.clone();
-        jobs.push(Box::new(move || graphmine::run(k, &gm)));
-    }
-
-    // Group communication (no central state; the two RMT lowerings are
-    // identical, so run the pinned one as "rmt").
-    let mut gc = groupcomm::GroupCommCfg::default();
-    if quick {
-        gc.packets = 120;
-    }
-    for k in [TargetKind::Adcp, TargetKind::RmtPinned] {
-        let gc = gc.clone();
-        jobs.push(Box::new(move || groupcomm::run(k, &gc)));
-    }
-
-    // In-network lock service (coordination; §1's "locking"). Pinning is
-    // run too: its *failure* to hand off locks is part of the result.
-    let mut nl = netlock::NetLockCfg::default();
-    if quick {
-        nl.rounds = 3;
-    }
-    for k in kinds {
-        let nl = nl.clone();
-        jobs.push(Box::new(move || netlock::run(k, &nl)));
-    }
-
-    // KV cache (extra app; exercises Fig. 3 economics end to end).
-    let mut kv = kvcache::KvCacheCfg::default();
-    if quick {
-        kv.requests = 300;
-    }
-    for k in [TargetKind::Adcp, TargetKind::RmtPinned] {
-        let kv = kv.clone();
-        jobs.push(Box::new(move || kvcache::run(k, &kv).report));
-    }
-    jobs
+fn table1_jobs() -> Vec<(&'static App, TargetKind)> {
+    suite::APPS[..suite::TABLE1]
+        .iter()
+        .flat_map(|app| app.kinds().map(move |kind| (app, kind)))
+        .collect()
 }
 
 /// A Table 2/3 row with its paper counterpart for the comparison column.

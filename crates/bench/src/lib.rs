@@ -3,8 +3,9 @@
 //! Library behind the regenerator binaries (one per paper table/figure,
 //! see `src/bin/`):
 //!
-//! * [`exp_tables`] — Table 1 (live application matrix), Tables 2/3
-//!   (scaling arithmetic vs the paper's printed rows).
+//! * [`exp_tables`] — Table 1 (live application matrix: a loop over the
+//!   Table-1 rows of `adcp_apps::suite::APPS` × each row's targets),
+//!   Tables 2/3 (scaling arithmetic vs the paper's printed rows).
 //! * [`exp_figs`] — Fig. 2 (coflow convergence costs), Fig. 3 (table
 //!   replication + hit-rate consequence), Fig. 5 (global-area balance and
 //!   forwarding freedom), Fig. 6 (key-rate vs array width).
@@ -37,9 +38,11 @@
 //!   its config points through it.
 //! * [`report`] — console tables and `--json` output.
 //! * [`snapshot`] — the `bench_snapshot` throughput suite behind
-//!   `BENCH_<date>.json` perf-trajectory files.
-//! * [`trace`] — app dispatch and per-stage flattening for the
-//!   `adcp-trace` binary.
+//!   `BENCH_<date>.json` perf-trajectory files: every `suite::APPS` row on
+//!   the ADCP and its preferred RMT lowering, plus a fabric and an `adcpd`
+//!   point; one `measure_overhead(var, on_value, label)` per knob.
+//! * [`trace`] — lookup of a `suite::APPS` row by name and per-stage
+//!   flattening for the `adcp-trace` binary.
 //! * [`shutdown`] — SIGINT/SIGTERM latch (re-exported from `adcp-sim`)
 //!   behind the graceful-exit paths of `adcp-trace --app table1`,
 //!   `conformance`, and `exp_soak`: long sweeps stop at the next case

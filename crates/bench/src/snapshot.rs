@@ -1,7 +1,8 @@
 //! Perf-trajectory snapshot: a fixed throughput suite behind the
 //! `bench_snapshot` binary.
 //!
-//! Runs every Table 1 application on ADCP and on its RMT lowering, measures
+//! Runs every row of `adcp_apps::suite::APPS` on ADCP and on the row's
+//! preferred RMT lowering (plus one fabric and one `adcpd` point), measures
 //! *wall-clock* time around each simulation, and reports simulated packets
 //! per wall-second — i.e. how fast the simulator itself chews through
 //! events, the number the hot-path work in this repo is trying to move.
@@ -9,9 +10,7 @@
 //! PRs accumulate a comparable perf history.
 
 use adcp_apps::driver::{AppReport, TargetKind};
-use adcp_apps::{
-    dbshuffle, ddos, flowlet, graphmine, groupcomm, kvcache, migrate, netlock, paramserv,
-};
+use adcp_apps::suite::{self, Scale};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -60,161 +59,17 @@ impl From<AppReport> for Measured {
     }
 }
 
-type Job = (
-    &'static str,
-    TargetKind,
-    Box<dyn Fn() -> Measured + Send + Sync>,
-);
+type Job = (&'static str, Box<dyn Fn() -> Measured + Send + Sync>);
 
+/// Every row of [`suite::APPS`] on the ADCP and on its preferred RMT
+/// lowering, then the fabric and serving-daemon points.
 fn suite_jobs(quick: bool) -> Vec<Job> {
+    let scale = Scale::of(quick);
     let mut jobs: Vec<Job> = Vec::new();
-
-    let ps = if quick {
-        paramserv::ParamServerCfg {
-            workers: 4,
-            model_size: 64,
-            width: 16,
-            seed: 1,
+    for app in &suite::APPS {
+        for kind in [TargetKind::Adcp, app.rmt[0]] {
+            jobs.push((app.name, Box::new(move || (app.run)(kind, scale).into())));
         }
-    } else {
-        paramserv::ParamServerCfg::default()
-    };
-    for k in [TargetKind::Adcp, TargetKind::RmtRecirc] {
-        let ps = ps.clone();
-        jobs.push((
-            "paramserv",
-            k,
-            Box::new(move || paramserv::run(k, &ps).into()),
-        ));
-    }
-
-    let mut db = dbshuffle::DbShuffleCfg::default();
-    if quick {
-        db.workload.rows_per_mapper = 150;
-    }
-    for k in [TargetKind::Adcp, TargetKind::RmtRecirc] {
-        let db = db.clone();
-        jobs.push((
-            "dbshuffle",
-            k,
-            Box::new(move || dbshuffle::run(k, &db).into()),
-        ));
-    }
-
-    let mut gm = graphmine::GraphMineCfg::default();
-    if quick {
-        gm.workload.supersteps = 5;
-        gm.workload.edges = 3000;
-    }
-    for k in [TargetKind::Adcp, TargetKind::RmtRecirc] {
-        let gm = gm.clone();
-        jobs.push((
-            "graphmine",
-            k,
-            Box::new(move || graphmine::run(k, &gm).into()),
-        ));
-    }
-
-    // Group communication has no central state; its RMT lowering is pinned.
-    let mut gc = groupcomm::GroupCommCfg::default();
-    if quick {
-        gc.packets = 120;
-    }
-    for k in [TargetKind::Adcp, TargetKind::RmtPinned] {
-        let gc = gc.clone();
-        jobs.push((
-            "groupcomm",
-            k,
-            Box::new(move || groupcomm::run(k, &gc).into()),
-        ));
-    }
-
-    let mut nl = netlock::NetLockCfg::default();
-    if quick {
-        nl.rounds = 3;
-    }
-    for k in [TargetKind::Adcp, TargetKind::RmtRecirc] {
-        let nl = nl.clone();
-        jobs.push(("netlock", k, Box::new(move || netlock::run(k, &nl).into())));
-    }
-
-    let mut kv = kvcache::KvCacheCfg::default();
-    if quick {
-        kv.requests = 300;
-    }
-    for k in [TargetKind::Adcp, TargetKind::RmtPinned] {
-        let kv = kv.clone();
-        jobs.push((
-            "kvcache",
-            k,
-            Box::new(move || kvcache::run(k, &kv).report.into()),
-        ));
-    }
-
-    // Live repartitioning: the ADCP run includes a mid-workload migration
-    // (controller + state copy on the event loop), so this point tracks the
-    // control-plane overhead too.
-    let mut pm = migrate::MigrateCfg::default();
-    if quick {
-        pm.packets = 800;
-    }
-    for k in [TargetKind::Adcp, TargetKind::RmtRecirc] {
-        let pm = pm.clone();
-        jobs.push((
-            "partmigrate",
-            k,
-            Box::new(move || migrate::run(k, &pm).report.into()),
-        ));
-    }
-
-    // The TE/security workloads (ROADMAP item 4). Full mode runs a
-    // million live flows — the scale the paged register files and the
-    // O(1) Zipf sampler exist for; quick keeps the same programs at
-    // sanity size.
-    let fl = if quick {
-        flowlet::LdfCfg {
-            flows: 256,
-            pkts: 1_500,
-            ..Default::default()
-        }
-    } else {
-        flowlet::LdfCfg {
-            flows: 1_000_000,
-            pkts: 40_000,
-            ..Default::default()
-        }
-    };
-    for k in [TargetKind::Adcp, TargetKind::RmtRecirc] {
-        let fl = fl.clone();
-        jobs.push((
-            "flowlet-ldf",
-            k,
-            Box::new(move || flowlet::run(k, &fl).report.into()),
-        ));
-    }
-
-    let dd = if quick {
-        ddos::DdosCfg {
-            flows: 4_000,
-            attackers: 4,
-            pkts: 2_000,
-            cool_pkts: 1_000,
-            window_pkts: 200,
-            ..Default::default()
-        }
-    } else {
-        ddos::DdosCfg {
-            flows: 1_000_000,
-            attackers: 32,
-            pkts: 40_000,
-            cool_pkts: 10_000,
-            window_pkts: 2_000,
-            ..Default::default()
-        }
-    };
-    for k in [TargetKind::Adcp, TargetKind::RmtRecirc] {
-        let dd = dd.clone();
-        jobs.push(("ddos", k, Box::new(move || ddos::run(k, &dd).report.into())));
     }
 
     // The leaf–spine fabric demo: six event loops coupled by modeled
@@ -224,7 +79,6 @@ fn suite_jobs(quick: bool) -> Vec<Job> {
     let fab_pkts = if quick { 400 } else { 4_000 };
     jobs.push((
         "fabric",
-        TargetKind::Adcp,
         Box::new(move || {
             let r = adcp_fabric::run_demo(7, fab_pkts, adcp_fabric::FabricConfig::default());
             Measured {
@@ -242,7 +96,6 @@ fn suite_jobs(quick: bool) -> Vec<Job> {
     let daemon_slices = if quick { 64 } else { 256 };
     jobs.push((
         "adcpd",
-        TargetKind::Adcp,
         Box::new(move || {
             let mut cfg = adcpd::daemon::DaemonCfg::soak_quick(7);
             cfg.slices = daemon_slices;
@@ -282,7 +135,7 @@ pub fn run_suite(quick: bool, reps: u32) -> Vec<SnapshotRow> {
     // Quick points run in milliseconds, so re-sampling a noisy one is
     // cheap; full points run for seconds, so they get their fixed count.
     let cap_reps = if quick { min_reps.max(180) } else { min_reps };
-    crate::par::seq_map(suite_jobs(quick), move |(app, _kind, job)| {
+    crate::par::seq_map(suite_jobs(quick), move |(app, job)| {
         let report = job(); // warmup, untimed
         let mut times_ns: Vec<u128> = (0..min_reps)
             .map(|_| {
@@ -341,8 +194,8 @@ pub struct OverheadRow {
 }
 
 /// Time the suite with `var` set to `value`, restoring the caller's value
-/// after. Both observability knobs (`ADCP_METRICS`, `ADCP_TRACE`) are read
-/// at switch construction, so the variable must be set process-wide before
+/// after. Every observability knob (`ADCP_METRICS`, `ADCP_TRACE`,
+/// `ADCP_INT`) is read at switch construction, so the variable must be set process-wide before
 /// the pass; call only from the main thread.
 fn suite_with_env(var: &str, value: &str, quick: bool, reps: u32) -> Vec<SnapshotRow> {
     let saved = std::env::var(var).ok();
@@ -355,7 +208,23 @@ fn suite_with_env(var: &str, value: &str, quick: bool, reps: u32) -> Vec<Snapsho
     rows
 }
 
-fn diff_rows(knob: &str, off: &[SnapshotRow], on: &[SnapshotRow]) -> (Vec<OverheadRow>, f64) {
+/// Self-profiling hook for one observability knob: time the suite with
+/// `var=off`, then with `var=on_value`, and report the per-point and
+/// aggregate instrumentation overhead under `label`. The target is
+/// **< 5 % aggregate** for each knob — the metrics registry
+/// (`ADCP_METRICS=on`), the journey tracer at its production sampling rate
+/// (`ADCP_TRACE=64`) and INT stamping at every packet (`ADCP_INT=on`, a
+/// per-hop append into a pre-sized stack); the off leg doubles as the
+/// knob's zero-cost proof.
+pub fn measure_overhead(
+    var: &str,
+    on_value: &str,
+    label: &str,
+    quick: bool,
+    reps: u32,
+) -> (Vec<OverheadRow>, f64) {
+    let off = suite_with_env(var, "off", quick, reps);
+    let on = suite_with_env(var, on_value, quick, reps);
     let rows: Vec<OverheadRow> = off
         .iter()
         .zip(on.iter())
@@ -364,7 +233,7 @@ fn diff_rows(knob: &str, off: &[SnapshotRow], on: &[SnapshotRow]) -> (Vec<Overhe
             OverheadRow {
                 app: o.app.clone(),
                 target: o.target.clone(),
-                knob: knob.to_string(),
+                knob: label.to_string(),
                 wall_ms_off: o.wall_ms,
                 wall_ms_on: n.wall_ms,
                 overhead_pct: (n.wall_ms / o.wall_ms - 1.0) * 100.0,
@@ -376,33 +245,6 @@ fn diff_rows(knob: &str, off: &[SnapshotRow], on: &[SnapshotRow]) -> (Vec<Overhe
     (rows, (total_on / total_off - 1.0) * 100.0)
 }
 
-/// Self-profiling hook: time the suite twice — metrics registry off, then
-/// on — and report the per-point and aggregate instrumentation overhead.
-/// The target for the observability layer is **< 5 % aggregate**.
-pub fn measure_overhead(quick: bool, reps: u32) -> (Vec<OverheadRow>, f64) {
-    let off = suite_with_env("ADCP_METRICS", "off", quick, reps);
-    let on = suite_with_env("ADCP_METRICS", "on", quick, reps);
-    diff_rows("metrics", &off, &on)
-}
-
-/// Same self-profiling for the journey tracer: the suite timed with
-/// `ADCP_TRACE=off` and then `ADCP_TRACE=<sample>`. Same **< 5 %
-/// aggregate** target at the default production sampling rate (64).
-pub fn measure_trace_overhead(quick: bool, reps: u32, sample: u64) -> (Vec<OverheadRow>, f64) {
-    let off = suite_with_env("ADCP_TRACE", "off", quick, reps);
-    let on = suite_with_env("ADCP_TRACE", &sample.to_string(), quick, reps);
-    diff_rows(&format!("trace(sample={sample})"), &off, &on)
-}
-
-/// Same self-profiling for INT stamping: the suite timed with
-/// `ADCP_INT=off` (the knob must be zero-cost on the datapath) and then
-/// `ADCP_INT=on` (stamp every packet). Same **< 5 % aggregate** target —
-/// stamping is a per-hop append into a pre-sized stack, not an alloc.
-pub fn measure_int_overhead(quick: bool, reps: u32) -> (Vec<OverheadRow>, f64) {
-    let off = suite_with_env("ADCP_INT", "off", quick, reps);
-    let on = suite_with_env("ADCP_INT", "on", quick, reps);
-    diff_rows("int", &off, &on)
-}
 /// Outcome of comparing one measured row against the checked-in baseline.
 #[derive(Debug, Clone, Serialize)]
 pub struct CheckRow {

@@ -3,26 +3,12 @@
 //! Runs one named application on one architecture variant and flattens the
 //! [`AppReport`]'s embedded metrics block into printable per-stage rows.
 //! The heavy lifting (registration, spans, export) lives in
-//! `adcp_sim::metrics`; this module is presentation plus app dispatch.
+//! `adcp_sim::metrics` and the app menu in `adcp_apps::suite::APPS`; this
+//! module is presentation plus a lookup by name.
 
 use adcp_apps::driver::{AppReport, TargetKind};
-use adcp_apps::{
-    dbshuffle, ddos, flowlet, graphmine, groupcomm, kvcache, migrate, netlock, paramserv,
-};
+use adcp_apps::suite::{self, Scale};
 use serde::Value;
-
-/// Application names `adcp-trace --app` accepts, in menu order.
-pub const APP_NAMES: &[&str] = &[
-    "paramserv",
-    "dbshuffle",
-    "graphmine",
-    "groupcomm",
-    "netlock",
-    "kvcache",
-    "flowlet-ldf",
-    "ddos",
-    "partmigrate",
-];
 
 /// Parse a `--target` argument. Accepts the report labels (`adcp`,
 /// `rmt/pinned`, `rmt/recirc`) and dash-friendly aliases.
@@ -35,105 +21,32 @@ pub fn parse_target(s: &str) -> Option<TargetKind> {
     }
 }
 
-/// Run one application on one target. `quick` shrinks the workload to the
-/// same sizes the table-1 quick suite uses. Returns `None` for an unknown
-/// app name.
+/// Run one application — a row of [`suite::APPS`], looked up by name — on
+/// one target at the row's quick or full size. Returns `None` for an
+/// unknown app name.
 pub fn run_one(app: &str, kind: TargetKind, quick: bool) -> Option<AppReport> {
     run_one_with(app, kind, quick, None)
 }
 
-/// [`run_one`] with the driver's `--migrate` policy applied: `Some(policy)`
-/// overrides the partmigrate controller strategy (`Some(Some(s))` picks a
-/// strategy, `Some(None)` disables the controller). Apps without a
-/// control-plane knob ignore it.
+/// [`run_one`] with the driver's `--migrate` policy applied to the one row
+/// that has a control-plane knob, `partmigrate`: `Some(Some(s))` picks the
+/// controller's strategy, `Some(None)` disables the controller. Every other
+/// row runs as it always does (the `adcp-trace` binary refuses `--migrate`
+/// with a single `--app` that would ignore it).
 pub fn run_one_with(
     app: &str,
     kind: TargetKind,
     quick: bool,
     strategy: Option<Option<adcp_core::MigrationStrategy>>,
 ) -> Option<AppReport> {
-    let report = match app {
-        "paramserv" => {
-            let cfg = if quick {
-                paramserv::ParamServerCfg {
-                    workers: 4,
-                    model_size: 64,
-                    width: 16,
-                    seed: 1,
-                }
-            } else {
-                paramserv::ParamServerCfg::default()
-            };
-            paramserv::run(kind, &cfg)
+    let row = suite::app(app)?;
+    let scale = Scale::of(quick);
+    Some(match strategy {
+        Some(policy) if row.name == suite::PARTMIGRATE => {
+            suite::partmigrate_with(kind, scale, policy)
         }
-        "dbshuffle" => {
-            let mut cfg = dbshuffle::DbShuffleCfg::default();
-            if quick {
-                cfg.workload.rows_per_mapper = 150;
-            }
-            dbshuffle::run(kind, &cfg)
-        }
-        "graphmine" => {
-            let mut cfg = graphmine::GraphMineCfg::default();
-            if quick {
-                cfg.workload.supersteps = 5;
-                cfg.workload.edges = 3000;
-            }
-            graphmine::run(kind, &cfg)
-        }
-        "groupcomm" => {
-            let mut cfg = groupcomm::GroupCommCfg::default();
-            if quick {
-                cfg.packets = 120;
-            }
-            groupcomm::run(kind, &cfg)
-        }
-        "netlock" => {
-            let mut cfg = netlock::NetLockCfg::default();
-            if quick {
-                cfg.rounds = 3;
-            }
-            netlock::run(kind, &cfg)
-        }
-        "kvcache" => {
-            let mut cfg = kvcache::KvCacheCfg::default();
-            if quick {
-                cfg.requests = 300;
-            }
-            kvcache::run(kind, &cfg).report
-        }
-        "flowlet-ldf" => {
-            let mut cfg = flowlet::LdfCfg::default();
-            if quick {
-                cfg.flows = 256;
-                cfg.pkts = 1_500;
-            }
-            flowlet::run(kind, &cfg).report
-        }
-        "ddos" => {
-            let mut cfg = ddos::DdosCfg::default();
-            if quick {
-                cfg.flows = 4_000;
-                cfg.attackers = 4;
-                cfg.pkts = 2_000;
-                cfg.cool_pkts = 1_000;
-                cfg.window_pkts = 200;
-            }
-            ddos::run(kind, &cfg).report
-        }
-        "partmigrate" => {
-            let mut cfg = migrate::MigrateCfg::default();
-            if quick {
-                cfg.packets = 800;
-            }
-            if let Some(policy) = strategy {
-                cfg.strategy = policy;
-            }
-            migrate::run(kind, &cfg).report
-        }
-        _ => return None,
-    };
-    Some(report)
+        _ => (row.run)(kind, scale),
+    })
 }
 
 /// One flattened metric for the console table.

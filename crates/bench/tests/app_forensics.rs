@@ -1,5 +1,5 @@
 //! The app-set lane of the conformance story: every application in the
-//! trace menu (`APP_NAMES`, including the TE/security pair `flowlet-ldf`
+//! trace menu (`suite::APPS`, including the TE/security pair `flowlet-ldf`
 //! and `ddos`) must pass its own reference oracle AND the drop-forensics
 //! ↔ metrics-registry cross-check — the same invariant `adcp-trace
 //! --forensics` asserts interactively and the random-program conformance
@@ -10,16 +10,16 @@
 //! read at construction time; a dedicated process keeps the env mutation
 //! from leaking into unrelated tests.
 
-use adcp_apps::TargetKind;
+use adcp_apps::{suite, TargetKind};
 use adcp_bench::journey::forensics;
-use adcp_bench::trace::{run_one, APP_NAMES};
+use adcp_bench::trace::run_one;
 
 #[test]
 fn every_app_passes_the_forensics_cross_check() {
     // Record every journey (sample stride 1) so forensic drop counts are
     // exact, then sweep the full app menu on both architectures.
     std::env::set_var("ADCP_TRACE", "1");
-    for &app in APP_NAMES {
+    for app in suite::names() {
         for kind in [TargetKind::Adcp, TargetKind::RmtPinned] {
             let r = run_one(app, kind, true).expect("known app");
             // Correctness is only asserted on the ADCP: Table 1's point is

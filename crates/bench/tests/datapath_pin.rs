@@ -20,8 +20,8 @@
 //! It is its own test binary because the three knobs are set process-wide
 //! (both switch models read them at construction).
 
-use adcp_apps::TargetKind;
-use adcp_bench::trace::{run_one, APP_NAMES};
+use adcp_apps::{suite, TargetKind};
+use adcp_bench::trace::run_one;
 use serde_json::Value;
 use std::path::PathBuf;
 
@@ -45,7 +45,7 @@ fn every_observable_of_every_app_run_is_pinned() {
     std::env::set_var("ADCP_INT", "on");
     std::env::set_var("ADCP_METRICS", "on");
     let mut got = serde::Map::new();
-    for &app in APP_NAMES {
+    for app in suite::names() {
         for kind in [
             TargetKind::Adcp,
             TargetKind::RmtPinned,
