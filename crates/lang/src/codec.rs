@@ -8,11 +8,14 @@
 //! modifications back into frame bytes and metadata at its tail
 //! ([`PacketCodec::writeback`]). No action adds or removes a header, so a
 //! frame keeps its length and layout through a pipeline and the tail only
-//! has to patch the fields the pipeline wrote, where they already sit. The
-//! full rebuild, [`crate::parser::deparse`], is the reference this is
-//! checked against — on every traversal of a debug build.
+//! has to patch the fields the pipeline wrote, where they already sit: the
+//! writeback walks the same per-header extraction plan the parser ran
+//! ([`PhvLayout`]) and tests each slot's dirty bit by index. The full
+//! rebuild, [`crate::parser::deparse`], places fields by its own offset
+//! arithmetic instead of the plan and is the reference this is checked
+//! against — on every traversal of a debug build.
 
-use crate::header::{deposit_bits, FieldId, FieldRef, HeaderId};
+use crate::header::{deposit_bits, HeaderId};
 use crate::parser::{ParseError, ParseOutcome};
 use crate::phv::{Phv, PhvLayout};
 use crate::program::Program;
@@ -74,33 +77,28 @@ impl PacketCodec {
     /// a shared (multicast) frame is copied once, at its first such field.
     #[inline]
     pub fn deparse(&self, pkt: &mut Packet, phv: &Phv, extracted: &[HeaderId]) {
-        let headers = &self.program.headers;
+        let layout = &self.layout;
         #[cfg(debug_assertions)]
         let rebuilt = {
-            let consumed: u32 = extracted
-                .iter()
-                .map(|h| headers[h.0 as usize].total_bytes())
-                .sum();
+            let consumed: u32 = extracted.iter().map(|h| layout.header(*h).bytes).sum();
             let payload = &pkt.data[consumed as usize..];
-            crate::parser::deparse(headers, &self.layout, phv, extracted, payload)
+            crate::parser::deparse(&self.program.headers, layout, phv, extracted, payload)
         };
         if !phv.is_clean() {
-            let mut off = 0u32;
+            let mut base = 0u32;
             for h in extracted {
-                for (fi, f) in headers[h.0 as usize].fields.iter().enumerate() {
-                    let field = FieldRef::new(*h, FieldId(fi as u16));
-                    if let Some(vals) = phv.written(&self.layout, field) {
+                let hdr = layout.header(*h);
+                for (slot, f) in hdr.slots().zip(layout.plan(hdr)) {
+                    if let Some(vals) = phv.written_slot(slot, f) {
                         let frame = pkt.data.make_mut();
                         for (e, &v) in vals.iter().enumerate() {
-                            let at = off + e as u32 * f.bits as u32;
+                            let at = base + f.off + e as u32 * f.bits as u32;
                             let ok = deposit_bits(frame, at, f.bits, v);
                             debug_assert!(ok, "the parser read this field from this frame");
                         }
                     }
-                    off += f.total_bits();
                 }
-                // The parser steps header by header in whole bytes.
-                off = off.next_multiple_of(8);
+                base += hdr.bytes * 8;
             }
         }
         #[cfg(debug_assertions)]
@@ -139,7 +137,7 @@ impl PacketCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::{FieldDef, HeaderDef};
+    use crate::header::{FieldDef, FieldId, FieldRef, HeaderDef};
     use crate::parser::{deparse, ParserSpec, ParserState, StateId, Transition};
     use crate::program::ProgramBuilder;
     use adcp_sim::packet::FlowId;

@@ -15,6 +15,7 @@
 //!   bandwidth per extra pass). The chosen lowering is recorded so the
 //!   switch model and the Fig. 2 experiment can charge the real cost.
 
+use crate::phv::PhvLayout;
 use crate::program::{Program, ValidateError};
 use crate::table::{Region, TableDef};
 use crate::target::TargetModel;
@@ -320,6 +321,7 @@ pub fn compile(
 
     let ingress = place_region(
         program,
+        &layout,
         target,
         Region::Ingress,
         target.ingress_stages,
@@ -328,7 +330,14 @@ pub fn compile(
     let central = if central_impl == CentralImpl::None {
         RegionPlan::default()
     } else {
-        place_region(program, target, Region::Central, central_budget, &mut notes)?
+        place_region(
+            program,
+            &layout,
+            target,
+            Region::Central,
+            central_budget,
+            &mut notes,
+        )?
     };
     // When central tables are egress-pinned they share the egress stage
     // budget with the egress tables proper: charge the egress region the
@@ -338,7 +347,14 @@ pub fn compile(
     } else {
         target.egress_stages
     };
-    let egress = place_region(program, target, Region::Egress, egress_budget, &mut notes)?;
+    let egress = place_region(
+        program,
+        &layout,
+        target,
+        Region::Egress,
+        egress_budget,
+        &mut notes,
+    )?;
 
     let recirc_passes = if central_impl == CentralImpl::Recirculated {
         1
@@ -370,12 +386,12 @@ pub fn compile(
 /// Greedy list-scheduling of one region's tables into stages.
 fn place_region(
     program: &Program,
+    layout: &PhvLayout,
     target: &TargetModel,
     region: Region,
     stage_budget: u16,
     notes: &mut Vec<String>,
 ) -> Result<RegionPlan, CompileError> {
-    let layout = program.layout();
     let tables = program.region_tables(region);
     let mut plan = RegionPlan::default();
     if tables.is_empty() {
@@ -385,8 +401,8 @@ fn place_region(
     let mut placed_stage: HashMap<usize, usize> = HashMap::new();
 
     for (gi, def) in tables {
-        let width = program.table_width(&layout, def);
-        let cost = table_cost(program, target, def, width, notes)?;
+        let width = program.table_width(layout, def);
+        let cost = table_cost(program, layout, target, def, width, notes)?;
 
         if cost.mau_slots as u32 > target.maus_per_stage as u32 {
             return Err(CompileError::TableTooLarge {
@@ -511,6 +527,7 @@ struct TableCost {
 /// Resource cost of one table on one target — the Fig. 3 arithmetic.
 fn table_cost(
     program: &Program,
+    layout: &PhvLayout,
     target: &TargetModel,
     def: &TableDef,
     width: u16,
@@ -520,7 +537,7 @@ fn table_cost(
     let has_array_action = def.actions.iter().any(|a| a.has_array_ops());
     // The width that matters for resources is the wider of the key's array
     // width and any array the actions operate on.
-    let width = width.max(program.action_array_width(def));
+    let width = width.max(program.action_array_width(layout, def));
     // A register is provisioned once no matter how many ops (or actions)
     // touch it — dedupe before summing.
     let mut regs: Vec<_> = def.actions.iter().flat_map(|a| a.registers()).collect();

@@ -151,45 +151,64 @@ impl HeaderDef {
     }
 }
 
-/// Extract `bits` bits starting at `bit_off` from `data`, big-endian.
+/// The bytes a span of `bits` bits at `bit_off` touches, as (first byte,
+/// byte count, bits between the span's end and the last byte's end). A
+/// span of at most 64 bits touches at most 9 bytes, whatever its offset.
+fn window(bit_off: u32, bits: u8) -> (usize, usize, u32) {
+    let lead = bit_off % 8;
+    let len = (lead + bits as u32).div_ceil(8);
+    (
+        (bit_off / 8) as usize,
+        len as usize,
+        len * 8 - lead - bits as u32,
+    )
+}
+
+/// Extract `bits` bits starting at `bit_off` from `data`, big-endian: one
+/// word read of the (at most 9-byte) window the span covers, then a shift
+/// and a mask. A span wider than 64 bits yields its last 64.
 ///
 /// Returns `None` if the span runs past the end of `data`.
 pub fn extract_bits(data: &[u8], bit_off: u32, bits: u8) -> Option<u64> {
-    let end_bit = bit_off as u64 + bits as u64;
-    if end_bit > data.len() as u64 * 8 {
+    if bit_off as u64 + bits as u64 > data.len() as u64 * 8 {
         return None;
     }
-    let mut v: u64 = 0;
-    for i in 0..bits as u32 {
-        let b = bit_off + i;
-        let byte = data[(b / 8) as usize];
-        let bit = (byte >> (7 - (b % 8))) & 1;
-        v = (v << 1) | bit as u64;
-    }
-    Some(v)
+    let (first, len, tail) = window(bit_off, bits);
+    let word = data[first..first + len]
+        .iter()
+        .fold(0u128, |w, &b| (w << 8) | b as u128);
+    Some((word >> tail) as u64 & mask(bits))
 }
 
-/// Write `bits` bits of `value` at `bit_off` into `data`, big-endian.
+/// Write `bits` bits of `value` at `bit_off` into `data`, big-endian: the
+/// window the span covers is read as one word, the field's bits replaced
+/// under a mask, and the word written back. `bits` is a field element's
+/// width, at most 64.
 ///
 /// Returns `false` (and leaves `data` untouched) if the span does not fit.
 pub fn deposit_bits(data: &mut [u8], bit_off: u32, bits: u8, value: u64) -> bool {
-    let end_bit = bit_off as u64 + bits as u64;
-    if end_bit > data.len() as u64 * 8 {
+    assert!(bits <= 64, "deposit of {bits} bits: wider than any field");
+    if bit_off as u64 + bits as u64 > data.len() as u64 * 8 {
         return false;
     }
-    for i in 0..bits as u32 {
-        let b = bit_off + i;
-        let shift = bits as u32 - 1 - i;
-        let bit = ((value >> shift) & 1) as u8;
-        let byte = &mut data[(b / 8) as usize];
-        let mask = 1u8 << (7 - (b % 8));
-        if bit == 1 {
-            *byte |= mask;
-        } else {
-            *byte &= !mask;
-        }
+    let (first, len, tail) = window(bit_off, bits);
+    let bytes = &mut data[first..first + len];
+    let old = bytes.iter().fold(0u128, |w, &b| (w << 8) | b as u128);
+    let m = (mask(bits) as u128) << tail;
+    let new = (old & !m) | (((value as u128) << tail) & m);
+    for (i, b) in bytes.iter_mut().rev().enumerate() {
+        *b = (new >> (8 * i)) as u8;
     }
     true
+}
+
+/// The low `bits` bits set (all of them from 64 up).
+pub(crate) fn mask(bits: u8) -> u64 {
+    if bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
 }
 
 #[cfg(test)]
@@ -247,6 +266,13 @@ mod tests {
         let data = [0xDE, 0xAD];
         assert_eq!(extract_bits(&data, 4, 8), Some(0xEA));
         assert_eq!(extract_bits(&data, 1, 3), Some(0b101));
+    }
+
+    #[test]
+    fn wide_extract_keeps_last_64_bits() {
+        let data: Vec<u8> = (1..=12).collect();
+        assert_eq!(extract_bits(&data, 3, 72), extract_bits(&data, 11, 64));
+        assert_eq!(extract_bits(&data, 0, 96), Some(0x0506_0708_090A_0B0C));
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! * [`header`] — packet formats with scalar **and array** fields (§3.2).
 //! * [`parser`] — parse graphs and the parsing engine.
 //! * [`phv`] — packet header vectors with array slots and intrinsic
-//!   metadata (egress decision, central-pipeline choice, merge sort key).
+//!   metadata (egress decision, central-pipeline choice, merge sort key);
+//!   the layout indexes every field and holds each header's extraction
+//!   plan.
 //! * [`table`] / [`action`] / [`registers`] — match-action tables, action
 //!   primitives (including wide register ops), stateful register files.
 //! * [`program`] — complete programs + validation + a fluent builder.

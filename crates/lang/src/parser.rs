@@ -9,9 +9,17 @@
 //! The engine produces a [`Phv`] and reports the number of states visited —
 //! the parse *depth* — which the timing models use, since parse latency
 //! scales with structural depth, not port speed.
+//!
+//! Extraction is planned: each state runs its header's extraction plan,
+//! compiled once into the [`PhvLayout`], as one flat loop with no per-field
+//! offset arithmetic. The reference deparser [`deparse`] deliberately does
+//! not use the plan: it places every element with
+//! [`HeaderDef::bit_offset`] and [`crate::header::deposit_bits`], so the
+//! debug-build check that compares it with the in-place writeback
+//! ([`crate::codec`]) also checks the plan.
 
-use crate::header::{extract_bits, FieldId, HeaderDef, HeaderId};
-use crate::phv::{Phv, PhvLayout};
+use crate::header::{extract_bits, FieldId, FieldRef, HeaderDef, HeaderId};
+use crate::phv::{FieldPlan, Phv, PhvLayout};
 use serde::Serialize;
 
 /// Identifies a parser state.
@@ -132,7 +140,7 @@ pub fn deparse_into(
             let fid = FieldId(fi as u16);
             for e in 0..f.count {
                 let off = base + hdr.bit_offset(fid, e);
-                let v = phv.get_elem(layout, crate::header::FieldRef::new(*h, fid), e as usize);
+                let v = phv.get_elem(layout, FieldRef::new(*h, fid), e as usize);
                 let ok = crate::header::deposit_bits(out, off, f.bits, v);
                 debug_assert!(ok, "deparse buffer sized from the same headers");
             }
@@ -174,6 +182,12 @@ impl ParserSpec {
     /// field-vector allocations. The scratch values are reshaped to the
     /// layout's zero state first, so any previous contents are irrelevant,
     /// and the PHV is handed out with an empty dirty set.
+    ///
+    /// Each state runs its header's extraction plan from the layout
+    /// straight into the PHV's value vector: a byte-aligned 8/16/32/64-bit
+    /// field is read with `from_be_bytes`, any other with one window read
+    /// per element ([`extract_bits`]); an array field is one loop over its
+    /// elements. `headers` must be the definitions `layout` was built from.
     pub fn parse_reusing(
         &self,
         headers: &[HeaderDef],
@@ -195,8 +209,9 @@ impl ParserSpec {
             }
             let st = &self.states[state.0 as usize];
             repeated |= phv.is_valid(st.extracts);
-            let hdr = &headers[st.extracts.0 as usize];
-            let hdr_bytes = hdr.total_bytes() as usize;
+            let hdr = layout.header(st.extracts);
+            debug_assert_eq!(hdr.bytes, headers[st.extracts.0 as usize].total_bytes());
+            let hdr_bytes = hdr.bytes as usize;
             if offset + hdr_bytes > data.len() {
                 return Err(ParseError::Truncated {
                     state,
@@ -204,20 +219,9 @@ impl ParserSpec {
                     needed: hdr_bytes,
                 });
             }
-            // Extract every field (every element of array fields).
-            let base = offset as u32 * 8;
-            for (fi, f) in hdr.fields.iter().enumerate() {
-                let fid = FieldId(fi as u16);
-                for e in 0..f.count {
-                    let off = base + hdr.bit_offset(fid, e);
-                    let v = extract_bits(data, off, f.bits).expect("bounds checked above");
-                    phv.set_elem(
-                        layout,
-                        crate::header::FieldRef::new(st.extracts, fid),
-                        e as usize,
-                        v,
-                    );
-                }
+            let (bytes, values) = (&data[offset..offset + hdr_bytes], phv.values_mut());
+            for f in layout.plan(hdr) {
+                extract(bytes, f, values);
             }
             phv.set_valid(st.extracts);
             extracted.push(st.extracts);
@@ -226,9 +230,12 @@ impl ParserSpec {
                 Transition::Accept => {
                     // Extraction is not a write — unless a header was
                     // extracted twice: the PHV holds its last instance and
-                    // the deparser replays that at both, so all stays dirty.
-                    if !repeated {
-                        phv.clear_dirty();
+                    // the deparser replays that at both, so every extracted
+                    // field is dirty.
+                    if repeated {
+                        for h in &extracted {
+                            phv.mark_dirty(layout.header(*h).slots());
+                        }
                     }
                     return Ok(ParseOutcome {
                         phv,
@@ -243,7 +250,7 @@ impl ParserSpec {
                     cases,
                     default,
                 } => {
-                    let v = phv.get(layout, crate::header::FieldRef::new(st.extracts, *field));
+                    let v = phv.get(layout, FieldRef::new(st.extracts, *field));
                     match cases.iter().find(|(cv, _)| *cv == v) {
                         Some((_, next)) => state = *next,
                         None => match default {
@@ -254,6 +261,35 @@ impl ParserSpec {
                 }
             }
         }
+    }
+}
+
+/// Run one plan entry: extract field `f` of the header whose bytes are
+/// `header` into the field's values.
+#[inline]
+fn extract(header: &[u8], f: &FieldPlan, values: &mut [u64]) {
+    let dst = &mut values[f.at as usize..][..f.count as usize];
+    let src = &header[f.off as usize / 8..];
+    match (f.off % 8, f.bits) {
+        (0, 8) => words(dst, src, |[b]| b as u64),
+        (0, 16) => words(dst, src, |b| u16::from_be_bytes(b) as u64),
+        (0, 32) => words(dst, src, |b| u32::from_be_bytes(b) as u64),
+        (0, 64) => words(dst, src, u64::from_be_bytes),
+        _ => {
+            for (e, d) in dst.iter_mut().enumerate() {
+                let at = f.off + e as u32 * f.bits as u32;
+                *d = extract_bits(header, at, f.bits).expect("the plan lies inside its header");
+            }
+        }
+    }
+}
+
+/// Fill `dst` with consecutive big-endian `N`-byte words from `src`.
+#[inline]
+fn words<const N: usize>(dst: &mut [u64], src: &[u8], word: impl Fn([u8; N]) -> u64) {
+    let src = &src[..dst.len() * N];
+    for (d, w) in dst.iter_mut().zip(src.chunks_exact(N)) {
+        *d = word(w.try_into().expect("chunks_exact yields N bytes"));
     }
 }
 

@@ -8,29 +8,70 @@
 //! of keys at once (§3.2).
 //!
 //! A [`PhvLayout`] is computed once per program from its header definitions;
-//! a [`Phv`] is the per-packet instance. The layout also knows its total bit
-//! width, which the compiler checks against the target's PHV budget.
+//! a [`Phv`] is the per-packet instance. The layout gives every declared
+//! field a *slot*, numbered header by header in declaration order, so a
+//! [`FieldRef`] resolves to its slot by two array reads (the header's first
+//! slot plus the field index, bounds-checked against the header's field
+//! count) — no hashing anywhere on the packet path. A slot is also one
+//! entry of its header's **extraction plan**: where the field sits in the
+//! header, its width and element count, and where its values live in the
+//! PHV's one flat value vector. The parser and the writeback walk those
+//! plans ([`crate::parser`], [`crate::codec`]). The layout also knows its
+//! total bit width, which the compiler checks against the target's PHV
+//! budget.
 
-use crate::header::{FieldRef, HeaderDef, HeaderId};
+use crate::header::{mask, FieldRef, HeaderDef, HeaderId};
 use adcp_sim::packet::{EgressSpec, PortId};
-use std::collections::HashMap;
+use std::ops::Range;
 
-/// Where a field lives inside a [`Phv`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    /// Index into the scalar bank.
-    Scalar(usize),
-    /// Index into the array bank.
-    Array(usize),
+/// One slot: a declared field, and one step of its header's extraction
+/// plan.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FieldPlan {
+    /// Bit offset of element 0 from the header start.
+    pub(crate) off: u32,
+    /// Width of one element.
+    pub(crate) bits: u8,
+    /// Element count (1 for a scalar).
+    pub(crate) count: u16,
+    /// Index of element 0 in the PHV's value vector.
+    pub(crate) at: u32,
 }
 
-/// Static layout: maps every declared field to a PHV slot.
+impl FieldPlan {
+    /// Where the field's elements live in the PHV's value vector.
+    fn values(&self) -> Range<usize> {
+        self.at as usize..self.at as usize + self.count as usize
+    }
+}
+
+/// One header's share of the layout.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HeaderPlan {
+    /// Slot of the header's first field; its fields are the next `fields`.
+    pub(crate) base: u32,
+    /// Number of fields.
+    pub(crate) fields: u16,
+    /// Wire size in whole bytes.
+    pub(crate) bytes: u32,
+}
+
+impl HeaderPlan {
+    /// The header's slots.
+    pub(crate) fn slots(&self) -> Range<usize> {
+        self.base as usize..self.base as usize + self.fields as usize
+    }
+}
+
+/// Static layout: every declared field's slot, and each header's
+/// extraction plan.
 #[derive(Debug, Clone)]
 pub struct PhvLayout {
-    slots: HashMap<FieldRef, Slot>,
-    scalar_widths: Vec<u8>,
-    array_dims: Vec<(u8, u16)>, // (element bits, count)
-    headers: usize,
+    headers: Vec<HeaderPlan>,
+    /// Every field, header-major: slot `i` is `slots[i]`.
+    slots: Vec<FieldPlan>,
+    /// Length of a PHV's value vector (the sum of element counts).
+    values: usize,
     total_bits: u32,
 }
 
@@ -38,28 +79,33 @@ impl PhvLayout {
     /// Build a layout covering all fields of the given headers
     /// (indexed by their position = `HeaderId`).
     pub fn build(headers: &[HeaderDef]) -> Self {
-        let mut slots = HashMap::new();
-        let mut scalar_widths = Vec::new();
-        let mut array_dims = Vec::new();
+        let mut plans = Vec::with_capacity(headers.len());
+        let mut slots = Vec::new();
+        let mut values = 0u32;
         let mut total_bits = 0u32;
-        for (hi, h) in headers.iter().enumerate() {
-            for (fi, f) in h.fields.iter().enumerate() {
-                let fr = FieldRef::new(HeaderId(hi as u16), crate::header::FieldId(fi as u16));
-                total_bits += f.total_bits();
-                if f.is_array() {
-                    slots.insert(fr, Slot::Array(array_dims.len()));
-                    array_dims.push((f.bits, f.count));
-                } else {
-                    slots.insert(fr, Slot::Scalar(scalar_widths.len()));
-                    scalar_widths.push(f.bits);
-                }
+        for h in headers {
+            plans.push(HeaderPlan {
+                base: slots.len() as u32,
+                fields: h.fields.len() as u16,
+                bytes: h.total_bytes(),
+            });
+            let mut off = 0u32;
+            for f in &h.fields {
+                slots.push(FieldPlan {
+                    off,
+                    bits: f.bits,
+                    count: f.count,
+                    at: values,
+                });
+                off += f.total_bits();
+                values += f.count as u32;
             }
+            total_bits += off;
         }
         PhvLayout {
+            headers: plans,
             slots,
-            scalar_widths,
-            array_dims,
-            headers: headers.len(),
+            values: values as usize,
             total_bits,
         }
     }
@@ -71,66 +117,68 @@ impl PhvLayout {
 
     /// Number of scalar slots.
     pub fn num_scalars(&self) -> usize {
-        self.scalar_widths.len()
+        self.slots.len() - self.num_arrays()
     }
 
     /// Number of array slots.
     pub fn num_arrays(&self) -> usize {
-        self.array_dims.len()
+        self.slots.iter().filter(|s| s.count > 1).count()
+    }
+
+    /// The slot of `f`, or `None` if its header is not in the layout or its
+    /// field index runs past that header's fields.
+    fn slot(&self, f: FieldRef) -> Option<usize> {
+        let h = self.headers.get(f.header.0 as usize)?;
+        (f.field.0 < h.fields).then_some(h.base as usize + f.field.0 as usize)
+    }
+
+    /// The plan entry of `f`; panics on a field the layout does not hold
+    /// (a program that failed validation).
+    fn plan_of(&self, f: FieldRef) -> (usize, &FieldPlan) {
+        let i = self
+            .slot(f)
+            .unwrap_or_else(|| panic!("field {f} is not in this PHV layout"));
+        (i, &self.slots[i])
     }
 
     /// Element width and count of the array slot holding `f`, if it is one.
     pub fn array_dims_of(&self, f: FieldRef) -> Option<(u8, u16)> {
-        match self.slots.get(&f)? {
-            Slot::Array(i) => Some(self.array_dims[*i]),
-            Slot::Scalar(_) => None,
-        }
+        let s = &self.slots[self.slot(f)?];
+        (s.count > 1).then_some((s.bits, s.count))
     }
 
     /// True if `f` names an array field.
     pub fn is_array(&self, f: FieldRef) -> bool {
-        matches!(self.slots.get(&f), Some(Slot::Array(_)))
+        self.array_dims_of(f).is_some()
+    }
+
+    /// Header `h`'s share of the layout; panics on an unknown header.
+    pub(crate) fn header(&self, h: HeaderId) -> &HeaderPlan {
+        &self.headers[h.0 as usize]
+    }
+
+    /// The extraction plan of a header: its slots' entries, in wire order.
+    pub(crate) fn plan(&self, h: &HeaderPlan) -> &[FieldPlan] {
+        &self.slots[h.slots()]
     }
 
     /// Create an empty PHV instance for this layout.
     pub fn instantiate(&self) -> Phv {
-        Phv {
-            scalars: vec![0; self.scalar_widths.len()],
-            arrays: self
-                .array_dims
-                .iter()
-                .map(|&(_, c)| vec![0u64; c as usize])
-                .collect(),
-            valid: vec![false; self.headers],
-            dirty: vec![0; self.dirty_words()],
-            intr: Intrinsics::default(),
-        }
-    }
-
-    /// Words of a dirty set: one bit per slot, scalars first.
-    fn dirty_words(&self) -> usize {
-        (self.scalar_widths.len() + self.array_dims.len()).div_ceil(64)
+        let mut phv = Phv::empty();
+        self.reinstantiate(&mut phv);
+        phv
     }
 
     /// Reshape a recycled [`Phv`] to this layout in place — the zero-state
-    /// of [`PhvLayout::instantiate`] without its per-field allocations.
-    /// Hot parse paths cycle one scratch PHV per pipeline this way.
+    /// of [`PhvLayout::instantiate`] without reallocating. Hot parse paths
+    /// cycle one scratch PHV per pipeline this way.
     pub fn reinstantiate(&self, phv: &mut Phv) {
-        phv.scalars.clear();
-        phv.scalars.resize(self.scalar_widths.len(), 0);
-        phv.arrays.truncate(self.array_dims.len());
-        for (i, &(_, c)) in self.array_dims.iter().enumerate() {
-            if i < phv.arrays.len() {
-                phv.arrays[i].clear();
-                phv.arrays[i].resize(c as usize, 0);
-            } else {
-                phv.arrays.push(vec![0u64; c as usize]);
-            }
-        }
+        phv.values.clear();
+        phv.values.resize(self.values, 0);
         phv.valid.clear();
-        phv.valid.resize(self.headers, false);
+        phv.valid.resize(self.headers.len(), false);
         phv.dirty.clear();
-        phv.dirty.resize(self.dirty_words(), 0);
+        phv.dirty.resize(self.slots.len().div_ceil(64), 0);
         phv.intr = Intrinsics::default();
     }
 }
@@ -158,12 +206,12 @@ pub struct Intrinsics {
 /// A per-packet header vector instance.
 #[derive(Debug, Clone)]
 pub struct Phv {
-    scalars: Vec<u64>,
-    arrays: Vec<Vec<u64>>,
+    /// Every field's elements, slot after slot (see [`FieldPlan::at`]).
+    values: Vec<u64>,
     valid: Vec<bool>,
-    /// Slots written since the parse, one bit each (scalars first; a whole
-    /// array slot is one bit): what the deparser has to put back on the
-    /// wire. Bookkeeping, not part of the PHV's value.
+    /// Slots written since the parse, one bit each (a whole array slot is
+    /// one bit): what the deparser has to put back on the wire.
+    /// Bookkeeping, not part of the PHV's value.
     dirty: Vec<u64>,
     /// Intrinsic metadata.
     pub intr: Intrinsics,
@@ -173,8 +221,7 @@ pub struct Phv {
 /// them there.
 impl PartialEq for Phv {
     fn eq(&self, o: &Phv) -> bool {
-        (&self.scalars, &self.arrays, &self.valid, &self.intr)
-            == (&o.scalars, &o.arrays, &o.valid, &o.intr)
+        (&self.values, &self.valid, &self.intr) == (&o.values, &o.valid, &o.intr)
     }
 }
 
@@ -184,8 +231,7 @@ impl Phv {
     /// have a cheap starting value.
     pub fn empty() -> Phv {
         Phv {
-            scalars: Vec::new(),
-            arrays: Vec::new(),
+            values: Vec::new(),
             valid: Vec::new(),
             dirty: Vec::new(),
             intr: Intrinsics::default(),
@@ -194,29 +240,17 @@ impl Phv {
 
     /// Read a scalar field (element 0 of arrays).
     pub fn get(&self, layout: &PhvLayout, f: FieldRef) -> u64 {
-        match layout.slots[&f] {
-            Slot::Scalar(i) => self.scalars[i],
-            Slot::Array(i) => self.arrays[i][0],
-        }
+        self.get_elem(layout, f, 0)
     }
 
     /// Read one element of a field (scalar fields only have element 0).
     pub fn get_elem(&self, layout: &PhvLayout, f: FieldRef, elem: usize) -> u64 {
-        match layout.slots[&f] {
-            Slot::Scalar(i) => {
-                debug_assert_eq!(elem, 0, "scalar field indexed at {elem}");
-                self.scalars[i]
-            }
-            Slot::Array(i) => self.arrays[i][elem],
-        }
+        self.values[layout.plan_of(f).1.values()][elem]
     }
 
     /// Read a whole array field (one-element slice view for scalars).
     pub fn get_array<'a>(&'a self, layout: &PhvLayout, f: FieldRef) -> &'a [u64] {
-        match layout.slots[&f] {
-            Slot::Scalar(i) => std::slice::from_ref(&self.scalars[i]),
-            Slot::Array(i) => &self.arrays[i],
-        }
+        &self.values[layout.plan_of(f).1.values()]
     }
 
     /// Write a scalar field (element 0 of arrays), masking to the field
@@ -228,22 +262,30 @@ impl Phv {
     /// Write one element of a field, masking to the field width, and mark
     /// the field's slot dirty.
     pub fn set_elem(&mut self, layout: &PhvLayout, f: FieldRef, elem: usize, v: u64) {
-        let (cell, w, bit) = match layout.slots[&f] {
-            Slot::Scalar(i) => {
-                debug_assert_eq!(elem, 0);
-                (&mut self.scalars[i], layout.scalar_widths[i], i)
-            }
-            Slot::Array(i) => {
-                let bit = self.scalars.len() + i;
-                (&mut self.arrays[i][elem], layout.array_dims[i].0, bit)
-            }
-        };
-        *cell = mask_to(v, w);
-        self.dirty[bit / 64] |= 1 << (bit % 64);
+        let (slot, s) = layout.plan_of(f);
+        self.values[s.values()][elem] = v & mask(s.bits);
+        self.dirty[slot / 64] |= 1 << (slot % 64);
     }
 
-    /// Forget every write so far: the parser hands a PHV out this way,
-    /// because extraction puts nothing in it that the frame does not hold.
+    /// The value vector, for the parser to extract into.
+    pub(crate) fn values_mut(&mut self) -> &mut [u64] {
+        &mut self.values
+    }
+
+    /// The elements of slot `s` if it was written since the parse.
+    pub(crate) fn written_slot(&self, slot: usize, s: &FieldPlan) -> Option<&[u64]> {
+        let dirty = (self.dirty[slot / 64] >> (slot % 64)) & 1 == 1;
+        dirty.then(|| &self.values[s.values()])
+    }
+
+    /// Mark every slot in `slots` written.
+    pub(crate) fn mark_dirty(&mut self, slots: Range<usize>) {
+        for slot in slots {
+            self.dirty[slot / 64] |= 1 << (slot % 64);
+        }
+    }
+
+    /// Forget every write so far.
     pub fn clear_dirty(&mut self) {
         self.dirty.fill(0);
     }
@@ -251,11 +293,8 @@ impl Phv {
     /// The elements of `f` if it was written since the parse (`None` for an
     /// untouched field) — what the deparser patches into the frame.
     pub fn written<'a>(&'a self, layout: &PhvLayout, f: FieldRef) -> Option<&'a [u64]> {
-        let (bit, vals) = match layout.slots[&f] {
-            Slot::Scalar(i) => (i, std::slice::from_ref(&self.scalars[i])),
-            Slot::Array(i) => (self.scalars.len() + i, &self.arrays[i][..]),
-        };
-        ((self.dirty[bit / 64] >> (bit % 64)) & 1 == 1).then_some(vals)
+        let (slot, s) = layout.plan_of(f);
+        self.written_slot(slot, s)
     }
 
     /// True if nothing was written since the parse.
@@ -271,14 +310,6 @@ impl Phv {
     /// Is a header present?
     pub fn is_valid(&self, h: HeaderId) -> bool {
         self.valid.get(h.0 as usize).copied().unwrap_or(false)
-    }
-}
-
-fn mask_to(v: u64, bits: u8) -> u64 {
-    if bits >= 64 {
-        v
-    } else {
-        v & ((1u64 << bits) - 1)
     }
 }
 
@@ -316,6 +347,45 @@ mod tests {
         assert!(!l.is_array(fr(0, 0)));
         assert_eq!(l.array_dims_of(fr(1, 1)), Some((32, 8)));
         assert_eq!(l.array_dims_of(fr(0, 0)), None);
+    }
+
+    #[test]
+    fn plan_holds_offsets_widths_and_value_slots() {
+        let (_, l) = layout();
+        let plan = |h| {
+            let hp = l.header(HeaderId(h));
+            let steps = l.plan(hp).iter().map(|s| (s.off, s.bits, s.count, s.at));
+            (hp.bytes, steps.collect::<Vec<_>>())
+        };
+        // (bit offset in header, bits, count, first value): values are laid
+        // out slot after slot — dst, type, op, keys[0..8].
+        assert_eq!(plan(0), (8, vec![(0, 48, 1, 0), (48, 16, 1, 1)]));
+        assert_eq!(plan(1), (33, vec![(0, 8, 1, 2), (8, 32, 8, 3)]));
+        assert_eq!(l.instantiate().values.len(), 11);
+    }
+
+    /// A field index one past its header's fields would land on the next
+    /// header's first slot in a flat table: it must not resolve at all.
+    #[test]
+    fn out_of_range_fields_do_not_alias() {
+        let (headers, l) = layout();
+        let past = fr(0, headers[0].fields.len() as u16);
+        let unknown = fr(headers.len() as u16, 0);
+        for f in [past, unknown] {
+            assert!(!l.is_array(f), "{f}");
+            assert_eq!(l.array_dims_of(f), None, "{f}");
+            let phv = l.instantiate();
+            let get = std::panic::catch_unwind(|| phv.get(&l, f));
+            assert!(get.is_err(), "get({f}) must panic");
+            let set = std::panic::catch_unwind(|| {
+                let mut phv = l.instantiate();
+                phv.set(&l, f, 1);
+            });
+            assert!(set.is_err(), "set({f}) must panic");
+        }
+        // The field `past` would alias is an ordinary scalar.
+        assert_eq!(l.slot(past), None);
+        assert_eq!(l.slot(fr(1, 0)), Some(2));
     }
 
     #[test]

@@ -156,8 +156,7 @@ impl Program {
     /// The widest array any of `t`'s actions operates on (1 if none).
     /// Array ALU ops need this many lanes of stateful hardware, regardless
     /// of the table's key width.
-    pub fn action_array_width(&self, t: &TableDef) -> u16 {
-        let layout = self.layout();
+    pub fn action_array_width(&self, layout: &PhvLayout, t: &TableDef) -> u16 {
         t.actions
             .iter()
             .flat_map(|a| a.ops.iter())
@@ -177,7 +176,6 @@ impl Program {
     /// Validate internal consistency. Returns every error found.
     pub fn validate(&self) -> Vec<ValidateError> {
         let mut errs = Vec::new();
-        let layout = self.layout();
 
         for h in &self.headers {
             if h.total_bits() % 8 != 0 {
@@ -280,7 +278,6 @@ impl Program {
                 true
             }
         });
-        let _ = layout;
         errs
     }
 }

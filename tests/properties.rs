@@ -37,6 +37,76 @@ fn deposit_extract_roundtrip() {
     }
 }
 
+/// Bit-serial extraction, one bit per step: the reference the word-wise
+/// [`extract_bits`] is checked against.
+fn ref_extract(data: &[u8], bit_off: u32, bits: u8) -> Option<u64> {
+    if bit_off as u64 + bits as u64 > data.len() as u64 * 8 {
+        return None;
+    }
+    let mut v: u64 = 0;
+    for b in bit_off..bit_off + bits as u32 {
+        let bit = (data[(b / 8) as usize] >> (7 - (b % 8))) & 1;
+        v = (v << 1) | bit as u64;
+    }
+    Some(v)
+}
+
+/// Bit-serial deposit: the reference for [`deposit_bits`].
+fn ref_deposit(data: &mut [u8], bit_off: u32, bits: u8, value: u64) -> bool {
+    if bit_off as u64 + bits as u64 > data.len() as u64 * 8 {
+        return false;
+    }
+    for i in 0..bits as u32 {
+        let b = bit_off + i;
+        let mask = 1u8 << (7 - (b % 8));
+        if (value >> (bits as u32 - 1 - i)) & 1 == 1 {
+            data[(b / 8) as usize] |= mask;
+        } else {
+            data[(b / 8) as usize] &= !mask;
+        }
+    }
+    true
+}
+
+/// The word-wise bit access agrees with the bit-serial reference at every
+/// sub-byte offset and every width, on spans inside the buffer and spans
+/// ending exactly at its last bit; a span one bit past the end, or starting
+/// past it, is refused by both and writes nothing.
+#[test]
+fn word_wise_bits_match_bit_serial() {
+    let mut rng = SimRng::seed_from(0xB175);
+    for lead in 0u32..=7 {
+        for bits in 1u8..=64 {
+            for (skip, pad) in [(0usize, 0usize), (0, 1), (1, 0), (2, 1)] {
+                let len = skip + (lead + bits as u32).div_ceil(8) as usize + pad;
+                let data: Vec<u8> = (0..len).map(|_| rng.range(0u8..=255)).collect();
+                let end = len as u32 * 8;
+                let at = [skip as u32 * 8 + lead, end - bits as u32];
+                for off in at {
+                    let case = format!("off={off} bits={bits} len={len}");
+                    assert_eq!(
+                        extract_bits(&data, off, bits),
+                        ref_extract(&data, off, bits)
+                    );
+                    assert!(extract_bits(&data, off, bits).is_some(), "{case}");
+                    let value = rng.u64();
+                    let (mut got, mut want) = (data.clone(), data.clone());
+                    assert!(deposit_bits(&mut got, off, bits, value), "{case}");
+                    assert!(ref_deposit(&mut want, off, bits, value), "{case}");
+                    assert_eq!(got, want, "{case}");
+                }
+                for off in [end - bits as u32 + 1, end + lead] {
+                    assert_eq!(extract_bits(&data, off, bits), None);
+                    assert_eq!(ref_extract(&data, off, bits), None);
+                    let mut got = data.clone();
+                    assert!(!deposit_bits(&mut got, off, bits, u64::MAX));
+                    assert_eq!(got, data, "refused deposit wrote at off={off} bits={bits}");
+                }
+            }
+        }
+    }
+}
+
 /// Deposits to disjoint bit ranges never interfere.
 #[test]
 fn disjoint_deposits_independent() {
@@ -382,14 +452,17 @@ fn freq_period_roundtrip() {
 /// exactly (the end of each pipeline is a lossless re-serialization).
 mod parse_roundtrip {
     use super::*;
-    use adcp::lang::{FieldId, FieldRef, HeaderId, PacketCodec, ParserSpec, ProgramBuilder};
+    use adcp::lang::{
+        FieldId, FieldRef, HeaderId, PacketCodec, ParseError, ParseOutcome, ParserSpec,
+        ParserState, Phv, ProgramBuilder, StateId, Transition,
+    };
     use adcp::sim::packet::FrameBuf;
 
     fn arb_header(rng: &mut SimRng, max_count: u16) -> HeaderDef {
         let nfields = rng.range(1usize..5);
         let mut fs: Vec<FieldDef> = (0..nfields)
             .map(|i| {
-                let bits = rng.range(1u8..=32);
+                let bits = rng.range(1u8..=64);
                 let count = rng.range(1u16..=max_count);
                 if count > 1 {
                     FieldDef::array(format!("f{i}"), bits, count)
@@ -493,5 +566,188 @@ mod parse_roundtrip {
                 assert_eq!(moved, shared && !writes.is_empty(), "case {case}");
             }
         }
+    }
+
+    /// The parse loop the extraction plan replaced, kept as its reference:
+    /// every element of every field placed by `bit_offset`, read bit by
+    /// bit and stored through `set_elem`; the dirty set is emptied at
+    /// accept unless a header was extracted twice.
+    fn ref_parse(
+        spec: &ParserSpec,
+        headers: &[HeaderDef],
+        layout: &PhvLayout,
+        data: &[u8],
+    ) -> Result<ParseOutcome, ParseError> {
+        let mut phv = layout.instantiate();
+        let mut extracted = Vec::new();
+        let (mut offset, mut state, mut depth, mut repeated) = (0usize, StateId(0), 0u32, false);
+        loop {
+            depth += 1;
+            if depth > spec.states.len() as u32 {
+                return Err(ParseError::DepthExceeded);
+            }
+            let st = &spec.states[state.0 as usize];
+            repeated |= phv.is_valid(st.extracts);
+            let hdr = &headers[st.extracts.0 as usize];
+            let needed = hdr.total_bytes() as usize;
+            if offset + needed > data.len() {
+                let available = data.len().saturating_sub(offset);
+                return Err(ParseError::Truncated {
+                    state,
+                    available,
+                    needed,
+                });
+            }
+            for (fi, f) in hdr.fields.iter().enumerate() {
+                let fid = FieldId(fi as u16);
+                for e in 0..f.count {
+                    let off = offset as u32 * 8 + hdr.bit_offset(fid, e);
+                    let v = ref_extract(data, off, f.bits).expect("bounds checked above");
+                    phv.set_elem(layout, FieldRef::new(st.extracts, fid), e as usize, v);
+                }
+            }
+            phv.set_valid(st.extracts);
+            extracted.push(st.extracts);
+            offset += needed;
+            state = match &st.transition {
+                Transition::Accept => {
+                    if !repeated {
+                        phv.clear_dirty();
+                    }
+                    let consumed = offset;
+                    return Ok(ParseOutcome {
+                        phv,
+                        consumed,
+                        depth,
+                        extracted,
+                    });
+                }
+                Transition::Goto(next) => *next,
+                Transition::Select {
+                    field,
+                    cases,
+                    default,
+                } => {
+                    let value = phv.get(layout, FieldRef::new(st.extracts, *field));
+                    match cases.iter().find(|(cv, _)| *cv == value) {
+                        Some((_, next)) => *next,
+                        None => default.ok_or(ParseError::NoTransition { state, value })?,
+                    }
+                }
+            };
+        }
+    }
+
+    /// A random parse graph over `headers`: mostly forward edges (so most
+    /// graphs accept), some backward ones (loops, repeated headers), and
+    /// selects on any field of the state's header with small case values.
+    fn arb_graph(rng: &mut SimRng, headers: &[HeaderDef]) -> ParserSpec {
+        let n = rng.range(1usize..=6);
+        let states = (0..n)
+            .map(|i| {
+                let extracts = HeaderId(rng.range(0..headers.len()) as u16);
+                let target = |rng: &mut SimRng| {
+                    let lo = if i + 1 < n && rng.chance(0.8) {
+                        i + 1
+                    } else {
+                        0
+                    };
+                    StateId(rng.range(lo..n) as u16)
+                };
+                let transition = match rng.range(0u8..4) {
+                    _ if i + 1 == n && rng.chance(0.7) => Transition::Accept,
+                    0 => Transition::Accept,
+                    1 => Transition::Goto(target(rng)),
+                    _ => Transition::Select {
+                        field: FieldId(
+                            rng.range(0..headers[extracts.0 as usize].fields.len()) as u16
+                        ),
+                        cases: (0..rng.range(1usize..=3))
+                            .map(|_| (rng.range(0u64..3), target(rng)))
+                            .collect(),
+                        default: rng.chance(0.5).then(|| target(rng)),
+                    },
+                };
+                ParserState {
+                    extracts,
+                    transition,
+                }
+            })
+            .collect();
+        ParserSpec { states }
+    }
+
+    /// The planned parse gives the reference loop's outcome — PHV,
+    /// `consumed`, `depth`, `extracted` and dirty set — or its error, on
+    /// multi-state graphs (selects, gotos, repeated headers, loops) over
+    /// 1–3 random headers with 1–64-bit fields and 1–33-wide arrays, on
+    /// whole and truncated frames, recycling a dirty scratch PHV of another
+    /// layout every time.
+    #[test]
+    fn planned_parse_matches_reference_loop() {
+        let mut rng = SimRng::seed_from(0x9A27);
+        let mut scratch = (Phv::empty(), Vec::new());
+        // accepted, accepted with a repeated header, truncated, no
+        // transition, depth exceeded
+        let mut seen = [0usize; 5];
+        for case in 0..CASES * 4 {
+            let nheaders = rng.range(1usize..=3);
+            let headers: Vec<HeaderDef> = (0..nheaders).map(|_| arb_header(&mut rng, 33)).collect();
+            let layout = PhvLayout::build(&headers);
+            let spec = arb_graph(&mut rng, &headers);
+            let max: usize = (spec.states.iter())
+                .map(|s| headers[s.extracts.0 as usize].total_bytes() as usize)
+                .sum();
+            let len = if rng.chance(0.25) {
+                rng.range(0..=max)
+            } else {
+                max + rng.range(0usize..8)
+            };
+            // Half the frames are all 0/1 bytes, so selects often match.
+            let top = if case % 2 == 0 { 1 } else { 255 };
+            let data: Vec<u8> = (0..len).map(|_| rng.range(0u8..=top)).collect();
+            let want = ref_parse(&spec, &headers, &layout, &data);
+            let got = spec.parse_reusing(&headers, &layout, &data, scratch.0, scratch.1);
+            scratch = (Phv::empty(), Vec::new());
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    let shape = |o: &ParseOutcome| (o.consumed, o.depth, o.extracted.clone());
+                    assert_eq!(shape(&got), shape(&want), "case {case}");
+                    assert_eq!(got.phv, want.phv, "case {case}");
+                    for (hi, h) in headers.iter().enumerate() {
+                        for fi in 0..h.fields.len() {
+                            let f = FieldRef::new(HeaderId(hi as u16), FieldId(fi as u16));
+                            let dirty = |o: &ParseOutcome| o.phv.written(&layout, f).is_some();
+                            assert_eq!(dirty(&got), dirty(&want), "case {case}: dirty {f}");
+                        }
+                    }
+                    let mut sorted = got.extracted.clone();
+                    sorted.sort_unstable();
+                    sorted.dedup();
+                    seen[if sorted.len() < got.extracted.len() {
+                        1
+                    } else {
+                        0
+                    }] += 1;
+                    // Hand the next parse a dirty scratch.
+                    let mut phv = got.phv;
+                    phv.set(&layout, FieldRef::new(got.extracted[0], FieldId(0)), 1);
+                    scratch = (phv, got.extracted);
+                }
+                (Err(got), Err(want)) => {
+                    assert_eq!(got, want, "case {case}");
+                    seen[match got {
+                        ParseError::Truncated { .. } => 2,
+                        ParseError::NoTransition { .. } => 3,
+                        ParseError::DepthExceeded => 4,
+                    }] += 1;
+                }
+                (got, want) => panic!("case {case}: planned {got:?}, reference {want:?}"),
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every outcome reached: {seen:?}"
+        );
     }
 }
