@@ -828,8 +828,8 @@ impl AdcpSwitch {
     }
 
     /// Time of the switch's next pending event, if any. A fabric driving
-    /// loop advances every member switch to the global minimum of these
-    /// before exchanging link traffic (see the `adcp-fabric` crate).
+    /// loop takes the minimum of these to open its next lookahead window
+    /// (see the `adcp-fabric` crate).
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.agenda.events.peek_time()
     }

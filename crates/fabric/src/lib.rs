@@ -15,11 +15,14 @@
 //!   range; ownership comes from the same `adcp-ctrl` planners that
 //!   balance central pipelines inside a single switch ([`plan_owners`]).
 //! * **Driving loop** — each member switch keeps its own calendar queue;
-//!   [`Fabric::run_until_idle`] repeatedly advances every switch to the
-//!   *global* minimum next-event time, then exchanges link traffic. A
-//!   frame handed to a peer always arrives strictly later than the time
-//!   already simulated (positive link latency), so no switch ever receives
-//!   an event in its past and the interleaving is deterministic.
+//!   [`Fabric::run_until_idle`] runs in conservative windows. A round
+//!   takes `t0`, the earliest pending event or held arrival, advances
+//!   every switch to `t0 + L − 1 ps` (`L` the link latency: nothing sent
+//!   at or after `t0` arrives sooner), then exchanges link traffic once.
+//!   A crossing waits in its receiver's inbox and enters after every
+//!   event before its arrival time and ahead of any at it, same-time
+//!   arrivals in link order, so where windows or `run_until` slices fall
+//!   never reorders a switch's events.
 //!
 //! The conformance harness (`adcp-bench`) runs every seeded random program
 //! on this fabric *and* on a single big switch and requires bit-identical
@@ -173,6 +176,15 @@ pub struct FabricReport {
     pub register_digest: u64,
 }
 
+/// A frame on a link, held until its receiver is advanced to it. The link
+/// is named by its sending device, `c.from_device`.
+struct Arrival {
+    c: Crossing,
+    /// The receiver's RX port.
+    port: PortId,
+    pkt: Packet,
+}
+
 /// A leaf–spine fabric of ADCP switches running one placed program.
 pub struct Fabric {
     spec: FabricSpec,
@@ -181,6 +193,14 @@ pub struct Fabric {
     /// `up[l][s]`: leaf `l` → spine `s`. `down[s][l]`: spine `s` → leaf `l`.
     up: Vec<Vec<Link>>,
     down: Vec<Vec<Link>>,
+    /// The minimum link latency: what a device sends at `t` reaches no
+    /// peer before `t + lookahead`.
+    lookahead: Duration,
+    /// Per device (leaves, then spines): arrivals still on their link,
+    /// sorted by `(arrive, link)`.
+    inbox: Vec<Vec<Arrival>>,
+    /// The one buffer every device's deliveries are drained through.
+    outbox: Vec<Delivered>,
     host_injected: u64,
     host_delivered: u64,
     forwarded: u64,
@@ -277,12 +297,18 @@ impl Fabric {
         let record_crossings = leaves
             .iter()
             .any(|sw| sw.tracer.hops_on() || sw.int_knob().on());
+        let inbox = (0..leaves.len() + spines.len())
+            .map(|_| Vec::new())
+            .collect();
         Ok(Fabric {
             spec,
             leaves,
             spines,
             up,
             down,
+            lookahead: cfg.link_latency,
+            inbox,
+            outbox: Vec::new(),
             host_injected: 0,
             host_delivered: 0,
             forwarded: 0,
@@ -360,96 +386,100 @@ impl Fabric {
         self.leaves[leaf].inject(PortId(slot as u16), pkt, t);
     }
 
-    /// Rebuild a delivered frame as a fresh packet for the next hop,
-    /// preserving identity and creation time. A sealed frame is resealed
-    /// over its current bytes (the transmitting switch already did this;
-    /// repeating it keeps the call safe for unsealed sources too).
+    /// Hand a delivered frame to the next hop as a fresh packet, keeping
+    /// identity, creation time and the TX stamp: the receiving RX stage
+    /// verifies the stamp the transmitting TX made, so a reseal here would
+    /// hide corruption on the link.
     fn relay(d: Delivered) -> Packet {
-        let sealed = d.meta.fcs.is_some();
         let mut p = Packet::new(d.meta.id, d.meta.flow, d.data);
         p.meta.created = d.meta.created;
         p.meta.coflow = d.meta.coflow;
         p.meta.goodput_bytes = d.meta.goodput_bytes;
+        p.meta.fcs = d.meta.fcs;
         // The INT header region rides the frame across the link, so the
         // next device appends to the same stack (the end-to-end chain).
         p.meta.int = d.meta.int;
-        if sealed {
-            p.reseal();
-        }
         p
     }
 
-    /// Drain every switch's deliveries: host-slot frames are recorded
-    /// (remapped to logical ports); uplink/downlink frames cross their
-    /// link and are injected into the peer switch at the link's arrival
-    /// time — strictly after the time the fabric has simulated up to.
+    /// Drain every device's deliveries, in device order: host-slot frames
+    /// are recorded (remapped to logical ports); the others cross their
+    /// link into the peer's inbox, arriving at least `lookahead` after
+    /// they left.
     fn exchange(&mut self) {
-        for l in 0..self.leaves.len() {
-            for d in self.leaves[l].take_delivered() {
+        let n = self.leaves.len();
+        let hosts = self.spec.hosts_per_leaf;
+        let mut out = std::mem::take(&mut self.outbox);
+        for from in 0..self.inbox.len() {
+            match self.leaves.get_mut(from) {
+                Some(leaf) => leaf.drain_delivered(&mut out),
+                None => self.spines[from - n].drain_delivered(&mut out),
+            }
+            for d in out.drain(..) {
                 let port = d.port.0 as u32;
-                if port < self.spec.hosts_per_leaf {
-                    let logical = self.spec.logical_of(l as u32, port);
+                let (link, to, rx) = if from >= n {
+                    let s = from - n;
+                    let uplink = self.spec.uplink_port(s as u32);
+                    (&mut self.down[s][port as usize], port as usize, uplink)
+                } else if port >= hosts {
+                    let s = (port - hosts) as usize;
+                    (&mut self.up[from][s], n + s, from as u32)
+                } else {
+                    let logical = self.spec.logical_of(from as u32, port);
                     self.host_delivered += 1;
                     self.delivered.push(Delivered {
                         port: PortId(logical as u16),
-                        time: d.time,
-                        data: d.data,
-                        meta: d.meta,
+                        ..d
                     });
-                } else {
-                    let s = (port - self.spec.hosts_per_leaf) as usize;
-                    let tx_done = d.time;
-                    let pkt = Self::relay(d);
-                    let arrive = self.up[l][s].transfer(&pkt, tx_done);
-                    self.forwarded += 1;
-                    if self.record_crossings {
-                        self.record_crossing(Crossing {
-                            pkt: pkt.meta.id,
-                            flow: pkt.meta.flow.0,
-                            from_device: l as u16,
-                            to_device: (self.spec.n_leaves as usize + s) as u16,
-                            depart: tx_done,
-                            arrive,
-                        });
-                    }
-                    self.spines[s].inject(PortId(l as u16), pkt, arrive);
-                }
+                    continue;
+                };
+                let depart = d.time;
+                let pkt = Self::relay(d);
+                let c = Crossing {
+                    pkt: pkt.meta.id,
+                    flow: pkt.meta.flow.0,
+                    from_device: from as u16,
+                    to_device: to as u16,
+                    depart,
+                    arrive: link.transfer(&pkt, depart),
+                };
+                self.forwarded += 1;
+                let port = PortId(rx as u16);
+                self.inbox[to].push(Arrival { c, port, pkt });
             }
         }
-        for s in 0..self.spines.len() {
-            for d in self.spines[s].take_delivered() {
-                let leaf = d.port.0 as usize;
-                let tx_done = d.time;
-                let pkt = Self::relay(d);
-                let arrive = self.down[s][leaf].transfer(&pkt, tx_done);
-                self.forwarded += 1;
-                if self.record_crossings {
-                    self.record_crossing(Crossing {
-                        pkt: pkt.meta.id,
-                        flow: pkt.meta.flow.0,
-                        from_device: (self.spec.n_leaves as usize + s) as u16,
-                        to_device: leaf as u16,
-                        depart: tx_done,
-                        arrive,
-                    });
-                }
-                let uplink = self.spec.uplink_port(s as u32) as u16;
-                self.leaves[leaf].inject(PortId(uplink), pkt, arrive);
-            }
+        self.outbox = out;
+        for inbox in &mut self.inbox {
+            // The key is unique: one link's arrivals strictly increase.
+            inbox.sort_unstable_by_key(|a| (a.c.arrive, a.c.from_device));
         }
     }
 
-    /// Record one link crossing, bounded at [`CROSSINGS_CAP`].
-    fn record_crossing(&mut self, c: Crossing) {
-        if self.crossings.len() < CROSSINGS_CAP {
-            self.crossings.push(c);
-        } else {
-            self.crossings_truncated += 1;
+    /// Advance device `d` to `h`. Each arrival due by then enters after
+    /// every event before its time and ahead of any at it, so no window
+    /// or slice boundary can reorder the device's pushes. Returns the
+    /// time of the last event handled, if any.
+    fn advance(&mut self, d: usize, h: SimTime) -> Option<SimTime> {
+        let n = self.leaves.len();
+        let sw = match self.leaves.get_mut(d) {
+            Some(leaf) => leaf,
+            None => &mut self.spines[d - n],
+        };
+        let due = self.inbox[d].partition_point(|a| a.c.arrive <= h);
+        let mut last = None;
+        for Arrival { c, port, pkt } in self.inbox[d].drain(..due) {
+            last = last.max(run_device(sw, SimTime(c.arrive.0 - 1)));
+            if self.record_crossings {
+                self.crossings.push(c);
+            }
+            sw.inject(port, pkt, c.arrive);
         }
+        last.max(run_device(sw, h))
     }
 
     /// Link crossings recorded so far (empty unless the journey tracer or
-    /// INT stamping was active when the fabric was built).
+    /// INT stamping was active when the fabric was built), in `(arrive,
+    /// to_device, from_device)` order.
     pub fn crossings(&self) -> &[Crossing] {
         &self.crossings
     }
@@ -518,44 +548,60 @@ impl Fabric {
         t
     }
 
-    /// Next pending event time across the whole fabric.
+    /// Next pending event time across the whole fabric: the earliest event
+    /// a device holds or arrival still on a link.
     pub fn next_event_time(&self) -> Option<SimTime> {
+        let held = self.inbox.iter().filter_map(|i| Some(i.first()?.c.arrive));
         self.leaves
             .iter()
             .chain(self.spines.iter())
             .filter_map(|s| s.next_event_time())
+            .chain(held)
             .min()
     }
 
-    /// Run the fabric to quiescence. Lockstep rounds: advance every switch
-    /// holding an event at the global minimum next-event time, then
-    /// exchange link traffic; repeat until no switch has pending work.
-    /// Returns the later of the last event and the last host delivery.
+    /// Run the fabric to quiescence in lookahead windows (see the module
+    /// doc). Returns the time of the last event handled. Unlike
+    /// [`AdcpSwitch::run_until_idle`] it does not extend that to the last
+    /// bit out of a TX port.
     pub fn run_until_idle(&mut self) -> SimTime {
         self.run(None)
     }
 
-    /// The same rounds, stopping before the first one later than `t`: a
-    /// run cut into such slices executes exactly the rounds of the uncut
-    /// run, in the same order.
+    /// Run every event at or before `t`, then stop. Windows are capped at
+    /// `t`, and a window edge cannot reorder any device's events, so a run
+    /// cut into slices ends exactly where the uncut run does.
     pub fn run_until(&mut self, t: SimTime) -> SimTime {
         self.run(Some(t))
     }
 
     fn run(&mut self, until: Option<SimTime>) -> SimTime {
-        let mut last = SimTime::ZERO;
-        while let Some(t) = self.next_event_time() {
-            if until.is_some_and(|u| t > u) {
+        let mut last = None;
+        while let Some(t0) = self.next_event_time() {
+            if until.is_some_and(|u| t0 > u) {
                 break;
             }
-            for sw in self.leaves.iter_mut().chain(self.spines.iter_mut()) {
-                if sw.next_event_time() == Some(t) {
-                    last = last.max(sw.run_until(t));
-                }
+            // What a device sends at or after `t0` arrives at or after
+            // `t0 + lookahead`, past `h`: each device can run to `h` alone.
+            let h = SimTime(t0.0.saturating_add(self.lookahead.as_ps() - 1));
+            let h = until.map_or(h, |u| h.min(u));
+            let entered = self.crossings.len();
+            for d in 0..self.inbox.len() {
+                last = last.max(self.advance(d, h));
+            }
+            if self.record_crossings {
+                // Devices enter their arrivals one after another; sorting
+                // the window's crossings keeps the record, too, free of
+                // where windows fall.
+                self.crossings[entered..]
+                    .sort_unstable_by_key(|c| (c.arrive, c.to_device, c.from_device));
+                let over = self.crossings.len().saturating_sub(CROSSINGS_CAP);
+                self.crossings_truncated += over as u64;
+                self.crossings.truncate(CROSSINGS_CAP);
             }
             self.exchange();
         }
-        last
+        last.unwrap_or(SimTime::ZERO)
     }
 
     /// Take every host-delivered frame harvested so far, in deterministic
@@ -725,6 +771,14 @@ impl Fabric {
             register_digest,
         }
     }
+}
+
+/// Run `sw` to `t`: the time of the last event it handled, or `None` when
+/// nothing was due.
+fn run_device(sw: &mut AdcpSwitch, t: SimTime) -> Option<SimTime> {
+    sw.next_event_time()
+        .is_some_and(|e| e <= t)
+        .then(|| sw.run_until(t))
 }
 
 /// Plan cross-switch state ownership with the `adcp-ctrl` planners:
@@ -963,6 +1017,34 @@ mod tests {
             // fphase is byte 11, fgk bytes 12..14 of the 14-byte header.
             assert_eq!(&d.data[11..14], &[0, 0, 0], "scratch fields leaked");
         }
+    }
+
+    #[test]
+    fn a_frame_on_a_link_is_pending_work() {
+        let (mut fabric, _) = demo_fabric(3, FabricConfig::default());
+        // Logical port 0 is on leaf 0: a key another leaf owns must cross.
+        let idx = (0..DEMO_CELLS).find(|&c| fabric.spec().owners[c] != 0);
+        let frame = demo::frame(7, idx.unwrap() as u64, 5);
+        fabric.inject(0, Packet::new(0, FlowId(1), frame).seal(), SimTime(1));
+        // Step until the frame has left leaf 0.
+        let mut t = SimTime(1);
+        while fabric.forwarded() == 0 {
+            t += Duration::from_ns(1);
+            fabric.run_until(t);
+        }
+        let devices = (0..4)
+            .map(|l| fabric.leaf(l))
+            .chain((0..2).map(|s| fabric.spine(s)));
+        for sw in devices {
+            assert_eq!(sw.next_event_time(), None, "only the link holds work");
+        }
+        let held = fabric
+            .next_event_time()
+            .expect("the held arrival is pending");
+        assert!(held > t, "arrival {held:?} not after the cut {t:?}");
+        fabric.run_until_idle();
+        assert_eq!(fabric.host_delivered(), 1);
+        fabric.check_conservation();
     }
 
     #[test]

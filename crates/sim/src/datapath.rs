@@ -741,6 +741,13 @@ impl Shell {
         std::mem::take(&mut self.delivered)
     }
 
+    /// Move packets delivered so far onto the end of `out`. Unlike
+    /// [`Shell::take_delivered`], the shell keeps its buffer's capacity,
+    /// so a caller that drains every round allocates nothing.
+    pub fn drain_delivered(&mut self, out: &mut Vec<Delivered>) {
+        out.append(&mut self.delivered);
+    }
+
     /// Packets currently inside the switch.
     pub fn in_flight(&self) -> u64 {
         self.in_flight

@@ -287,14 +287,16 @@ impl<E> EventQueue<E> {
     /// `seq`, lands after the current batch, and is returned by the *next*
     /// call, which is exactly the order the one-at-a-time loop produces.
     ///
-    /// Multi-queue use (fabrics): when several switches each own a queue
-    /// and a driving loop advances all of them to the *global* minimum
-    /// `peek_time` before exchanging link events, the interleaving of
-    /// batches across queues preserves the global `(time, seq)` order a
-    /// single merged queue would produce — provided cross-queue events are
-    /// always scheduled strictly after the time already drained (positive
-    /// link latency guarantees this). Pinned against the `BinaryHeap`
-    /// oracle in `merged_queues_preserve_global_order_through_link_events`.
+    /// Multi-queue use (fabrics): several switches each own a queue and
+    /// hand events to each other with a latency of at least `L`. A driving
+    /// loop may advance every queue by a whole window — up to `t0 + L − 1`
+    /// from the earliest pending time `t0` — before exchanging, because no
+    /// hand-off made in the window can land inside it. Each hand-off waits
+    /// in its receiver's inbox and is pushed at its time `A` only once
+    /// every event before `A` has popped, ahead of any event at `A`, ties
+    /// between senders in sender order; each queue's pop sequence then
+    /// does not depend on the window width. Pinned in
+    /// `windowed_queues_pop_the_same_sequence_at_any_width`.
     pub fn pop_batch(&mut self, batch: &mut Vec<E>) -> Option<SimTime> {
         batch.clear();
         if self.drain.is_empty() && !self.refill() {
@@ -437,6 +439,7 @@ pub mod oracle {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+    use crate::time::Duration;
 
     #[test]
     fn pops_in_time_order() {
@@ -571,79 +574,98 @@ mod tests {
         assert_eq!(q.pop_batch(&mut batch), None);
     }
 
-    /// Satellite: multi-switch interleavings. Two queues (two "switches")
-    /// are driven in lockstep — advance to the global minimum `peek_time`,
-    /// drain that timestamp from whichever queues hold it, and merge the
-    /// batches by a global push tag. Events may spawn "link events" on the
-    /// *other* queue, strictly later (positive link latency). The merged
-    /// drain must reproduce, bit for bit, the `(time, tag)` pop sequence
-    /// of a single `BinaryHeap` oracle that saw every push — i.e. the
-    /// fabric driving loop's split queues preserve global `(time, seq)`
-    /// order.
-    #[test]
-    fn merged_queues_preserve_global_order_through_link_events() {
-        for seed in [2u64, 13, 77, 123, 2026] {
-            let mut rng = SimRng::seed_from(seed);
-            let mut qa: EventQueue<u64> = EventQueue::new();
-            let mut qb: EventQueue<u64> = EventQueue::new();
-            let mut ora: oracle::HeapQueue<u64> = oracle::HeapQueue::new();
-            let mut tag = 0u64;
-            // Initial "injections" land on one of the two switches; the
-            // oracle sees every push, in the same global order.
-            for _ in 0..200 {
-                let t = SimTime(rng.range(0..50u64) * 10_000);
-                if rng.chance(0.5) {
-                    qa.push(t, tag);
-                } else {
-                    qb.push(t, tag);
-                }
-                ora.push(t, tag);
-                tag += 1;
-            }
-            let mut batch_a = Vec::new();
-            let mut batch_b = Vec::new();
-            let mut recorded = Vec::new();
-            loop {
-                let t = match (qa.peek_time(), qb.peek_time()) {
-                    (Some(a), Some(b)) => a.min(b),
-                    (Some(a), None) => a,
-                    (None, Some(b)) => b,
-                    (None, None) => break,
-                };
-                batch_a.clear();
-                batch_b.clear();
-                if qa.peek_time() == Some(t) {
-                    assert_eq!(qa.pop_batch(&mut batch_a), Some(t));
-                }
-                if qb.peek_time() == Some(t) {
-                    assert_eq!(qb.pop_batch(&mut batch_b), Some(t));
-                }
-                // Each queue's batch is FIFO by its own seq; restricted to
-                // one queue that is ascending global-tag order, so a sorted
-                // merge by tag reproduces the single-queue interleaving.
-                let mut merged: Vec<u64> = batch_a.iter().chain(batch_b.iter()).copied().collect();
-                merged.sort_unstable();
-                for ev in merged {
-                    recorded.push((t, ev));
-                    // Some events cross the link to the other switch,
-                    // strictly later — the positive-latency hand-off.
-                    if tag < 1_200 && rng.chance(0.3) {
-                        let arrive = SimTime(t.0 + rng.range(1..5_000u64));
-                        if batch_a.contains(&ev) {
-                            qb.push(arrive, tag);
-                        } else {
-                            qa.push(arrive, tag);
-                        }
-                        ora.push(arrive, tag);
-                        tag += 1;
+    /// Hand-off latency floor of the windowed two-queue test, in ps.
+    const LINK: u64 = 30_000;
+
+    /// An event of the windowed test: `(tag, generation)`.
+    type Ev = (u64, u8);
+
+    /// Two queues ("switches") driven in conservative windows, the way the
+    /// fabric drives its devices; hand-offs are held in per-queue inboxes
+    /// as `(arrival, sending queue, event)`.
+    #[derive(Default)]
+    struct Windowed {
+        qs: [EventQueue<Ev>; 2],
+        inbox: [Vec<(SimTime, usize, Ev)>; 2],
+        pops: [Vec<(SimTime, u64)>; 2],
+    }
+
+    impl Windowed {
+        /// Pop queue `q` through `t`. What each popped event does is a
+        /// pure function of its tag, never of the order the queues happen
+        /// to run in: sometimes a local follow-up (at the same time or
+        /// later, on the 10 ns grid every time here sits on, so ties
+        /// abound), sometimes a hand-off to the other queue at least
+        /// `LINK` later.
+        fn pop_through(&mut self, q: usize, t: SimTime) {
+            while self.qs[q].peek_time().is_some_and(|pt| pt <= t) {
+                let (at, (tag, generation)) = self.qs[q].pop().unwrap();
+                self.pops[q].push((at, tag));
+                let m = SimRng::seed_from(tag).u64();
+                let later = SimTime(at.0 + (m >> 8) % 3 * 10_000);
+                let child = (m >> 16, generation + 1);
+                match m % 4 {
+                    0 if generation < 3 => self.qs[q].push(later, child),
+                    1 if generation < 3 => {
+                        self.inbox[1 - q].push((later + Duration(LINK), q, child))
                     }
+                    _ => {}
                 }
             }
-            let mut expect = Vec::new();
-            while let Some((t, ev)) = ora.pop() {
-                expect.push((t, ev));
+        }
+
+        /// Run to quiescence in windows `w` ps wide (`1 <= w <= LINK`):
+        /// each round advances both queues to `t0 + w - 1`, pushing each
+        /// held hand-off at `A` after every event before `A` and ahead of
+        /// any at `A`.
+        fn run(mut self, w: u64) -> [Vec<(SimTime, u64)>; 2] {
+            loop {
+                let held = self.inbox.iter().filter_map(|i| i.first().map(|a| a.0));
+                let pending = self.qs.iter().filter_map(|q| q.peek_time());
+                let Some(t0) = pending.chain(held).min() else {
+                    return self.pops;
+                };
+                let h = SimTime(t0.0 + w - 1);
+                for q in 0..2 {
+                    let due = self.inbox[q].partition_point(|a| a.0 <= h);
+                    for (at, _, ev) in self.inbox[q].drain(..due).collect::<Vec<_>>() {
+                        self.pop_through(q, SimTime(at.0 - 1));
+                        self.qs[q].push(at, ev);
+                    }
+                    self.pop_through(q, h);
+                }
+                // Hand-offs made this round join the held ones; a stable
+                // sort keeps one sender's same-time hand-offs in send order.
+                for inbox in &mut self.inbox {
+                    inbox.sort_by_key(|a| (a.0, a.1));
+                }
             }
-            assert_eq!(recorded, expect, "seed {seed}: merged order diverged");
+        }
+    }
+
+    /// Multi-switch interleavings. Each queue's pop sequence —
+    /// times, same-time tie order, and what hand-offs it received — is
+    /// identical whether the two queues run in 1 ps windows, `LINK / 3`
+    /// windows or full `LINK` lookahead windows.
+    #[test]
+    fn windowed_queues_pop_the_same_sequence_at_any_width() {
+        for seed in [2u64, 13, 77, 123, 2026] {
+            let runs = [1, LINK / 3, LINK].map(|w| {
+                let mut rng = SimRng::seed_from(seed);
+                let mut pair = Windowed::default();
+                for tag in 0..200 {
+                    let t = SimTime(rng.range(0..50u64) * 10_000);
+                    pair.qs[rng.index(2)].push(t, (tag, 0));
+                }
+                pair.run(w)
+            });
+            let follow_ups = runs[0].iter().map(Vec::len).sum::<usize>() - 200;
+            assert!(
+                follow_ups > 100,
+                "seed {seed}: only {follow_ups} follow-ups"
+            );
+            assert_eq!(runs[0], runs[1], "seed {seed}: 1 ps vs LINK/3 windows");
+            assert_eq!(runs[0], runs[2], "seed {seed}: 1 ps vs LINK windows");
         }
     }
 

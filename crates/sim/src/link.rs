@@ -6,10 +6,10 @@
 //! switch's TX port serializes the frame into the switch edge, and the link
 //! then re-serializes it onto the wire (back-to-back frames queue behind
 //! `busy_until`, exactly like [`crate::port::TxPort`]) before the
-//! propagation delay. Latency must be strictly positive — that is what
-//! makes a lockstep fabric driving loop causal: every frame handed to a
-//! peer switch arrives strictly after the time the fabric has already
-//! simulated up to.
+//! propagation delay. Latency must be strictly positive — it is the
+//! lookahead of the fabric's windowed driving loop: a frame sent at `t`
+//! reaches the peer no sooner than `t + latency`, so every switch may run
+//! that far ahead alone.
 
 use crate::packet::Packet;
 use crate::port::LinkSpeed;

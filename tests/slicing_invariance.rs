@@ -3,8 +3,11 @@
 //! an incremental migration in flight — and for the 2×4 fabric, any random
 //! sequence of `run_until(t_i)` followed by `run_until_idle` must leave
 //! exactly what a single `run_until_idle` leaves: the delivered frames,
-//! every register cell, the counters, the journey trace, the postcards and
-//! the exported metrics block, compared as serialized text.
+//! every register cell, the counters, the journey trace, the postcards,
+//! the exported metrics block and, on the fabric, the link crossings,
+//! compared as serialized text. The fabric is also cut hundreds of times
+//! and run at a second link latency, so the cuts land inside its
+//! lookahead windows.
 //!
 //! Slice points come from the simulator's own seeded [`SimRng`] (the
 //! offline build cannot fetch proptest), so failures reproduce exactly.
@@ -23,7 +26,8 @@ use adcp::rmt::{RmtConfig, RmtSwitch};
 use adcp::sim::datapath::{Delivered, Shell};
 use adcp::sim::packet::{FlowId, Packet, PortId};
 use adcp::sim::rng::SimRng;
-use adcp::sim::time::SimTime;
+use adcp::sim::time::{Duration, SimTime};
+use std::ops::Range;
 
 const CASES: u64 = 12;
 const PACKETS: u64 = 160;
@@ -96,12 +100,18 @@ fn workload(seed: u64) -> Vec<(u16, Packet, SimTime)> {
         .collect()
 }
 
+/// A few cuts, as a control loop makes them.
+const FEW: Range<u64> = 1..10;
+/// Enough picosecond-granular cuts that most fabric windows are cut short.
+const MANY: Range<u64> = 100..300;
+
 /// Sorted random slice points over the workload's horizon (and a bit
-/// beyond, so some slices fall after the last arrival), always including
-/// `must` so a mid-run control action lands at the same simulated time.
-fn slices(rng: &mut SimRng, must: Option<SimTime>) -> Vec<SimTime> {
+/// beyond, so some slices fall after the last arrival), `count` of them,
+/// always including `must` so a mid-run control action lands at the same
+/// simulated time.
+fn slices(rng: &mut SimRng, must: Option<SimTime>, count: Range<u64>) -> Vec<SimTime> {
     let horizon = PACKETS * GAP_NS * 1_200;
-    let n = rng.range(1u64..10);
+    let n = rng.range(count);
     let mut ts: Vec<SimTime> = (0..n).map(|_| SimTime(rng.range(0..horizon))).collect();
     ts.extend(must);
     ts.sort();
@@ -204,8 +214,14 @@ fn run_rmt(seed: u64, cuts: &[SimTime]) -> String {
     format!("{regs:?}\n{:?}\n{shell}", sw.counters)
 }
 
-fn run_fabric(seed: u64, cuts: &[SimTime]) -> String {
+/// The fabric at link latency `latency`, which is also its window width:
+/// a second latency moves every window edge and arrival. Every demo frame is
+/// delivered to logical port 0, so host-delivery order is that one port's
+/// TX order under any schedule; the crossings add every device's arrival
+/// order.
+fn run_fabric(seed: u64, latency: Duration, cuts: &[SimTime]) -> String {
     let cfg = FabricConfig {
+        link_latency: latency,
         switch: AdcpConfig {
             trace: true,
             int: true,
@@ -225,7 +241,10 @@ fn run_fabric(seed: u64, cuts: &[SimTime]) -> String {
         deposit_bits(&mut buf, 40, 16, rng.range(0u64..DEMO_CELLS as u64));
         deposit_bits(&mut buf, 56, 32, rng.range(1u64..1000));
         let pkt = Packet::new(i, FlowId(1000 + i), buf).seal();
-        fabric.inject((i % ports) as u32, pkt, SimTime::from_ns(1 + i * GAP_NS));
+        // Frames enter in pairs, at one instant on two leaves, so many meet
+        // at a spine at the same instant from two links.
+        let at = SimTime::from_ns(1 + i / 2 * GAP_NS);
+        fabric.inject((i % ports) as u32, pkt, at);
     }
     for &t in cuts {
         fabric.run_until(t);
@@ -235,6 +254,7 @@ fn run_fabric(seed: u64, cuts: &[SimTime]) -> String {
     let mut out = serde_json::to_string(&fabric.report()).unwrap();
     out += &frames(&fabric.take_delivered());
     out += &format!("{:?}", fabric.drain_postcards());
+    out += &format!("{:?}", fabric.crossings());
     for d in 0..fabric.n_devices() {
         out += &serde_json::to_string(&fabric.device_trace_json(d)).unwrap();
     }
@@ -251,12 +271,13 @@ fn run_fabric(seed: u64, cuts: &[SimTime]) -> String {
 fn any_slicing_equals_one_run(
     salt: u64,
     must: Option<SimTime>,
+    count: Range<u64>,
     run: impl Fn(u64, &[SimTime]) -> String,
 ) {
     let mut rng = SimRng::seed_from(0x51_1CE5 ^ salt);
     for seed in 0..CASES {
         let whole = run(seed, must.as_slice());
-        let cuts = slices(&mut rng, must);
+        let cuts = slices(&mut rng, must, count.clone());
         assert!(
             run(seed, &cuts) == whole,
             "seed {seed}: slicing at {cuts:?} changed the run"
@@ -266,17 +287,24 @@ fn any_slicing_equals_one_run(
 
 #[test]
 fn adcp_with_a_migration_in_flight_is_slicing_invariant() {
-    any_slicing_equals_one_run(1, Some(MIGRATE_AT), run_adcp);
+    any_slicing_equals_one_run(1, Some(MIGRATE_AT), FEW, run_adcp);
 }
 
 #[test]
 fn rmt_is_slicing_invariant() {
-    any_slicing_equals_one_run(2, None, run_rmt);
+    any_slicing_equals_one_run(2, None, FEW, run_rmt);
 }
 
 #[test]
 fn fabric_is_slicing_invariant() {
-    any_slicing_equals_one_run(3, None, run_fabric);
+    for (salt, ns) in [(3, 200), (4, 1)] {
+        let latency = Duration::from_ns(ns);
+        for count in [FEW, MANY] {
+            any_slicing_equals_one_run(salt, None, count, |seed, cuts| {
+                run_fabric(seed, latency, cuts)
+            });
+        }
+    }
 }
 
 /// One exported counter, or gauge value when `kind` is `"gauges"`.
