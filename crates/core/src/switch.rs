@@ -32,7 +32,7 @@ use adcp_lang::{
     compile, ActionOp, CompileError, CompileOptions, Entry, HeaderId, PacketCodec, ParseOutcome,
     Phv, Placement, Program, RegId, Region, RegionRunStats, RegionState, RegisterFile, TableError,
 };
-use adcp_sim::datapath::{Agenda, Shell, ShellSpec, Slot};
+use adcp_sim::datapath::{Agenda, Parked, Shell, ShellSpec, Slot};
 use adcp_sim::int::{IntFlowCell, IntFlowTable};
 use adcp_sim::metrics::HistId;
 use adcp_sim::packet::{EgressSpec, Packet, PortId};
@@ -179,38 +179,42 @@ struct EgressPipe {
     queues: ScheduledQueues,
 }
 
+/// An event. A packet rides as a handle into the agenda's slab (DESIGN.md
+/// §10), so an event is two words however large a `Packet` grows.
 enum Ev {
     Inject {
         port: u16,
-        pkt: Packet,
+        pkt: Parked,
     },
     IngressEnter {
         pipe: usize,
-        pkt: Packet,
+        pkt: Parked,
     },
     IngressOut {
         pipe: usize,
-        pkt: Packet,
+        pkt: Parked,
     },
     PullCentral {
         cpipe: usize,
     },
     CentralOut {
         cpipe: usize,
-        pkt: Packet,
+        pkt: Parked,
     },
     PullEgress {
         epipe: usize,
     },
     EgressOut {
         epipe: usize,
-        pkt: Packet,
+        pkt: Parked,
     },
     /// Drain-strategy commit point: the in-flight fence has drained and the
     /// bulk copy window has elapsed — move state, install the next map,
     /// release held packets.
     MigrateCommit,
 }
+
+const _: () = assert!(size_of::<Ev>() <= 16);
 
 /// Control-plane migration totals, exported as the `ctrl` metrics scope.
 #[derive(Debug, Clone, Default)]
@@ -756,6 +760,7 @@ impl AdcpSwitch {
     /// Offer a packet to an RX port at `t`.
     pub fn inject(&mut self, port: PortId, mut pkt: Packet, t: SimTime) {
         self.shell.accept(port, &mut pkt, t);
+        let pkt = self.agenda.park(pkt);
         self.agenda.events.push(t, Ev::Inject { port: port.0, pkt });
     }
 
@@ -763,6 +768,7 @@ impl AdcpSwitch {
     /// the last event and the last bit serialized out a TX port.
     pub fn run_until_idle(&mut self) -> SimTime {
         let last = self.run(None);
+        debug_assert_eq!(self.agenda.parked(), 0, "a packet parked past its event");
         self.shell.quiescence(last)
     }
 
@@ -851,13 +857,28 @@ impl AdcpSwitch {
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::Inject { port, pkt } => self.on_inject(now, port, pkt),
-            Ev::IngressEnter { pipe, pkt } => self.on_ingress_enter(now, pipe, pkt),
-            Ev::IngressOut { pipe, pkt } => self.on_ingress_out(now, pipe, pkt),
+            Ev::Inject { port, pkt } => {
+                let pkt = self.agenda.take(pkt);
+                self.on_inject(now, port, pkt)
+            }
+            Ev::IngressEnter { pipe, pkt } => {
+                let pkt = self.agenda.take(pkt);
+                self.on_ingress_enter(now, pipe, pkt)
+            }
+            Ev::IngressOut { pipe, pkt } => {
+                let pkt = self.agenda.take(pkt);
+                self.on_ingress_out(now, pipe, pkt)
+            }
             Ev::PullCentral { cpipe } => self.on_pull_central(now, cpipe),
-            Ev::CentralOut { cpipe, pkt } => self.on_central_out(now, cpipe, pkt),
+            Ev::CentralOut { cpipe, pkt } => {
+                let pkt = self.agenda.take(pkt);
+                self.on_central_out(now, cpipe, pkt)
+            }
             Ev::PullEgress { epipe } => self.on_pull_egress(now, epipe),
-            Ev::EgressOut { epipe, pkt } => self.on_egress_out(now, epipe, pkt),
+            Ev::EgressOut { epipe, pkt } => {
+                let pkt = self.agenda.take(pkt);
+                self.on_egress_out(now, epipe, pkt)
+            }
             Ev::MigrateCommit => self.on_migrate_commit(now),
         }
     }
@@ -902,6 +923,7 @@ impl AdcpSwitch {
             DemuxPolicy::FlowHash => (adcp_lang::fold_hash([pkt.meta.flow.0]) % m as u64) as usize,
         };
         let pipe = port as usize * m + lane;
+        let pkt = self.agenda.park(pkt);
         self.agenda
             .events
             .push(done, Ev::IngressEnter { pipe, pkt });
@@ -924,6 +946,7 @@ impl AdcpSwitch {
         let stages = self.placement.ingress.depth().max(1) as u64;
         let exit = entry + Duration(stages * self.period.as_ps());
         self.shell.hop(&mut pkt, site, entry, exit, HopCtx::NONE);
+        let pkt = self.agenda.park(pkt);
         self.agenda.events.push(exit, Ev::IngressOut { pipe, pkt });
     }
 
@@ -1226,6 +1249,7 @@ impl AdcpSwitch {
             ..HopCtx::NONE
         };
         self.shell.hop(&mut pkt, site, entry, exit, ctx);
+        let pkt = self.agenda.park(pkt);
         self.agenda.events.push(exit, Ev::CentralOut { cpipe, pkt });
         if !self.central[cpipe].queues.is_empty() {
             self.schedule_pull_central(now, cpipe);
@@ -1305,6 +1329,7 @@ impl AdcpSwitch {
         self.writeback(&mut pkt, phv, out.extracted);
         let exit = entry + flight;
         self.shell.hop(&mut pkt, site, entry, exit, HopCtx::NONE);
+        let pkt = self.agenda.park(pkt);
         self.agenda.events.push(exit, Ev::EgressOut { epipe, pkt });
         if !self.egress[epipe].queues.is_empty() {
             self.schedule_pull_egress(now, epipe);

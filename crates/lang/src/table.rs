@@ -12,6 +12,36 @@ use crate::header::FieldRef;
 use serde::Serialize;
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The hasher of the exact and LPM indexes: the splitmix64 finalizer over
+/// the `u64` key, two xor-shift-multiply rounds. Keys come from the
+/// simulator's own generators and control-plane installs, never from an
+/// adversary, so a fixed function replaces SipHash's per-map random keys.
+/// It must spread low and high key bits alike: hashbrown takes the bucket
+/// from the low bits and the control tag from the top seven, and keys like
+/// `k << 32` differ only in bits a single multiply leaves unmixed below.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the indexes are keyed by u64, hashed through write_u64")
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        self.0 ^= k;
+    }
+
+    fn finish(&self) -> u64 {
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// An exact-match index from key to entry.
+type KeyMap = HashMap<u64, Entry, BuildHasherDefault<KeyHasher>>;
 
 /// Which pipeline region a table executes in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
@@ -174,7 +204,7 @@ pub enum TableError {
 ///
 /// Entries are held in per-kind **indexes** rather than a linear scan list:
 ///
-/// * Exact — a hash map keyed on the value.
+/// * Exact — a hash map keyed on the value, under the fixed `KeyHasher`.
 /// * LPM — one exact map per installed prefix length, probed
 ///   longest-length-first; the first probe that hits is the longest match.
 ///   Re-installing an identical prefix replaces the previous entry.
@@ -191,10 +221,10 @@ pub struct TableRuntime {
     kind: Option<MatchKind>,
     key_bits: u8,
     capacity: u32,
-    exact: HashMap<u64, Entry>,
+    exact: KeyMap,
     /// LPM index: (prefix length, normalized-prefix → entry), kept sorted by
     /// length descending so probes go longest-first.
-    lpm: Vec<(u8, HashMap<u64, Entry>)>,
+    lpm: Vec<(u8, KeyMap)>,
     /// Ternary index: (priority, insertion sequence, entry), sorted by
     /// (priority, sequence) descending. Later installs win priority ties.
     ternary: Vec<(u16, u64, Entry)>,
@@ -214,7 +244,7 @@ impl TableRuntime {
             kind: def.key.map(|k| k.kind),
             key_bits: def.key.map(|k| k.bits).unwrap_or(0),
             capacity: def.size,
-            exact: HashMap::new(),
+            exact: KeyMap::default(),
             lpm: Vec::new(),
             ternary: Vec::new(),
             ternary_seq: 0,
@@ -287,7 +317,7 @@ impl TableRuntime {
                         m.insert(bk, e);
                     }
                     None => {
-                        let mut m = HashMap::new();
+                        let mut m = KeyMap::default();
                         m.insert(bk, e);
                         // Keep lengths sorted descending: probe order is
                         // longest-first, so the first hit is the answer.
@@ -586,6 +616,40 @@ mod tests {
         .unwrap();
         assert_eq!(t.len(), 1);
         assert_eq!(t.lookup(0x0A33_4455).map(|e| e.action), Some(1));
+    }
+
+    /// hashbrown indexes buckets with the hash's low bits and tags them
+    /// with its top seven. For structured key families, 2¹⁶ keys must fill
+    /// at least 55 % of 2¹⁶ low-16-bit values (a random function fills
+    /// 63 %) and reach all 128 tags.
+    #[test]
+    fn key_hasher_spreads_structured_keys() {
+        use std::hash::BuildHasher;
+        type Family = (&'static str, fn(u64) -> u64);
+        let families: [Family; 6] = [
+            ("sequential", |k| k),
+            ("k << 16", |k| k << 16),
+            ("k << 32", |k| k << 32),
+            ("k << 48", |k| k << 48),
+            ("high bits only", |k| (1 << 63) | (k << 47)),
+            ("k * 1000", |k| k * 1000),
+        ];
+        let build = BuildHasherDefault::<KeyHasher>::default();
+        for (name, key) in families {
+            let mut low = vec![false; 1 << 16];
+            let mut tags = [false; 128];
+            for k in 0..1u64 << 16 {
+                let h = build.hash_one(key(k));
+                low[(h & 0xFFFF) as usize] = true;
+                tags[(h >> 57) as usize] = true;
+            }
+            let distinct = low.iter().filter(|&&b| b).count();
+            assert!(
+                distinct * 100 >= 55 << 16,
+                "{name}: {distinct} distinct low-16-bit hashes"
+            );
+            assert!(tags.iter().all(|&b| b), "{name}: a top-7-bit tag unused");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use adcp_lang::{
     compile, CentralImpl, CompileError, CompileOptions, Entry, PacketCodec, Placement, Program,
     RegId, Region, RegionRunStats, RegionState, RegisterFile, TableError,
 };
-use adcp_sim::datapath::{Agenda, Shell, ShellSpec, Slot};
+use adcp_sim::datapath::{Agenda, Parked, Shell, ShellSpec, Slot};
 use adcp_sim::metrics::HistId;
 use adcp_sim::packet::{EgressSpec, Packet, PortId};
 use adcp_sim::sched::ScheduledQueues;
@@ -102,13 +102,17 @@ struct EgressPipe {
     queues: ScheduledQueues,
 }
 
+/// An event. A packet rides as a handle into the agenda's slab (DESIGN.md
+/// §10), so an event is two words however large a `Packet` grows.
 enum Ev {
-    Inject { port: u16, pkt: Packet },
-    IngressEnter { pipe: usize, pkt: Packet, pass: u8 },
-    IngressOut { pipe: usize, pkt: Packet, pass: u8 },
+    Inject { port: u16, pkt: Parked },
+    IngressEnter { pipe: usize, pkt: Parked, pass: u8 },
+    IngressOut { pipe: usize, pkt: Parked, pass: u8 },
     PullEgress { pipe: usize },
-    EgressOut { pipe: usize, pkt: Packet },
+    EgressOut { pipe: usize, pkt: Parked },
 }
+
+const _: () = assert!(size_of::<Ev>() <= 16);
 
 /// The RMT switch. Derefs to its [`Shell`] for the ledger (`counters`),
 /// the observers (`tracer`, `latency`, `out_meter`) and the INT and
@@ -279,6 +283,7 @@ impl RmtSwitch {
     /// Offer a packet to an RX port at `t` (its first bit arrives then).
     pub fn inject(&mut self, port: PortId, mut pkt: Packet, t: SimTime) {
         self.shell.accept(port, &mut pkt, t);
+        let pkt = self.agenda.park(pkt);
         self.agenda.events.push(t, Ev::Inject { port: port.0, pkt });
     }
 
@@ -286,6 +291,7 @@ impl RmtSwitch {
     /// the last event and the last bit serialized out a TX port.
     pub fn run_until_idle(&mut self) -> SimTime {
         let last = self.run(None);
+        debug_assert_eq!(self.agenda.parked(), 0, "a packet parked past its event");
         self.shell.quiescence(last)
     }
 
@@ -350,11 +356,23 @@ impl RmtSwitch {
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::Inject { port, pkt } => self.on_inject(now, port, pkt),
-            Ev::IngressEnter { pipe, pkt, pass } => self.on_ingress_enter(now, pipe, pkt, pass),
-            Ev::IngressOut { pipe, pkt, pass } => self.on_ingress_out(now, pipe, pkt, pass),
+            Ev::Inject { port, pkt } => {
+                let pkt = self.agenda.take(pkt);
+                self.on_inject(now, port, pkt)
+            }
+            Ev::IngressEnter { pipe, pkt, pass } => {
+                let pkt = self.agenda.take(pkt);
+                self.on_ingress_enter(now, pipe, pkt, pass)
+            }
+            Ev::IngressOut { pipe, pkt, pass } => {
+                let pkt = self.agenda.take(pkt);
+                self.on_ingress_out(now, pipe, pkt, pass)
+            }
             Ev::PullEgress { pipe } => self.on_pull_egress(now, pipe),
-            Ev::EgressOut { pipe, pkt } => self.on_egress_out(now, pipe, pkt),
+            Ev::EgressOut { pipe, pkt } => {
+                let pkt = self.agenda.take(pkt);
+                self.on_egress_out(now, pipe, pkt)
+            }
         }
     }
 
@@ -367,6 +385,7 @@ impl RmtSwitch {
             return;
         };
         let pipe = self.pipe_of_port(PortId(port));
+        let pkt = self.agenda.park(pkt);
         let ev = Ev::IngressEnter { pipe, pkt, pass: 0 };
         self.agenda.events.push(done, ev);
     }
@@ -403,6 +422,7 @@ impl RmtSwitch {
         pkt.meta.recirculate = recirculate;
         let exit = entry + Duration(plan.depth().max(1) as u64 * self.period.as_ps());
         self.shell.hop(&mut pkt, site, entry, exit, HopCtx::NONE);
+        let pkt = self.agenda.park(pkt);
         let ev = Ev::IngressOut { pipe, pkt, pass };
         self.agenda.events.push(exit, ev);
     }
@@ -425,6 +445,7 @@ impl RmtSwitch {
             self.shell.counters.recirc_passes += 1;
             self.shell
                 .hop(&mut pkt, Site::Recirculated, now, now, HopCtx::NONE);
+            let pkt = self.agenda.park(pkt);
             let ev = Ev::IngressEnter { pipe, pkt, pass: 1 };
             return self.agenda.events.push(now + self.recirc_latency, ev);
         }
@@ -502,6 +523,7 @@ impl RmtSwitch {
         let backlog = !p.queues.is_empty();
         self.shell
             .hop(&mut pkt, Site::EgressPipe(pipe), entry, exit, HopCtx::NONE);
+        let pkt = self.agenda.park(pkt);
         self.agenda.events.push(exit, Ev::EgressOut { pipe, pkt });
         if backlog {
             self.schedule_pull(now, pipe);

@@ -9,7 +9,8 @@
 //!   bump, an in-flight decrement and a forensic record cannot be written
 //!   apart.
 //! * [`Slot`] — one pipeline's cycle bookkeeping (one PHV per clock).
-//! * [`Agenda`] — the event queue and the same-timestamp batch loop.
+//! * [`Agenda`] — the event queue, the same-timestamp batch loop, and the
+//!   slab of packets that pending events carry by [`Parked`] handle.
 //!
 //! A target is a wiring of these: `adcp-rmt` puts one TM between two
 //! slots per pipe and adds a recirculation edge; `adcp-core` adds a second
@@ -807,11 +808,42 @@ impl Iterator for Copies {
     }
 }
 
-/// A switch's event queue plus the reusable same-timestamp dispatch batch.
+/// A packet parked in an [`Agenda`]'s slab: what an event carries in place
+/// of the packet itself. Not `Clone`, so a handle is taken back at most
+/// once; `#[must_use]`, so it is not dropped with its packet still parked.
+#[must_use = "a parked packet stays in the slab until its handle is taken"]
+#[derive(Debug)]
+pub struct Parked(u32);
+
+/// One entry of an [`Agenda`]'s packet slab.
+#[allow(clippy::large_enum_variant)] // packets inline: boxing would allocate per park
+enum SlabEntry {
+    /// The packet a pending event's handle names.
+    Parked(Packet),
+    /// Free: the next slot on the free list (`slab.len()` ends it).
+    Free(u32),
+}
+
+/// A switch's event queue, the reusable same-timestamp dispatch batch, and
+/// the slab of packets its pending events carry.
+///
+/// An event carries a [`Parked`] handle (4 bytes) rather than a
+/// [`Packet`] (216 bytes), so the calendar queue copies, sorts and shifts
+/// 32-byte entries. A handler takes its packet from the slab at dispatch
+/// and parks it again when it pushes the next event, so a handle lives
+/// exactly as long as the one event that carries it. The slab grows on
+/// demand and reuses freed slots last-in first-out through a free list
+/// threaded through the free slots themselves (no second buffer to grow),
+/// so its storage follows the high-water mark of packets in flight, not
+/// the number ever parked.
 pub struct Agenda<E> {
     /// Pending events.
     pub events: EventQueue<E>,
     batch: Vec<E>,
+    slab: Vec<SlabEntry>,
+    /// Head of the free list; `slab.len()` when no slot is free.
+    free: u32,
+    parked: usize,
 }
 
 impl<E> Default for Agenda<E> {
@@ -819,11 +851,52 @@ impl<E> Default for Agenda<E> {
         Agenda {
             events: EventQueue::new(),
             batch: Vec::new(),
+            slab: Vec::new(),
+            free: 0,
+            parked: 0,
         }
     }
 }
 
 impl<E> Agenda<E> {
+    /// Move `pkt` into the slab, for an event to carry.
+    #[inline]
+    pub fn park(&mut self, pkt: Packet) -> Parked {
+        let i = self.free;
+        match self.slab.get_mut(i as usize) {
+            Some(slot) => {
+                let SlabEntry::Free(next) = *slot else {
+                    unreachable!("the free list links free slots")
+                };
+                self.free = next;
+                *slot = SlabEntry::Parked(pkt);
+            }
+            None => {
+                self.slab.push(SlabEntry::Parked(pkt));
+                self.free = u32::try_from(self.slab.len()).expect("fewer than 2^32 packets parked");
+            }
+        }
+        self.parked += 1;
+        Parked(i)
+    }
+
+    /// Move the packet `h` names out of the slab.
+    #[inline]
+    pub fn take(&mut self, h: Parked) -> Packet {
+        let slot = std::mem::replace(&mut self.slab[h.0 as usize], SlabEntry::Free(self.free));
+        self.free = h.0;
+        self.parked -= 1;
+        match slot {
+            SlabEntry::Parked(pkt) => pkt,
+            SlabEntry::Free(_) => unreachable!("a handle names a parked packet"),
+        }
+    }
+
+    /// Packets parked now: zero whenever no event is pending.
+    pub fn parked(&self) -> usize {
+        self.parked
+    }
+
     /// The run loop of switch `sw`, whose agenda `agenda` projects out:
     /// hand every event scheduled at or before `until` (every event, when
     /// `None`) to `handle` and return the time of the last one.
@@ -857,5 +930,50 @@ impl<E> Agenda<E> {
         }
         agenda(sw).batch = batch;
         last
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::packet::{synthetic_packet, FlowId};
+    use crate::rng::SimRng;
+
+    /// The slab's storage follows the in-flight high-water mark, not the
+    /// packets ever parked (the analogue of the event queue's
+    /// `million_event_run_keeps_storage_bounded`).
+    #[test]
+    fn million_parks_keep_the_slab_bounded() {
+        const TOTAL: u64 = 1_000_000;
+        const OUTSTANDING: usize = 1024;
+        let mut agenda: Agenda<()> = Agenda::default();
+        let mut rng = SimRng::seed_from(5);
+        // Packets circulate between `spare` and the slab, so at most
+        // OUTSTANDING are ever parked at once.
+        let mut spare: Vec<Packet> = (0..OUTSTANDING as u64)
+            .map(|id| synthetic_packet(id, FlowId(0), 64))
+            .collect();
+        let mut parked: Vec<(Parked, u64)> = Vec::new();
+        let mut taken = 0u64;
+        while taken < TOTAL || !parked.is_empty() {
+            let park = taken < TOTAL && !spare.is_empty();
+            if park && (parked.is_empty() || rng.chance(0.5)) {
+                let pkt = spare.pop().expect("checked");
+                let id = pkt.meta.id;
+                parked.push((agenda.park(pkt), id));
+            } else {
+                let (h, id) = parked.swap_remove(rng.index(parked.len()));
+                let pkt = agenda.take(h);
+                assert_eq!(pkt.meta.id, id, "a handle takes back its own packet");
+                spare.push(pkt);
+                taken += 1;
+            }
+            assert_eq!(agenda.parked(), parked.len());
+        }
+        let cap = agenda.slab.capacity();
+        assert!(
+            cap <= 2 * OUTSTANDING,
+            "slab capacity {cap} grew past twice the {OUTSTANDING}-packet high-water mark"
+        );
     }
 }

@@ -110,8 +110,8 @@ pub struct PacketMeta {
     /// padding are excluded.
     pub goodput_bytes: u32,
     /// Frame check sequence stamped by the sender over `data` (the FCS
-    /// stand-in: real NICs append a CRC32; the simulator uses a 64-bit
-    /// FNV-1a over the frame bytes). `None` means the source did not seal
+    /// stand-in: real NICs append a CRC32; the simulator uses the 64-bit
+    /// word-wise [`frame_check`]). `None` means the source did not seal
     /// the frame, and switches skip the integrity check — legacy workloads
     /// keep working. Fault-injected bit flips leave the stamp stale, which
     /// is exactly how switches detect and discard corrupted frames.
@@ -179,15 +179,34 @@ impl PacketMeta {
     }
 }
 
-/// Compute the frame check sequence over frame bytes: 64-bit FNV-1a.
+/// Compute the frame check sequence over frame bytes: a length-seeded,
+/// word-wise fold `h ← (h ⊕ w)·P` over the frame's little-endian 8-byte
+/// words, the last one zero-padded (FNV's offset basis and prime).
 ///
-/// Any stable hash works here — the FCS only needs to make a corrupted
-/// frame (one flipped bit) disagree with its stamp deterministically.
+/// It only has to make a damaged frame disagree with its stamp, and it
+/// does so with certainty for any damage confined to one word, which
+/// includes every single-bit flip a `FaultInjector` makes: each step is
+/// injective in `w` for a given `h`, and a bijection in `h` for a given
+/// `w` (xor, then a multiply by an odd `P` modulo 2⁶⁴), so two equal-length
+/// frames that differ in one word fold to different values from that word
+/// on. The length seed does the same for frames that pad to the same words
+/// but differ in length (a zero byte appended or cut inside the last
+/// word), where the two folds start apart and stay apart. One multiply per
+/// 8 bytes where FNV-1a made one per byte; the check runs at the source
+/// seal, at RX and at the TX re-seal of every packet.
 pub fn frame_check(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    const P: u64 = 0x0000_0100_0000_01B3;
+    let fold = |h: u64, w: [u8; 8]| (h ^ u64::from_le_bytes(w)).wrapping_mul(P);
+    let mut words = data.chunks_exact(8);
+    let mut h = 0xCBF2_9CE4_8422_2325 ^ data.len() as u64;
+    for w in &mut words {
+        h = fold(h, w.try_into().expect("chunks_exact yields 8 bytes"));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        h = fold(h, w);
     }
     h
 }
@@ -485,6 +504,65 @@ mod tests {
         // Resealing blesses the new bytes (the deparse-writeback path).
         corrupted.reseal();
         assert!(corrupted.fcs_ok());
+    }
+
+    /// A frame of `len` bytes: all zero (the hardest case for zero
+    /// extension) or a byte pattern with no zero word.
+    fn frame(len: usize, zero: bool) -> Vec<u8> {
+        let byte = |i: usize| (i as u8).wrapping_mul(37) | 1;
+        (0..len).map(|i| if zero { 0 } else { byte(i) }).collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        for len in 0..=136 {
+            for zero in [false, true] {
+                let mut f = frame(len, zero);
+                let stamp = frame_check(&f);
+                for bit in 0..len * 8 {
+                    f[bit / 8] ^= 1 << (bit % 8);
+                    assert_ne!(frame_check(&f), stamp, "len {len}, bit {bit}");
+                    f[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_extension_and_truncation_are_detected() {
+        for len in 0..=136 {
+            for zero in [false, true] {
+                let f = frame(len, zero);
+                let stamp = frame_check(&f);
+                for k in 1..=8 {
+                    let mut longer = f.clone();
+                    longer.resize(len + k, 0);
+                    assert_ne!(frame_check(&longer), stamp, "len {len} + {k}");
+                    if k <= len {
+                        assert_ne!(frame_check(&f[..len - k]), stamp, "len {len} - {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The sampling hash picks traced and INT-stamped packets, so it is
+    /// pinned to the values it had when it was the frame check itself
+    /// (byte-serial FNV-1a over the id's little-endian bytes).
+    #[test]
+    fn sample_hash_is_pinned() {
+        use crate::trace::sample_hash;
+        let pinned = [
+            (0, 0xA8C7_F832_281A_39C5),
+            (1, 0x89CD_3129_1D2A_EFA4),
+            (63, 0x5401_6ACE_AFD2_0A5A),
+            (64, 0x6779_BA74_E3EC_C205),
+            (1 << 32, 0x08CD_4C29_D1E4_7D34),
+            (u64::MAX, 0x8CF5_1A8B_FCA3_883D),
+        ];
+        for (id, h) in pinned {
+            assert_eq!(sample_hash(id), h, "id {id}");
+        }
     }
 
     #[test]

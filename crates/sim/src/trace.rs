@@ -11,8 +11,8 @@
 //! land as instant [`CtrlEvent`]s on a dedicated `ctrl` track.
 //!
 //! Sampling is deterministic and hash-based: with sampling rate `N`, packet
-//! ids where `fnv(id) % N == 0` keep their hop spans (the same FNV-1a the
-//! frame check uses, so the kept set is stable across runs, targets, and
+//! ids where `fnv(id) % N == 0` keep their hop spans ([`sample_hash`], a
+//! fixed FNV-1a, so the kept set is stable across runs, targets, and
 //! processes). `N = 1` keeps everything — the setting under which the
 //! forensic drop counts are asserted byte-identical to the metrics
 //! registry's drop counters.
@@ -279,10 +279,17 @@ impl CtrlEvent {
     }
 }
 
-/// The deterministic sampling hash: FNV-1a over the packet id's little-
-/// endian bytes (the same function the frame check uses).
+/// The deterministic sampling hash: byte-serial 64-bit FNV-1a over the
+/// packet id's little-endian bytes. It picks the traced and INT-stamped
+/// packets and a flow's `IntFlowTable` cell, so every trace and INT golden
+/// depends on its exact values; it is its own function, not the frame
+/// check's, so that the frame check can change without moving them.
 pub fn sample_hash(id: u64) -> u64 {
-    crate::packet::frame_check(&id.to_le_bytes())
+    id.to_le_bytes()
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
 }
 
 /// Span-based flight recorder with always-on drop forensics.

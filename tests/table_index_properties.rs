@@ -25,13 +25,17 @@ const PROBES: usize = 256;
 const KEY_BITS: u8 = 32;
 
 fn def(kind: MatchKind) -> TableDef {
+    def_bits(kind, KEY_BITS)
+}
+
+fn def_bits(kind: MatchKind, bits: u8) -> TableDef {
     TableDef {
         name: "t".into(),
         region: Region::Ingress,
         key: Some(KeySpec {
             field: FieldRef::new(HeaderId(0), FieldId(0)),
             kind,
-            bits: KEY_BITS,
+            bits,
         }),
         actions: vec![ActionDef::nop()],
         default_action: 0,
@@ -50,24 +54,24 @@ fn entry(value: MatchValue, tag: u64) -> Entry {
     }
 }
 
-fn lpm_matches(key: u64, value: u64, len: u8) -> bool {
+fn lpm_matches(bits: u8, key: u64, value: u64, len: u8) -> bool {
     if len == 0 {
         return true;
     }
-    if len >= KEY_BITS {
+    if len >= bits {
         return key == value;
     }
-    (key >> (KEY_BITS - len)) == (value >> (KEY_BITS - len))
+    (key >> (bits - len)) == (value >> (bits - len))
 }
 
 /// Longest prefix wins; among matches of equal length (necessarily the
 /// same prefix) the latest install wins — scanned linearly over the full
 /// install history, which is exactly what the indexed table's
 /// replace-on-reinstall must reproduce.
-fn lpm_reference(history: &[(u64, u8, u64)], key: u64) -> Option<u64> {
+fn lpm_reference(bits: u8, history: &[(u64, u8, u64)], key: u64) -> Option<u64> {
     let mut best: Option<(u8, u64)> = None;
     for &(value, len, tag) in history {
-        if lpm_matches(key, value, len) && best.map(|(l, _)| len >= l).unwrap_or(true) {
+        if lpm_matches(bits, key, value, len) && best.map(|(l, _)| len >= l).unwrap_or(true) {
             best = Some((len, tag));
         }
     }
@@ -107,7 +111,7 @@ fn lpm_index_matches_linear_reference() {
                 rng.u64() & 0xFFFF_FFFF
             };
             let got = rt.lookup(key).map(|e| e.params[0]);
-            let want = lpm_reference(&history, key);
+            let want = lpm_reference(KEY_BITS, &history, key);
             assert_eq!(got, want, "case {case}, key {key:#x}");
         }
     }
@@ -245,6 +249,68 @@ fn exact_index_matches_linear_reference() {
                 .find(|&&(v, _)| v == key)
                 .map(|&(_, tag)| tag);
             assert_eq!(got, want, "case {case}, key {key}");
+        }
+    }
+}
+
+type Family = (&'static str, fn(u64) -> u64);
+
+/// Structured key families: keys that differ only in a few bits, at the
+/// bottom, the middle or the top of the word, which is where a weak hash
+/// function collides. The exact and LPM indexes must still answer like the
+/// linear model over 64-bit keys.
+const FAMILIES: [Family; 6] = [
+    ("sequential", |k| k),
+    ("k << 16", |k| k << 16),
+    ("k << 32", |k| k << 32),
+    ("k << 48", |k| k << 48),
+    ("high bits only", |k| (1 << 63) | (k << 47)),
+    ("k * 1000", |k| k * 1000),
+];
+
+#[test]
+fn exact_index_matches_model_on_structured_keys() {
+    const INSTALLED: u64 = 4096;
+    for (name, key) in FAMILIES {
+        let d = def_bits(MatchKind::Exact, 64);
+        let mut rt = TableRuntime::new(&d);
+        for k in 0..INSTALLED {
+            rt.insert(&d, entry(MatchValue::Exact(key(k)), k)).unwrap();
+        }
+        assert_eq!(
+            rt.insert(&d, entry(MatchValue::Exact(key(7)), 0)),
+            Err(TableError::Duplicate),
+            "{name}"
+        );
+        assert_eq!(rt.len() as u64, INSTALLED, "{name}");
+        for k in 0..2 * INSTALLED {
+            let got = rt.lookup(key(k)).map(|e| e.params[0]);
+            let want = (k < INSTALLED).then_some(k);
+            assert_eq!(got, want, "{name}, k {k}");
+        }
+    }
+}
+
+#[test]
+fn lpm_index_matches_model_on_structured_keys() {
+    const INSTALLED: u64 = 1024;
+    const LENS: [u8; 5] = [64, 48, 32, 16, 8];
+    for (name, key) in FAMILIES {
+        let d = def_bits(MatchKind::Lpm, 64);
+        let mut rt = TableRuntime::new(&d);
+        let mut history: Vec<(u64, u8, u64)> = Vec::new();
+        for k in 0..INSTALLED {
+            let (value, len) = (key(k), LENS[k as usize % LENS.len()]);
+            rt.insert(&d, entry(MatchValue::Lpm { value, len }, k))
+                .unwrap();
+            history.push((value, len, k));
+        }
+        for k in 0..2 * INSTALLED {
+            for probe in [key(k), key(k) ^ 1, key(k) ^ (1 << 40)] {
+                let got = rt.lookup(probe).map(|e| e.params[0]);
+                let want = lpm_reference(64, &history, probe);
+                assert_eq!(got, want, "{name}, probe {probe:#x}");
+            }
         }
     }
 }
