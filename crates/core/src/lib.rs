@@ -458,6 +458,109 @@ mod tests {
         sw.check_conservation();
     }
 
+    /// A packet lives in one slab slot from `inject` until it is delivered
+    /// or dropped: a run through every drop class, at both traffic
+    /// managers, and a multicast fan-out leaves nothing parked and closes
+    /// the ledger.
+    #[test]
+    fn every_drop_class_frees_its_slot() {
+        // By `key`: 1 is dropped at ingress (filtered at TM1), 2 gets no
+        // forwarding decision, 3 multicasts to ports 0..4, 4 is dropped at
+        // egress; any other key forwards to `dst`.
+        let mut b = ProgramBuilder::new("slots");
+        let h = b.header(header());
+        b.parser(ParserSpec::single(h));
+        let g = b.mcast_group((0..4).map(PortId).collect());
+        let by_key = |name: &str, region, actions| TableDef {
+            name: name.into(),
+            region,
+            key: Some(KeySpec {
+                field: fr(0, 1),
+                kind: MatchKind::Exact,
+                bits: 16,
+            }),
+            actions,
+            default_action: 0,
+            default_params: vec![],
+            size: 16,
+        };
+        let fwd = ActionDef::new("fwd", vec![ActionOp::SetEgress(Operand::Field(fr(0, 0)))]);
+        let mcast = ActionDef::new("m", vec![ActionOp::SetMulticast(Operand::Const(g as u64))]);
+        let drop = || ActionDef::new("d", vec![ActionOp::Drop]);
+        b.table(by_key(
+            "in",
+            Region::Ingress,
+            vec![ActionDef::nop(), drop()],
+        ));
+        b.table(by_key(
+            "route",
+            Region::Central,
+            vec![fwd, ActionDef::nop(), mcast],
+        ));
+        b.table(by_key(
+            "out",
+            Region::Egress,
+            vec![ActionDef::nop(), drop()],
+        ));
+        let cfg = AdcpConfig {
+            tm_cells: 12,
+            queue_depth: 2,
+            ..Default::default()
+        };
+        let target = TargetModel::adcp_reference();
+        let mut sw = AdcpSwitch::new(b.build(), target, CompileOptions::default(), cfg).unwrap();
+        for (table, key, action) in [
+            ("in", 1, 1),
+            ("route", 2, 1),
+            ("route", 3, 2),
+            ("out", 4, 1),
+        ] {
+            let value = MatchValue::Exact(key);
+            let params = vec![];
+            sw.install_all(
+                table,
+                Entry {
+                    value,
+                    action,
+                    params,
+                },
+            )
+            .unwrap();
+        }
+        let at = |i: u64| SimTime::from_us(i);
+        let mut corrupt = pkt_with(1, 1, 5, 0, 0, [0; 4]).seal();
+        corrupt.data.make_mut()[0] ^= 1;
+        sw.inject(PortId(0), corrupt, at(0));
+        sw.inject(PortId(0), Packet::new(2, FlowId(2), vec![0u8; 3]), at(1));
+        for key in 1..=4 {
+            sw.inject(
+                PortId(0),
+                pkt_with(2 + key as u64, 3, 5, key, 0, [0; 4]),
+                at(2),
+            );
+        }
+        sw.inject(PortId(0), pkt_with(7, 7, 999, 0, 0, [0; 4]), at(3));
+        // 13 cells in a 12-cell buffer.
+        let mut big = pkt_with(8, 8, 5, 0, 0, [0; 4]);
+        big.data = vec![0u8; 1000].into();
+        sw.inject(PortId(1), big, at(4));
+        // A flow from every port at once, all to port 6: more cells than
+        // TM1 holds, then four central pipes into two two-deep TM2 lanes.
+        for p in 0..16 {
+            let id = 100 + p as u64;
+            sw.inject(PortId(p), pkt_with(id, id, 6, 0, 0, [0; 4]), at(5));
+        }
+        sw.run_until_idle();
+        let c = &sw.counters;
+        let classes = [c.fcs_drops, c.parse_errors, c.no_decision, c.bad_port];
+        assert!(classes.iter().all(|&n| n == 1), "{c:?}");
+        assert_eq!(c.filtered, 2, "at TM1 and at egress: {c:?}");
+        assert!(c.tm[0].buffer > 0 && c.tm[1].queue > 0, "{c:?}");
+        assert_eq!(c.mcast_copies, 3);
+        assert_eq!(sw.in_flight(), 0);
+        sw.check_conservation();
+    }
+
     /// Shard-keyed counting program for migration tests: ingress partitions
     /// on the key field itself, central counts per key (cell == key, the
     /// partitioned-area convention) and exposes the pre-op count in the

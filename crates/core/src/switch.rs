@@ -29,13 +29,14 @@
 use crate::partition::{MigrateError, MigrationStrategy, PartitionMap};
 use adcp_lang::target::TargetModel;
 use adcp_lang::{
-    compile, ActionOp, CompileError, CompileOptions, Entry, HeaderId, PacketCodec, ParseOutcome,
-    Phv, Placement, Program, RegId, Region, RegionRunStats, RegionState, RegisterFile, TableError,
+    compile, ActionOp, CompileError, CompileOptions, Entry, PacketCodec, Placement, Program, RegId,
+    Region, RegionRunStats, RegionState, RegisterFile, TableError,
 };
-use adcp_sim::datapath::{Agenda, Parked, Shell, ShellSpec, Slot};
+use adcp_sim::datapath::{Agenda, Fanout, Parked, Shell, ShellSpec, Slot};
 use adcp_sim::int::{IntFlowCell, IntFlowTable};
 use adcp_sim::metrics::HistId;
 use adcp_sim::packet::{EgressSpec, Packet, PortId};
+use adcp_sim::queue::Held;
 use adcp_sim::sched::ScheduledQueues;
 use adcp_sim::time::{Duration, SimTime};
 use adcp_sim::trace::{CtrlEvent, DropReason, HopCtx, Site};
@@ -179,8 +180,9 @@ struct EgressPipe {
     queues: ScheduledQueues,
 }
 
-/// An event. A packet rides as a handle into the agenda's slab (DESIGN.md
-/// §10), so an event is two words however large a `Packet` grows.
+/// An event. A packet rides as a handle into the agenda's slab, where it
+/// stays from `inject` to delivery or drop (DESIGN.md §10), so an event is
+/// two words however large a `Packet` grows.
 enum Ev {
     Inject {
         port: u16,
@@ -198,7 +200,6 @@ enum Ev {
         cpipe: usize,
     },
     CentralOut {
-        cpipe: usize,
         pkt: Parked,
     },
     PullEgress {
@@ -215,6 +216,7 @@ enum Ev {
 }
 
 const _: () = assert!(size_of::<Ev>() <= 16);
+const _: () = assert!(size_of::<Held>() <= 24);
 
 /// Control-plane migration totals, exported as the `ctrl` metrics scope.
 #[derive(Debug, Clone, Default)]
@@ -256,9 +258,9 @@ struct MigrationState {
     /// Incremental only: next-map buckets whose cells are not yet copied
     /// (the redirect table), sorted.
     dirty: Vec<u32>,
-    /// Packets held at TM1 (with their ingress pipe) until the shard is
-    /// consistent again. Released in arrival order.
-    held: Vec<(usize, Packet)>,
+    /// Packets held at TM1 (with their ingress pipe), parked in the slab
+    /// until the shard is consistent again. Released in arrival order.
+    held: Vec<(usize, Parked)>,
     /// Incremental only: the fence drained at the current central pull's
     /// dequeue — release `held` once that pull's register updates have
     /// been applied (after the region run in `on_pull_central`), never
@@ -509,7 +511,7 @@ impl AdcpSwitch {
                 pipes,
             });
         }
-        if self.shell.in_flight() != 0 {
+        if self.in_flight() != 0 {
             return Err(MigrateError::NotIdle);
         }
         map.epoch = 0;
@@ -716,8 +718,8 @@ impl AdcpSwitch {
         // Defensive: a pending release is normally drained by the event
         // loop before control-plane code can run, but never strand a held
         // packet — the cells just moved, so plain routing is consistent.
-        for (pipe, pkt) in std::mem::take(&mut mig.held) {
-            self.tm1_route(self.agenda.events.now(), pipe, pkt);
+        for (pipe, h) in std::mem::take(&mut mig.held) {
+            self.tm1_route(self.agenda.events.now(), pipe, h);
         }
         self.shell.tracer.record_ctrl(
             self.agenda.events.now(),
@@ -840,9 +842,14 @@ impl AdcpSwitch {
         self.agenda.events.peek_time()
     }
 
+    /// Packets inside the switch: the occupancy of its packet slab.
+    pub fn in_flight(&self) -> u64 {
+        self.agenda.parked() as u64
+    }
+
     /// Panic unless every packet is accounted for.
     pub fn check_conservation(&self) {
-        self.shell.assert_conserved();
+        self.shell.assert_conserved(self.in_flight());
     }
 
     /// Busy cycles of one ingress pipeline (demux spread checks).
@@ -857,60 +864,28 @@ impl AdcpSwitch {
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::Inject { port, pkt } => {
-                let pkt = self.agenda.take(pkt);
-                self.on_inject(now, port, pkt)
-            }
-            Ev::IngressEnter { pipe, pkt } => {
-                let pkt = self.agenda.take(pkt);
-                self.on_ingress_enter(now, pipe, pkt)
-            }
-            Ev::IngressOut { pipe, pkt } => {
-                let pkt = self.agenda.take(pkt);
-                self.on_ingress_out(now, pipe, pkt)
-            }
+            Ev::Inject { port, pkt } => self.on_inject(now, port, pkt),
+            Ev::IngressEnter { pipe, pkt } => self.on_ingress_enter(now, pipe, pkt),
+            Ev::IngressOut { pipe, pkt } => self.on_ingress_out(now, pipe, pkt),
             Ev::PullCentral { cpipe } => self.on_pull_central(now, cpipe),
-            Ev::CentralOut { cpipe, pkt } => {
-                let pkt = self.agenda.take(pkt);
-                self.on_central_out(now, cpipe, pkt)
-            }
+            Ev::CentralOut { pkt } => self.on_central_out(now, pkt),
             Ev::PullEgress { epipe } => self.on_pull_egress(now, epipe),
-            Ev::EgressOut { epipe, pkt } => {
-                let pkt = self.agenda.take(pkt);
-                self.on_egress_out(now, epipe, pkt)
-            }
+            Ev::EgressOut { epipe, pkt } => self.on_egress_out(now, epipe, pkt),
             Ev::MigrateCommit => self.on_migrate_commit(now),
         }
     }
 
-    fn drop_at(&mut self, now: SimTime, pkt: &Packet, site: Site, reason: DropReason) {
-        self.shell.drop_pkt(now, pkt.meta.id, site, reason);
+    /// Drop the packet `h` names at `site`: account it, free its slot.
+    fn drop_at(&mut self, now: SimTime, h: Parked, site: Site, reason: DropReason) {
+        let id = self.agenda.pkt(&h).meta.id;
+        self.shell.drop_pkt(now, id, site, reason);
+        self.agenda.free(h);
     }
 
-    /// Parse a packet at the head of pipeline `site`, recording the parse
-    /// span (every parse counts on this target) and accounting a failure.
-    fn parse(&mut self, now: SimTime, pkt: &Packet, site: Site) -> Option<ParseOutcome> {
-        let Ok(out) = self.codec.parse(pkt) else {
-            self.drop_at(now, pkt, site, DropReason::ParseError);
-            return None;
-        };
-        let cost = Duration(out.depth as u64 * self.period.as_ps());
-        self.shell.record_parse(cost);
-        Some(out)
-    }
-
-    /// Deparse the PHV into the packet and move intrinsics into metadata.
-    fn writeback(&mut self, pkt: &mut Packet, phv: Phv, extracted: Vec<HeaderId>) {
-        self.shell.counters.deparse_allocs += 1;
-        let (central_pipe, _) = self.codec.writeback(pkt, phv, extracted);
-        // A pipeline that names no central pipe keeps the one chosen
-        // upstream (TM1 routed on it; later stages must not erase it).
-        pkt.meta.central_pipe = central_pipe.or(pkt.meta.central_pipe);
-    }
-
-    fn on_inject(&mut self, now: SimTime, port: u16, mut pkt: Packet) {
-        let Some(done) = self.shell.receive(now, port, &mut pkt) else {
-            return;
+    fn on_inject(&mut self, now: SimTime, port: u16, h: Parked) {
+        let pkt = self.agenda.pkt(&h);
+        let Some(done) = self.shell.receive(now, port, pkt) else {
+            return self.agenda.free(h);
         };
         // 1:m demultiplex (§3.3).
         let m = self.target.demux_factor as usize;
@@ -923,56 +898,57 @@ impl AdcpSwitch {
             DemuxPolicy::FlowHash => (adcp_lang::fold_hash([pkt.meta.flow.0]) % m as u64) as usize,
         };
         let pipe = port as usize * m + lane;
-        let pkt = self.agenda.park(pkt);
-        self.agenda
-            .events
-            .push(done, Ev::IngressEnter { pipe, pkt });
+        let ev = Ev::IngressEnter { pipe, pkt: h };
+        self.agenda.events.push(done, ev);
     }
 
     /// Parse, run ingress region, occupy a slot, deparse.
-    fn on_ingress_enter(&mut self, now: SimTime, pipe: usize, mut pkt: Packet) {
+    fn on_ingress_enter(&mut self, now: SimTime, pipe: usize, h: Parked) {
         let site = Site::IngressPipe(pipe);
-        let Some(out) = self.parse(now, &pkt, site) else {
-            return;
+        let Ok(depth) = self.codec.parse(self.agenda.pkt(&h)) else {
+            return self.drop_at(now, h, site, DropReason::ParseError);
         };
-        let mut phv = out.phv;
-        let parse_done = now + Duration(out.depth as u64 * self.period.as_ps());
+        let parse_cost = Duration(depth as u64 * self.period.as_ps());
+        self.shell.record_parse(parse_cost);
         let p = &mut self.ingress[pipe];
-        let entry = p.slot.claim(parse_done, self.period);
-        let (program, layout) = (&self.codec.program, &self.codec.layout);
+        let entry = p.slot.claim(now + parse_cost, self.period);
+        let c = &mut self.codec;
         p.state
-            .run_with_tables(&self.ing_tables, program, layout, &mut phv);
-        self.writeback(&mut pkt, phv, out.extracted);
+            .run_with_tables(&self.ing_tables, &c.program, &c.layout, &mut c.phv);
+        let pkt = self.agenda.pkt(&h);
+        writeback(&mut self.shell, c, pkt);
         let stages = self.placement.ingress.depth().max(1) as u64;
         let exit = entry + Duration(stages * self.period.as_ps());
-        self.shell.hop(&mut pkt, site, entry, exit, HopCtx::NONE);
-        let pkt = self.agenda.park(pkt);
-        self.agenda.events.push(exit, Ev::IngressOut { pipe, pkt });
+        self.shell.hop(pkt, site, entry, exit, HopCtx::NONE);
+        self.agenda
+            .events
+            .push(exit, Ev::IngressOut { pipe, pkt: h });
     }
 
     /// TM1: application-defined partitioning into central pipelines.
-    fn on_ingress_out(&mut self, now: SimTime, pipe: usize, pkt: Packet) {
+    fn on_ingress_out(&mut self, now: SimTime, pipe: usize, h: Parked) {
+        let pkt = self.agenda.pkt(&h);
         // Stage span: RX handoff -> ingress pipeline exit (parse included).
         self.shell
             .record_span(self.ingress_span, pkt.meta.arrived, now);
         if pkt.meta.egress == EgressSpec::Drop {
-            return self.drop_at(now, &pkt, Site::Tm1, DropReason::Filtered);
+            return self.drop_at(now, h, Site::Tm1, DropReason::Filtered);
         }
-        self.tm1_route(now, pipe, pkt);
+        self.tm1_route(now, pipe, h);
     }
 
     /// Route one packet through TM1 into a central queue. Split out of
     /// [`AdcpSwitch::on_ingress_out`] because migrations re-enter it when
     /// held packets are released.
-    fn tm1_route(&mut self, now: SimTime, pipe: usize, mut pkt: Packet) {
+    fn tm1_route(&mut self, now: SimTime, pipe: usize, h: Parked) {
         // Partition criterion: the program's `SetCentralPipe` value
         // (pre-modulo) is the logical partition key, else the flow hash.
         // This is the "reshuffle by ranges or hashes" role of the first TM.
-        let key = pkt
-            .meta
+        let meta = &self.agenda.pkt(&h).meta;
+        let key = meta
             .central_pipe
             .map(u64::from)
-            .unwrap_or_else(|| adcp_lang::fold_hash([pkt.meta.flow.0]));
+            .unwrap_or_else(|| adcp_lang::fold_hash([meta.flow.0]));
         let cpipe = if self.part.is_none() {
             (key % self.central.len() as u64) as usize
         } else {
@@ -1011,7 +987,7 @@ impl AdcpSwitch {
                 self.mig_stats.held_pkts += 1;
                 let rt = self.part.as_mut().expect("checked");
                 let mig = rt.mig.as_mut().expect("hold implies migration");
-                mig.held.push((pipe, pkt));
+                mig.held.push((pipe, h));
                 return;
             }
             if first_touch {
@@ -1020,21 +996,27 @@ impl AdcpSwitch {
             let rt = self.part.as_mut().expect("checked");
             rt.bucket_pkts[bucket as usize] += 1;
             rt.inflight[bucket as usize] += 1;
-            pkt.meta.part_bucket = Some(bucket);
-            pkt.meta.map_epoch = Some(epoch);
+            let meta = &mut self.agenda.pkt(&h).meta;
+            meta.part_bucket = Some(bucket);
+            meta.map_epoch = Some(epoch);
             owner
         };
-        // A refused packet was already counted for its bucket above.
+        let pkt = self.agenda.pkt(&h);
         let stamp = (pkt.meta.part_bucket, pkt.meta.map_epoch);
         let queues = &mut self.central[cpipe].queues;
-        if self
+        match self
             .shell
-            .tm_admit(TM1, queues, pipe, cpipe as u32, pkt, now)
+            .tm_admit(TM1, queues, pipe, cpipe as u32, pkt, h, now)
         {
-            self.schedule_pull_central(now, cpipe);
-        } else if let (Some(rt), (Some(b), Some(e))) = (&mut self.part, stamp) {
-            if e == rt.map.epoch {
-                rt.inflight[b as usize] -= 1;
+            Ok(()) => self.schedule_pull_central(now, cpipe),
+            Err(h) => {
+                self.agenda.free(h);
+                // A refused packet was already counted for its bucket above.
+                if let (Some(rt), (Some(b), Some(e))) = (&mut self.part, stamp) {
+                    if e == rt.map.epoch {
+                        rt.inflight[b as usize] -= 1;
+                    }
+                }
             }
         }
     }
@@ -1100,8 +1082,8 @@ impl AdcpSwitch {
             .record_ctrl(now, CtrlEvent::EpochBump { epoch });
         // Release inline, in arrival order, before any later event can
         // route — preserves per-key FIFO through the pause.
-        for (pipe, pkt) in mig.held {
-            self.tm1_route(now, pipe, pkt);
+        for (pipe, h) in mig.held {
+            self.tm1_route(now, pipe, h);
         }
     }
 
@@ -1110,11 +1092,16 @@ impl AdcpSwitch {
     /// old owner has applied it" and "dequeued" coincide). Decrements the
     /// in-flight fence, checks the epoch-consistent owner, and — for
     /// incremental migrations — ends the hold window when the fence
-    /// drains.
-    fn account_central_dequeue(&mut self, now: SimTime, cpipe: usize, pkt: &Packet) {
+    /// drains. `stamp` is the packet's `(part_bucket, map_epoch)`.
+    fn account_central_dequeue(
+        &mut self,
+        now: SimTime,
+        cpipe: usize,
+        stamp: (Option<u32>, Option<u64>),
+    ) {
         let period_ps = self.period.as_ps();
         let Some(rt) = &mut self.part else { return };
-        let (Some(bucket), Some(epoch)) = (pkt.meta.part_bucket, pkt.meta.map_epoch) else {
+        let (Some(bucket), Some(epoch)) = stamp else {
             return;
         };
         let mut commit_at = None;
@@ -1181,8 +1168,8 @@ impl AdcpSwitch {
             }
             _ => return,
         };
-        for (pipe, pkt) in held {
-            self.tm1_route(now, pipe, pkt);
+        for (pipe, h) in held {
+            self.tm1_route(now, pipe, h);
         }
     }
 
@@ -1215,66 +1202,81 @@ impl AdcpSwitch {
             // approximation so the switch can never deadlock.
         }
         p.merge_wait_since = None;
-        let Some((_, mut pkt)) = p.queues.dequeue() else {
+        let Some((_, Held { h, .. })) = p.queues.dequeue() else {
             return;
         };
-        self.shell.tm_depart(TM1, &mut pkt, now);
+        let pkt = self.agenda.pkt(&h);
+        self.shell.tm_depart(TM1, pkt, now);
         // Fence/epoch accounting must happen exactly when the old owner
         // consumes the packet (its register updates land in this event).
-        self.account_central_dequeue(now, cpipe, &pkt);
+        let stamp = (pkt.meta.part_bucket, pkt.meta.map_epoch);
+        self.account_central_dequeue(now, cpipe, stamp);
         let site = Site::CentralPipe(cpipe);
-        let Ok(mut out) = self.codec.parse(&pkt) else {
+        let pkt = self.agenda.pkt(&h);
+        let Ok(depth) = self.codec.parse(pkt) else {
             // No slot claimed, no region run; a fence this dequeue drained
             // still releases before the drop is recorded.
             self.release_held_if_drained(now);
-            return self.drop_at(now, &pkt, site, DropReason::ParseError);
+            return self.drop_at(now, h, site, DropReason::ParseError);
         };
         // Move (not clone) the forwarding decision into the PHV; writeback
         // moves it back.
-        out.phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
+        self.codec.phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
         let p = &mut self.central[cpipe];
         let entry = p.slot.claim(now, self.period);
-        let (program, layout) = (&self.codec.program, &self.codec.layout);
-        p.state.run(program, layout, &mut out.phv);
+        let c = &mut self.codec;
+        p.state.run(&c.program, &c.layout, &mut c.phv);
         // The pull's register updates are in: safe to release packets
-        // held behind the in-flight fence this pull drained.
+        // held behind the in-flight fence this pull drained. Releasing
+        // routes through TM1 and parses nothing, so the codec's PHV is
+        // still this packet's.
         self.release_held_if_drained(now);
         self.shell
-            .record_parse(Duration(out.depth as u64 * self.period.as_ps()));
-        self.writeback(&mut pkt, out.phv, out.extracted);
+            .record_parse(Duration(depth as u64 * self.period.as_ps()));
+        let pkt = self.agenda.pkt(&h);
+        writeback(&mut self.shell, &mut self.codec, pkt);
         let stages = self.placement.central.depth().max(1) as u64;
         let exit = entry + Duration(stages * self.period.as_ps());
         let ctx = HopCtx {
             epoch: pkt.meta.map_epoch,
             ..HopCtx::NONE
         };
-        self.shell.hop(&mut pkt, site, entry, exit, ctx);
-        let pkt = self.agenda.park(pkt);
-        self.agenda.events.push(exit, Ev::CentralOut { cpipe, pkt });
+        self.shell.hop(pkt, site, entry, exit, ctx);
+        self.agenda.events.push(exit, Ev::CentralOut { pkt: h });
         if !self.central[cpipe].queues.is_empty() {
             self.schedule_pull_central(now, cpipe);
         }
     }
 
     /// TM2: classic scheduler; any egress port reachable, multicast native.
-    fn on_central_out(&mut self, now: SimTime, _cpipe: usize, pkt: Packet) {
+    fn on_central_out(&mut self, now: SimTime, h: Parked) {
+        let pkt = self.agenda.pkt(&h);
         // Stage span: central pipeline entry -> exit.
         self.shell
             .record_span(self.central_span, pkt.meta.tm_enqueued, now);
-        for (port, copy) in self.shell.fan_out(TM2, now, pkt) {
-            self.tm2_admit_one(now, port, copy);
+        match self.shell.fan_out(TM2, now, pkt) {
+            Fanout::Dropped => self.agenda.free(h),
+            Fanout::One(port) => self.tm2_admit_one(now, port, h),
+            Fanout::Many(ports) => {
+                for port in ports {
+                    let copy = self.agenda.copy(&h, port);
+                    self.tm2_admit_one(now, port, copy);
+                }
+                self.agenda.free(h);
+            }
         }
     }
 
-    fn tm2_admit_one(&mut self, now: SimTime, port: PortId, pkt: Packet) {
+    fn tm2_admit_one(&mut self, now: SimTime, port: PortId, h: Parked) {
         if port.0 as usize >= self.shell.n_ports() {
-            return self.drop_at(now, &pkt, Site::Tm2, DropReason::BadPort);
+            return self.drop_at(now, h, Site::Tm2, DropReason::BadPort);
         }
         // The m:1 mux at TX must preserve ordering (§3.3's symmetry with
         // the RX demux). Per-flow traffic stays ordered by pinning each
         // flow to one of the port's m egress pipelines; a stream that TM1
         // merge-ordered (it carries a sort key) is ordered *across* flows,
         // so the whole coflow shares one lane.
+        let pkt = self.agenda.pkt(&h);
         let m = self.target.demux_factor as usize;
         let lane_key = if pkt.meta.sort_key.is_some() {
             pkt.meta.coflow.map(|c| c.0 as u64).unwrap_or(0)
@@ -1284,8 +1286,12 @@ impl AdcpSwitch {
         let lane = (adcp_lang::fold_hash([lane_key]) % m as u64) as usize;
         let epipe = port.0 as usize * m + lane;
         let queues = &mut self.egress[epipe].queues;
-        if self.shell.tm_admit(TM2, queues, 0, epipe as u32, pkt, now) {
-            self.schedule_pull_egress(now, epipe);
+        match self
+            .shell
+            .tm_admit(TM2, queues, 0, epipe as u32, pkt, h, now)
+        {
+            Ok(()) => self.schedule_pull_egress(now, epipe),
+            Err(h) => self.agenda.free(h),
         }
     }
 
@@ -1311,42 +1317,55 @@ impl AdcpSwitch {
         if !p.queues.is_empty() && ready > now + flight {
             return self.schedule_pull_egress(SimTime(ready.as_ps() - flight.as_ps()), epipe);
         }
-        let Some((_, mut pkt)) = p.queues.dequeue() else {
+        let Some((_, Held { h, .. })) = p.queues.dequeue() else {
             return;
         };
-        self.shell.tm_depart(TM2, &mut pkt, now);
+        let pkt = self.agenda.pkt(&h);
+        self.shell.tm_depart(TM2, pkt, now);
         let site = Site::EgressPipe(epipe);
-        let Some(out) = self.parse(now, &pkt, site) else {
-            return;
+        let Ok(depth) = self.codec.parse(pkt) else {
+            return self.drop_at(now, h, site, DropReason::ParseError);
         };
-        let mut phv = out.phv;
-        phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
+        self.shell
+            .record_parse(Duration(depth as u64 * self.period.as_ps()));
+        let c = &mut self.codec;
+        c.phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
         let p = &mut self.egress[epipe];
         let entry = p.slot.claim(now, self.period);
-        let (program, layout) = (&self.codec.program, &self.codec.layout);
         p.state
-            .run_with_tables(&self.eg_tables, program, layout, &mut phv);
-        self.writeback(&mut pkt, phv, out.extracted);
+            .run_with_tables(&self.eg_tables, &c.program, &c.layout, &mut c.phv);
+        writeback(&mut self.shell, c, pkt);
         let exit = entry + flight;
-        self.shell.hop(&mut pkt, site, entry, exit, HopCtx::NONE);
-        let pkt = self.agenda.park(pkt);
-        self.agenda.events.push(exit, Ev::EgressOut { epipe, pkt });
+        self.shell.hop(pkt, site, entry, exit, HopCtx::NONE);
+        self.agenda
+            .events
+            .push(exit, Ev::EgressOut { epipe, pkt: h });
         if !self.egress[epipe].queues.is_empty() {
             self.schedule_pull_egress(now, epipe);
         }
     }
 
-    fn on_egress_out(&mut self, now: SimTime, epipe: usize, pkt: Packet) {
+    fn on_egress_out(&mut self, now: SimTime, epipe: usize, h: Parked) {
         let site = Site::EgressPipe(epipe);
-        let port = match pkt.meta.egress {
+        let port = match self.agenda.pkt(&h).meta.egress {
             EgressSpec::Unicast(port) => port,
-            EgressSpec::Drop => return self.drop_at(now, &pkt, site, DropReason::Filtered),
-            _ => return self.drop_at(now, &pkt, site, DropReason::NoDecision),
+            EgressSpec::Drop => return self.drop_at(now, h, site, DropReason::Filtered),
+            _ => return self.drop_at(now, h, site, DropReason::NoDecision),
         };
         // Sink side of INT: fold the completed stack into the per-flow
         // aggregation cell before the postcard leaves.
+        let pkt = self.agenda.take(h);
         let flows = &mut self.int_flows;
         self.shell
             .transmit(self.egress_span, now, port, pkt, Some(flows));
     }
+}
+
+/// Write a traversal back into `pkt` (counted as a writeback pass). A
+/// pipeline that names no central pipe keeps the one chosen upstream: TM1
+/// routed on it, and later stages must not erase it.
+fn writeback(shell: &mut Shell, codec: &mut PacketCodec, pkt: &mut Packet) {
+    shell.counters.deparse_allocs += 1;
+    let (central_pipe, _) = codec.writeback(pkt);
+    pkt.meta.central_pipe = central_pipe.or(pkt.meta.central_pipe);
 }

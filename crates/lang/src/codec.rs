@@ -3,10 +3,11 @@
 //!
 //! Everything in `adcp_sim::datapath` moves a packet without reading it;
 //! this is the part that reads it. A [`PacketCodec`] owns the program, its
-//! PHV layout and one recycled parse scratch, turns frame bytes into a PHV
-//! at a pipeline's head ([`PacketCodec::parse`]) and the PHV's
-//! modifications back into frame bytes and metadata at its tail
-//! ([`PacketCodec::writeback`]). No action adds or removes a header, so a
+//! PHV layout and the traversal's PHV, fills that PHV from frame bytes at a
+//! pipeline's head ([`PacketCodec::parse`]), lends it to the region run as
+//! a field ([`PacketCodec::phv`]), and writes its modifications back into
+//! frame bytes and metadata at the tail ([`PacketCodec::writeback`]); the
+//! PHV never leaves the codec. No action adds or removes a header, so a
 //! frame keeps its length and layout through a pipeline and the tail only
 //! has to patch the fields the pipeline wrote, where they already sit: the
 //! writeback walks the same per-header extraction plan the parser ran
@@ -16,7 +17,7 @@
 //! against — on every traversal of a debug build.
 
 use crate::header::{deposit_bits, HeaderId};
-use crate::parser::{ParseError, ParseOutcome};
+use crate::parser::ParseError;
 use crate::phv::{Phv, PhvLayout};
 use crate::program::Program;
 use adcp_sim::packet::Packet;
@@ -29,9 +30,13 @@ pub struct PacketCodec {
     pub program: Arc<Program>,
     /// The program's PHV layout.
     pub layout: PhvLayout,
-    /// Parse-to-writeback is straight-line within one handler, so a single
-    /// slot suffices.
-    scratch: Option<(Phv, Vec<HeaderId>)>,
+    /// The current traversal's PHV: filled by [`PacketCodec::parse`], run
+    /// on by the pipeline's region (borrowed beside `program` and `layout`
+    /// as disjoint fields), read by the writeback. Parse to writeback is
+    /// straight-line within one handler, so one PHV suffices.
+    pub phv: Phv,
+    /// Headers the current traversal extracted, in wire order.
+    extracted: Vec<HeaderId>,
 }
 
 impl PacketCodec {
@@ -40,7 +45,8 @@ impl PacketCodec {
         PacketCodec {
             layout: program.layout(),
             program: Arc::new(program),
-            scratch: None,
+            phv: Phv::empty(),
+            extracted: Vec::new(),
         }
     }
 
@@ -54,21 +60,20 @@ impl PacketCodec {
             .unwrap_or_else(|| panic!("no table named {table}"))
     }
 
-    /// Parse `pkt` into a PHV built from the recycled scratch (or a fresh
-    /// one), with the ingress-port intrinsic set.
+    /// Parse `pkt` into the codec's PHV, with the ingress-port intrinsic
+    /// set; returns the parse depth (states visited).
     #[inline]
-    pub fn parse(&mut self, pkt: &Packet) -> Result<ParseOutcome, ParseError> {
-        let (phv, extracted) = self
-            .scratch
-            .take()
-            .unwrap_or_else(|| (Phv::empty(), Vec::new()));
-        let (program, layout) = (&self.program, &self.layout);
-        let mut out =
-            program
-                .parser
-                .parse_reusing(&program.headers, layout, &pkt.data, phv, extracted)?;
-        out.phv.intr.ingress_port = pkt.meta.ingress_port;
-        Ok(out)
+    pub fn parse(&mut self, pkt: &Packet) -> Result<u32, ParseError> {
+        let program = &self.program;
+        let (_, depth) = program.parser.parse_into(
+            &program.headers,
+            &self.layout,
+            &pkt.data,
+            &mut self.phv,
+            &mut self.extracted,
+        )?;
+        self.phv.intr.ingress_port = pkt.meta.ingress_port;
+        Ok(depth)
     }
 
     /// Deparse: the pipeline's modifications become the packet. Each field
@@ -76,17 +81,20 @@ impl PacketCodec {
     /// packet's own buffer; a pass that wrote nothing touches no byte, and
     /// a shared (multicast) frame is copied once, at its first such field.
     #[inline]
-    pub fn deparse(&self, pkt: &mut Packet, phv: &Phv, extracted: &[HeaderId]) {
-        let layout = &self.layout;
+    pub fn deparse(&self, pkt: &mut Packet) {
+        let (layout, phv) = (&self.layout, &self.phv);
         #[cfg(debug_assertions)]
         let rebuilt = {
-            let consumed: u32 = extracted.iter().map(|h| layout.header(*h).bytes).sum();
+            let consumed: u32 = (self.extracted.iter())
+                .map(|h| layout.header(*h).bytes)
+                .sum();
             let payload = &pkt.data[consumed as usize..];
-            crate::parser::deparse(&self.program.headers, layout, phv, extracted, payload)
+            let headers = &self.program.headers;
+            crate::parser::deparse(headers, layout, phv, &self.extracted, payload)
         };
         if !phv.is_clean() {
             let mut base = 0u32;
-            for h in extracted {
+            for h in &self.extracted {
                 let hdr = layout.header(*h);
                 for (slot, f) in hdr.slots().zip(layout.plan(hdr)) {
                     if let Some(vals) = phv.written_slot(slot, f) {
@@ -106,31 +114,19 @@ impl PacketCodec {
         pkt.meta.elements = pkt.meta.elements.max(phv.intr.elements);
     }
 
-    /// Hand a finished traversal's PHV back for the next parse.
-    #[inline]
-    pub fn recycle(&mut self, phv: Phv, extracted: Vec<HeaderId>) {
-        self.scratch = Some((phv, extracted));
-    }
-
     /// [`PacketCodec::deparse`], then move the forwarding decision and
-    /// sort key from the PHV's intrinsics into the metadata and recycle the
-    /// PHV. Returns the program's `(central_pipe, recirculate)` choices,
-    /// which the two targets fold into the metadata differently.
+    /// sort key from the PHV's intrinsics into the metadata. Returns the
+    /// program's `(central_pipe, recirculate)` choices, which the two
+    /// targets fold into the metadata differently.
     #[inline]
-    pub fn writeback(
-        &mut self,
-        pkt: &mut Packet,
-        mut phv: Phv,
-        extracted: Vec<HeaderId>,
-    ) -> (Option<u32>, bool) {
-        self.deparse(pkt, &phv, &extracted);
-        pkt.meta.egress = std::mem::take(&mut phv.intr.egress);
-        if let Some(k) = phv.intr.sort_key {
+    pub fn writeback(&mut self, pkt: &mut Packet) -> (Option<u32>, bool) {
+        self.deparse(pkt);
+        let intr = &mut self.phv.intr;
+        pkt.meta.egress = std::mem::take(&mut intr.egress);
+        if let Some(k) = intr.sort_key {
             pkt.meta.sort_key = Some(k);
         }
-        let choices = (phv.intr.central_pipe, phv.intr.recirculate);
-        self.recycle(phv, extracted);
-        choices
+        (intr.central_pipe, intr.recirculate)
     }
 }
 
@@ -169,28 +165,27 @@ mod tests {
     fn every_parse_hands_out_a_clean_phv() {
         let mut c = codec(1);
         let mut pkt = Packet::new(1, FlowId(1), [1, 2, 3, 0xEE]);
-        let out = c.parse(&pkt).unwrap();
-        assert!(out.phv.is_clean(), "extraction is not a write");
-        let mut phv = out.phv;
-        phv.set(&c.layout, val(), 0xABCD);
-        assert!(!phv.is_clean());
-        c.writeback(&mut pkt, phv, out.extracted);
+        assert_eq!(c.parse(&pkt), Ok(1));
+        assert!(c.phv.is_clean(), "extraction is not a write");
+        c.phv.set(&c.layout, val(), 0xABCD);
+        assert!(!c.phv.is_clean());
+        c.writeback(&mut pkt);
         assert_eq!(&pkt.data[..], &[1, 0xAB, 0xCD, 0xEE]);
-        // The recycled scratch was dirty; the next PHV is not.
-        assert!(c.parse(&pkt).unwrap().phv.is_clean());
+        // The last traversal left the PHV dirty; the next parse does not.
+        c.parse(&pkt).unwrap();
+        assert!(c.phv.is_clean());
     }
 
     #[test]
     fn header_extracted_twice_is_written_back_at_both() {
         let mut c = codec(2);
         let mut pkt = Packet::new(1, FlowId(1), [1, 2, 3, 4, 5, 6, 0xEE]);
-        let out = c.parse(&pkt).unwrap();
+        assert_eq!(c.parse(&pkt), Ok(2));
         // The PHV holds the second instance; the rebuild replays it twice.
-        assert_eq!(out.phv.get(&c.layout, val()), 0x0506);
-        let payload = &pkt.data[out.consumed..];
+        assert_eq!(c.phv.get(&c.layout, val()), 0x0506);
         let headers = &c.program.headers;
-        let want = deparse(headers, &c.layout, &out.phv, &out.extracted, payload);
-        c.writeback(&mut pkt, out.phv, out.extracted);
+        let want = deparse(headers, &c.layout, &c.phv, &c.extracted, &pkt.data[6..]);
+        c.writeback(&mut pkt);
         assert_eq!(&pkt.data[..], &[4, 5, 6, 4, 5, 6, 0xEE]);
         assert_eq!(&pkt.data[..], &want[..]);
     }

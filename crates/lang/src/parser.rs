@@ -178,16 +178,8 @@ impl ParserSpec {
     }
 
     /// [`ParserSpec::parse`], but recycling a scratch PHV and extraction
-    /// list from a previous outcome — hot paths avoid the per-traversal
-    /// field-vector allocations. The scratch values are reshaped to the
-    /// layout's zero state first, so any previous contents are irrelevant,
-    /// and the PHV is handed out with an empty dirty set.
-    ///
-    /// Each state runs its header's extraction plan from the layout
-    /// straight into the PHV's value vector: a byte-aligned 8/16/32/64-bit
-    /// field is read with `from_be_bytes`, any other with one window read
-    /// per element ([`extract_bits`]); an array field is one loop over its
-    /// elements. `headers` must be the definitions `layout` was built from.
+    /// list from a previous outcome: [`ParserSpec::parse_into`] wrapped
+    /// into a [`ParseOutcome`].
     pub fn parse_reusing(
         &self,
         headers: &[HeaderDef],
@@ -196,7 +188,34 @@ impl ParserSpec {
         mut phv: Phv,
         mut extracted: Vec<HeaderId>,
     ) -> Result<ParseOutcome, ParseError> {
-        layout.reinstantiate(&mut phv);
+        let (consumed, depth) = self.parse_into(headers, layout, data, &mut phv, &mut extracted)?;
+        Ok(ParseOutcome {
+            phv,
+            consumed,
+            depth,
+            extracted,
+        })
+    }
+
+    /// Parse `data` into `phv` and `extracted` where they are, returning
+    /// `(consumed, depth)`. The PHV is reshaped to the layout's zero state
+    /// first, so any previous contents are irrelevant, and is left with an
+    /// empty dirty set; on an error both hold a partial parse.
+    ///
+    /// Each state runs its header's extraction plan from the layout
+    /// straight into the PHV's value vector: a byte-aligned 8/16/32/64-bit
+    /// field is read with `from_be_bytes`, any other with one window read
+    /// per element ([`extract_bits`]); an array field is one loop over its
+    /// elements. `headers` must be the definitions `layout` was built from.
+    pub fn parse_into(
+        &self,
+        headers: &[HeaderDef],
+        layout: &PhvLayout,
+        data: &[u8],
+        phv: &mut Phv,
+        extracted: &mut Vec<HeaderId>,
+    ) -> Result<(usize, u32), ParseError> {
+        layout.reinstantiate(phv);
         extracted.clear();
         let mut offset = 0usize;
         let mut state = StateId(0);
@@ -233,16 +252,11 @@ impl ParserSpec {
                     // the deparser replays that at both, so every extracted
                     // field is dirty.
                     if repeated {
-                        for h in &extracted {
+                        for h in extracted.iter() {
                             phv.mark_dirty(layout.header(*h).slots());
                         }
                     }
-                    return Ok(ParseOutcome {
-                        phv,
-                        consumed: offset,
-                        depth,
-                        extracted,
-                    });
+                    return Ok((offset, depth));
                 }
                 Transition::Goto(next) => state = *next,
                 Transition::Select {

@@ -178,6 +178,95 @@ mod tests {
         assert_eq!(sw.latency.count(), 1);
     }
 
+    /// A packet lives in one slab slot from `inject` until it is delivered
+    /// or dropped: a run through every drop class and a multicast fan-out
+    /// leaves nothing parked and closes the ledger.
+    #[test]
+    fn every_drop_class_frees_its_slot() {
+        // Header {dst:16, key:16}. By `key`: 1 is dropped at ingress
+        // (filtered at the TM), 2 gets no forwarding decision, 3 multicasts
+        // to ports 0..4, 4 is dropped at egress; any other key forwards to
+        // `dst`.
+        let mut b = ProgramBuilder::new("slots");
+        let fields = vec![FieldDef::scalar("dst", 16), FieldDef::scalar("key", 16)];
+        let h = b.header(HeaderDef::new("h", fields));
+        b.parser(ParserSpec::single(h));
+        let g = b.mcast_group((0..4).map(PortId).collect());
+        let by_key = |name: &str, region, actions| TableDef {
+            name: name.into(),
+            region,
+            key: Some(KeySpec {
+                field: fr(0, 1),
+                kind: MatchKind::Exact,
+                bits: 16,
+            }),
+            actions,
+            default_action: 0,
+            default_params: vec![],
+            size: 16,
+        };
+        let fwd = ActionDef::new("fwd", vec![ActionOp::SetEgress(Operand::Field(fr(0, 0)))]);
+        let drop = || ActionDef::new("d", vec![ActionOp::Drop]);
+        let mcast = ActionDef::new("m", vec![ActionOp::SetMulticast(Operand::Const(g as u64))]);
+        let ingress = vec![fwd, drop(), ActionDef::nop(), mcast];
+        b.table(by_key("in", Region::Ingress, ingress));
+        b.table(by_key(
+            "out",
+            Region::Egress,
+            vec![ActionDef::nop(), drop()],
+        ));
+        let cfg = RmtConfig {
+            tm_cells: 12,
+            queue_depth: 2,
+            ..Default::default()
+        };
+        let target = TargetModel::rmt_12t();
+        let mut sw = RmtSwitch::new(b.build(), target, CompileOptions::default(), cfg).unwrap();
+        for (table, key, action) in [("in", 1, 1), ("in", 2, 2), ("in", 3, 3), ("out", 4, 1)] {
+            let value = MatchValue::Exact(key);
+            let params = vec![];
+            sw.install_all(
+                table,
+                Entry {
+                    value,
+                    action,
+                    params,
+                },
+            )
+            .unwrap();
+        }
+        let frame = |id: u64, dst: u16, key: u16, len: usize| {
+            let mut data = vec![0u8; len];
+            data[..2].copy_from_slice(&dst.to_be_bytes());
+            data[2..4].copy_from_slice(&key.to_be_bytes());
+            Packet::new(id, FlowId(id), data)
+        };
+        let at = |i: u64| SimTime::from_us(i);
+        let mut corrupt = frame(1, 5, 0, 64).seal();
+        corrupt.data.make_mut()[0] ^= 1;
+        sw.inject(PortId(0), corrupt, at(0));
+        sw.inject(PortId(0), Packet::new(2, FlowId(2), vec![0u8; 3]), at(1));
+        for key in 1..=4 {
+            sw.inject(PortId(0), frame(2 + key as u64, 5, key, 64), at(2));
+        }
+        sw.inject(PortId(0), frame(7, 999, 0, 64), at(3));
+        // 13 cells in a 12-cell buffer.
+        sw.inject(PortId(1), frame(8, 5, 0, 1000), at(4));
+        // Every port at once into port 6's two-deep queue.
+        for p in 0..32 {
+            sw.inject(PortId(p), frame(100 + p as u64, 6, 0, 64), at(5));
+        }
+        sw.run_until_idle();
+        let c = &sw.counters;
+        let classes = [c.fcs_drops, c.parse_errors, c.no_decision, c.bad_port];
+        assert!(classes.iter().all(|&n| n == 1), "{c:?}");
+        assert_eq!(c.filtered, 2, "at the TM and at egress: {c:?}");
+        assert!(c.tm[0].buffer > 0 && c.tm[0].queue > 0, "{c:?}");
+        assert_eq!(c.mcast_copies, 3);
+        assert_eq!(sw.in_flight(), 0);
+        sw.check_conservation();
+    }
+
     /// Program whose packets all take one recirculation pass: ingress
     /// marks Recirculate; the central table (pass 1) counts and forwards.
     fn recirc_program() -> Program {

@@ -31,9 +31,10 @@ use adcp_lang::{
     compile, CentralImpl, CompileError, CompileOptions, Entry, PacketCodec, Placement, Program,
     RegId, Region, RegionRunStats, RegionState, RegisterFile, TableError,
 };
-use adcp_sim::datapath::{Agenda, Parked, Shell, ShellSpec, Slot};
+use adcp_sim::datapath::{Agenda, Fanout, Parked, Shell, ShellSpec, Slot};
 use adcp_sim::metrics::HistId;
 use adcp_sim::packet::{EgressSpec, Packet, PortId};
+use adcp_sim::queue::Held;
 use adcp_sim::sched::ScheduledQueues;
 use adcp_sim::time::{Duration, SimTime};
 use adcp_sim::trace::{DropReason, HopCtx, Site};
@@ -102,8 +103,9 @@ struct EgressPipe {
     queues: ScheduledQueues,
 }
 
-/// An event. A packet rides as a handle into the agenda's slab (DESIGN.md
-/// §10), so an event is two words however large a `Packet` grows.
+/// An event. A packet rides as a handle into the agenda's slab, where it
+/// stays from `inject` to delivery or drop (DESIGN.md §10), so an event is
+/// two words however large a `Packet` grows.
 enum Ev {
     Inject { port: u16, pkt: Parked },
     IngressEnter { pipe: usize, pkt: Parked, pass: u8 },
@@ -113,6 +115,7 @@ enum Ev {
 }
 
 const _: () = assert!(size_of::<Ev>() <= 16);
+const _: () = assert!(size_of::<Held>() <= 24);
 
 /// The RMT switch. Derefs to its [`Shell`] for the ledger (`counters`),
 /// the observers (`tracer`, `latency`, `out_meter`) and the INT and
@@ -344,9 +347,14 @@ impl RmtSwitch {
         self.shell.metrics_json(&counters, &gauges)
     }
 
+    /// Packets inside the switch: the occupancy of its packet slab.
+    pub fn in_flight(&self) -> u64 {
+        self.agenda.parked() as u64
+    }
+
     /// Panic unless every injected packet is accounted for.
     pub fn check_conservation(&self) {
-        self.shell.assert_conserved();
+        self.shell.assert_conserved(self.in_flight());
     }
 
     /// Utilization (busy cycles / elapsed cycles) of an ingress pipeline.
@@ -356,48 +364,41 @@ impl RmtSwitch {
 
     fn handle(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::Inject { port, pkt } => {
-                let pkt = self.agenda.take(pkt);
-                self.on_inject(now, port, pkt)
-            }
-            Ev::IngressEnter { pipe, pkt, pass } => {
-                let pkt = self.agenda.take(pkt);
-                self.on_ingress_enter(now, pipe, pkt, pass)
-            }
-            Ev::IngressOut { pipe, pkt, pass } => {
-                let pkt = self.agenda.take(pkt);
-                self.on_ingress_out(now, pipe, pkt, pass)
-            }
+            Ev::Inject { port, pkt } => self.on_inject(now, port, pkt),
+            Ev::IngressEnter { pipe, pkt, pass } => self.on_ingress_enter(now, pipe, pkt, pass),
+            Ev::IngressOut { pipe, pkt, pass } => self.on_ingress_out(now, pipe, pkt, pass),
             Ev::PullEgress { pipe } => self.on_pull_egress(now, pipe),
-            Ev::EgressOut { pipe, pkt } => {
-                let pkt = self.agenda.take(pkt);
-                self.on_egress_out(now, pipe, pkt)
-            }
+            Ev::EgressOut { pipe, pkt } => self.on_egress_out(now, pipe, pkt),
         }
     }
 
-    fn drop_at(&mut self, now: SimTime, pkt: &Packet, site: Site, reason: DropReason) {
-        self.shell.drop_pkt(now, pkt.meta.id, site, reason);
+    /// Drop the packet `h` names at `site`: account it, free its slot.
+    fn drop_at(&mut self, now: SimTime, h: Parked, site: Site, reason: DropReason) {
+        let id = self.agenda.pkt(&h).meta.id;
+        self.shell.drop_pkt(now, id, site, reason);
+        self.agenda.free(h);
     }
 
-    fn on_inject(&mut self, now: SimTime, port: u16, mut pkt: Packet) {
-        let Some(done) = self.shell.receive(now, port, &mut pkt) else {
-            return;
+    fn on_inject(&mut self, now: SimTime, port: u16, h: Parked) {
+        let Some(done) = self.shell.receive(now, port, self.agenda.pkt(&h)) else {
+            return self.agenda.free(h);
         };
         let pipe = self.pipe_of_port(PortId(port));
-        let pkt = self.agenda.park(pkt);
-        let ev = Ev::IngressEnter { pipe, pkt, pass: 0 };
+        let ev = Ev::IngressEnter {
+            pipe,
+            pkt: h,
+            pass: 0,
+        };
         self.agenda.events.push(done, ev);
     }
 
     /// Parse and run the pass's region, then occupy a pipeline slot.
-    fn on_ingress_enter(&mut self, now: SimTime, pipe: usize, mut pkt: Packet, pass: u8) {
+    fn on_ingress_enter(&mut self, now: SimTime, pipe: usize, h: Parked, pass: u8) {
         let site = Site::IngressPipe(pipe);
-        let Ok(out) = self.codec.parse(&pkt) else {
-            return self.drop_at(now, &pkt, site, DropReason::ParseError);
+        let Ok(depth) = self.codec.parse(self.agenda.pkt(&h)) else {
+            return self.drop_at(now, h, site, DropReason::ParseError);
         };
-        let mut phv = out.phv;
-        let parse_cost = Duration(out.depth as u64 * self.period.as_ps());
+        let parse_cost = Duration(depth as u64 * self.period.as_ps());
         self.shell.record_parse(parse_cost);
         let p = &mut self.ingress[pipe];
         let entry = p.slot.claim(now + parse_cost, self.period);
@@ -412,22 +413,24 @@ impl RmtSwitch {
                 &self.placement.central,
             )
         };
-        state.run_with_tables(tables, &self.codec.program, &self.codec.layout, &mut phv);
+        let c = &mut self.codec;
+        state.run_with_tables(tables, &c.program, &c.layout, &mut c.phv);
         self.shell.counters.deparse_allocs += 1;
-        let (central_pipe, recirculate) = self.codec.writeback(&mut pkt, phv, out.extracted);
+        let pkt = self.agenda.pkt(&h);
+        let (central_pipe, recirculate) = c.writeback(pkt);
         // The pass's choices replace the metadata's (the ADCP keeps an
         // upstream `central_pipe`): only the recirculation edge right after
         // pass 0 reads them here, and delivered metadata shows which.
         pkt.meta.central_pipe = central_pipe;
         pkt.meta.recirculate = recirculate;
         let exit = entry + Duration(plan.depth().max(1) as u64 * self.period.as_ps());
-        self.shell.hop(&mut pkt, site, entry, exit, HopCtx::NONE);
-        let pkt = self.agenda.park(pkt);
-        let ev = Ev::IngressOut { pipe, pkt, pass };
+        self.shell.hop(pkt, site, entry, exit, HopCtx::NONE);
+        let ev = Ev::IngressOut { pipe, pkt: h, pass };
         self.agenda.events.push(exit, ev);
     }
 
-    fn on_ingress_out(&mut self, now: SimTime, pipe: usize, mut pkt: Packet, pass: u8) {
+    fn on_ingress_out(&mut self, now: SimTime, pipe: usize, h: Parked, pass: u8) {
+        let pkt = self.agenda.pkt(&h);
         if pass == 0 {
             // Stage span: RX handoff -> first ingress pass exit (parse
             // included; recirculation passes are counted separately).
@@ -444,29 +447,42 @@ impl RmtSwitch {
             pkt.meta.recirc_count += 1;
             self.shell.counters.recirc_passes += 1;
             self.shell
-                .hop(&mut pkt, Site::Recirculated, now, now, HopCtx::NONE);
-            let pkt = self.agenda.park(pkt);
-            let ev = Ev::IngressEnter { pipe, pkt, pass: 1 };
+                .hop(pkt, Site::Recirculated, now, now, HopCtx::NONE);
+            let ev = Ev::IngressEnter {
+                pipe,
+                pkt: h,
+                pass: 1,
+            };
             return self.agenda.events.push(now + self.recirc_latency, ev);
         }
         // The TM replicates multicast; each copy is accounted separately.
-        for (port, copy) in self.shell.fan_out(TM, now, pkt) {
-            self.tm_admit_one(now, port, copy);
+        match self.shell.fan_out(TM, now, pkt) {
+            Fanout::Dropped => self.agenda.free(h),
+            Fanout::One(port) => self.tm_admit_one(now, port, h),
+            Fanout::Many(ports) => {
+                for port in ports {
+                    let copy = self.agenda.copy(&h, port);
+                    self.tm_admit_one(now, port, copy);
+                }
+                self.agenda.free(h);
+            }
         }
     }
 
-    fn tm_admit_one(&mut self, now: SimTime, port: PortId, pkt: Packet) {
+    fn tm_admit_one(&mut self, now: SimTime, port: PortId, h: Parked) {
         if port.0 as usize >= self.shell.n_ports() {
-            return self.drop_at(now, &pkt, Site::Tm1, DropReason::BadPort);
+            return self.drop_at(now, h, Site::Tm1, DropReason::BadPort);
         }
         let pipe = self.pipe_of_port(port);
         let local = (port.0 % self.target.ports_per_pipe) as usize;
         let queues = &mut self.egress[pipe].queues;
-        if self
+        let pkt = self.agenda.pkt(&h);
+        match self
             .shell
-            .tm_admit(TM, queues, local, port.0 as u32, pkt, now)
+            .tm_admit(TM, queues, local, port.0 as u32, pkt, h, now)
         {
-            self.schedule_pull(now, pipe);
+            Ok(()) => self.schedule_pull(now, pipe),
+            Err(h) => self.agenda.free(h),
         }
     }
 
@@ -512,60 +528,63 @@ impl RmtSwitch {
             return;
         };
         p.port_cursor = (local + 1) % ppp;
-        let Some(mut pkt) = p.queues.dequeue_queue(local) else {
+        let Some(Held { h, .. }) = p.queues.dequeue_queue(local) else {
             return;
         };
-        self.shell.tm_depart(TM, &mut pkt, now);
+        let pkt = self.agenda.pkt(&h);
+        self.shell.tm_depart(TM, pkt, now);
         // The slot is claimed here; the regions run (and mutate state) at
         // exit, in `on_egress_out`.
         let entry = p.slot.claim(now, self.period);
         let exit = entry + Duration(flight);
         let backlog = !p.queues.is_empty();
         self.shell
-            .hop(&mut pkt, Site::EgressPipe(pipe), entry, exit, HopCtx::NONE);
-        let pkt = self.agenda.park(pkt);
-        self.agenda.events.push(exit, Ev::EgressOut { pipe, pkt });
+            .hop(pkt, Site::EgressPipe(pipe), entry, exit, HopCtx::NONE);
+        self.agenda
+            .events
+            .push(exit, Ev::EgressOut { pipe, pkt: h });
         if backlog {
             self.schedule_pull(now, pipe);
         }
     }
 
-    fn on_egress_out(&mut self, now: SimTime, pipe: usize, mut pkt: Packet) {
+    fn on_egress_out(&mut self, now: SimTime, pipe: usize, h: Parked) {
         let site = Site::EgressPipe(pipe);
         // Egress parse + region execution (no parser span: `parser.span_ps`
         // counts ingress passes only on this target).
-        let Ok(out) = self.codec.parse(&pkt) else {
-            return self.drop_at(now, &pkt, site, DropReason::ParseError);
-        };
-        let mut phv = out.phv;
+        let pkt = self.agenda.pkt(&h);
+        let c = &mut self.codec;
+        if c.parse(pkt).is_err() {
+            return self.drop_at(now, h, site, DropReason::ParseError);
+        }
         // The TM's forwarding decision picks the TX port; the egress region
         // sees it (and may turn it into a drop) but cannot redirect.
         let dest = match pkt.meta.egress {
             EgressSpec::Unicast(p) => Some(p),
             _ => None,
         };
-        phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
-        let (program, layout) = (&self.codec.program, &self.codec.layout);
+        c.phv.intr.egress = std::mem::take(&mut pkt.meta.egress);
+        let (program, layout, phv) = (&c.program, &c.layout, &mut c.phv);
         let p = &mut self.egress[pipe];
         // Egress-pinned central tables run first (Fig. 2 lowering).
         if self.placement.central_impl == CentralImpl::EgressPinned {
             p.central
-                .run_with_tables(&self.central_tables, program, layout, &mut phv);
+                .run_with_tables(&self.central_tables, program, layout, phv);
         }
         p.state
-            .run_with_tables(&self.eg_tables, program, layout, &mut phv);
+            .run_with_tables(&self.eg_tables, program, layout, phv);
         if phv.intr.egress == EgressSpec::Drop {
-            return self.drop_at(now, &pkt, site, DropReason::Filtered);
+            return self.drop_at(now, h, site, DropReason::Filtered);
         }
         // Only the frame is written back: the forwarding decision was made
         // at the TM and stays `dest`.
-        self.codec.deparse(&mut pkt, &phv, &out.extracted);
+        c.deparse(pkt);
         self.shell.counters.deparse_allocs += 1;
-        self.codec.recycle(phv, out.extracted);
         let Some(port) = dest else {
-            return self.drop_at(now, &pkt, site, DropReason::NoDecision);
+            return self.drop_at(now, h, site, DropReason::NoDecision);
         };
         pkt.meta.egress = EgressSpec::Unicast(port);
+        let pkt = self.agenda.take(h);
         // Egress pinning invariant: the port belongs to this pipeline.
         debug_assert_eq!(self.pipe_of_port(port), pipe, "egress pinning violated");
         self.shell.transmit(self.egress_span, now, port, pkt, None);

@@ -6,11 +6,11 @@
 //!   registry, delivery record). Each packet–stage
 //!   crossing is reported through [`Shell::hop`] and each death through
 //!   [`Shell::drop_pkt`] or a refused [`Shell::tm_admit`], so a counter
-//!   bump, an in-flight decrement and a forensic record cannot be written
-//!   apart.
+//!   bump and a forensic record cannot be written apart.
 //! * [`Slot`] — one pipeline's cycle bookkeeping (one PHV per clock).
 //! * [`Agenda`] — the event queue, the same-timestamp batch loop, and the
-//!   slab of packets that pending events carry by [`Parked`] handle.
+//!   slab every packet inside the switch lives in, named by a [`Parked`]
+//!   handle from `inject` to delivery or drop.
 //!
 //! A target is a wiring of these: `adcp-rmt` puts one TM between two
 //! slots per pipe and adds a recirculation edge; `adcp-core` adds a second
@@ -22,7 +22,7 @@ use crate::int::{IntFlowTable, IntKnob, IntStack, IntStamp, Postcard, POSTCARDS_
 use crate::metrics::{HistId, MetricsRegistry, SeriesId};
 use crate::packet::{EgressSpec, FrameBuf, Packet, PacketMeta, PortId};
 use crate::port::{LinkSpeed, RxPort, TxPort};
-use crate::queue::BufferPool;
+use crate::queue::{BufferPool, Held};
 use crate::sched::ScheduledQueues;
 use crate::stats::{LatencyHist, Meter};
 use crate::time::{Duration, SimTime};
@@ -49,9 +49,10 @@ impl TmDrops {
 
 /// Every flow and drop count of a switch: the single ledger, owned by the
 /// [`Shell`] and bumped where the event happens. Conservation is
-/// `injected + mcast_copies == delivered + total_drops() + in_flight`
-/// (see [`Shell::assert_conserved`]); the metrics export reads these
-/// fields when it is asked, it keeps no copy.
+/// `injected + mcast_copies == delivered + total_drops() + in_flight`,
+/// where `in_flight` is the packets parked in the switch's [`Agenda`] (see
+/// [`Shell::assert_conserved`]); the metrics export reads these fields
+/// when it is asked, it keeps no copy.
 #[derive(Debug, Clone, Default)]
 pub struct Counters {
     /// Packets handed to the switch's `inject`.
@@ -261,7 +262,6 @@ pub struct Shell {
     parse_span: HistId,
     tx_latency: HistId,
     delivered: Vec<Delivered>,
-    in_flight: u64,
     last_delivery: SimTime,
 }
 
@@ -316,7 +316,6 @@ impl Shell {
             tx_latency: m.hist(tx, "latency_ps"),
             metrics: m,
             delivered: Vec::new(),
-            in_flight: 0,
             last_delivery: SimTime::ZERO,
         }
     }
@@ -335,7 +334,6 @@ impl Shell {
             pkt.meta.created = t;
         }
         self.counters.injected += 1;
-        self.in_flight += 1;
     }
 
     /// MAC + RX serialization: `None` when the frame check failed (the
@@ -410,10 +408,10 @@ impl Shell {
     }
 
     /// Account one dropped packet: bump the [`Counters`] class its reason
-    /// names, decrement in-flight, and hand the typed reason (plus queue
-    /// state at the moment of death) to the journey tracer's forensics —
-    /// in one place, so the forensics↔counter cross-check holds by
-    /// construction.
+    /// names and hand the typed reason (plus queue state at the moment of
+    /// death) to the journey tracer's forensics — in one place, so the
+    /// forensics↔counter cross-check holds by construction. The caller
+    /// frees the packet's slot.
     #[inline]
     fn account_drop(&mut self, now: SimTime, id: u64, site: Site, reason: DropReason, ctx: HopCtx) {
         let c = &mut self.counters;
@@ -426,36 +424,35 @@ impl Shell {
             DropReason::QueueTail { tm, .. } => &mut c.tm[tm as usize - 1].queue,
             DropReason::BufferExhausted { tm } => &mut c.tm[tm as usize - 1].buffer,
         } += 1;
-        self.in_flight -= 1;
         self.tracer.record_drop(now, id, site, reason, ctx);
     }
 
-    /// Resolve a forwarding decision in front of traffic manager `tm` into
-    /// the copies to admit: none (dropped here, typed), the packet itself,
-    /// or one refcounted copy per multicast port. Replication is accounted
-    /// up front; the caller admits each copy (its queue choice is wiring).
+    /// Resolve the forwarding decision of `pkt`, in front of traffic
+    /// manager `tm`, into where its copies go: nowhere (dropped here, typed;
+    /// the caller frees the slot), the packet itself to one port, or one
+    /// copy per multicast port. Replication is accounted up front and the
+    /// frame shared, so each copy the caller parks ([`Agenda::copy`]) bumps
+    /// the payload refcount instead of copying the buffer; the caller admits
+    /// each copy (its queue choice is wiring) and then frees the original.
     #[inline]
-    pub fn fan_out(&mut self, tm: usize, now: SimTime, mut pkt: Packet) -> Copies {
+    pub fn fan_out(&mut self, tm: usize, now: SimTime, pkt: &mut Packet) -> Fanout {
         // Move the decision out rather than cloning it (a Multicast spec
         // owns a port list).
         let reason = match std::mem::take(&mut pkt.meta.egress) {
             EgressSpec::Drop => DropReason::Filtered,
             EgressSpec::Unicast(p) => {
                 pkt.meta.egress = EgressSpec::Unicast(p);
-                return Copies::One(p, pkt);
+                return Fanout::One(p);
             }
             EgressSpec::Multicast(ports) if !ports.is_empty() => {
                 self.counters.mcast_copies += ports.len() as u64 - 1;
-                self.in_flight += ports.len() as u64 - 1;
-                // Share the frame bytes once, so each copy bumps the
-                // payload refcount instead of copying the buffer.
                 pkt.data.make_shared();
-                return Copies::Many(ports.into_iter(), pkt);
+                return Fanout::Many(ports);
             }
             _ => DropReason::NoDecision,
         };
         self.drop_pkt(now, pkt.meta.id, self.tms[tm].site, reason);
-        Copies::None
+        Fanout::Dropped
     }
 
     /// Number of front-panel ports.
@@ -464,11 +461,14 @@ impl Shell {
         self.tx.len()
     }
 
-    /// Admit `pkt` to queue `q` of `queues` under traffic manager `tm`:
-    /// queue-room check, cell allocation, typed drop (charged to that TM's
-    /// queue-tail or buffer class, with the queue reported as `qid`),
-    /// enqueue-time context, occupancy samples. Returns whether the packet
-    /// was enqueued.
+    /// Admit the packet `h` names (`pkt`, borrowed from the slab) to queue
+    /// `q` of `queues` under traffic manager `tm`: queue-room check, cell
+    /// allocation, typed drop (charged to that TM's queue-tail or buffer
+    /// class, with the queue reported as `qid`), enqueue-time context,
+    /// occupancy samples. The queue holds the handle; the packet stays
+    /// where it is. A refused packet is accounted here and its handle given
+    /// back for the caller to free.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn tm_admit(
         &mut self,
@@ -476,9 +476,10 @@ impl Shell {
         queues: &mut ScheduledQueues,
         q: usize,
         qid: u32,
-        mut pkt: Packet,
+        pkt: &mut Packet,
+        h: Parked,
         now: SimTime,
-    ) -> bool {
+    ) -> Result<(), Parked> {
         let t = &mut self.tms[tm];
         let site = t.site;
         let tail = DropReason::QueueTail {
@@ -486,9 +487,9 @@ impl Shell {
             queue: qid,
         };
         let exhausted = DropReason::BufferExhausted { tm: t.number };
-        let refused = if !queues.queue(q).has_room(&pkt) {
+        let refused = if !queues.queue(q).has_room(pkt.frame_bytes()) {
             Some(tail)
-        } else if !t.pool.try_alloc(&mut pkt) {
+        } else if !t.pool.try_alloc(pkt) {
             Some(exhausted)
         } else {
             None
@@ -501,7 +502,7 @@ impl Shell {
                 epoch: pkt.meta.map_epoch,
             };
             self.account_drop(now, pkt.meta.id, site, reason, ctx);
-            return false;
+            return Err(h);
         }
         pkt.meta.tm_enqueued = now;
         // Enqueue-time context rides the metadata to the residency hop at
@@ -511,14 +512,15 @@ impl Shell {
             pkt.meta.tm_q_depth = Some(queues.len() as u32 + 1);
             pkt.meta.tm_buf_used = Some(used);
         }
-        let accepted = queues.enqueue(q, pkt).is_ok();
-        debug_assert!(accepted, "room was checked above");
+        queues
+            .enqueue(q, Held::new(pkt, h))
+            .expect("room was checked above");
         if self.metrics.enabled() {
             let t = &self.tms[tm];
             self.metrics.sample(t.queue_depth, now, queues.len() as u64);
             self.metrics.sample(t.buffer, now, used);
         }
-        true
+        Ok(())
     }
 
     /// `pkt` left traffic manager `tm` at `now`: release its cells, record
@@ -601,7 +603,6 @@ impl Shell {
             }
         }
         self.counters.delivered += 1;
-        self.in_flight -= 1;
         self.out_meter
             .record(pkt.wire_bytes(), pkt.meta.goodput_bytes, pkt.meta.elements);
         self.latency.record(done.saturating_since(pkt.meta.created));
@@ -749,11 +750,6 @@ impl Shell {
         out.append(&mut self.delivered);
     }
 
-    /// Packets currently inside the switch.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight
-    }
-
     /// Quiescence time of a run whose last event was at `last`: the later
     /// of that and the last bit serialized out a TX port.
     pub fn quiescence(&self, last: SimTime) -> SimTime {
@@ -766,76 +762,63 @@ impl Shell {
     }
 
     /// Panic unless everything that entered (injected + replicated) either
-    /// left (delivered, or dropped in some class) or is still in flight.
-    pub fn assert_conserved(&self) {
+    /// left (delivered, or dropped in some class) or is one of the
+    /// `in_flight` packets still parked in the switch's [`Agenda`].
+    pub fn assert_conserved(&self, in_flight: u64) {
         let c = &self.counters;
         assert_eq!(
             c.injected + c.mcast_copies,
-            c.delivered + c.total_drops() + self.in_flight,
-            "conservation violated: {c:?} in_flight={}",
-            self.in_flight
+            c.delivered + c.total_drops() + in_flight,
+            "conservation violated: {c:?} in_flight={in_flight}"
         );
     }
 }
 
-/// The copies [`Shell::fan_out`] resolved a forwarding decision into, as
-/// `(port, packet)` pairs. Multicast copies are cloned lazily, one per
-/// iteration, each with its decision narrowed to its own port.
-pub enum Copies {
-    /// Dropped at the forwarding point.
-    None,
-    /// Unicast: the packet itself.
-    One(PortId, Packet),
-    /// Multicast: the remaining ports and the shared original.
-    Many(std::vec::IntoIter<PortId>, Packet),
+/// Where [`Shell::fan_out`] sends a packet's copies.
+#[derive(Debug)]
+pub enum Fanout {
+    /// Dropped at the forwarding point (accounted; the slot is the
+    /// caller's to free).
+    Dropped,
+    /// Unicast: the packet itself, to this port.
+    One(PortId),
+    /// Multicast: one copy per port, in this order; then the original is
+    /// freed.
+    Many(Vec<PortId>),
 }
 
-impl Iterator for Copies {
-    type Item = (PortId, Packet);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Copies::Many(ports, pkt) = self {
-            let p = ports.next()?;
-            let mut copy = pkt.clone();
-            copy.meta.egress = EgressSpec::Unicast(p);
-            return Some((p, copy));
-        }
-        match std::mem::replace(self, Copies::None) {
-            Copies::One(p, pkt) => Some((p, pkt)),
-            _ => None,
-        }
-    }
-}
-
-/// A packet parked in an [`Agenda`]'s slab: what an event carries in place
-/// of the packet itself. Not `Clone`, so a handle is taken back at most
-/// once; `#[must_use]`, so it is not dropped with its packet still parked.
-#[must_use = "a parked packet stays in the slab until its handle is taken"]
+/// A packet parked in an [`Agenda`]'s slab: what an event or a TM queue
+/// carries in place of the packet itself. Not `Clone`, so a slot is freed
+/// at most once; `#[must_use]`, so it is not dropped with its packet still
+/// parked.
+#[must_use = "a parked packet stays in the slab until its handle is taken or freed"]
 #[derive(Debug)]
 pub struct Parked(u32);
 
 /// One entry of an [`Agenda`]'s packet slab.
 #[allow(clippy::large_enum_variant)] // packets inline: boxing would allocate per park
 enum SlabEntry {
-    /// The packet a pending event's handle names.
+    /// The packet a handle names.
     Parked(Packet),
     /// Free: the next slot on the free list (`slab.len()` ends it).
     Free(u32),
 }
 
 /// A switch's event queue, the reusable same-timestamp dispatch batch, and
-/// the slab of packets its pending events carry.
+/// the slab every packet inside the switch lives in.
 ///
-/// An event carries a [`Parked`] handle (4 bytes) rather than a
-/// [`Packet`] (216 bytes), so the calendar queue copies, sorts and shifts
-/// 32-byte entries. A handler takes its packet from the slab at dispatch
-/// and parks it again when it pushes the next event, so a handle lives
-/// exactly as long as the one event that carries it. The slab grows on
-/// demand and reuses freed slots last-in first-out through a free list
-/// threaded through the free slots themselves (no second buffer to grow),
-/// so its storage follows the high-water mark of packets in flight, not
-/// the number ever parked.
+/// A packet is parked once, at `inject` (a multicast copy, at its fan-out),
+/// and stays in its slot until it is taken out to be delivered or freed
+/// where its drop is accounted. Events and TM queues ([`Held`]) carry its
+/// 4-byte [`Parked`] handle, and every handler borrows the packet in place
+/// ([`Agenda::pkt`]) beside the shell, the codec and the pipes — sibling
+/// fields of the switch — so no hop, queue, fan-out or parse moves a
+/// 216-byte `Packet`, and a calendar-queue entry is 32 bytes. The slab
+/// grows on demand and reuses freed slots last-in first-out through a free
+/// list threaded through the free slots themselves (no second buffer to
+/// grow), so its storage follows the high-water mark of packets in flight,
+/// not the number ever parked — and its occupancy *is* the switch's
+/// in-flight count.
 pub struct Agenda<E> {
     /// Pending events.
     pub events: EventQueue<E>,
@@ -859,7 +842,7 @@ impl<E> Default for Agenda<E> {
 }
 
 impl<E> Agenda<E> {
-    /// Move `pkt` into the slab, for an event to carry.
+    /// Move `pkt` into the slab.
     #[inline]
     pub fn park(&mut self, pkt: Packet) -> Parked {
         let i = self.free;
@@ -880,6 +863,15 @@ impl<E> Agenda<E> {
         Parked(i)
     }
 
+    /// The packet `h` names, where it is.
+    #[inline]
+    pub fn pkt(&mut self, h: &Parked) -> &mut Packet {
+        match &mut self.slab[h.0 as usize] {
+            SlabEntry::Parked(pkt) => pkt,
+            SlabEntry::Free(_) => unreachable!("a handle names a parked packet"),
+        }
+    }
+
     /// Move the packet `h` names out of the slab.
     #[inline]
     pub fn take(&mut self, h: Parked) -> Packet {
@@ -892,7 +884,24 @@ impl<E> Agenda<E> {
         }
     }
 
-    /// Packets parked now: zero whenever no event is pending.
+    /// Free the slot of a packet that leaves the switch without being
+    /// delivered (its drop already accounted).
+    #[inline]
+    pub fn free(&mut self, h: Parked) {
+        drop(self.take(h));
+    }
+
+    /// Park a copy of the packet `h` names, its forwarding decision
+    /// narrowed to `port`: one multicast copy of a [`Fanout::Many`].
+    #[inline]
+    pub fn copy(&mut self, h: &Parked, port: PortId) -> Parked {
+        let mut copy = self.pkt(h).clone();
+        copy.meta.egress = EgressSpec::Unicast(port);
+        self.park(copy)
+    }
+
+    /// Packets parked now: the switch's in-flight count, zero once it is
+    /// idle.
     pub fn parked(&self) -> usize {
         self.parked
     }
@@ -938,10 +947,13 @@ mod tests {
     use super::*;
     use crate::packet::{synthetic_packet, FlowId};
     use crate::rng::SimRng;
+    use crate::sched::Policy;
+    use std::collections::VecDeque;
 
     /// The slab's storage follows the in-flight high-water mark, not the
     /// packets ever parked (the analogue of the event queue's
-    /// `million_event_run_keeps_storage_bounded`).
+    /// `million_event_run_keeps_storage_bounded`), with half the handles
+    /// dwelling in TM queues between park and take.
     #[test]
     fn million_parks_keep_the_slab_bounded() {
         const TOTAL: u64 = 1_000_000;
@@ -951,24 +963,42 @@ mod tests {
         // Packets circulate between `spare` and the slab, so at most
         // OUTSTANDING are ever parked at once.
         let mut spare: Vec<Packet> = (0..OUTSTANDING as u64)
-            .map(|id| synthetic_packet(id, FlowId(0), 64))
+            .map(|id| synthetic_packet(id, FlowId(0), 64 + id as usize % 64))
             .collect();
         let mut parked: Vec<(Parked, u64)> = Vec::new();
+        // FIFO serves the queues in global arrival order: `queued` is it.
+        let mut tm = ScheduledQueues::new(4, OUTSTANDING, Policy::Fifo);
+        let mut queued: VecDeque<u64> = VecDeque::new();
         let mut taken = 0u64;
-        while taken < TOTAL || !parked.is_empty() {
+        while taken < TOTAL || agenda.parked() > 0 {
+            let outstanding = parked.len() + queued.len();
             let park = taken < TOTAL && !spare.is_empty();
-            if park && (parked.is_empty() || rng.chance(0.5)) {
+            if park && (outstanding == 0 || rng.chance(0.5)) {
                 let pkt = spare.pop().expect("checked");
                 let id = pkt.meta.id;
-                parked.push((agenda.park(pkt), id));
+                let h = agenda.park(pkt);
+                if rng.chance(0.5) {
+                    let held = Held::new(agenda.pkt(&h), h);
+                    assert_eq!(held.bytes, 64 + id as u32 % 64);
+                    tm.enqueue(rng.index(4), held)
+                        .expect("room for every packet");
+                    queued.push_back(id);
+                } else {
+                    parked.push((h, id));
+                }
             } else {
-                let (h, id) = parked.swap_remove(rng.index(parked.len()));
+                let (h, id) = if !queued.is_empty() && (parked.is_empty() || rng.chance(0.5)) {
+                    let (_, held) = tm.dequeue().expect("a queued handle");
+                    (held.h, queued.pop_front().expect("checked"))
+                } else {
+                    parked.swap_remove(rng.index(parked.len()))
+                };
                 let pkt = agenda.take(h);
                 assert_eq!(pkt.meta.id, id, "a handle takes back its own packet");
                 spare.push(pkt);
                 taken += 1;
             }
-            assert_eq!(agenda.parked(), parked.len());
+            assert_eq!(agenda.parked(), parked.len() + queued.len());
         }
         let cap = agenda.slab.capacity();
         assert!(

@@ -70,7 +70,7 @@ pub use packet::{
     synthetic_packet, CoflowId, EgressSpec, FlowId, Packet, PacketMeta, PortId, MIN_WIRE_BYTES,
 };
 pub use port::{LinkSpeed, RxPort, TxPort};
-pub use queue::{BoundedQueue, BufferPool, EnqueueResult};
+pub use queue::{BoundedQueue, BufferPool, Held};
 pub use rng::SimRng;
 pub use sched::{Policy, ScheduledQueues};
 pub use shaper::TokenBucket;

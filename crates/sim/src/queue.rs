@@ -3,36 +3,53 @@
 //! The traffic managers in both switch models are *output-buffered
 //! shared-memory* schedulers (the paper cites Arpaci & Copeland's survey for
 //! this). Packets admitted to a TM take buffer *cells* from a shared
-//! [`BufferPool`]; per-destination [`BoundedQueue`]s hold the packets until
-//! the scheduler releases them. Exhaustion of either bound is a tail drop,
-//! and every drop is counted — the conservation tests check
+//! [`BufferPool`] and stay where they are, in the switch's packet slab;
+//! per-destination [`BoundedQueue`]s hold their descriptors ([`Held`])
+//! until the scheduler releases them. Exhaustion of either bound is a tail
+//! drop, and every drop is counted — the conservation tests check
 //! `in = out + drops + in-flight` across the whole switch.
 
+use crate::datapath::Parked;
 use crate::packet::Packet;
 use std::collections::VecDeque;
 
-/// Outcome of attempting to enqueue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EnqueueResult {
-    /// Packet accepted.
-    Ok,
-    /// Packet rejected: the queue's own packet bound was hit.
-    DroppedQueueFull,
-    /// Packet rejected: the shared buffer pool had no cells left.
-    DroppedNoBuffer,
+/// A TM queue entry: the handle of a packet parked in the switch's slab
+/// ([`crate::datapath::Agenda`]) plus what admission and the schedulers
+/// read of it — its frame bytes (byte bound, DRR) and its sort key
+/// (merge order, PIFO rank). Both are snapshots taken at admission; a
+/// queued packet is not touched until it departs.
+#[derive(Debug)]
+pub struct Held {
+    /// The packet.
+    pub h: Parked,
+    /// Its frame bytes.
+    pub bytes: u32,
+    /// Its `meta.sort_key`.
+    pub key: Option<u64>,
 }
 
-impl EnqueueResult {
-    /// True when the packet was accepted.
-    pub fn is_ok(self) -> bool {
-        matches!(self, EnqueueResult::Ok)
+impl Held {
+    /// The entry for `pkt`, parked under `h`.
+    #[inline]
+    pub fn new(pkt: &Packet, h: Parked) -> Self {
+        Held {
+            h,
+            bytes: pkt.frame_bytes(),
+            key: pkt.meta.sort_key,
+        }
+    }
+
+    /// Rank under merge order and PIFO: unkeyed packets sort last.
+    #[inline]
+    pub fn rank(&self) -> u64 {
+        self.key.unwrap_or(u64::MAX)
     }
 }
 
 /// A FIFO bounded in packets and (optionally) bytes.
 #[derive(Debug, Default)]
 pub struct BoundedQueue {
-    items: VecDeque<Packet>,
+    items: VecDeque<Held>,
     max_pkts: usize,
     max_bytes: Option<u64>,
     cur_bytes: u64,
@@ -76,51 +93,52 @@ impl BoundedQueue {
         self.cur_bytes
     }
 
-    /// Would an enqueue of `p` be admitted?
-    pub fn has_room(&self, p: &Packet) -> bool {
+    /// Would an enqueue of a `bytes`-byte frame be admitted?
+    pub fn has_room(&self, bytes: u32) -> bool {
         if self.items.len() >= self.max_pkts {
             return false;
         }
         if let Some(mb) = self.max_bytes {
-            if self.cur_bytes + p.frame_bytes() as u64 > mb {
+            if self.cur_bytes + bytes as u64 > mb {
                 return false;
             }
         }
         true
     }
 
-    /// Enqueue, tail-dropping when full.
-    pub fn push(&mut self, p: Packet) -> EnqueueResult {
-        if !self.has_room(&p) {
+    /// Enqueue, tail-dropping when full: a refused entry is handed back,
+    /// so its packet's slot can be freed.
+    pub fn push(&mut self, p: Held) -> Result<(), Held> {
+        if !self.has_room(p.bytes) {
             self.drops += 1;
-            return EnqueueResult::DroppedQueueFull;
+            return Err(p);
         }
-        self.cur_bytes += p.frame_bytes() as u64;
+        self.cur_bytes += p.bytes as u64;
         self.items.push_back(p);
         self.enqueued += 1;
         self.hwm_pkts = self.hwm_pkts.max(self.items.len());
-        EnqueueResult::Ok
+        Ok(())
     }
 
     /// Dequeue the head.
-    pub fn pop(&mut self) -> Option<Packet> {
+    pub fn pop(&mut self) -> Option<Held> {
         let p = self.items.pop_front()?;
-        self.cur_bytes -= p.frame_bytes() as u64;
+        self.cur_bytes -= p.bytes as u64;
         self.dequeued += 1;
         Some(p)
     }
 
     /// Peek the head without removing it.
-    pub fn peek(&self) -> Option<&Packet> {
+    pub fn peek(&self) -> Option<&Held> {
         self.items.front()
     }
 
-    /// Remove and return the first packet matching a predicate (used by
+    /// Remove and return the first entry matching a predicate (used by
     /// rank-ordered schedulers that depart from queue interiors).
-    pub fn take_first(&mut self, pred: impl Fn(&Packet) -> bool) -> Option<Packet> {
+    pub fn take_first(&mut self, pred: impl Fn(&Held) -> bool) -> Option<Held> {
         let idx = self.items.iter().position(pred)?;
         let p = self.items.remove(idx).expect("index from position");
-        self.cur_bytes -= p.frame_bytes() as u64;
+        self.cur_bytes -= p.bytes as u64;
         self.dequeued += 1;
         Some(p)
     }
@@ -219,22 +237,30 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datapath::Agenda;
     use crate::packet::{synthetic_packet, FlowId};
 
     fn pkt(id: u64, len: usize) -> Packet {
         synthetic_packet(id, FlowId(1), len)
     }
 
+    /// Park a `len`-byte packet `id` and describe it for a queue.
+    fn held(slab: &mut Agenda<()>, id: u64, len: usize) -> Held {
+        let h = slab.park(pkt(id, len));
+        Held::new(slab.pkt(&h), h)
+    }
+
     #[test]
     fn fifo_order_and_counters() {
+        let slab = &mut Agenda::default();
         let mut q = BoundedQueue::new(4);
         for i in 0..3 {
-            assert!(q.push(pkt(i, 100)).is_ok());
+            assert!(q.push(held(slab, i, 100)).is_ok());
         }
         assert_eq!(q.len(), 3);
         assert_eq!(q.bytes(), 300);
-        assert_eq!(q.pop().unwrap().meta.id, 0);
-        assert_eq!(q.pop().unwrap().meta.id, 1);
+        assert_eq!(slab.take(q.pop().unwrap().h).meta.id, 0);
+        assert_eq!(slab.take(q.pop().unwrap().h).meta.id, 1);
         assert_eq!(q.dequeued, 2);
         assert_eq!(q.enqueued, 3);
         assert_eq!(q.hwm_pkts, 3);
@@ -242,20 +268,27 @@ mod tests {
 
     #[test]
     fn packet_bound_tail_drops() {
+        let slab = &mut Agenda::default();
         let mut q = BoundedQueue::new(2);
-        assert!(q.push(pkt(0, 64)).is_ok());
-        assert!(q.push(pkt(1, 64)).is_ok());
-        assert_eq!(q.push(pkt(2, 64)), EnqueueResult::DroppedQueueFull);
+        assert!(q.push(held(slab, 0, 64)).is_ok());
+        assert!(q.push(held(slab, 1, 64)).is_ok());
+        let refused = q.push(held(slab, 2, 64)).expect_err("queue full");
+        assert_eq!(
+            slab.take(refused.h).meta.id,
+            2,
+            "a refused handle comes back"
+        );
         assert_eq!(q.drops, 1);
         assert_eq!(q.len(), 2);
     }
 
     #[test]
     fn byte_bound_tail_drops() {
+        let slab = &mut Agenda::default();
         let mut q = BoundedQueue::new(100).with_byte_limit(200);
-        assert!(q.push(pkt(0, 150)).is_ok());
-        assert_eq!(q.push(pkt(1, 100)), EnqueueResult::DroppedQueueFull);
-        assert!(q.push(pkt(2, 50)).is_ok());
+        assert!(q.push(held(slab, 0, 150)).is_ok());
+        assert!(q.push(held(slab, 1, 100)).is_err());
+        assert!(q.push(held(slab, 2, 50)).is_ok());
         assert_eq!(q.bytes(), 200);
     }
 

@@ -6,10 +6,11 @@
 //! "classic scheduler" role of the second TM; [`Policy::MergeOrder`]
 //! implements the expanded semantics §3.1 proposes for the *first* TM — "it
 //! could keep a sort order while it merges flows that are themselves
-//! sorted" — a k-way streaming merge by each packet's `sort_key`.
+//! sorted" — a k-way streaming merge by each packet's `sort_key`. The
+//! queues hold [`Held`] descriptors, never packets: every policy reads only
+//! the frame bytes and sort key a descriptor carries.
 
-use crate::packet::Packet;
-use crate::queue::{BoundedQueue, EnqueueResult};
+use crate::queue::{BoundedQueue, Held};
 use std::collections::VecDeque;
 
 /// Service discipline.
@@ -105,18 +106,16 @@ impl ScheduledQueues {
         self.queues.iter().map(|q| q.drops).sum()
     }
 
-    /// Enqueue into queue `i`.
-    pub fn enqueue(&mut self, i: usize, p: Packet) -> EnqueueResult {
-        let rank = p.meta.sort_key.unwrap_or(u64::MAX);
-        let r = self.queues[i].push(p);
-        if r.is_ok() {
-            self.arrivals.push_back(i);
-            if self.policy == Policy::Pifo {
-                self.pifo.push(std::cmp::Reverse((rank, self.pifo_seq, i)));
-                self.pifo_seq += 1;
-            }
+    /// Enqueue into queue `i`; a refused entry (queue full) is handed back.
+    pub fn enqueue(&mut self, i: usize, p: Held) -> Result<(), Held> {
+        let rank = p.rank();
+        self.queues[i].push(p)?;
+        self.arrivals.push_back(i);
+        if self.policy == Policy::Pifo {
+            self.pifo.push(std::cmp::Reverse((rank, self.pifo_seq, i)));
+            self.pifo_seq += 1;
         }
-        r
+        Ok(())
     }
 
     /// Declare that queue `i` will receive no further packets (MergeOrder
@@ -127,7 +126,7 @@ impl ScheduledQueues {
 
     /// Dequeue the next packet under the active policy. Returns the queue it
     /// came from and the packet.
-    pub fn dequeue(&mut self) -> Option<(usize, Packet)> {
+    pub fn dequeue(&mut self) -> Option<(usize, Held)> {
         match self.policy {
             Policy::Fifo => self.dequeue_fifo(),
             Policy::StrictPriority => self.dequeue_priority(),
@@ -137,7 +136,7 @@ impl ScheduledQueues {
         }
     }
 
-    fn dequeue_fifo(&mut self) -> Option<(usize, Packet)> {
+    fn dequeue_fifo(&mut self) -> Option<(usize, Held)> {
         let i = self.arrivals.pop_front()?;
         // The arrival list and the queues are kept in lockstep: an entry is
         // pushed only on successful enqueue and popped exactly once here.
@@ -147,7 +146,7 @@ impl ScheduledQueues {
         Some((i, p))
     }
 
-    fn dequeue_priority(&mut self) -> Option<(usize, Packet)> {
+    fn dequeue_priority(&mut self) -> Option<(usize, Held)> {
         // Consume the arrival entry belonging to the queue we pop so FIFO
         // bookkeeping stays consistent if the policy were switched.
         let i = (0..self.queues.len()).find(|&i| !self.queues[i].is_empty())?;
@@ -155,7 +154,7 @@ impl ScheduledQueues {
         Some((i, self.queues[i].pop().unwrap()))
     }
 
-    fn dequeue_drr(&mut self, quantum: u32) -> Option<(usize, Packet)> {
+    fn dequeue_drr(&mut self, quantum: u32) -> Option<(usize, Held)> {
         if self.is_empty() {
             return None;
         }
@@ -172,7 +171,7 @@ impl ScheduledQueues {
         let max_head = self
             .queues
             .iter()
-            .filter_map(|q| q.peek().map(|p| p.frame_bytes() as u64))
+            .filter_map(|q| q.peek().map(|p| p.bytes as u64))
             .max()
             .unwrap_or(0);
         let rounds_needed = max_head / quantum.max(1) as u64 + 2;
@@ -185,7 +184,7 @@ impl ScheduledQueues {
                         self.deficits[i] += quantum as u64;
                         self.topped_up = true;
                     }
-                    let need = head.frame_bytes() as u64;
+                    let need = head.bytes as u64;
                     if self.deficits[i] >= need {
                         self.deficits[i] -= need;
                         self.remove_arrival(i);
@@ -211,14 +210,14 @@ impl ScheduledQueues {
         Some((i, self.queues[i].pop().unwrap()))
     }
 
-    fn dequeue_merge(&mut self) -> Option<(usize, Packet)> {
+    fn dequeue_merge(&mut self) -> Option<(usize, Held)> {
         // Exact merge requires every un-ended queue to be non-empty;
         // otherwise we serve the minimum among available heads (streaming
         // approximation, documented in DESIGN.md).
         let mut best: Option<(usize, u64)> = None;
         for (i, q) in self.queues.iter().enumerate() {
             if let Some(head) = q.peek() {
-                let key = head.meta.sort_key.unwrap_or(u64::MAX);
+                let key = head.rank();
                 match best {
                     Some((_, bk)) if bk <= key => {}
                     _ => best = Some((i, key)),
@@ -230,15 +229,13 @@ impl ScheduledQueues {
         Some((i, self.queues[i].pop().unwrap()))
     }
 
-    fn dequeue_pifo(&mut self) -> Option<(usize, Packet)> {
+    fn dequeue_pifo(&mut self) -> Option<(usize, Held)> {
         // The heap orders departures; the per-queue FIFO still stores the
         // packets. Entries can go stale when a packet leaves through
         // [`ScheduledQueues::dequeue_queue`] (TM port gating); stale
         // entries are skipped lazily.
         while let Some(std::cmp::Reverse((rank, _, qi))) = self.pifo.pop() {
-            if let Some(p) =
-                self.queues[qi].take_first(|p| p.meta.sort_key.unwrap_or(u64::MAX) == rank)
-            {
+            if let Some(p) = self.queues[qi].take_first(|p| p.rank() == rank) {
                 self.remove_arrival(qi);
                 return Some((qi, p));
             }
@@ -250,7 +247,7 @@ impl ScheduledQueues {
     /// policy. Traffic managers use this when the *port* behind a queue
     /// gates departure (a busy link cannot accept the policy's pick);
     /// within the queue FIFO order is preserved.
-    pub fn dequeue_queue(&mut self, i: usize) -> Option<Packet> {
+    pub fn dequeue_queue(&mut self, i: usize) -> Option<Held> {
         let p = self.queues[i].pop()?;
         self.remove_arrival(i);
         Some(p)
@@ -275,7 +272,8 @@ impl ScheduledQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{synthetic_packet, FlowId};
+    use crate::datapath::Agenda;
+    use crate::packet::{synthetic_packet, FlowId, Packet};
 
     fn pkt(id: u64, len: usize) -> Packet {
         synthetic_packet(id, FlowId(id), len)
@@ -285,10 +283,58 @@ mod tests {
         synthetic_packet(id, FlowId(id), 64).with_sort_key(key)
     }
 
+    /// Queues plus the slab their handles name: packets go in parked and
+    /// come out taken back, as a traffic manager moves them.
+    struct Rig {
+        s: ScheduledQueues,
+        slab: Agenda<()>,
+    }
+
+    impl Rig {
+        fn new(n: usize, per_queue_pkts: usize, policy: Policy) -> Self {
+            let s = ScheduledQueues::new(n, per_queue_pkts, policy);
+            Rig {
+                s,
+                slab: Agenda::default(),
+            }
+        }
+
+        /// Whether `p` was admitted (a refused packet's slot is freed).
+        fn enqueue(&mut self, i: usize, p: Packet) -> bool {
+            let h = self.slab.park(p);
+            let held = Held::new(self.slab.pkt(&h), h);
+            match self.s.enqueue(i, held) {
+                Ok(()) => true,
+                Err(held) => {
+                    self.slab.free(held.h);
+                    false
+                }
+            }
+        }
+
+        fn dequeue(&mut self) -> Option<(usize, Packet)> {
+            let (i, held) = self.s.dequeue()?;
+            Some((i, self.slab.take(held.h)))
+        }
+    }
+
+    impl std::ops::Deref for Rig {
+        type Target = ScheduledQueues;
+        fn deref(&self) -> &ScheduledQueues {
+            &self.s
+        }
+    }
+
+    impl std::ops::DerefMut for Rig {
+        fn deref_mut(&mut self) -> &mut ScheduledQueues {
+            &mut self.s
+        }
+    }
+
     #[test]
     fn fifo_preserves_global_arrival_order() {
-        let mut s = ScheduledQueues::new(3, 16, Policy::Fifo);
-        s.enqueue(2, pkt(0, 64)).is_ok().then_some(()).unwrap();
+        let mut s = Rig::new(3, 16, Policy::Fifo);
+        assert!(s.enqueue(2, pkt(0, 64)));
         s.enqueue(0, pkt(1, 64));
         s.enqueue(1, pkt(2, 64));
         s.enqueue(0, pkt(3, 64));
@@ -300,7 +346,7 @@ mod tests {
 
     #[test]
     fn strict_priority_prefers_low_queues() {
-        let mut s = ScheduledQueues::new(2, 16, Policy::StrictPriority);
+        let mut s = Rig::new(2, 16, Policy::StrictPriority);
         s.enqueue(1, pkt(0, 64));
         s.enqueue(0, pkt(1, 64));
         s.enqueue(1, pkt(2, 64));
@@ -311,7 +357,7 @@ mod tests {
 
     #[test]
     fn drr_shares_bandwidth_fairly() {
-        let mut s = ScheduledQueues::new(2, 1024, Policy::Drr { quantum: 1500 });
+        let mut s = Rig::new(2, 1024, Policy::Drr { quantum: 1500 });
         // Queue 0 sends 1500 B packets, queue 1 sends 500 B packets.
         for i in 0..30 {
             s.enqueue(0, pkt(i, 1500));
@@ -333,14 +379,14 @@ mod tests {
 
     #[test]
     fn drr_makes_progress_on_oversized_heads() {
-        let mut s = ScheduledQueues::new(1, 8, Policy::Drr { quantum: 10 });
+        let mut s = Rig::new(1, 8, Policy::Drr { quantum: 10 });
         s.enqueue(0, pkt(0, 1500));
         assert!(s.dequeue().is_some(), "oversized head must still be served");
     }
 
     #[test]
     fn merge_emits_sorted_union_of_sorted_inputs() {
-        let mut s = ScheduledQueues::new(3, 64, Policy::MergeOrder);
+        let mut s = Rig::new(3, 64, Policy::MergeOrder);
         // Three flows, each sorted by key.
         for (q, keys) in [(0usize, [1u64, 5, 9]), (1, [2, 6, 10]), (2, [3, 4, 11])] {
             for (j, k) in keys.iter().enumerate() {
@@ -356,7 +402,7 @@ mod tests {
 
     #[test]
     fn merge_ready_respects_ended_queues() {
-        let mut s = ScheduledQueues::new(2, 8, Policy::MergeOrder);
+        let mut s = Rig::new(2, 8, Policy::MergeOrder);
         s.enqueue(0, keyed(0, 5));
         assert!(!s.merge_ready(), "queue 1 empty and not ended");
         s.mark_ended(1);
@@ -365,7 +411,7 @@ mod tests {
 
     #[test]
     fn pifo_departs_by_global_rank() {
-        let mut s = ScheduledQueues::new(3, 64, Policy::Pifo);
+        let mut s = Rig::new(3, 64, Policy::Pifo);
         // Ranks arrive thoroughly out of order, across queues.
         for (q, id, rank) in [
             (0usize, 1u64, 50u64),
@@ -388,7 +434,7 @@ mod tests {
 
     #[test]
     fn pifo_unranked_packets_depart_last() {
-        let mut s = ScheduledQueues::new(1, 8, Policy::Pifo);
+        let mut s = Rig::new(1, 8, Policy::Pifo);
         s.enqueue(0, pkt(1, 64)); // no sort key -> rank MAX
         s.enqueue(0, keyed(2, 3));
         assert_eq!(s.dequeue().unwrap().1.meta.id, 2);
@@ -398,7 +444,7 @@ mod tests {
 
     #[test]
     fn pifo_byte_accounting_stays_exact() {
-        let mut s = ScheduledQueues::new(2, 64, Policy::Pifo);
+        let mut s = Rig::new(2, 64, Policy::Pifo);
         s.enqueue(0, synthetic_packet(1, FlowId(1), 100).with_sort_key(9));
         s.enqueue(0, synthetic_packet(2, FlowId(1), 200).with_sort_key(1));
         s.enqueue(1, synthetic_packet(3, FlowId(2), 300).with_sort_key(5));
@@ -414,7 +460,7 @@ mod tests {
 
     #[test]
     fn drops_counted_across_queues() {
-        let mut s = ScheduledQueues::new(2, 1, Policy::Fifo);
+        let mut s = Rig::new(2, 1, Policy::Fifo);
         s.enqueue(0, pkt(0, 64));
         s.enqueue(0, pkt(1, 64)); // dropped
         s.enqueue(1, pkt(2, 64));

@@ -6,9 +6,10 @@
 //! random cases from a fixed seed, so failures reproduce exactly.
 
 use adcp::lang::{deposit_bits, extract_bits, fold_hash, FieldDef, HeaderDef, PhvLayout};
+use adcp::sim::datapath::Agenda;
 use adcp::sim::event::EventQueue;
 use adcp::sim::packet::{synthetic_packet, FlowId, Packet, MIN_WIRE_BYTES};
-use adcp::sim::queue::{BoundedQueue, BufferPool};
+use adcp::sim::queue::{BoundedQueue, BufferPool, Held};
 use adcp::sim::rng::SimRng;
 use adcp::sim::sched::{Policy, ScheduledQueues};
 use adcp::sim::stats::LatencyHist;
@@ -171,11 +172,19 @@ fn event_queue_ordering() {
     }
 }
 
+/// Park `pkt` in `slab` and describe it for a TM queue, as a switch does.
+fn held(slab: &mut Agenda<()>, pkt: Packet) -> Held {
+    let h = slab.park(pkt);
+    Held::new(slab.pkt(&h), h)
+}
+
 /// MergeOrder emits a sorted stream whenever the per-queue inputs are
-/// sorted and fully backlogged (the exact-merge precondition).
+/// sorted and fully backlogged (the exact-merge precondition), and each
+/// departing handle still names its own packet.
 #[test]
 fn merge_scheduler_sorts() {
     let mut rng = SimRng::seed_from(0x3E26);
+    let mut slab = Agenda::default();
     for _ in 0..CASES {
         let nstreams = rng.range(1usize..6);
         let mut s = ScheduledQueues::new(nstreams, 64, Policy::MergeOrder);
@@ -186,18 +195,24 @@ fn merge_scheduler_sorts() {
             keys.sort_unstable();
             for k in keys {
                 let p = synthetic_packet(id, FlowId(qi as u64), 64).with_sort_key(k);
-                s.enqueue(qi, p);
+                s.enqueue(qi, held(&mut slab, p)).expect("room");
                 id += 1;
             }
             s.mark_ended(qi);
         }
         assert!(s.merge_ready());
         let mut last = 0u64;
-        while let Some((_, p)) = s.dequeue() {
-            let k = p.meta.sort_key.unwrap();
+        while let Some((qi, p)) = s.dequeue() {
+            let k = p.key.unwrap();
             assert!(k >= last, "merge out of order");
             last = k;
+            let pkt = slab.take(p.h);
+            assert_eq!(
+                (pkt.meta.sort_key, pkt.meta.flow),
+                (p.key, FlowId(qi as u64))
+            );
         }
+        assert_eq!(slab.parked(), 0);
     }
 }
 
@@ -208,6 +223,7 @@ fn queue_byte_accounting() {
     for _ in 0..64 {
         let ops = rng.range(1usize..200);
         let mut q = BoundedQueue::new(64).with_byte_limit(20_000);
+        let mut slab = Agenda::default();
         let mut model: std::collections::VecDeque<u64> = Default::default();
         let mut id = 0u64;
         for _ in 0..ops {
@@ -218,19 +234,21 @@ fn queue_byte_accounting() {
                 id += 1;
                 let expect_room =
                     model.len() < 64 && model.iter().sum::<u64>() + len as u64 <= 20_000;
-                let got = q.push(p).is_ok();
-                assert_eq!(got, expect_room);
-                if got {
+                let got = q.push(held(&mut slab, p)).map_err(|p| slab.free(p.h));
+                assert_eq!(got.is_ok(), expect_room);
+                if got.is_ok() {
                     model.push_back(len as u64);
                 }
             } else if let Some(expected) = model.pop_front() {
                 let p = q.pop().unwrap();
-                assert_eq!(p.frame_bytes() as u64, expected);
+                assert_eq!(p.bytes as u64, expected);
+                assert_eq!(slab.take(p.h).frame_bytes() as u64, expected);
             } else {
                 assert!(q.pop().is_none());
             }
             assert_eq!(q.bytes(), model.iter().sum::<u64>());
             assert_eq!(q.len(), model.len());
+            assert_eq!(slab.parked(), model.len());
         }
     }
 }
@@ -542,16 +560,14 @@ mod parse_roundtrip {
                 }
                 let sibling = pkt.clone();
                 let buf = pkt.data.as_ptr();
-                let out = codec.parse(&pkt).unwrap();
-                let mut phv = out.phv;
+                assert_eq!(codec.parse(&pkt), Ok(1));
                 for &(f, e, v) in &writes {
-                    phv.set_elem(&codec.layout, f, e, v);
+                    codec.phv.set_elem(&codec.layout, f, e, v);
                 }
                 let (headers, layout) = (&codec.program.headers, &codec.layout);
-                let payload = &data[out.consumed..];
-                let want = adcp::lang::deparse(headers, layout, &phv, &out.extracted, payload);
-                codec.deparse(&mut pkt, &phv, &out.extracted);
-                codec.recycle(phv, out.extracted);
+                let payload = &data[headers[0].total_bytes() as usize..];
+                let want = adcp::lang::deparse(headers, layout, &codec.phv, &[h], payload);
+                codec.deparse(&mut pkt);
                 assert_eq!(&pkt.data[..], &want[..], "case {case} shared={shared}");
                 assert_eq!(&sibling.data[..], &data[..], "sibling copy written");
                 let still_shared = matches!(pkt.data, FrameBuf::Shared(_));
