@@ -21,8 +21,10 @@ pub mod partition;
 pub mod switch;
 
 pub use adcp_sim::datapath::Delivered;
-pub use partition::{MigrateError, MigrationStrategy, PartitionMap, PartitionScheme};
-pub use switch::{AdcpConfig, AdcpSwitch, DemuxPolicy, MigrationStats};
+pub use partition::{
+    MigrateError, MigrationStats, MigrationStrategy, PartitionMap, PartitionScheme,
+};
+pub use switch::{AdcpConfig, AdcpSwitch, DemuxPolicy};
 
 #[cfg(test)]
 mod tests {
@@ -774,12 +776,70 @@ mod tests {
             .unwrap();
         assert!(sw.migration_active());
         assert_eq!(
-            sw.begin_migration(rotated, MigrationStrategy::Drain),
+            sw.begin_migration(rotated.clone(), MigrationStrategy::Drain),
             Err(MigrateError::InProgress)
         );
         sw.finalize_migration().unwrap();
         assert!(!sw.migration_active());
         assert_eq!(sw.partition_epoch(), 1);
+
+        // The install checks owners, then idleness.
+        let mut sw = build(migrate_program());
+        let uniform = PartitionMap::uniform(64, 4);
+        assert_eq!(
+            sw.install_partition_map(PartitionMap::from_buckets(vec![0, 9])),
+            Err(MigrateError::BadOwner { owner: 9, pipes: 4 })
+        );
+        sw.inject(PortId(0), pkt_with(0, 0, 1, 0, 0, [0; 4]), SimTime::ZERO);
+        assert_eq!(
+            sw.install_partition_map(uniform.clone()),
+            Err(MigrateError::NotIdle)
+        );
+        sw.run_until_idle();
+        sw.install_partition_map(uniform.clone()).unwrap();
+        // A drain commits on the event loop, never by a finalize.
+        sw.begin_migration(rotated, MigrationStrategy::Drain)
+            .unwrap();
+        assert_eq!(sw.finalize_migration(), Err(MigrateError::InProgress));
+        sw.run_until_idle();
+        assert!(!sw.migration_active());
+        // A burst on key 0 (bucket 0), caught while queued at its owner.
+        let burst = |sw: &mut AdcpSwitch| {
+            let t = sw.run_until_idle() + adcp_sim::time::Duration::from_us(1);
+            for i in 0..32u64 {
+                let p = pkt_with(100 + i, i, 1, 0, 0, [0; 4]);
+                sw.inject(PortId(i as u16 % 16), p, t);
+            }
+            sw.run_until(t + adcp_sim::time::Duration::from_ns(40));
+        };
+        // Moving bucket 0 fences the burst: finalize waits for it.
+        burst(&mut sw);
+        sw.begin_migration(uniform.clone(), MigrationStrategy::Incremental)
+            .unwrap();
+        assert_eq!(sw.finalize_migration(), Err(MigrateError::Busy));
+        sw.run_until_idle();
+        sw.finalize_migration().unwrap();
+        // Moving only bucket 63 leaves the fence empty, so finalize
+        // completes at once, but the burst is still queued under the old
+        // epoch and no migration may stack on it.
+        burst(&mut sw);
+        let mut owners = uniform.owners().to_vec();
+        owners[63] = 0;
+        let one_moved = PartitionMap::from_buckets(owners);
+        sw.begin_migration(one_moved, MigrationStrategy::Incremental)
+            .unwrap();
+        sw.finalize_migration().unwrap();
+        assert_eq!(
+            sw.begin_migration(uniform.clone(), MigrationStrategy::Drain),
+            Err(MigrateError::Busy)
+        );
+        sw.run_until_idle();
+        sw.begin_migration(uniform, MigrationStrategy::Drain)
+            .unwrap();
+        sw.run_until_idle();
+        assert_eq!(sw.partition_epoch(), 4);
+        assert_eq!(sw.migration_stats().misroutes, 0);
+        sw.check_conservation();
     }
 
     #[test]

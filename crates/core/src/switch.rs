@@ -12,9 +12,12 @@
 //!        -> egress slot -> m:1 mux -> TX port -> delivered
 //! ```
 //!
-//! This file holds only what is the ADCP's own: the demux, TM1's partition
-//! map with live migration (fence, commit, first-touch copy), merge
-//! gating, and the per-flow INT table. Each lifts one RMT limitation:
+//! This file holds only what is the ADCP's own: the demux, TM1 routing,
+//! merge gating and the per-flow INT table. It wires live repartitioning
+//! but does not hold it: the protocol is the `Repartitioner` in
+//! `partition.rs`, called at TM1 routing, the central dequeue and the
+//! drain commit; the switch keeps only the packets it holds. Each part
+//! lifts one RMT limitation:
 //!
 //! * **Two traffic managers** create the central pipelines. State placed
 //!   there by TM1 (by hash, range, or merge order — the program decides via
@@ -26,11 +29,14 @@
 //! * **Port demultiplexing**: each port feeds `m` pipelines, so the
 //!   pipeline clock is `port_rate/m` — Table 3's scaling story (§3.3).
 
-use crate::partition::{MigrateError, MigrationStrategy, PartitionMap};
+use crate::partition::{
+    MigrateError, MigrationStats, MigrationStrategy, Move, PartitionMap, Repartitioner, Route,
+    Stamp,
+};
 use adcp_lang::target::TargetModel;
 use adcp_lang::{
-    compile, ActionOp, CompileError, CompileOptions, Entry, PacketCodec, Placement, Program, RegId,
-    Region, RegionRunStats, RegionState, RegisterFile, TableError,
+    compile, CompileError, CompileOptions, Entry, PacketCodec, Placement, Program, RegId, Region,
+    RegionRunStats, RegionState, RegisterFile, TableError,
 };
 use adcp_sim::datapath::{Agenda, Fanout, Parked, Shell, ShellSpec, Slot};
 use adcp_sim::int::{IntFlowCell, IntFlowTable};
@@ -45,47 +51,9 @@ use adcp_sim::trace::{CtrlEvent, DropReason, HopCtx, Site};
 const TM1: usize = 0;
 const TM2: usize = 1;
 
-/// Pipe cycles charged per register cell copied during a state migration.
-/// Both strategies pay it — drain as one bulk window at commit, incremental
-/// spread over first touches — so the exp_migrate comparison is apples to
-/// apples.
-const CELL_COPY_CYCLES: u64 = 8;
-
 /// Slots in the central-register-resident per-flow INT aggregation table
 /// (flows hash onto slots; collisions merge, as real register state would).
 const INT_FLOW_CELLS: usize = 1024;
-
-/// Registers referenced by central-region table actions, with cell counts:
-/// the state the global partitioned area shards, and therefore the state a
-/// migration must move.
-fn central_registers(program: &Program) -> Vec<(RegId, usize)> {
-    fn collect(ops: &[ActionOp], out: &mut Vec<RegId>) {
-        for op in ops {
-            match op {
-                ActionOp::RegRead { reg, .. }
-                | ActionOp::RegRmw { reg, .. }
-                | ActionOp::RegArray { reg, .. } => out.push(*reg),
-                ActionOp::IfEq { then, .. } => collect(then, out),
-                _ => {}
-            }
-        }
-    }
-    let mut regs = Vec::new();
-    for t in program
-        .tables
-        .iter()
-        .filter(|t| t.region == Region::Central)
-    {
-        for a in &t.actions {
-            collect(&a.ops, &mut regs);
-        }
-    }
-    regs.sort_unstable();
-    regs.dedup();
-    regs.into_iter()
-        .map(|r| (r, program.registers[r.0 as usize].entries as usize))
-        .collect()
-}
 
 /// How the RX side spreads a port's packets over its `m` pipelines (§3.3:
 /// "an application must define how to separate the packet contents").
@@ -218,75 +186,6 @@ enum Ev {
 const _: () = assert!(size_of::<Ev>() <= 16);
 const _: () = assert!(size_of::<Held>() <= 24);
 
-/// Control-plane migration totals, exported as the `ctrl` metrics scope.
-#[derive(Debug, Clone, Default)]
-pub struct MigrationStats {
-    /// Completed migrations.
-    pub migrations: u64,
-    /// Register cells moved between central pipes.
-    pub moved_keys: u64,
-    /// Nanoseconds during which moving shards were unavailable (packets
-    /// held at TM1): fence-drain plus copy window for drain, fence-drain
-    /// only for incremental.
-    pub paused_ns: u64,
-    /// Incremental first touches: packets that hit a not-yet-copied bucket
-    /// and triggered its copy.
-    pub redirected_pkts: u64,
-    /// Packets held at TM1 during migrations.
-    pub held_pkts: u64,
-    /// Packets dequeued by a central pipe that the epoch-consistent map
-    /// says should not own them. Always zero unless the protocol is broken;
-    /// exported so tests and conformance can assert on it.
-    pub misroutes: u64,
-}
-
-/// One in-progress migration (see `AdcpSwitch::begin_migration`).
-struct MigrationState {
-    strategy: MigrationStrategy,
-    /// Map in force when the migration began (the routing map until a
-    /// drain commits; the stamp-decoder for old-epoch packets afterwards).
-    prev: PartitionMap,
-    /// Drain only: the map to install at commit.
-    next_pending: Option<PartitionMap>,
-    begun: SimTime,
-    /// Moving buckets in `prev` numbering, sorted — the in-flight fence.
-    fence_prev: Vec<u32>,
-    /// Old-epoch packets of fence buckets still queued at their old owner.
-    fence_left: u64,
-    /// Cells still to move: `(reg, cell, from_pipe, to_pipe)`.
-    moving_cells: Vec<(RegId, usize, u32, u32)>,
-    /// Incremental only: next-map buckets whose cells are not yet copied
-    /// (the redirect table), sorted.
-    dirty: Vec<u32>,
-    /// Packets held at TM1 (with their ingress pipe), parked in the slab
-    /// until the shard is consistent again. Released in arrival order.
-    held: Vec<(usize, Parked)>,
-    /// Incremental only: the fence drained at the current central pull's
-    /// dequeue — release `held` once that pull's register updates have
-    /// been applied (after the region run in `on_pull_central`), never
-    /// before. Releasing at the dequeue would let the first released
-    /// packet copy-on-first-touch the moving cells *under* the final fence
-    /// packet's pending RMW, stranding its increment on the old owner.
-    release_at_exec: bool,
-    /// Incremental only: when the current hold window started.
-    pause_started: Option<SimTime>,
-}
-
-/// Partition-map routing state (present once `install_partition_map` ran).
-struct PartitionRuntime {
-    map: PartitionMap,
-    /// TM1-enqueued, not yet centrally processed, per current-map bucket
-    /// (current epoch stamps only).
-    inflight: Vec<u64>,
-    /// Same, for packets stamped with an older epoch (bucket numbering may
-    /// no longer apply, so they are counted in aggregate).
-    inflight_old: u64,
-    /// Packets routed per bucket since this map took effect (the load
-    /// signal a controller rebalances on).
-    bucket_pkts: Vec<u64>,
-    mig: Option<MigrationState>,
-}
-
 /// The Application-Defined Coflow Processor. Derefs to its [`Shell`] for
 /// the ledger (`counters`), the observers (`tracer`, `latency`,
 /// `out_meter`) and the INT and delivery accessors.
@@ -317,14 +216,12 @@ pub struct AdcpSwitch {
     ingress_span: HistId,
     central_span: HistId,
     egress_span: HistId,
-    /// Partition-map routing + migration machinery; `None` keeps the
+    /// Partition-map routing and live repartitioning; `None` keeps the
     /// legacy modulo routing (and zero per-packet overhead).
-    part: Option<PartitionRuntime>,
-    /// Migration totals.
-    mig_stats: MigrationStats,
-    /// Registers referenced by central-region tables with their cell
-    /// counts — the state a migration moves.
-    central_regs: Vec<(RegId, usize)>,
+    part: Option<Repartitioner>,
+    /// Packets the repartitioner held at TM1, with their ingress pipe,
+    /// parked until it releases them (in arrival order).
+    held: Vec<(usize, Parked)>,
 }
 
 impl std::ops::Deref for AdcpSwitch {
@@ -397,7 +294,6 @@ impl AdcpSwitch {
             m.hist(s, "span_ps")
         });
         Ok(AdcpSwitch {
-            central_regs: central_registers(&program),
             ing_tables: RegionState::new(&program, Region::Ingress),
             eg_tables: RegionState::new(&program, Region::Egress),
             period: target.pipe_freq().period(),
@@ -416,7 +312,7 @@ impl AdcpSwitch {
             central_span,
             egress_span,
             part: None,
-            mig_stats: MigrationStats::default(),
+            held: Vec::new(),
         })
     }
 
@@ -503,49 +399,40 @@ impl AdcpSwitch {
     /// starts complete; [`crate::partition::PartitionMap::uniform`] with a
     /// bucket count divisible by `num_central` reproduces the legacy
     /// routing exactly. The installed map starts at epoch 0.
-    pub fn install_partition_map(&mut self, mut map: PartitionMap) -> Result<(), MigrateError> {
+    pub fn install_partition_map(&mut self, map: PartitionMap) -> Result<(), MigrateError> {
         let pipes = self.central.len() as u32;
-        if map.max_owner() >= pipes {
-            return Err(MigrateError::BadOwner {
-                owner: map.max_owner(),
-                pipes,
-            });
-        }
+        let mut part = Repartitioner::new(map, pipes, &self.codec.program, self.period)?;
         if self.in_flight() != 0 {
             return Err(MigrateError::NotIdle);
         }
-        map.epoch = 0;
-        let b = map.num_buckets() as usize;
-        self.part = Some(PartitionRuntime {
-            map,
-            inflight: vec![0; b],
-            inflight_old: 0,
-            bucket_pkts: vec![0; b],
-            mig: None,
-        });
+        if let Some(old) = self.part.take() {
+            // A re-installed map keeps counting the switch's totals.
+            part.stats = old.stats;
+        }
+        self.part = Some(part);
         Ok(())
     }
 
     /// The installed partition map, if any.
     pub fn partition_map(&self) -> Option<&PartitionMap> {
-        self.part.as_ref().map(|rt| &rt.map)
+        self.part.as_ref().map(Repartitioner::map)
     }
 
     /// Epoch of the map in force (0 when no map is installed).
     pub fn partition_epoch(&self) -> u64 {
-        self.part.as_ref().map_or(0, |rt| rt.map.epoch)
+        self.partition_map().map_or(0, |m| m.epoch)
     }
 
     /// Packets routed per bucket since the current map took effect — the
     /// per-shard load signal a controller rebalances on.
     pub fn bucket_loads(&self) -> Option<&[u64]> {
-        self.part.as_ref().map(|rt| rt.bucket_pkts.as_slice())
+        self.part.as_ref().map(Repartitioner::bucket_loads)
     }
 
     /// True while a migration is in progress (drain awaiting commit, or
     /// incremental awaiting `finalize_migration`).
     pub fn migration_active(&self) -> bool {
-        self.part.as_ref().is_some_and(|rt| rt.mig.is_some())
+        self.part.as_ref().is_some_and(Repartitioner::active)
     }
 
     /// Inert; the last field of [`AdcpConfig`] says why it is still here.
@@ -557,22 +444,14 @@ impl AdcpSwitch {
     /// to the physical pipe count when no map is installed (every pipe is
     /// addressable then).
     pub fn active_central_pipes(&self) -> usize {
-        match self.partition_map() {
-            Some(map) => {
-                let mut owners: Vec<u32> = (0..map.num_buckets())
-                    .map(|b| map.owner_of_bucket(b))
-                    .collect();
-                owners.sort_unstable();
-                owners.dedup();
-                owners.len()
-            }
-            None => self.num_central(),
-        }
+        (self.partition_map()).map_or(self.num_central(), |m| m.active_pipes() as usize)
     }
 
     /// Migration totals (the `ctrl` scope of the metrics export).
     pub fn migration_stats(&self) -> &MigrationStats {
-        &self.mig_stats
+        self.part
+            .as_ref()
+            .map_or(&MigrationStats::NONE, Repartitioner::stats)
     }
 
     /// Begin migrating to `next` under live traffic.
@@ -592,104 +471,24 @@ impl AdcpSwitch {
     /// touched.
     pub fn begin_migration(
         &mut self,
-        mut next: PartitionMap,
+        next: PartitionMap,
         strategy: MigrationStrategy,
     ) -> Result<(), MigrateError> {
-        let pipes = self.central.len() as u32;
-        if next.max_owner() >= pipes {
-            return Err(MigrateError::BadOwner {
-                owner: next.max_owner(),
-                pipes,
-            });
-        }
         let now = self.agenda.events.now();
-        let central_regs = self.central_regs.clone();
-        let rt = self.part.as_mut().ok_or(MigrateError::NoMap)?;
-        if rt.mig.is_some() {
-            return Err(MigrateError::InProgress);
-        }
-        if rt.inflight_old > 0 {
-            return Err(MigrateError::Busy);
-        }
-        next.epoch = rt.map.epoch + 1;
-        let new_epoch = next.epoch;
-        let fence_prev = rt.map.moved_buckets(&next);
-        let fence_left: u64 = fence_prev.iter().map(|&b| rt.inflight[b as usize]).sum();
-        let moving_cells: Vec<(RegId, usize, u32, u32)> = central_regs
-            .iter()
-            .flat_map(|&(r, n)| {
-                rt.map
-                    .moved_cells(&next, n)
-                    .into_iter()
-                    .map(move |(c, from, to)| (r, c, from, to))
-            })
-            .collect();
-        let n_moving = moving_cells.len();
-        match strategy {
-            MigrationStrategy::Drain => {
-                rt.mig = Some(MigrationState {
-                    strategy,
-                    prev: rt.map.clone(),
-                    next_pending: Some(next),
-                    begun: now,
-                    fence_prev,
-                    fence_left,
-                    moving_cells,
-                    dirty: Vec::new(),
-                    held: Vec::new(),
-                    release_at_exec: false,
-                    pause_started: None,
-                });
-                if fence_left == 0 {
-                    let at = now + self.copy_cost(n_moving);
-                    self.agenda.events.push(at, Ev::MigrateCommit);
-                }
-            }
-            MigrationStrategy::Incremental => {
-                let mut dirty: Vec<u32> = moving_cells
-                    .iter()
-                    .map(|&(_, c, _, _)| next.bucket_of(c as u64))
-                    .collect();
-                dirty.sort_unstable();
-                dirty.dedup();
-                let b = next.num_buckets() as usize;
-                let prev = std::mem::replace(&mut rt.map, next);
-                rt.inflight_old += rt.inflight.iter().sum::<u64>();
-                rt.inflight = vec![0; b];
-                rt.bucket_pkts = vec![0; b];
-                rt.mig = Some(MigrationState {
-                    strategy,
-                    prev,
-                    next_pending: None,
-                    begun: now,
-                    fence_prev,
-                    fence_left,
-                    moving_cells,
-                    dirty,
-                    held: Vec::new(),
-                    release_at_exec: false,
-                    pause_started: (fence_left > 0).then_some(now),
-                });
-            }
+        let part = self.part.as_mut().ok_or(MigrateError::NoMap)?;
+        let epoch = part.map().epoch + 1;
+        if let Some(at) = part.begin(next, strategy, now)? {
+            self.agenda.events.push(at, Ev::MigrateCommit);
         }
         // Control-plane instants on the `ctrl` track. For the incremental
         // strategy the new map (and its epoch) takes effect immediately;
         // drain bumps the epoch only at commit time.
-        let label = match strategy {
-            MigrationStrategy::Drain => "drain",
-            MigrationStrategy::Incremental => "incremental",
-        };
-        self.shell.tracer.record_ctrl(
-            now,
-            CtrlEvent::MigrationBegin {
-                strategy: label,
-                epoch: new_epoch,
-            },
-        );
-        if strategy == MigrationStrategy::Incremental {
-            self.shell
-                .tracer
-                .record_ctrl(now, CtrlEvent::EpochBump { epoch: new_epoch });
+        let incremental = strategy == MigrationStrategy::Incremental;
+        let strategy = if incremental { "incremental" } else { "drain" };
+        let tracer = &mut self.shell.tracer;
+        tracer.record_ctrl(now, CtrlEvent::MigrationBegin { strategy, epoch });
+        if incremental {
+            tracer.record_ctrl(now, CtrlEvent::EpochBump { epoch });
         }
         Ok(())
     }
@@ -700,54 +499,36 @@ impl AdcpSwitch {
     /// drain migration (its commit is event-driven), and
     /// [`MigrateError::NoMigration`] when nothing is in progress.
     pub fn finalize_migration(&mut self) -> Result<(), MigrateError> {
-        let rt = self.part.as_mut().ok_or(MigrateError::NoMap)?;
-        let Some(mig) = &rt.mig else {
-            return Err(MigrateError::NoMigration);
-        };
-        if mig.strategy == MigrationStrategy::Drain {
-            return Err(MigrateError::InProgress);
-        }
-        if mig.fence_left > 0 {
-            return Err(MigrateError::Busy);
-        }
-        let mut mig = rt.mig.take().expect("checked above");
-        let moves = std::mem::take(&mut mig.moving_cells);
+        let moves = self.part.as_mut().ok_or(MigrateError::NoMap)?.finalize()?;
+        let now = self.agenda.events.now();
         self.apply_moves(&moves);
-        self.mig_stats.moved_keys += moves.len() as u64;
-        self.mig_stats.migrations += 1;
         // Defensive: a pending release is normally drained by the event
         // loop before control-plane code can run, but never strand a held
         // packet — the cells just moved, so plain routing is consistent.
-        for (pipe, h) in std::mem::take(&mut mig.held) {
-            self.tm1_route(self.agenda.events.now(), pipe, h);
-        }
-        self.shell.tracer.record_ctrl(
-            self.agenda.events.now(),
-            CtrlEvent::MigrationFinalize {
-                epoch: self.partition_epoch(),
-                moved_keys: moves.len() as u64,
-            },
-        );
+        self.release_held(now);
+        let (epoch, moved_keys) = (self.partition_epoch(), moves.len() as u64);
+        let finalize = CtrlEvent::MigrationFinalize { epoch, moved_keys };
+        self.shell.tracer.record_ctrl(now, finalize);
         Ok(())
-    }
-
-    /// Simulated cost of copying `cells` register cells between pipes.
-    fn copy_cost(&self, cells: usize) -> Duration {
-        Duration(cells as u64 * CELL_COPY_CYCLES * self.period.as_ps())
     }
 
     /// Move cells between central pipes via the control-plane
     /// extract/restore path (does not count as data-plane register ops).
-    fn apply_moves(&mut self, moves: &[(RegId, usize, u32, u32)]) {
+    fn apply_moves(&mut self, moves: &[Move]) {
+        let central = &mut self.central;
         for &(reg, cell, from, to) in moves {
-            let v = self.central[from as usize]
-                .state
-                .register_mut(reg)
-                .extract(cell);
-            self.central[to as usize]
+            let v = central[from as usize].state.register_mut(reg).extract(cell);
+            central[to as usize]
                 .state
                 .register_mut(reg)
                 .restore(cell, v);
+        }
+    }
+
+    /// Route every held packet through TM1 again, in arrival order.
+    fn release_held(&mut self, now: SimTime) {
+        for (pipe, h) in std::mem::take(&mut self.held) {
+            self.tm1_route(now, pipe, h);
         }
     }
 
@@ -801,7 +582,7 @@ impl AdcpSwitch {
         let ingress = Slot::busy_total_and_max(self.ingress.iter().map(|p| &p.slot));
         let central = Slot::busy_total_and_max(self.central.iter().map(|p| &p.slot));
         let egress = Slot::busy_total_and_max(self.egress.iter().map(|p| &p.slot));
-        let mig = &self.mig_stats;
+        let mig = self.migration_stats();
         let counters = [
             ("ingress", "busy_cycles", ingress.0),
             ("central", "busy_cycles", central.0),
@@ -949,228 +730,58 @@ impl AdcpSwitch {
             .central_pipe
             .map(u64::from)
             .unwrap_or_else(|| adcp_lang::fold_hash([meta.flow.0]));
-        let cpipe = if self.part.is_none() {
-            (key % self.central.len() as u64) as usize
-        } else {
-            // Epoch-versioned map routing. Decide first with a shared
-            // borrow, then apply (holds and first-touch copies need
-            // `&mut self`).
-            let (bucket, hold, first_touch, owner, epoch) = {
-                let rt = self.part.as_ref().expect("checked");
-                let bucket = rt.map.bucket_of(key);
-                let (hold, first_touch) = match &rt.mig {
-                    None => (false, false),
-                    Some(mig) => match mig.strategy {
-                        // Drain: the moving shard is unavailable until
-                        // commit.
-                        MigrationStrategy::Drain => {
-                            (mig.fence_prev.binary_search(&bucket).is_ok(), false)
-                        }
-                        // Incremental: unavailable only while old-epoch
-                        // packets could still update moving cells; after
-                        // that, first touch copies the bucket.
-                        MigrationStrategy::Incremental => {
-                            let dirty = mig.dirty.binary_search(&bucket).is_ok();
-                            (mig.fence_left > 0 && dirty, mig.fence_left == 0 && dirty)
-                        }
-                    },
-                };
-                (
-                    bucket,
-                    hold,
-                    first_touch,
-                    rt.map.owner_of_bucket(bucket) as usize,
-                    rt.map.epoch,
-                )
-            };
-            if hold {
-                self.mig_stats.held_pkts += 1;
-                let rt = self.part.as_mut().expect("checked");
-                let mig = rt.mig.as_mut().expect("hold implies migration");
-                mig.held.push((pipe, h));
-                return;
+        let (cpipe, stamp) = match self.part.as_mut().map(|p| p.route(key)) {
+            None => ((key % self.central.len() as u64) as usize, None),
+            Some(Route::Hold) => return self.held.push((pipe, h)),
+            Some(Route::To { owner, stamp }) => (owner as usize, Some(stamp)),
+            // The new owner's pipe pays the copy window: the triggering
+            // packet, and anything behind it, waits it out in-queue, so
+            // per-key order is preserved.
+            Some(Route::FirstTouch {
+                owner,
+                stamp,
+                moves,
+                stall,
+            }) => {
+                self.apply_moves(&moves);
+                self.central[owner as usize].slot.stall(now, stall);
+                (owner as usize, Some(stamp))
             }
-            if first_touch {
-                self.first_touch_copy(now, bucket);
-            }
-            let rt = self.part.as_mut().expect("checked");
-            rt.bucket_pkts[bucket as usize] += 1;
-            rt.inflight[bucket as usize] += 1;
-            let meta = &mut self.agenda.pkt(&h).meta;
-            meta.part_bucket = Some(bucket);
-            meta.map_epoch = Some(epoch);
-            owner
         };
         let pkt = self.agenda.pkt(&h);
-        let stamp = (pkt.meta.part_bucket, pkt.meta.map_epoch);
+        if let Some(Stamp { bucket, epoch }) = stamp {
+            pkt.meta.part_bucket = Some(bucket);
+            pkt.meta.map_epoch = Some(epoch);
+        }
         let queues = &mut self.central[cpipe].queues;
         match self
             .shell
             .tm_admit(TM1, queues, pipe, cpipe as u32, pkt, h, now)
         {
-            Ok(()) => self.schedule_pull_central(now, cpipe),
-            Err(h) => {
-                self.agenda.free(h);
-                // A refused packet was already counted for its bucket above.
-                if let (Some(rt), (Some(b), Some(e))) = (&mut self.part, stamp) {
-                    if e == rt.map.epoch {
-                        rt.inflight[b as usize] -= 1;
-                    }
+            Ok(()) => {
+                if let (Some(part), Some(stamp)) = (&mut self.part, stamp) {
+                    part.admitted(stamp);
                 }
+                self.schedule_pull_central(now, cpipe)
             }
+            Err(h) => self.agenda.free(h),
         }
     }
 
-    /// Incremental copy-on-first-touch: remove `bucket` from the redirect
-    /// table, move its cells, and charge the copy window to the new
-    /// owner's pipe schedule (the triggering packet, and anything behind
-    /// it, waits out the copy in-queue — per-key order is preserved).
-    fn first_touch_copy(&mut self, now: SimTime, bucket: u32) {
-        let Some(rt) = &mut self.part else { return };
-        let Some(mig) = &mut rt.mig else { return };
-        let Ok(i) = mig.dirty.binary_search(&bucket) else {
+    /// Drain-strategy commit: move all cells, install the next map
+    /// (epoch + 1), release held packets.
+    fn on_migrate_commit(&mut self, now: SimTime) {
+        let Some(moves) = self.part.as_mut().and_then(|p| p.commit(now)) else {
             return;
         };
-        mig.dirty.remove(i);
-        let map = &rt.map;
-        let mut moves = Vec::new();
-        mig.moving_cells.retain(|&(r, c, from, to)| {
-            if map.bucket_of(c as u64) == bucket {
-                moves.push((r, c, from, to));
-                false
-            } else {
-                true
-            }
-        });
-        let owner = map.owner_of_bucket(bucket) as usize;
-        self.mig_stats.redirected_pkts += 1;
-        self.mig_stats.moved_keys += moves.len() as u64;
         self.apply_moves(&moves);
-        let cost = self.copy_cost(moves.len());
-        self.central[owner].slot.stall(now, cost);
-    }
-
-    /// Drain-strategy commit: fence drained and copy window elapsed — move
-    /// all cells, install the next map (epoch + 1), release held packets.
-    fn on_migrate_commit(&mut self, now: SimTime) {
-        let Some(rt) = &mut self.part else { return };
-        let Some(mut mig) = rt.mig.take() else { return };
-        debug_assert_eq!(mig.strategy, MigrationStrategy::Drain);
-        debug_assert_eq!(mig.fence_left, 0);
-        let next = mig.next_pending.take().expect("drain holds the next map");
-        let b = next.num_buckets() as usize;
-        // Everything still queued was stamped under the previous epoch.
-        rt.inflight_old += rt.inflight.iter().sum::<u64>();
-        rt.inflight = vec![0; b];
-        rt.bucket_pkts = vec![0; b];
-        rt.map = next;
-        let moves = std::mem::take(&mut mig.moving_cells);
-        self.apply_moves(&moves);
-        self.mig_stats.moved_keys += moves.len() as u64;
-        self.mig_stats.migrations += 1;
-        self.mig_stats.paused_ns += now.saturating_since(mig.begun).as_ps() / 1000;
-        let epoch = self.partition_epoch();
-        self.shell.tracer.record_ctrl(
-            now,
-            CtrlEvent::MigrationCommit {
-                epoch,
-                moved_keys: moves.len() as u64,
-            },
-        );
-        self.shell
-            .tracer
-            .record_ctrl(now, CtrlEvent::EpochBump { epoch });
+        let (epoch, moved_keys) = (self.partition_epoch(), moves.len() as u64);
+        let tracer = &mut self.shell.tracer;
+        tracer.record_ctrl(now, CtrlEvent::MigrationCommit { epoch, moved_keys });
+        tracer.record_ctrl(now, CtrlEvent::EpochBump { epoch });
         // Release inline, in arrival order, before any later event can
         // route — preserves per-key FIFO through the pause.
-        for (pipe, h) in mig.held {
-            self.tm1_route(now, pipe, h);
-        }
-    }
-
-    /// Partition accounting at the moment a central pipe dequeues a packet
-    /// (the packet's register updates happen in this same event, so "the
-    /// old owner has applied it" and "dequeued" coincide). Decrements the
-    /// in-flight fence, checks the epoch-consistent owner, and — for
-    /// incremental migrations — ends the hold window when the fence
-    /// drains. `stamp` is the packet's `(part_bucket, map_epoch)`.
-    fn account_central_dequeue(
-        &mut self,
-        now: SimTime,
-        cpipe: usize,
-        stamp: (Option<u32>, Option<u64>),
-    ) {
-        let period_ps = self.period.as_ps();
-        let Some(rt) = &mut self.part else { return };
-        let (Some(bucket), Some(epoch)) = stamp else {
-            return;
-        };
-        let mut commit_at = None;
-        if epoch == rt.map.epoch {
-            rt.inflight[bucket as usize] -= 1;
-            if rt.map.owner_of_bucket(bucket) as usize != cpipe {
-                self.mig_stats.misroutes += 1;
-            }
-            if let Some(mig) = &mut rt.mig {
-                if mig.strategy == MigrationStrategy::Drain
-                    && mig.fence_left > 0
-                    && mig.fence_prev.binary_search(&bucket).is_ok()
-                {
-                    mig.fence_left -= 1;
-                    if mig.fence_left == 0 {
-                        let cost =
-                            Duration(mig.moving_cells.len() as u64 * CELL_COPY_CYCLES * period_ps);
-                        commit_at = Some(now + cost);
-                    }
-                }
-            }
-        } else {
-            rt.inflight_old -= 1;
-            if let Some(mig) = &mut rt.mig {
-                // Old-epoch packet during an incremental migration: the
-                // previous map decodes its stamp.
-                if mig.prev.owner_of_bucket(bucket) as usize != cpipe {
-                    self.mig_stats.misroutes += 1;
-                }
-                if mig.fence_left > 0 && mig.fence_prev.binary_search(&bucket).is_ok() {
-                    mig.fence_left -= 1;
-                    if mig.fence_left == 0 {
-                        // Fence drained: the hold window ends with this
-                        // packet — but its register updates are still
-                        // pending in this event, so the actual release
-                        // (and any first-touch copy it triggers) waits
-                        // for the region run.
-                        if let Some(start) = mig.pause_started.take() {
-                            self.mig_stats.paused_ns += now.saturating_since(start).as_ps() / 1000;
-                        }
-                        mig.release_at_exec = true;
-                    }
-                }
-            }
-            // With no migration active the previous map is gone; stragglers
-            // of non-moving buckets route to the same owner under either
-            // map, so there is nothing left to check.
-        }
-        if let Some(at) = commit_at {
-            self.agenda.events.push(at, Ev::MigrateCommit);
-        }
-    }
-
-    /// Release packets held for an incremental migration whose fence
-    /// drained at the current pull's dequeue. Runs from
-    /// [`AdcpSwitch::on_pull_central`] — after the draining packet's
-    /// register updates have landed, before any later event can route —
-    /// so first-touch copies see complete state and per-key FIFO holds.
-    fn release_held_if_drained(&mut self, now: SimTime) {
-        let held = match self.part.as_mut().and_then(|rt| rt.mig.as_mut()) {
-            Some(mig) if mig.release_at_exec => {
-                mig.release_at_exec = false;
-                std::mem::take(&mut mig.held)
-            }
-            _ => return,
-        };
-        for (pipe, h) in held {
-            self.tm1_route(now, pipe, h);
-        }
+        self.release_held(now);
     }
 
     fn schedule_pull_central(&mut self, now: SimTime, cpipe: usize) {
@@ -1207,16 +818,29 @@ impl AdcpSwitch {
         };
         let pkt = self.agenda.pkt(&h);
         self.shell.tm_depart(TM1, pkt, now);
-        // Fence/epoch accounting must happen exactly when the old owner
-        // consumes the packet (its register updates land in this event).
-        let stamp = (pkt.meta.part_bucket, pkt.meta.map_epoch);
-        self.account_central_dequeue(now, cpipe, stamp);
+        // Fence/epoch accounting happens exactly when the old owner consumes
+        // the packet (its register updates land in this event). A fence
+        // this drains releases the held packets only once those updates
+        // are in — after the region run, or before the drop on a parse
+        // error: a released packet's first-touch copy must not move the
+        // cells under this packet's pending update.
+        let release = match (&mut self.part, pkt.meta.part_bucket, pkt.meta.map_epoch) {
+            (Some(part), Some(bucket), Some(epoch)) => {
+                let d = part.on_dequeue(Stamp { bucket, epoch }, cpipe as u32, now);
+                if let Some(at) = d.commit_at {
+                    self.agenda.events.push(at, Ev::MigrateCommit);
+                }
+                d.release
+            }
+            _ => false,
+        };
         let site = Site::CentralPipe(cpipe);
         let pkt = self.agenda.pkt(&h);
         let Ok(depth) = self.codec.parse(pkt) else {
-            // No slot claimed, no region run; a fence this dequeue drained
-            // still releases before the drop is recorded.
-            self.release_held_if_drained(now);
+            // No slot claimed, no region run.
+            if release {
+                self.release_held(now);
+            }
             return self.drop_at(now, h, site, DropReason::ParseError);
         };
         // Move (not clone) the forwarding decision into the PHV; writeback
@@ -1226,11 +850,11 @@ impl AdcpSwitch {
         let entry = p.slot.claim(now, self.period);
         let c = &mut self.codec;
         p.state.run(&c.program, &c.layout, &mut c.phv);
-        // The pull's register updates are in: safe to release packets
-        // held behind the in-flight fence this pull drained. Releasing
-        // routes through TM1 and parses nothing, so the codec's PHV is
-        // still this packet's.
-        self.release_held_if_drained(now);
+        // Releasing routes through TM1 and parses nothing, so the codec's
+        // PHV is still this packet's.
+        if release {
+            self.release_held(now);
+        }
         self.shell
             .record_parse(Duration(depth as u64 * self.period.as_ps()));
         let pkt = self.agenda.pkt(&h);

@@ -119,21 +119,6 @@ pub struct RebalanceEvent {
     pub pipes: u32,
 }
 
-fn owners_of(map: &PartitionMap) -> Vec<u32> {
-    match map.scheme() {
-        PartitionScheme::Hash { owners } | PartitionScheme::Range { owners, .. } => owners.clone(),
-    }
-}
-
-/// Number of distinct central pipes that own at least one bucket — the
-/// "active" pipe count the autoscaler grows and shrinks.
-pub fn active_pipes(map: &PartitionMap) -> u32 {
-    let mut owners = owners_of(map);
-    owners.sort_unstable();
-    owners.dedup();
-    owners.len() as u32
-}
-
 fn with_owners(map: &PartitionMap, owners: Vec<u32>) -> PartitionMap {
     match map.scheme() {
         PartitionScheme::Hash { .. } => PartitionMap::from_buckets(owners),
@@ -155,7 +140,7 @@ pub fn plan_rebalance(
     n_pipes: u32,
 ) -> Option<PartitionMap> {
     assert!(n_pipes > 0);
-    let mut owners = owners_of(map);
+    let mut owners = map.owners().to_vec();
     assert_eq!(owners.len(), bucket_load.len());
     let mut pipe_load = vec![0u64; n_pipes as usize];
     for (b, &o) in owners.iter().enumerate() {
@@ -191,7 +176,7 @@ pub fn plan_rebalance(
 /// minimizing movement matters more than the pipe count changing.
 pub fn plan_scale_to(map: &PartitionMap, bucket_load: &[u64], n_pipes: u32) -> PartitionMap {
     assert!(n_pipes > 0);
-    let n_buckets = owners_of(map).len();
+    let n_buckets = map.owners().len();
     assert_eq!(n_buckets, bucket_load.len());
     let mut order: Vec<usize> = (0..n_buckets).collect();
     order.sort_by_key(|&b| (std::cmp::Reverse(bucket_load[b]), b));
@@ -411,7 +396,7 @@ impl Controller {
             moved_buckets: moved,
             strategy: self.policy.strategy,
             kind: RebalanceKind::Skew,
-            pipes: active_pipes(&next),
+            pipes: next.active_pipes(),
         };
         match sw.begin_migration(next, self.policy.strategy) {
             Ok(()) => {
@@ -465,7 +450,7 @@ impl Controller {
             .is_none_or(|t| self.ticks - t >= self.scale.cooldown_ticks);
         if slo.window_full && cooled {
             let map = sw.partition_map()?;
-            let active = active_pipes(map);
+            let active = map.active_pipes();
             let ceiling = self.scale.max_pipes.min(sw.num_central() as u32);
             let target = if slo.burn_rate >= self.scale.burn_up && active < ceiling {
                 Some((active + 1, RebalanceKind::ScaleUp))
@@ -698,7 +683,7 @@ mod tests {
             sw.run_until_idle();
         }
         assert!(!sw.migration_active());
-        assert_eq!(active_pipes(sw.partition_map().unwrap()), 2);
+        assert_eq!(sw.partition_map().unwrap().active_pipes(), 2);
 
         let idle = SloSignal {
             burn_rate: 0.0,
