@@ -623,6 +623,11 @@ impl AdcpSwitch {
         self.agenda.events.peek_time()
     }
 
+    /// Events scheduled on the switch's queue since it was built.
+    pub fn events_scheduled(&self) -> u64 {
+        self.agenda.events.scheduled
+    }
+
     /// Packets inside the switch: the occupancy of its packet slab.
     pub fn in_flight(&self) -> u64 {
         self.agenda.parked() as u64

@@ -12,8 +12,14 @@
 //! mass a switch simulation produces: almost everything is scheduled within
 //! a few pipeline periods or one packet serialization time of `now`, with a
 //! thin tail of far-future timers (merge-order patience, control-plane
-//! ticks). Three tiers:
+//! ticks) — plus, ahead of both, the arrivals a driver injects a chunk at a
+//! time. One `push` routes each event to one of four places:
 //!
+//! * **Lane** — a FIFO that takes every push not earlier than its tail
+//!   (every push, when it is empty), so it is sorted by `(time, seq)` with
+//!   no search: a chunk of injections laid out at line rate is a run of
+//!   `push_back`s that stays out of the open day. Pops merge the lane head
+//!   with the calendar head by `(time, seq)`.
 //! * **Ring buckets** — the near horizon is divided into `DAYS` "days" of
 //!   `1 << DAY_SHIFT` picoseconds each; the day of a timestamp is a shift,
 //!   and each day maps to one ring slot, so a push into the window is an
@@ -23,20 +29,23 @@
 //!   that via a ring-resident event count.
 //! * **Current-day drain** — entering a day moves its bucket (plus any
 //!   overflow events that matured into it) into a reusable deque, sorted
-//!   once, ascending, by `(time, seq)`: a pop is `pop_front`. Pushes that
-//!   land in the open day carry the largest `seq` yet issued, so they are
-//!   usually a plain `push_back` (an insert only when an event later in
-//!   the day is already pending); past times clamp to `now` and `seq`
-//!   grows monotonically, so FIFO order is preserved exactly.
+//!   once, ascending, by `(time, seq)`: a pop is `pop_front`. A push into
+//!   the open day is a follow-up a few nanoseconds out that usually lands
+//!   before events pending later in the day (70 % of a minimum-size
+//!   forwarding run's pushes): a short scan from the tail and an insert.
+//!   A day is not opened while the lane head lies in an earlier one, so
+//!   it never runs ahead of `now`.
 //! * **Overflow heap** — events beyond the ring window go to a binary heap
 //!   keyed by `(time, seq)`. They are merged into the drain when their day
 //!   opens. Only far-future outliers pay the O(log n) heap cost.
 //!
 //! Unlike the original `BinaryHeap` + slab design, nothing here retains a
-//! slot per popped event: drained buckets are empty `Vec`s that recycle
-//! their capacity, so retained storage is bounded by the maximum number of
-//! *simultaneously pending* events, not by the total ever scheduled (see
-//! `million_event_run_keeps_storage_bounded`).
+//! slot per popped event. A drained bucket's buffer goes to a pool bounded
+//! by the pending-event high-water mark, and the first push into an empty
+//! slot takes its buffer from there: a fresh day allocates nothing, and
+//! retained storage follows the *simultaneously pending* events, not the
+//! total ever scheduled (`million_event_run_keeps_storage_bounded`,
+//! `fresh_days_reuse_drained_buckets`).
 
 use crate::time::SimTime;
 use std::collections::{BinaryHeap, VecDeque};
@@ -46,7 +55,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// holds a batch of pipeline events worth sorting together.
 const DAY_SHIFT: u32 = 16;
 /// Number of ring days (power of two). Window = DAYS << DAY_SHIFT ≈ 268 µs,
-/// wide enough that workload injection schedules laid out at line rate stay
+/// wide enough that arrivals pushed out of order behind the lane's tail stay
 /// in the ring instead of spilling to the overflow heap.
 const DAYS: u64 = 4096;
 const DAY_MASK: u64 = DAYS - 1;
@@ -103,22 +112,25 @@ pub struct EventQueue<E> {
     /// Events currently stored in ring buckets (excludes `drain` and
     /// `overflow`); lets an empty ring skip the bitmap scan entirely.
     ring_len: usize,
-    /// The day currently being drained.
+    /// The day currently being drained. Never ahead of `now`'s day.
     cur_day: u64,
-    /// Events of `cur_day`, sorted ascending by `(time, seq)`; the next
-    /// event to fire is `drain.front()`. A deque so that the common push
-    /// into the open day — a fresh event with the largest `(time, seq)` so
-    /// far — is an O(1) `push_back` rather than a front-of-buffer memmove.
+    /// Events of `cur_day`, sorted ascending by `(time, seq)`; the
+    /// calendar's next event is `drain.front()`. Pushes into the open day
+    /// insert at their sorted position.
     drain: VecDeque<(SimTime, u64, E)>,
     /// Events beyond the ring window, earliest on top.
     overflow: BinaryHeap<Far<E>>,
-    /// Pending-event count across all tiers.
+    /// The lane: pushes not earlier than its tail, in push order — hence
+    /// ascending by `(time, seq)` — beside the calendar tiers above.
+    lane: VecDeque<(SimTime, u64, E)>,
+    /// Drained bucket buffers, for the first push into an empty slot.
+    spare: Vec<Vec<(SimTime, u64, E)>>,
+    /// Total capacity of the `spare` buffers; kept ≤ `hwm.max(64)`.
+    spare_cap: usize,
+    /// Pending-event count across all tiers, the lane included.
     len: usize,
-    /// High-water mark of `len`; budgets how much bucket capacity the ring
-    /// may retain.
+    /// High-water mark of `len`; budgets the pool.
     hwm: usize,
-    /// Total capacity currently retained across ring buckets.
-    ring_cap: usize,
     seq: u64,
     now: SimTime,
     /// Total events ever scheduled.
@@ -142,9 +154,11 @@ impl<E> EventQueue<E> {
             cur_day: 0,
             drain: VecDeque::new(),
             overflow: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            spare: Vec::new(),
+            spare_cap: 0,
             len: 0,
             hwm: 0,
-            ring_cap: 0,
             seq: 0,
             now: SimTime::ZERO,
             scheduled: 0,
@@ -165,25 +179,38 @@ impl<E> EventQueue<E> {
         self.scheduled += 1;
         self.len += 1;
         self.hwm = self.hwm.max(self.len);
+        if self.lane.back().is_none_or(|&(bt, _, _)| t >= bt) {
+            // `seq` is the largest ever issued, so the lane stays sorted.
+            self.lane.push_back((t, seq, ev));
+            return;
+        }
         let d = day_of(t);
         if d == self.cur_day {
             // The open day. `seq` is the largest ever issued, so unless an
             // event *later in the day* is already pending this is a plain
-            // append; otherwise insert at the (ascending) sorted position.
+            // append; otherwise insert at the (ascending) sorted position,
+            // found from the tail: an insert jumps a handful of events.
             match self.drain.back() {
-                Some(&(bt, bs, _)) if (bt, bs) > (t, seq) => {
+                Some(&(bt, _, _)) if bt > t => {
                     let at = self
                         .drain
-                        .partition_point(|&(et, es, _)| (et, es) < (t, seq));
+                        .iter()
+                        .rposition(|e| e.0 <= t)
+                        .map_or(0, |i| i + 1);
                     self.drain.insert(at, (t, seq, ev));
                 }
                 _ => self.drain.push_back((t, seq, ev)),
             }
         } else if d.wrapping_sub(self.cur_day) < DAYS {
             let slot = (d & DAY_MASK) as usize;
-            let before = self.ring[slot].capacity();
-            self.ring[slot].push((t, seq, ev));
-            self.ring_cap += self.ring[slot].capacity() - before;
+            let bucket = &mut self.ring[slot];
+            if bucket.capacity() == 0 {
+                if let Some(b) = self.spare.pop() {
+                    self.spare_cap -= b.capacity();
+                    *bucket = b;
+                }
+            }
+            bucket.push((t, seq, ev));
             self.ring_len += 1;
             self.occ[slot / 64] |= 1 << (slot % 64);
             self.occ_sum |= 1 << (slot / 64);
@@ -218,39 +245,41 @@ impl<E> EventQueue<E> {
         Some(self.cur_day + off)
     }
 
-    /// Open the next day that has events, filling `drain`. Returns `false`
-    /// when the queue is empty.
-    fn refill(&mut self) -> bool {
-        self.drain.clear();
-        if self.len == 0 {
-            return false;
-        }
-        let ring_day = self.next_ring_day();
+    /// With the drain empty: the day of the calendar's next event, if any.
+    fn next_calendar_day(&self) -> Option<u64> {
         let over_day = self.overflow.peek().map(|f| day_of(f.t));
-        let d = match (ring_day, over_day) {
-            (Some(r), Some(o)) => r.min(o),
-            (Some(r), None) => r,
-            (None, Some(o)) => o,
-            (None, None) => unreachable!("len > 0 but no events found"),
+        match (self.next_ring_day(), over_day) {
+            (Some(r), Some(o)) => Some(r.min(o)),
+            (r, o) => r.or(o),
+        }
+    }
+
+    /// Open the next calendar day that has events, filling the (empty)
+    /// `drain` — unless the lane head lies in an earlier day. Opening the
+    /// day then would put `cur_day` ahead of `now`, and a later push into
+    /// a day between the two would land in overflow, behind the open
+    /// drain; the lane head fires first instead.
+    fn refill(&mut self) {
+        let Some(d) = self.next_calendar_day() else {
+            return;
         };
+        if self.lane.front().is_some_and(|&(lt, _, _)| day_of(lt) < d) {
+            return;
+        }
         self.cur_day = d;
         let slot = (d & DAY_MASK) as usize;
         if self.occ[slot / 64] & (1 << (slot % 64)) != 0 {
-            // Move the bucket's events out. The emptied bucket keeps its
-            // capacity for reuse when the ring wraps around — unless the
-            // ring's total retained capacity has outgrown the pending-event
-            // high-water mark, in which case it is released. This is what
-            // keeps long runs' retained storage proportional to peak
-            // concurrency rather than to the slot count times per-slot
-            // bursts (the old slab leaked a slot per event ever scheduled).
+            // Move the bucket's events out and pool the emptied buffer for
+            // the next slot that fills from empty, up to the pending-event
+            // high-water mark, so retained storage follows peak concurrency
+            // and a fresh day reuses a buffer instead of allocating one.
             let mut bucket = std::mem::take(&mut self.ring[slot]);
             self.ring_len -= bucket.len();
             self.drain.extend(bucket.drain(..));
-            if self.ring_cap > 8 * self.hwm.max(64) {
-                self.ring_cap -= bucket.capacity();
-                bucket = Vec::new();
+            if self.spare_cap + bucket.capacity() <= self.hwm.max(64) {
+                self.spare_cap += bucket.capacity();
+                self.spare.push(bucket);
             }
-            self.ring[slot] = bucket;
             self.occ[slot / 64] &= !(1 << (slot % 64));
             if self.occ[slot / 64] == 0 {
                 self.occ_sum &= !(1 << (slot / 64));
@@ -266,15 +295,33 @@ impl<E> EventQueue<E> {
         self.drain
             .make_contiguous()
             .sort_unstable_by_key(|e| (e.0, e.1));
-        true
+    }
+
+    /// Bring the calendar's next event to the drain head if it may fire
+    /// before the lane head, and say which head fires first: `Some(true)`
+    /// for the lane, `None` when nothing is pending. Calendar events of
+    /// `cur_day` are all in the drain, so an empty drain with the lane head
+    /// in `cur_day` needs no refill.
+    fn lane_first(&mut self) -> Option<bool> {
+        let lane_day = self.lane.front().map(|&(lt, _, _)| day_of(lt));
+        if self.drain.is_empty() && lane_day != Some(self.cur_day) {
+            self.refill();
+        }
+        match (self.lane.front(), self.drain.front()) {
+            (None, None) => None,
+            (Some(l), Some(c)) => Some((l.0, l.1) < (c.0, c.1)),
+            (l, _) => Some(l.is_some()),
+        }
     }
 
     /// Pop the next event, advancing `now` to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.drain.is_empty() && !self.refill() {
-            return None;
-        }
-        let (t, _, ev) = self.drain.pop_front().expect("refill produced events");
+        let head = if self.lane_first()? {
+            &mut self.lane
+        } else {
+            &mut self.drain
+        };
+        let (t, _, ev) = head.pop_front().expect("the first head is pending");
         self.now = t;
         self.len -= 1;
         Some((t, ev))
@@ -299,43 +346,44 @@ impl<E> EventQueue<E> {
     /// `windowed_queues_pop_the_same_sequence_at_any_width`.
     pub fn pop_batch(&mut self, batch: &mut Vec<E>) -> Option<SimTime> {
         batch.clear();
-        if self.drain.is_empty() && !self.refill() {
-            return None;
-        }
-        let t = self.drain.front().expect("refill produced events").0;
+        let t = if self.lane_first()? {
+            self.lane[0].0
+        } else {
+            self.drain[0].0
+        };
         self.now = t;
-        // The drain is ascending, so the run of events at `t` is the head,
-        // already in FIFO `seq` order.
-        let k = self.drain.partition_point(|&(et, _, _)| et <= t);
-        batch.extend(self.drain.drain(..k).map(|(_, _, ev)| ev));
+        // Both heads are ascending, so each one's run of events at `t` is
+        // its prefix, in `seq` order: merge the two runs by `seq`.
+        let at_t = |q: &VecDeque<(SimTime, u64, E)>| q.front().filter(|e| e.0 == t).map(|e| e.1);
+        loop {
+            let head = match (at_t(&self.lane), at_t(&self.drain)) {
+                (None, None) => break,
+                (Some(l), Some(d)) if d < l => &mut self.drain,
+                (Some(_), _) => &mut self.lane,
+                (None, Some(_)) => &mut self.drain,
+            };
+            batch.push(head.pop_front().expect("a head at `t`").2);
+        }
         self.len -= batch.len();
         Some(t)
     }
 
     /// Time of the next pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(&(t, _, _)) = self.drain.front() {
-            return Some(t);
-        }
-        if self.len == 0 {
-            return None;
-        }
-        let over_t = self.overflow.peek().map(|f| f.t);
-        match self.next_ring_day() {
-            None => over_t,
-            Some(d) => {
-                let slot = (d & DAY_MASK) as usize;
-                let ring_min = self.ring[slot]
-                    .iter()
-                    .map(|&(t, _, _)| t)
-                    .min()
-                    .expect("occupied slot is non-empty");
-                match over_t {
-                    Some(ot) if ot < ring_min => Some(ot),
-                    _ => Some(ring_min),
-                }
-            }
-        }
+        let lane_t = self.lane.front().map(|&(t, _, _)| t);
+        let calendar_t = match self.drain.front() {
+            Some(&(t, _, _)) => Some(t),
+            // Day `d` is looked into only when the lane head is not earlier.
+            None => self
+                .next_calendar_day()
+                .filter(|&d| lane_t.is_none_or(|lt| day_of(lt) >= d))
+                .and_then(|d| {
+                    let ring = self.ring[(d & DAY_MASK) as usize].iter().map(|e| e.0);
+                    let over = self.overflow.peek().map(|f| f.t);
+                    ring.chain(over.filter(|&ot| day_of(ot) == d)).min()
+                }),
+        };
+        lane_t.into_iter().chain(calendar_t).min()
     }
 
     /// Number of pending events.
@@ -349,13 +397,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Total event-storage capacity currently retained (ring buckets, the
-    /// drain buffer, and the overflow heap). Bounded by the high-water mark
-    /// of *concurrently pending* events — not by `scheduled` — which the
-    /// slab regression test asserts.
+    /// drain buffer, the overflow heap, the lane and the pool). Bounded by
+    /// the high-water mark of *concurrently pending* events — not by
+    /// `scheduled` — which the slab regression test asserts.
     pub fn storage_capacity(&self) -> usize {
         self.ring.iter().map(|b| b.capacity()).sum::<usize>()
             + self.drain.capacity()
             + self.overflow.capacity()
+            + self.lane.capacity()
+            + self.spare_cap
     }
 }
 
@@ -553,6 +603,47 @@ mod tests {
             }
         }
         assert_eq!(singles, batched);
+        assert_eq!(tie_run(false), tie_run(true));
+    }
+
+    /// Same-instant lane/drain ties: four arrivals per nanosecond ride the
+    /// lane, and each popped event pushes follow-ups (a pure function of
+    /// its id) at the same instant or a nanosecond or two later, into the
+    /// open day. Returns the pop sequence, by `pop` or by `pop_batch`.
+    fn tie_run(batched: bool) -> Vec<(SimTime, u32)> {
+        let mut q = EventQueue::new();
+        for i in 0..200u32 {
+            q.push(SimTime(u64::from(i / 4) * 1000), i);
+        }
+        let mut next = 200u32;
+        let mut follow_up = |q: &mut EventQueue<u32>, t: SimTime, e: u32| {
+            for k in 0..u64::from(e % 3) * u64::from(next < 800) {
+                q.push(SimTime(t.0 + (u64::from(e % 2) + k) * 1000), next);
+                next += 1;
+            }
+        };
+        let (mut pops, mut ties, mut batch) = (Vec::new(), 0, Vec::new());
+        loop {
+            let heads = (q.lane.front(), q.drain.front());
+            ties += matches!(heads, (Some(l), Some(d)) if l.0 == d.0) as usize;
+            if batched {
+                let Some(t) = q.pop_batch(&mut batch) else {
+                    break;
+                };
+                for e in batch.drain(..) {
+                    pops.push((t, e));
+                    follow_up(&mut q, t, e);
+                }
+            } else {
+                let Some((t, e)) = q.pop() else {
+                    break;
+                };
+                pops.push((t, e));
+                follow_up(&mut q, t, e);
+            }
+        }
+        assert!(ties > 10, "only {ties} same-instant lane/drain ties");
+        pops
     }
 
     #[test]
@@ -669,55 +760,185 @@ mod tests {
         }
     }
 
+    /// A 64 B frame plus 20 B of preamble and inter-frame gap at 800 Gb/s,
+    /// in ps: the spacing of line-rate arrivals.
+    const GAP_64B: u64 = 840;
+
     /// Satellite: scheduler equivalence. The calendar queue must produce
     /// exactly the oracle heap's `(time, seq)` pop sequence for seeded
     /// random schedules, including same-timestamp bursts and far-future
-    /// outliers, under interleaved push/pop.
+    /// outliers, under interleaved push/pop — and with chunks of line-rate
+    /// arrivals pushed ahead, which ride the lane while the near-horizon
+    /// follow-ups and out-of-order arrivals fall back to the calendar.
     #[test]
     fn calendar_queue_matches_heap_oracle() {
         for seed in [1u64, 7, 42, 99, 2026] {
-            let mut rng = SimRng::seed_from(seed);
-            let mut cal: EventQueue<u32> = EventQueue::new();
-            let mut ora: oracle::HeapQueue<u32> = oracle::HeapQueue::new();
-            let mut id = 0u32;
-            let mut base = 0u64;
-            for _round in 0..200 {
-                // A burst of pushes around the current time...
-                for _ in 0..rng.range(1..20) {
-                    let t = match rng.range(0..10) {
-                        // same-timestamp burst
-                        0..=3 => SimTime(base),
-                        // near horizon (a few days out)
-                        4..=7 => SimTime(base + rng.range(0..100_000u64)),
-                        // window edge
-                        8 => SimTime(base + (DAYS << DAY_SHIFT) - rng.range(0..3u64)),
-                        // far-future outlier, well past the ring window
-                        _ => SimTime(base + (DAYS << DAY_SHIFT) * rng.range(1..5u64) + 13),
-                    };
-                    cal.push(t, id);
-                    ora.push(t, id);
-                    id += 1;
-                }
-                // ...then a few interleaved pops.
-                for _ in 0..rng.range(0..15) {
-                    let c = cal.pop();
-                    let o = ora.pop();
-                    assert_eq!(c, o, "seed {seed}: pop diverged");
-                    if let Some((t, _)) = c {
-                        base = t.0;
-                    } else {
-                        break;
-                    }
+            oracle_run(seed, false);
+            let (lane_max, mixed) = oracle_run(seed, true);
+            assert!(lane_max > 50, "seed {seed}: lane peaked at {lane_max}");
+            assert!(
+                mixed > 5_000,
+                "seed {seed}: lane and calendar both pending at only {mixed} pops"
+            );
+        }
+    }
+
+    /// One seeded schedule against the oracle heap; returns the lane's peak
+    /// length and the number of pops made while both the lane and the
+    /// calendar held events.
+    fn oracle_run(seed: u64, arrivals: bool) -> (usize, usize) {
+        let mut rng = SimRng::seed_from(seed);
+        let mut cal: EventQueue<u32> = EventQueue::new();
+        let mut ora: oracle::HeapQueue<u32> = oracle::HeapQueue::new();
+        let mut id = 0u32;
+        let mut push = |cal: &mut EventQueue<u32>, ora: &mut oracle::HeapQueue<u32>, t| {
+            cal.push(t, id);
+            ora.push(t, id);
+            id += 1;
+        };
+        let (mut base, mut next_arrival, mut pushed) = (0u64, 0u64, 0u64);
+        let (mut lane_max, mut mixed) = (0, 0);
+        for _round in 0..200 {
+            let first = pushed;
+            if arrivals && rng.range(0..3) == 0 {
+                // A driver's injection chunk, pushed ahead in time order.
+                next_arrival = next_arrival.max(base);
+                for _ in 0..rng.range(1..200) {
+                    next_arrival += GAP_64B;
+                    push(&mut cal, &mut ora, SimTime(next_arrival));
+                    pushed += 1;
                 }
             }
-            // Drain both to the end.
-            loop {
+            // A burst of pushes around the current time...
+            for _ in 0..rng.range(1..20) {
+                let t = match rng.range(0..10 + 2 * arrivals as u64) {
+                    // same-timestamp burst
+                    0..=3 => SimTime(base),
+                    // near horizon (a few days out)
+                    4..=7 => SimTime(base + rng.range(0..100_000u64)),
+                    // window edge
+                    8 => SimTime(base + (DAYS << DAY_SHIFT) - rng.range(0..3u64)),
+                    // far-future outlier, well past the ring window
+                    9 => SimTime(base + (DAYS << DAY_SHIFT) * rng.range(1..5u64) + 13),
+                    // an arrival out of order, behind the chunk's tail
+                    _ => SimTime(next_arrival.saturating_sub(rng.range(0..20_000u64))),
+                };
+                push(&mut cal, &mut ora, t);
+                pushed += 1;
+            }
+            lane_max = lane_max.max(cal.lane.len());
+            // ...then a few interleaved pops.
+            let pops = if arrivals {
+                rng.range(0..2 * (pushed - first))
+            } else {
+                rng.range(0..15)
+            };
+            for _ in 0..pops {
+                mixed += (!cal.lane.is_empty() && cal.len() > cal.lane.len()) as usize;
                 let c = cal.pop();
                 let o = ora.pop();
-                assert_eq!(c, o, "seed {seed}: drain diverged");
-                if c.is_none() {
+                assert_eq!(c, o, "seed {seed}: pop diverged");
+                if let Some((t, _)) = c {
+                    base = t.0;
+                } else {
                     break;
                 }
+            }
+        }
+        // Drain both to the end.
+        loop {
+            let c = cal.pop();
+            let o = ora.pop();
+            assert_eq!(c, o, "seed {seed}: drain diverged");
+            if c.is_none() {
+                break;
+            }
+        }
+        (lane_max, mixed)
+    }
+
+    /// The refill guard. The lane head (day 1) is due before the
+    /// calendar's next day (day 5). Popping it must not open day 5: a push
+    /// into day 2 made afterwards would then land in overflow, behind day
+    /// 5's drain, and fire after it.
+    #[test]
+    fn lane_head_before_next_day_keeps_order() {
+        let day = 1u64 << DAY_SHIFT;
+        let mut q = EventQueue::new();
+        let mut ora = oracle::HeapQueue::new();
+        for (t, ev) in [
+            (day + 100, "lane head"),
+            (7 * day, "lane tail"),
+            (5 * day, "day 5"),
+        ] {
+            q.push(SimTime(t), ev);
+            ora.push(SimTime(t), ev);
+        }
+        assert_eq!(q.lane.len(), 2, "day 5 is earlier than the lane tail");
+        assert_eq!(q.pop(), ora.pop());
+        q.push(SimTime(2 * day + 3), "day 2");
+        ora.push(SimTime(2 * day + 3), "day 2");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let want: Vec<_> = std::iter::from_fn(|| ora.pop()).collect();
+        assert_eq!(order, want);
+        assert_eq!(order[0].1, "day 2");
+    }
+
+    /// Structural pin for the lane: a driver's injection chunk — 4 096
+    /// arrivals at 64 B line rate, pushed up front, each scheduling a
+    /// fixed-latency follow-up when it pops — never enters the open day,
+    /// which holds at most the follow-ups in flight (48; an open day that
+    /// held the injections too reached 126).
+    #[test]
+    fn injection_chunk_stays_out_of_the_open_day() {
+        const N: u64 = 4096;
+        const LATENCY: Duration = Duration(40_000);
+        let bound = (LATENCY.0 / GAP_64B) as usize + 1;
+        let mut q = EventQueue::new();
+        for i in 0..N {
+            q.push(SimTime(1_000 + i * GAP_64B), true);
+        }
+        let (mut max_drain, mut batch) = (0, Vec::new());
+        while let Some(t) = q.pop_batch(&mut batch) {
+            for &injection in &batch {
+                if injection {
+                    q.push(t + LATENCY, false);
+                }
+            }
+            assert!(
+                q.drain.iter().all(|e| !e.2),
+                "an injection entered the open day"
+            );
+            max_drain = max_drain.max(q.drain.len());
+        }
+        assert_eq!(q.scheduled, 2 * N);
+        assert!(max_drain <= bound, "open day reached {max_drain} > {bound}");
+    }
+
+    /// Structural pin for the pool: after a warm-up, a stream that walks
+    /// more than a ring's worth of fresh days keeps bucket capacity only in
+    /// occupied slots — each drained bucket goes to the pool and each first
+    /// push into an empty slot takes from it — and the pool stays within
+    /// `hwm.max(64)`.
+    #[test]
+    fn fresh_days_reuse_drained_buckets() {
+        let mut q = EventQueue::new();
+        let mut rng = SimRng::seed_from(5);
+        let mut pops = 0u64;
+        while q.now().0 < (DAYS + DAYS / 4) << DAY_SHIFT {
+            while q.len() < 256 {
+                q.push(SimTime(q.now().0 + rng.range(0..4_000_000u64)), pops);
+            }
+            q.pop();
+            pops += 1;
+            if pops > 2_000 && pops.is_multiple_of(16) {
+                let with_cap = q.ring.iter().filter(|b| b.capacity() > 0).count();
+                let occupied = q.occ.iter().map(|w| w.count_ones() as usize).sum();
+                assert!(
+                    with_cap <= occupied,
+                    "{with_cap} slots hold capacity, {occupied} events"
+                );
+                assert!(q.spare_cap <= q.hwm.max(64), "pool holds {}", q.spare_cap);
             }
         }
     }
