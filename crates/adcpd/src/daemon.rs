@@ -870,3 +870,27 @@ impl Daemon {
         bad
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn drift_check_catches_a_tracer_that_loses_drops() {
+        // The quick soak's first burst overflows a TM2 queue within 32
+        // slices; the tracer then forgets every other one of those drops.
+        let cfg = DaemonCfg {
+            slices: 32,
+            ..DaemonCfg::soak_quick(7)
+        };
+        let mut d = Daemon::new(cfg).expect("daemon builds");
+        d.sw.tracer.set_drop_forensics_loss(true);
+        let r = d.run();
+        assert!(
+            r.drift.iter().any(|line| line.contains("forensics")),
+            "lost forensics went unreported: {:?}",
+            r.drift
+        );
+        assert!(!r.healthy);
+    }
+}

@@ -1,5 +1,5 @@
 //! The suite: one row per application, the one list every driver loops
-//! over (`table1`, `bench_snapshot`, `adcp-trace`, the datapath pin).
+//! over (`table1`, `adcp-trace`, the datapath pin, the cost pin).
 //!
 //! Adding an app is one module plus one row here. A row names the app,
 //! the RMT lowerings that make sense for it, and how to run it at either

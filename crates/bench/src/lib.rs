@@ -37,10 +37,6 @@
 //! * [`par`] — order-preserving scoped-thread map; every sweep above runs
 //!   its config points through it.
 //! * [`report`] — console tables and `--json` output.
-//! * [`snapshot`] — the `bench_snapshot` throughput suite behind
-//!   `BENCH_<date>.json` perf-trajectory files: every `suite::APPS` row on
-//!   the ADCP and its preferred RMT lowering, plus a fabric and an `adcpd`
-//!   point; one `measure_overhead(var, on_value, label)` per knob.
 //! * [`trace`] — lookup of a `suite::APPS` row by name and per-stage
 //!   flattening for the `adcp-trace` binary.
 //! * [`shutdown`] — SIGINT/SIGTERM latch (re-exported from `adcp-sim`)
@@ -64,7 +60,6 @@ pub mod exp_tse;
 pub mod journey;
 pub mod par;
 pub mod report;
-pub mod snapshot;
 pub mod trace;
 
 pub use adcp_sim::shutdown;

@@ -63,27 +63,6 @@ pub fn print_json<T: Serialize>(experiment: &str, rows: &[T]) {
     out.flush().expect("stdout flush");
 }
 
-/// Write rows as one pretty-printed JSON document:
-/// `{"experiment": ..., "date": ..., "rows": [...]}`. Used by
-/// `bench_snapshot` to record the perf trajectory (`BENCH_<date>.json`).
-pub fn write_json_file<T: Serialize>(
-    path: &std::path::Path,
-    experiment: &str,
-    date: &str,
-    rows: &[T],
-) -> std::io::Result<()> {
-    let mut doc = serde_json::Map::new();
-    doc.insert(
-        "experiment".into(),
-        serde_json::Value::String(experiment.into()),
-    );
-    doc.insert("date".into(), serde_json::Value::String(date.into()));
-    let items: Vec<serde_json::Value> = rows.iter().map(|r| tagged_row(experiment, r)).collect();
-    doc.insert("rows".into(), serde_json::Value::Array(items));
-    let text = serde_json::to_string_pretty(&serde_json::Value::Object(doc)).expect("json encodes");
-    std::fs::write(path, text + "\n")
-}
-
 /// True when the process args ask for JSON output.
 pub fn want_json() -> bool {
     std::env::args().any(|a| a == "--json")

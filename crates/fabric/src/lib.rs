@@ -799,7 +799,7 @@ pub fn plan_owners(key_space: u64, n_leaves: u32, loads: &[u64]) -> Vec<u32> {
 /// Steer-key space of the demo program (matches the conformance harness).
 pub const DEMO_CELLS: usize = 64;
 
-/// What [`run_demo`] measured.
+/// What [`run_demo_with_report`] measured.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct DemoReport {
     /// Frames injected at host ports.
@@ -927,11 +927,7 @@ pub fn demo_fabric(seed: u64, cfg: FabricConfig) -> (Fabric, Program) {
 /// Run the partitioned-counter demo: `packets` frames with seeded random
 /// (key, idx, val) from round-robin host ports, verified against a
 /// host-side oracle (merged registers, full delivery, no state leaks).
-pub fn run_demo(seed: u64, packets: u64, cfg: FabricConfig) -> DemoReport {
-    run_demo_with_report(seed, packets, cfg).0
-}
-
-/// [`run_demo`] plus the full serializable [`FabricReport`] — the
+/// Returns the verdict and the full serializable [`FabricReport`] — the
 /// byte-comparison surface for determinism tests: per-device counters,
 /// per-link stats, and digests over every delivered frame and every
 /// central register cell in the fabric.
@@ -945,9 +941,10 @@ pub fn run_demo_with_report(
     (demo, report)
 }
 
-/// [`run_demo`] but hands back the still-warm [`Fabric`] so observability
-/// consumers can drain what a run left behind: per-device journey traces,
-/// link [`Crossing`]s, and INT postcards (when the switch config stamps).
+/// [`run_demo_with_report`] but hands back the still-warm [`Fabric`] so
+/// observability consumers can drain what a run left behind: per-device
+/// journey traces, link [`Crossing`]s, and INT postcards (when the switch
+/// config stamps).
 pub fn run_demo_keep(seed: u64, packets: u64, cfg: FabricConfig) -> (DemoReport, Fabric) {
     let (mut fabric, _program) = demo_fabric(seed, cfg);
     let mut rng = SimRng::seed_from(seed ^ 0xFAB0_0002);
@@ -982,7 +979,7 @@ mod tests {
 
     #[test]
     fn demo_counter_agrees_with_oracle() {
-        let r = run_demo(7, 200, FabricConfig::default());
+        let r = run_demo_with_report(7, 200, FabricConfig::default()).0;
         assert!(r.correct, "demo run diverged: {r:?}");
         assert_eq!(r.injected, 200);
         assert_eq!(r.delivered, 200);
@@ -991,10 +988,10 @@ mod tests {
 
     #[test]
     fn demo_is_deterministic_per_seed() {
-        let a = run_demo(11, 120, FabricConfig::default());
-        let b = run_demo(11, 120, FabricConfig::default());
+        let a = run_demo_with_report(11, 120, FabricConfig::default()).0;
+        let b = run_demo_with_report(11, 120, FabricConfig::default()).0;
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        let c = run_demo(12, 120, FabricConfig::default());
+        let c = run_demo_with_report(12, 120, FabricConfig::default()).0;
         assert!(c.correct);
     }
 

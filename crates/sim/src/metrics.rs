@@ -22,7 +22,7 @@
 //! path is an array index plus an integer add — no string hashing per
 //! event. The whole registry can be disabled (the
 //! `ADCP_METRICS=off` environment variable, or
-//! [`MetricsRegistry::new_disabled`]) so `bench_snapshot` can measure the
+//! [`MetricsRegistry::new_disabled`]) so a run can measure the
 //! instrumentation overhead itself; recording into a disabled registry is a
 //! branch and a return.
 //!
@@ -163,8 +163,8 @@ impl MetricsRegistry {
     }
 
     /// Registry with collection off: registration still hands out valid
-    /// handles, but every record call is a branch-and-return. Used by
-    /// `bench_snapshot` to measure instrumentation overhead.
+    /// handles, but every record call is a branch-and-return: the off leg
+    /// of an instrumentation-overhead measurement.
     pub fn new_disabled() -> Self {
         MetricsRegistry {
             enabled: false,

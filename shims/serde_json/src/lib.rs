@@ -49,10 +49,14 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 /// without sign/fraction/exponent becomes [`Value::U64`] (or [`Value::U128`]
 /// past `u64`), a negative integer becomes [`Value::I64`], and anything with
 /// a fraction or exponent becomes [`Value::F64`].
+///
+/// Arrays and objects nest at most 128 deep, as in `serde_json`; deeper
+/// input is an error, not a stack overflow.
 pub fn from_str(text: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -63,9 +67,14 @@ pub fn from_str(text: &str) -> Result<Value> {
     Ok(v)
 }
 
+/// How deep [`from_str`] lets arrays and objects nest.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -107,11 +116,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object a level deeper, refusing past
+    /// `MAX_DEPTH`.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value> {
@@ -379,6 +400,23 @@ mod tests {
         assert!(from_str("[1,]").is_err());
         assert!(from_str("1 2").is_err());
         assert!(from_str("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_stops_at_the_depth_limit() {
+        fn arrays(n: usize) -> String {
+            "[".repeat(n) + &"]".repeat(n)
+        }
+        fn objects(n: usize) -> String {
+            "{\"k\":".repeat(n) + "0" + &"}".repeat(n)
+        }
+        for nest in [arrays, objects] {
+            assert!(from_str(&nest(MAX_DEPTH)).is_ok(), "{MAX_DEPTH} levels");
+            let err = from_str(&nest(MAX_DEPTH + 1)).expect_err("one level more");
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+        }
+        // Far past the limit: an error, not a stack overflow.
+        assert!(from_str(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

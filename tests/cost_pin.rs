@@ -1,4 +1,6 @@
-//! Exact per-packet costs, pinned one-sided.
+//! Exact per-packet costs, pinned one-sided: the repository's perf check.
+//! Wall time is the repository benchmark's (`benchmark/`); these counts do
+//! not drift with the host, so CI can fail on them.
 //!
 //! Two runs are driven the way the repository benchmark drives its
 //! workloads — a chunk of frames is built, injected up front and run to its
@@ -12,11 +14,18 @@
 //! Over the chunks after the warm-up the test counts heap allocations made
 //! by `inject` and the run (frames are built outside the count) and events
 //! scheduled on every device's queue, and divides both by the packets
-//! injected. The counts are exact, so they are compared with
+//! injected. Two more kinds of run are counted whole, set-up included, for
+//! allocations per injected packet only:
+//!
+//! - `apps/<app>/<target>`: one quick run of every `suite::APPS` row on
+//!   every target it runs on;
+//! - `soak`: 32 slices of the `adcpd` quick soak.
+//!
+//! The counts are exact, so they are compared with
 //! `tests/golden/cost_pin.json` one-sided: a count may fall, and a re-bless
-//! records the new floor; it may not rise. Debug builds rebuild every
-//! patched frame to check it, which allocates, so the golden keeps one
-//! entry per build profile:
+//! records the new floor; it may not rise. The golden and the runs must
+//! name the same rows. Debug builds rebuild every patched frame to check
+//! it, which allocates, so the golden keeps one entry per build profile:
 //!
 //! ```text
 //! COST_PIN_UPDATE=1 cargo test --test cost_pin
@@ -31,6 +40,7 @@ use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
+use adcp::apps::suite::{self, Scale};
 use adcp::core::{AdcpConfig, AdcpSwitch};
 use adcp::fabric::{demo_fabric, Fabric, FabricConfig, DEMO_CELLS};
 use adcp::lang::{
@@ -40,6 +50,7 @@ use adcp::lang::{
 use adcp::sim::packet::{FlowId, Packet, PortId};
 use adcp::sim::rng::SimRng;
 use adcp::sim::time::SimTime;
+use adcpd::daemon::{Daemon, DaemonCfg};
 use serde_json::{Map, Value};
 
 thread_local! {
@@ -92,21 +103,21 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-/// Run `f` with counting on; returns the allocations it made.
-fn count(f: impl FnOnce()) -> u64 {
+/// Run `f` with counting on; returns its result and the allocations it
+/// made.
+fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let a0 = ALLOCS.load(Relaxed);
     COUNTING.with(|c| c.set(true));
-    f();
+    let out = f();
     COUNTING.with(|c| c.set(false));
-    ALLOCS.load(Relaxed) - a0
+    (out, ALLOCS.load(Relaxed) - a0)
 }
 
-/// What the chunks after the warm-up cost.
-#[derive(Default)]
+/// What a run cost. Only the runs driven chunk by chunk count events.
 struct Cost {
     pkts: u64,
     allocs: u64,
-    events: u64,
+    events: Option<u64>,
 }
 
 impl Cost {
@@ -114,7 +125,9 @@ impl Cost {
         let mut m = Map::new();
         m.insert("pkts".into(), Value::U64(self.pkts));
         m.insert("allocs".into(), Value::U64(self.allocs));
-        m.insert("events".into(), Value::U64(self.events));
+        if let Some(events) = self.events {
+            m.insert("events".into(), Value::U64(events));
+        }
         Value::Object(m)
     }
 }
@@ -176,7 +189,7 @@ fn drive(
     per_chunk: u64,
     mut chunk: impl FnMut(u64, &mut Vec<(u32, Packet, SimTime)>),
 ) -> Cost {
-    let mut cost = Cost::default();
+    let (mut pkts, mut allocs, mut events) = (0, 0, 0);
     let mut batch = Vec::with_capacity(per_chunk as usize);
     let mut delivered = 0;
     for c in 0..CHUNKS {
@@ -184,8 +197,8 @@ fn drive(
             chunk(i, &mut batch);
         }
         let until = (c + 1 < CHUNKS).then(|| batch.last().expect("a full chunk").2);
-        let events = dut.events();
-        let allocs = count(|| {
+        let events0 = dut.events();
+        let ((), chunk_allocs) = count(|| {
             for (port, pkt, at) in batch.drain(..) {
                 dut.inject(port, pkt, at);
             }
@@ -193,13 +206,17 @@ fn drive(
         });
         delivered += dut.take();
         if c > 0 {
-            cost.pkts += per_chunk;
-            cost.allocs += allocs;
-            cost.events += dut.events() - events;
+            pkts += per_chunk;
+            allocs += chunk_allocs;
+            events += dut.events() - events0;
         }
     }
     assert_eq!(delivered, CHUNKS * per_chunk, "every frame is delivered");
-    cost
+    Cost {
+        pkts,
+        allocs,
+        events: Some(events),
+    }
 }
 
 fn fabric_demo() -> Cost {
@@ -262,6 +279,39 @@ fn fwd_switch() -> Cost {
     cost
 }
 
+/// Every `suite::APPS` row on every target it runs on: one whole quick
+/// run each, set-up included.
+fn apps() -> Vec<(String, Cost)> {
+    let mut rows = Vec::new();
+    for app in &suite::APPS {
+        for kind in app.kinds() {
+            let (report, allocs) = count(|| (app.run)(kind, Scale::Quick));
+            let cost = Cost {
+                pkts: report.injected,
+                allocs,
+                events: None,
+            };
+            rows.push((format!("apps/{}/{}", app.name, report.target), cost));
+        }
+    }
+    rows
+}
+
+/// 32 slices of the `adcpd` quick soak, set-up and drain included.
+fn soak() -> Cost {
+    let cfg = DaemonCfg {
+        slices: 32,
+        ..DaemonCfg::soak_quick(7)
+    };
+    let (report, allocs) = count(|| Daemon::new(cfg).expect("daemon builds").run());
+    assert!(report.healthy, "soak drift: {:?}", report.drift);
+    Cost {
+        pkts: report.injected,
+        allocs,
+        events: None,
+    }
+}
+
 #[test]
 fn per_packet_costs_do_not_rise() {
     for knob in ["ADCP_TRACE", "ADCP_INT"] {
@@ -273,7 +323,12 @@ fn per_packet_costs_do_not_rise() {
     } else {
         "release"
     };
-    let runs = [("fabric_demo", fabric_demo()), ("fwd_switch", fwd_switch())];
+    let mut runs = vec![
+        ("fabric_demo".to_string(), fabric_demo()),
+        ("fwd_switch".to_string(), fwd_switch()),
+    ];
+    runs.extend(apps());
+    runs.push(("soak".to_string(), soak()));
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cost_pin.json");
     let golden = std::fs::read_to_string(&path)
@@ -285,7 +340,7 @@ fn per_packet_costs_do_not_rise() {
         };
         let mut now = Map::new();
         for (name, cost) in &runs {
-            now.insert(name.to_string(), cost.to_value());
+            now.insert(name.clone(), cost.to_value());
         }
         all.insert(profile.into(), Value::Object(now));
         let text = serde_json::to_string_pretty(&Value::Object(all)).expect("serializable");
@@ -293,17 +348,30 @@ fn per_packet_costs_do_not_rise() {
         return;
     }
 
+    let Some(Value::Object(pinned_rows)) = golden.get(profile) else {
+        panic!("no {profile} entry in the golden; bless it");
+    };
+    let orphans: Vec<&String> = pinned_rows
+        .iter()
+        .map(|(name, _)| name)
+        .filter(|name| runs.iter().all(|(run, _)| run != *name))
+        .collect();
+    assert!(
+        orphans.is_empty(),
+        "golden rows no run produced (renamed or removed? re-bless): {orphans:?}"
+    );
     let mut risen = Vec::new();
     for (name, cost) in &runs {
-        let pinned = golden.get(profile).and_then(|p| p.get(name));
         let pinned = |key: &str| {
-            pinned
+            pinned_rows
+                .get(name)
                 .and_then(|p| p.get(key))
                 .and_then(Value::as_u64)
                 .unwrap_or_else(|| panic!("no {profile}/{name}/{key} in the golden; bless it"))
         };
         assert_eq!(cost.pkts, pinned("pkts"), "{name}: the run changed size");
-        for (key, now) in [("allocs", cost.allocs), ("events", cost.events)] {
+        for (key, now) in [("allocs", Some(cost.allocs)), ("events", cost.events)] {
+            let Some(now) = now else { continue };
             let (was, per) = (pinned(key), |n: u64| n as f64 / cost.pkts as f64);
             let line = format!(
                 "{name} {key}/pkt: {:.4} pinned, {:.4} now",
