@@ -22,7 +22,10 @@
 //!   A crossing waits in its receiver's inbox and enters after every
 //!   event before its arrival time and ahead of any at it, same-time
 //!   arrivals in link order, so where windows or `run_until` slices fall
-//!   never reorders a switch's events.
+//!   never reorders a switch's events. Inside a window no device touches
+//!   another, so the calling thread and one worker advance disjoint
+//!   devices, each sending on its own links; the exchange gathers their
+//!   output in device order, so the thread count changes no output.
 //!
 //! The conformance harness (`adcp-bench`) runs every seeded random program
 //! on this fabric *and* on a single big switch and requires bit-identical
@@ -30,6 +33,13 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+use std::cmp::Reverse;
+use std::hint;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::{self, Thread};
+use std::time::Instant;
 
 use adcp_core::{AdcpConfig, AdcpSwitch, Delivered, PartitionMap};
 use adcp_ctrl::plan_scale_to;
@@ -185,23 +195,136 @@ struct Arrival {
     pkt: Packet,
 }
 
-/// A leaf–spine fabric of ADCP switches running one placed program.
-pub struct Fabric {
-    spec: FabricSpec,
-    leaves: Vec<AdcpSwitch>,
-    spines: Vec<AdcpSwitch>,
-    /// `up[l][s]`: leaf `l` → spine `s`. `down[s][l]`: spine `s` → leaf `l`.
-    up: Vec<Vec<Link>>,
-    down: Vec<Vec<Link>>,
-    /// The minimum link latency: what a device sends at `t` reaches no
-    /// peer before `t + lookahead`.
-    lookahead: Duration,
-    /// Per device (leaves, then spines): arrivals still on their link,
-    /// sorted by `(arrive, link)`.
-    inbox: Vec<Vec<Arrival>>,
-    /// The one buffer every device's deliveries are drained through.
+/// One member switch with everything only it touches inside a window: the
+/// links it sends on, the arrivals still on links into it, and its part of
+/// the window's output, which the exchange gathers. Every buffer keeps its
+/// capacity from window to window.
+struct Device {
+    sw: AdcpSwitch,
+    /// The links it sends on: a leaf's uplinks by spine, a spine's
+    /// downlinks by leaf.
+    links: Vec<Link>,
+    /// Arrivals still on their link, sorted by `(arrive, link)`.
+    inbox: Vec<Arrival>,
+    /// The buffer its deliveries are drained through.
     outbox: Vec<Delivered>,
-    host_injected: u64,
+    /// Frames it put on its links this window, for the receivers' inboxes.
+    sent: Vec<Arrival>,
+    /// Frames it delivered to hosts this window, ports already logical.
+    hosted: Vec<Delivered>,
+    /// Crossings it entered this window (only while they are recorded).
+    entered: Vec<Crossing>,
+    /// Time of the last event it handled this window.
+    last: Option<SimTime>,
+    /// The horizon of the window it is advanced in next.
+    horizon: SimTime,
+}
+
+impl Device {
+    fn new(sw: AdcpSwitch, links: Vec<Link>) -> Self {
+        Device {
+            sw,
+            links,
+            inbox: Vec::new(),
+            outbox: Vec::new(),
+            sent: Vec::new(),
+            hosted: Vec::new(),
+            entered: Vec::new(),
+            last: None,
+            horizon: SimTime::ZERO,
+        }
+    }
+
+    /// The earliest event it holds or arrival still on a link into it.
+    fn next_event_time(&self) -> Option<SimTime> {
+        let held = self.inbox.first().map(|a| a.c.arrive);
+        self.sw.next_event_time().into_iter().chain(held).min()
+    }
+
+    /// Advance device `d` to its horizon `h`, then route what it
+    /// delivered. Each arrival due by `h` enters after every event before
+    /// its time and ahead of any at it, so no window or slice boundary can
+    /// reorder the device's pushes.
+    fn window(&mut self, d: usize, spec: &FabricSpec, record: bool) {
+        let h = self.horizon;
+        let due = self.inbox.partition_point(|a| a.c.arrive <= h);
+        for Arrival { c, port, pkt } in self.inbox.drain(..due) {
+            let before = run_device(&mut self.sw, SimTime(c.arrive.0 - 1));
+            self.last = self.last.max(before);
+            if record {
+                self.entered.push(c);
+            }
+            self.sw.inject(port, pkt, c.arrive);
+        }
+        self.last = self.last.max(run_device(&mut self.sw, h));
+        self.route(d, spec);
+    }
+
+    /// Drain device `from`'s deliveries: host-slot frames go to `hosted`
+    /// (remapped to logical ports); the others cross its own links into
+    /// `sent`, arriving at least one link latency after they left.
+    fn route(&mut self, from: usize, spec: &FabricSpec) {
+        let n = spec.n_leaves as usize;
+        let hosts = spec.hosts_per_leaf;
+        self.sw.drain_delivered(&mut self.outbox);
+        for d in self.outbox.drain(..) {
+            let port = d.port.0 as u32;
+            let (link, to, rx) = if from >= n {
+                let uplink = spec.uplink_port((from - n) as u32);
+                (&mut self.links[port as usize], port as usize, uplink)
+            } else if port >= hosts {
+                let s = (port - hosts) as usize;
+                (&mut self.links[s], n + s, from as u32)
+            } else {
+                let logical = spec.logical_of(from as u32, port);
+                self.hosted.push(Delivered {
+                    port: PortId(logical as u16),
+                    ..d
+                });
+                continue;
+            };
+            let depart = d.time;
+            let pkt = relay(d);
+            let c = Crossing {
+                pkt: pkt.meta.id,
+                flow: pkt.meta.flow.0,
+                from_device: from as u16,
+                to_device: to as u16,
+                depart,
+                arrive: link.transfer(&pkt, depart),
+            };
+            let port = PortId(rx as u16);
+            self.sent.push(Arrival { c, port, pkt });
+        }
+    }
+}
+
+/// Hand a delivered frame to the next hop as a fresh packet, keeping
+/// identity, creation time and the TX stamp: the receiving RX stage
+/// verifies the stamp the transmitting TX made, so a reseal here would
+/// hide corruption on the link.
+fn relay(d: Delivered) -> Packet {
+    let mut p = Packet::new(d.meta.id, d.meta.flow, d.data);
+    p.meta.created = d.meta.created;
+    p.meta.coflow = d.meta.coflow;
+    p.meta.goodput_bytes = d.meta.goodput_bytes;
+    p.meta.fcs = d.meta.fcs;
+    // The INT header region rides the frame across the link, so the
+    // next device appends to the same stack (the end-to-end chain).
+    p.meta.int = d.meta.int;
+    p
+}
+
+/// A device as the run holds it: either thread may lock it, and the window
+/// handshake keeps the two from ever wanting the same one at once.
+type DeviceLock<'a> = Mutex<&'a mut Device>;
+
+fn lock<'c, 'a>(cell: &'c DeviceLock<'a>) -> MutexGuard<'c, &'a mut Device> {
+    cell.lock().expect("a fabric device panicked")
+}
+
+/// What the fabric keeps of its runs besides the devices.
+struct Harvest {
     host_delivered: u64,
     forwarded: u64,
     delivered: Vec<Delivered>,
@@ -209,6 +332,288 @@ pub struct Fabric {
     record_crossings: bool,
     crossings: Vec<Crossing>,
     crossings_truncated: u64,
+}
+
+impl Harvest {
+    /// The exchange: gather every device's window output in device order —
+    /// host frames onto `delivered`, link frames into their receivers'
+    /// inboxes, entered crossings onto the record. Returns the time of the
+    /// last event any device handled.
+    fn exchange(&mut self, all: &mut [MutexGuard<'_, &mut Device>]) -> Option<SimTime> {
+        let entered = self.crossings.len();
+        let mut last = None;
+        for from in 0..all.len() {
+            let dev = &mut **all[from];
+            last = last.max(dev.last.take());
+            self.crossings.append(&mut dev.entered);
+            self.host_delivered += dev.hosted.len() as u64;
+            self.delivered.append(&mut dev.hosted);
+            self.forwarded += dev.sent.len() as u64;
+            let mut sent = std::mem::take(&mut dev.sent);
+            for a in sent.drain(..) {
+                all[a.c.to_device as usize].inbox.push(a);
+            }
+            all[from].sent = sent;
+        }
+        if self.record_crossings {
+            // Devices enter their arrivals one after another; sorting the
+            // window's crossings keeps the record, too, free of where
+            // windows fall.
+            self.crossings[entered..]
+                .sort_unstable_by_key(|c| (c.arrive, c.to_device, c.from_device));
+            let over = self.crossings.len().saturating_sub(CROSSINGS_CAP);
+            self.crossings_truncated += over as u64;
+            self.crossings.truncate(CROSSINGS_CAP);
+        }
+        for dev in all.iter_mut() {
+            // The key is unique: one link's arrivals strictly increase.
+            dev.inbox
+                .sort_unstable_by_key(|a| (a.c.arrive, a.c.from_device));
+        }
+        last
+    }
+}
+
+/// Windows between two re-splits of the devices over the threads.
+const RESPLIT_WINDOWS: u64 = 64;
+
+/// What both threads read during a window: which thread is each device's
+/// home and the order devices are taken in, which the calling thread
+/// writes between windows, and the window's claims, which both make. No
+/// output depends on it.
+struct Board {
+    /// Devices, heaviest first by the last re-split's measure.
+    rank: Vec<AtomicUsize>,
+    /// Per device: its home is the worker, not the calling thread.
+    on_worker: Vec<AtomicBool>,
+    /// Per device: the last window it was claimed in. A device with no
+    /// work due is claimed by the calling thread as it plans the window.
+    claimed: Vec<AtomicU64>,
+    /// Due devices of the window under way not yet advanced.
+    left: AtomicUsize,
+}
+
+impl Board {
+    /// Advance every due device of window `w` this thread can claim: its
+    /// own, heaviest first, then those of the other thread that it has not
+    /// started, lightest first. A device so stays on its home thread unless
+    /// the other runs out of work first, and a late or descheduled worker
+    /// costs the window nothing but the device it is in the middle of.
+    /// Returns whether this thread advanced the window's last device.
+    fn take_turn(
+        &self,
+        cells: &[DeviceLock<'_>],
+        spec: &FabricSpec,
+        record: bool,
+        w: u64,
+        worker: bool,
+    ) -> bool {
+        let n = cells.len();
+        let rank = |i: usize| self.rank[i].load(Ordering::Relaxed);
+        let home = |d: usize| self.on_worker[d].load(Ordering::Relaxed) == worker;
+        let own = (0..n).map(rank).filter(|&d| home(d));
+        let others = (0..n).rev().map(rank).filter(|&d| !home(d));
+        let mut finished = false;
+        for d in own.chain(others) {
+            // A claim for a window already closed always fails: every
+            // device then carries that window's number or a later one.
+            if self.claimed[d].fetch_max(w, Ordering::AcqRel) < w {
+                lock(&cells[d]).window(d, spec, record);
+                finished = self.left.fetch_sub(1, Ordering::AcqRel) == 1;
+            }
+        }
+        finished
+    }
+}
+
+/// Which thread advances which device: the board both threads read, and
+/// the calling thread's tally for the next re-split.
+struct Split {
+    board: Board,
+    tally: Tally,
+}
+
+impl Split {
+    fn new(n: usize) -> Self {
+        Split {
+            board: Board {
+                rank: (0..n).map(AtomicUsize::new).collect(),
+                on_worker: (0..n).map(|_| AtomicBool::new(false)).collect(),
+                claimed: (0..n).map(|_| AtomicU64::new(0)).collect(),
+                left: AtomicUsize::new(0),
+            },
+            tally: Tally {
+                base: vec![0; n],
+                load: vec![0; n],
+                order: (0..n).collect(),
+                windows: 0,
+                #[cfg(test)]
+                shared: 0,
+            },
+        }
+    }
+}
+
+/// What the calling thread keeps between re-splits.
+struct Tally {
+    /// Per device: `events_scheduled` at the last re-split.
+    base: Vec<u64>,
+    /// Per device: events scheduled since the last re-split, plus one.
+    load: Vec<u64>,
+    /// Scratch for the re-split's sort.
+    order: Vec<usize>,
+    /// Windows planned so far; a window's number is its count.
+    windows: u64,
+    /// Windows offered to the worker so far.
+    #[cfg(test)]
+    shared: u64,
+}
+
+impl Tally {
+    /// Re-split the devices between the two threads by the events each has
+    /// scheduled since the last re-split: longest first, each onto the
+    /// lighter side, and the lighter side to the calling thread, which runs
+    /// the exchange as well. Allocates nothing.
+    fn resplit(&mut self, board: &Board, all: &[MutexGuard<'_, &mut Device>]) {
+        let Tally {
+            base, load, order, ..
+        } = self;
+        for (d, dev) in all.iter().enumerate() {
+            let now = dev.sw.events_scheduled();
+            // Plus one: a device that has scheduled nothing yet still counts.
+            load[d] = now - base[d] + 1;
+            base[d] = now;
+        }
+        order.sort_unstable_by_key(|&d| (Reverse(load[d]), d));
+        let mut sides = [0u64; 2];
+        for (i, &d) in order.iter().enumerate() {
+            let side = usize::from(sides[1] < sides[0]);
+            sides[side] += load[d];
+            board.rank[i].store(d, Ordering::Relaxed);
+            board.on_worker[d].store(side == 1, Ordering::Relaxed);
+        }
+        if sides[1] < sides[0] {
+            for flag in &board.on_worker {
+                flag.store(!flag.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+/// How long a thread waiting on the other spins before it parks: longer
+/// than the exchange between two windows, well short of a window's device
+/// work.
+const SPIN: std::time::Duration = std::time::Duration::from_micros(50);
+
+/// Return once `ready()` holds: spin for [`SPIN`], then park. The thread
+/// that makes it true unparks this one afterwards.
+fn wait_until(ready: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !ready() {
+        if start.elapsed() < SPIN {
+            hint::spin_loop();
+        } else {
+            thread::park();
+        }
+    }
+}
+
+/// The window handshake between the calling thread and its worker.
+#[derive(Default)]
+struct Baton {
+    /// Number of the last window posted to the worker.
+    posted: AtomicU64,
+    /// No more windows: the run is over or unwinding.
+    stop: AtomicBool,
+    /// The worker has returned, or is unwinding.
+    gone: AtomicBool,
+}
+
+/// The calling thread's end of the handshake. Dropping it, at the end of
+/// the run or in an unwind, stops the worker, so the scope can join it.
+struct Caller<'b> {
+    baton: &'b Baton,
+    worker: Option<Thread>,
+}
+
+impl Caller<'_> {
+    /// Offer window `w` to the worker.
+    fn post(&self, w: u64) {
+        self.baton.posted.store(w, Ordering::Release);
+        self.worker.as_ref().expect("spawned").unpark();
+    }
+
+    /// Wait until the window's devices the worker claimed are advanced.
+    fn join_window(&self, board: &Board) {
+        let b = self.baton;
+        wait_until(|| board.left.load(Ordering::Acquire) == 0 || b.gone.load(Ordering::Acquire));
+        assert_eq!(
+            board.left.load(Ordering::Acquire),
+            0,
+            "the fabric's worker thread panicked"
+        );
+    }
+}
+
+impl Drop for Caller<'_> {
+    fn drop(&mut self) {
+        if let Some(w) = &self.worker {
+            self.baton.stop.store(true, Ordering::Release);
+            w.unpark();
+        }
+    }
+}
+
+/// Marks the worker gone, and wakes the caller, however the worker leaves.
+struct Gone<'b>(&'b Baton, Thread);
+
+impl Drop for Gone<'_> {
+    fn drop(&mut self) {
+        self.0.gone.store(true, Ordering::Release);
+        self.1.unpark();
+    }
+}
+
+/// The worker: take its turn in every window the caller posts, until it
+/// stops.
+fn work(
+    cells: &[DeviceLock<'_>],
+    board: &Board,
+    spec: &FabricSpec,
+    record: bool,
+    baton: &Baton,
+    caller: Thread,
+) {
+    let _gone = Gone(baton, caller.clone());
+    let mut seen = 0;
+    loop {
+        wait_until(|| {
+            baton.stop.load(Ordering::Acquire) || baton.posted.load(Ordering::Acquire) != seen
+        });
+        if baton.stop.load(Ordering::Acquire) {
+            return;
+        }
+        seen = baton.posted.load(Ordering::Acquire);
+        if board.take_turn(cells, spec, record, seen, true) {
+            caller.unpark();
+        }
+    }
+}
+
+/// A leaf–spine fabric of ADCP switches running one placed program.
+pub struct Fabric {
+    spec: FabricSpec,
+    /// Leaves, then spines: device `d` is INT device id `d`.
+    devices: Vec<Device>,
+    /// The minimum link latency: what a device sends at `t` reaches no
+    /// peer before `t + lookahead`.
+    lookahead: Duration,
+    host_injected: u64,
+    harvest: Harvest,
+    /// Threads a run advances devices on: `available_parallelism()`, at
+    /// most two. In-crate tests pin it.
+    pub(crate) threads: usize,
+    split: Split,
 }
 
 impl Fabric {
@@ -235,7 +640,12 @@ impl Fabric {
             name: "adcp-spine".into(),
             ..TargetModel::adcp_reference()
         };
-        let mut leaves = Vec::new();
+        let links = |n: u32| -> Vec<Link> {
+            (0..n)
+                .map(|_| Link::new(cfg.link_speed, cfg.link_latency))
+                .collect()
+        };
+        let mut devices = Vec::new();
         for (l, installs) in placed.leaf_installs.iter().enumerate() {
             // Fabric-unique INT device ids: leaf `l` = `l`,
             // spine `s` = `n_leaves + s`.
@@ -255,9 +665,8 @@ impl Fabric {
                         error,
                     })?;
             }
-            leaves.push(sw);
+            devices.push(Device::new(sw, links(spec.n_spines)));
         }
-        let mut spines = Vec::new();
         for s in 0..spec.n_spines {
             let mut swcfg = cfg.switch.clone();
             swcfg.device = (spec.n_leaves + s) as u16;
@@ -275,47 +684,31 @@ impl Fabric {
                         error,
                     })?;
             }
-            spines.push(sw);
+            devices.push(Device::new(sw, links(spec.n_leaves)));
         }
-        let up = (0..spec.n_leaves)
-            .map(|_| {
-                (0..spec.n_spines)
-                    .map(|_| Link::new(cfg.link_speed, cfg.link_latency))
-                    .collect()
-            })
-            .collect();
-        let down = (0..spec.n_spines)
-            .map(|_| {
-                (0..spec.n_leaves)
-                    .map(|_| Link::new(cfg.link_speed, cfg.link_latency))
-                    .collect()
-            })
-            .collect();
         // Crossings feed Chrome-trace flow events and collector path
         // edges; both consumers are driven by the (env-resolved) tracer
         // and INT knobs, so record only when one of them is live.
-        let record_crossings = leaves
+        let record_crossings = devices[..spec.n_leaves as usize]
             .iter()
-            .any(|sw| sw.tracer.hops_on() || sw.int_knob().on());
-        let inbox = (0..leaves.len() + spines.len())
-            .map(|_| Vec::new())
-            .collect();
+            .any(|d| d.sw.tracer.hops_on() || d.sw.int_knob().on());
+        let threads = thread::available_parallelism().map_or(1, |n| n.get().min(2));
+        let split = Split::new(devices.len());
         Ok(Fabric {
             spec,
-            leaves,
-            spines,
-            up,
-            down,
+            devices,
             lookahead: cfg.link_latency,
-            inbox,
-            outbox: Vec::new(),
             host_injected: 0,
-            host_delivered: 0,
-            forwarded: 0,
-            delivered: Vec::new(),
-            record_crossings,
-            crossings: Vec::new(),
-            crossings_truncated: 0,
+            harvest: Harvest {
+                host_delivered: 0,
+                forwarded: 0,
+                delivered: Vec::new(),
+                record_crossings,
+                crossings: Vec::new(),
+                crossings_truncated: 0,
+            },
+            threads,
+            split,
         })
     }
 
@@ -326,27 +719,36 @@ impl Fabric {
 
     /// Leaf switch `l`.
     pub fn leaf(&self, l: usize) -> &AdcpSwitch {
-        &self.leaves[l]
+        &self.leaves()[l].sw
     }
 
     /// Spine switch `s`.
     pub fn spine(&self, s: usize) -> &AdcpSwitch {
-        &self.spines[s]
+        &self.devices[self.n_leaves() + s].sw
     }
 
     /// Mutable leaf access (control-plane experiments).
     pub fn leaf_mut(&mut self, l: usize) -> &mut AdcpSwitch {
-        &mut self.leaves[l]
+        &mut self.devices[..self.spec.n_leaves as usize][l].sw
     }
 
     /// Number of leaves.
     pub fn n_leaves(&self) -> usize {
-        self.leaves.len()
+        self.spec.n_leaves as usize
     }
 
     /// Number of spines.
     pub fn n_spines(&self) -> usize {
-        self.spines.len()
+        self.devices.len() - self.n_leaves()
+    }
+
+    fn leaves(&self) -> &[Device] {
+        &self.devices[..self.n_leaves()]
+    }
+
+    /// Every member switch, leaves then spines.
+    fn switches(&self) -> impl Iterator<Item = &AdcpSwitch> {
+        self.devices.iter().map(|d| &d.sw)
     }
 
     /// Frames injected at host ports so far.
@@ -356,19 +758,20 @@ impl Fabric {
 
     /// Frames delivered to host ports so far.
     pub fn host_delivered(&self) -> u64 {
-        self.host_delivered
+        self.harvest.host_delivered
     }
 
     /// Frames that crossed an inter-switch link so far.
     pub fn forwarded(&self) -> u64 {
-        self.forwarded
+        self.harvest.forwarded
     }
 
     /// Install an entry of the *original* program on every leaf — the
     /// fabric analogue of one-big-switch [`AdcpSwitch::install_all`].
     pub fn install_all(&mut self, table: &str, entry: Entry) -> Result<(), TableError> {
-        for sw in &mut self.leaves {
-            sw.install_all(table, entry.clone())?;
+        let n = self.n_leaves();
+        for dev in &mut self.devices[..n] {
+            dev.sw.install_all(table, entry.clone())?;
         }
         Ok(())
     }
@@ -383,110 +786,19 @@ impl Fabric {
         let leaf = self.spec.leaf_of(logical_port) as usize;
         let slot = self.spec.slot_of(logical_port);
         self.host_injected += 1;
-        self.leaves[leaf].inject(PortId(slot as u16), pkt, t);
-    }
-
-    /// Hand a delivered frame to the next hop as a fresh packet, keeping
-    /// identity, creation time and the TX stamp: the receiving RX stage
-    /// verifies the stamp the transmitting TX made, so a reseal here would
-    /// hide corruption on the link.
-    fn relay(d: Delivered) -> Packet {
-        let mut p = Packet::new(d.meta.id, d.meta.flow, d.data);
-        p.meta.created = d.meta.created;
-        p.meta.coflow = d.meta.coflow;
-        p.meta.goodput_bytes = d.meta.goodput_bytes;
-        p.meta.fcs = d.meta.fcs;
-        // The INT header region rides the frame across the link, so the
-        // next device appends to the same stack (the end-to-end chain).
-        p.meta.int = d.meta.int;
-        p
-    }
-
-    /// Drain every device's deliveries, in device order: host-slot frames
-    /// are recorded (remapped to logical ports); the others cross their
-    /// link into the peer's inbox, arriving at least `lookahead` after
-    /// they left.
-    fn exchange(&mut self) {
-        let n = self.leaves.len();
-        let hosts = self.spec.hosts_per_leaf;
-        let mut out = std::mem::take(&mut self.outbox);
-        for from in 0..self.inbox.len() {
-            match self.leaves.get_mut(from) {
-                Some(leaf) => leaf.drain_delivered(&mut out),
-                None => self.spines[from - n].drain_delivered(&mut out),
-            }
-            for d in out.drain(..) {
-                let port = d.port.0 as u32;
-                let (link, to, rx) = if from >= n {
-                    let s = from - n;
-                    let uplink = self.spec.uplink_port(s as u32);
-                    (&mut self.down[s][port as usize], port as usize, uplink)
-                } else if port >= hosts {
-                    let s = (port - hosts) as usize;
-                    (&mut self.up[from][s], n + s, from as u32)
-                } else {
-                    let logical = self.spec.logical_of(from as u32, port);
-                    self.host_delivered += 1;
-                    self.delivered.push(Delivered {
-                        port: PortId(logical as u16),
-                        ..d
-                    });
-                    continue;
-                };
-                let depart = d.time;
-                let pkt = Self::relay(d);
-                let c = Crossing {
-                    pkt: pkt.meta.id,
-                    flow: pkt.meta.flow.0,
-                    from_device: from as u16,
-                    to_device: to as u16,
-                    depart,
-                    arrive: link.transfer(&pkt, depart),
-                };
-                self.forwarded += 1;
-                let port = PortId(rx as u16);
-                self.inbox[to].push(Arrival { c, port, pkt });
-            }
-        }
-        self.outbox = out;
-        for inbox in &mut self.inbox {
-            // The key is unique: one link's arrivals strictly increase.
-            inbox.sort_unstable_by_key(|a| (a.c.arrive, a.c.from_device));
-        }
-    }
-
-    /// Advance device `d` to `h`. Each arrival due by then enters after
-    /// every event before its time and ahead of any at it, so no window
-    /// or slice boundary can reorder the device's pushes. Returns the
-    /// time of the last event handled, if any.
-    fn advance(&mut self, d: usize, h: SimTime) -> Option<SimTime> {
-        let n = self.leaves.len();
-        let sw = match self.leaves.get_mut(d) {
-            Some(leaf) => leaf,
-            None => &mut self.spines[d - n],
-        };
-        let due = self.inbox[d].partition_point(|a| a.c.arrive <= h);
-        let mut last = None;
-        for Arrival { c, port, pkt } in self.inbox[d].drain(..due) {
-            last = last.max(run_device(sw, SimTime(c.arrive.0 - 1)));
-            if self.record_crossings {
-                self.crossings.push(c);
-            }
-            sw.inject(port, pkt, c.arrive);
-        }
-        last.max(run_device(sw, h))
+        self.leaf_mut(leaf).inject(PortId(slot as u16), pkt, t);
     }
 
     /// Link crossings recorded so far (empty unless the journey tracer or
     /// INT stamping was active when the fabric was built), in `(arrive,
     /// to_device, from_device)` order.
     pub fn crossings(&self) -> &[Crossing] {
-        &self.crossings
+        &self.harvest.crossings
     }
 
     /// Crossings that did not fit the bounded record.
     pub fn crossings_truncated(&self) -> u64 {
-        self.crossings_truncated
+        self.harvest.crossings_truncated
     }
 
     /// The INT device id of leaf `l`.
@@ -499,22 +811,15 @@ impl Fabric {
         (self.spec.n_leaves as usize + s) as u16
     }
 
-    /// Human name of an INT device id (`leaf0`, `spine1`, …).
     /// Total device count: leaves first, then spines.
     pub fn n_devices(&self) -> u16 {
-        (self.leaves.len() + self.spines.len()) as u16
+        self.devices.len() as u16
     }
 
     /// The journey-trace JSON of one device — per-device input for the
     /// fabric-wide Chrome export (empty unless the switch config traced).
     pub fn device_trace_json(&self, device: u16) -> serde::Value {
-        let n = self.spec.n_leaves as usize;
-        let d = device as usize;
-        if d < n {
-            self.leaves[d].trace_json()
-        } else {
-            self.spines[d - n].trace_json()
-        }
+        self.devices[device as usize].sw.trace_json()
     }
 
     /// Human-readable name of a device id (`leaf3`, `spine0`, ...).
@@ -531,8 +836,8 @@ impl Fabric {
     /// spines). Each postcard already names its device.
     pub fn drain_postcards(&mut self) -> Vec<Postcard> {
         let mut out = Vec::new();
-        for sw in self.leaves.iter_mut().chain(self.spines.iter_mut()) {
-            out.append(&mut sw.take_postcards());
+        for dev in &mut self.devices {
+            out.append(&mut dev.sw.take_postcards());
         }
         out
     }
@@ -541,7 +846,7 @@ impl Fabric {
     /// every device.
     pub fn int_totals(&self) -> (u64, u64, u64) {
         let mut t = (0, 0, 0);
-        for sw in self.leaves.iter().chain(self.spines.iter()) {
+        for sw in self.switches() {
             let (s, p, tr) = sw.int_totals();
             t = (t.0 + s, t.1 + p, t.2 + tr);
         }
@@ -551,12 +856,9 @@ impl Fabric {
     /// Next pending event time across the whole fabric: the earliest event
     /// a device holds or arrival still on a link.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let held = self.inbox.iter().filter_map(|i| Some(i.first()?.c.arrive));
-        self.leaves
+        self.devices
             .iter()
-            .chain(self.spines.iter())
-            .filter_map(|s| s.next_event_time())
-            .chain(held)
+            .filter_map(Device::next_event_time)
             .min()
     }
 
@@ -575,39 +877,88 @@ impl Fabric {
         self.run(Some(t))
     }
 
+    /// The window loop. Each round the calling thread, holding every
+    /// device, runs the exchange and plans the next window; then it and the
+    /// worker advance the devices with work due to the window's horizon
+    /// ([`Board::take_turn`]). The worker is spawned at the first window in
+    /// which two devices have work due, so a run that touches one device
+    /// never spawns; a window with one device due runs on the calling
+    /// thread alone.
     fn run(&mut self, until: Option<SimTime>) -> SimTime {
-        let mut last = None;
-        while let Some(t0) = self.next_event_time() {
-            if until.is_some_and(|u| t0 > u) {
-                break;
+        let Fabric {
+            spec,
+            devices,
+            lookahead,
+            harvest,
+            threads,
+            split,
+            ..
+        } = self;
+        let (spec, threads, record) = (&*spec, *threads, harvest.record_crossings);
+        let Split { board, tally } = split;
+        let board = &*board;
+        let cells: Vec<DeviceLock<'_>> = devices.iter_mut().map(Mutex::new).collect();
+        let baton = Baton::default();
+        thread::scope(|scope| {
+            let mut caller = Caller {
+                baton: &baton,
+                worker: None,
+            };
+            let mut all = Vec::with_capacity(cells.len());
+            let mut last = None;
+            loop {
+                all.extend(cells.iter().map(lock));
+                last = last.max(harvest.exchange(&mut all));
+                let t0 = all.iter().filter_map(|d| d.next_event_time()).min();
+                let Some(t0) = t0.filter(|&t0| until.is_none_or(|u| t0 <= u)) else {
+                    break;
+                };
+                // What a device sends at or after `t0` arrives at or after
+                // `t0 + lookahead`, past `h`: each device can run to `h`
+                // alone.
+                let h = SimTime(t0.0.saturating_add(lookahead.as_ps() - 1));
+                let h = until.map_or(h, |u| h.min(u));
+                if threads > 1 && tally.windows % RESPLIT_WINDOWS == 0 {
+                    tally.resplit(board, &all);
+                }
+                tally.windows += 1;
+                let w = tally.windows;
+                let mut due = 0;
+                for (d, dev) in all.iter_mut().enumerate() {
+                    if dev.next_event_time().is_some_and(|t| t <= h) {
+                        dev.horizon = h;
+                        due += 1;
+                    } else {
+                        board.claimed[d].store(w, Ordering::Relaxed);
+                    }
+                }
+                board.left.store(due, Ordering::Relaxed);
+                all.clear();
+                if threads > 1 && due > 1 {
+                    if caller.worker.is_none() {
+                        let me = thread::current();
+                        let cells = &cells;
+                        let baton = &baton;
+                        let w = scope.spawn(move || work(cells, board, spec, record, baton, me));
+                        caller.worker = Some(w.thread().clone());
+                    }
+                    #[cfg(test)]
+                    {
+                        tally.shared += 1;
+                    }
+                    caller.post(w);
+                }
+                board.take_turn(&cells, spec, record, w, false);
+                caller.join_window(board);
             }
-            // What a device sends at or after `t0` arrives at or after
-            // `t0 + lookahead`, past `h`: each device can run to `h` alone.
-            let h = SimTime(t0.0.saturating_add(self.lookahead.as_ps() - 1));
-            let h = until.map_or(h, |u| h.min(u));
-            let entered = self.crossings.len();
-            for d in 0..self.inbox.len() {
-                last = last.max(self.advance(d, h));
-            }
-            if self.record_crossings {
-                // Devices enter their arrivals one after another; sorting
-                // the window's crossings keeps the record, too, free of
-                // where windows fall.
-                self.crossings[entered..]
-                    .sort_unstable_by_key(|c| (c.arrive, c.to_device, c.from_device));
-                let over = self.crossings.len().saturating_sub(CROSSINGS_CAP);
-                self.crossings_truncated += over as u64;
-                self.crossings.truncate(CROSSINGS_CAP);
-            }
-            self.exchange();
-        }
-        last.unwrap_or(SimTime::ZERO)
+            last.unwrap_or(SimTime::ZERO)
+        })
     }
 
     /// Take every host-delivered frame harvested so far, in deterministic
     /// harvest order, with `port` remapped to the logical host port.
     pub fn take_delivered(&mut self) -> Vec<Delivered> {
-        std::mem::take(&mut self.delivered)
+        std::mem::take(&mut self.harvest.delivered)
     }
 
     /// Panic unless flow accounting balances: per switch (the usual
@@ -615,21 +966,17 @@ impl Fabric {
     /// host port was either delivered to a host port or shows up in some
     /// switch's typed drop counters. Links never drop.
     pub fn check_conservation(&self) {
-        for sw in self.leaves.iter().chain(self.spines.iter()) {
+        for sw in self.switches() {
             sw.check_conservation();
         }
-        let drops: u64 = self
-            .leaves
-            .iter()
-            .chain(self.spines.iter())
-            .map(|s| s.counters.total_drops())
-            .sum();
+        let drops: u64 = self.switches().map(|s| s.counters.total_drops()).sum();
+        let delivered = self.harvest.host_delivered;
         assert_eq!(
             self.host_injected,
-            self.host_delivered + drops,
+            delivered + drops,
             "fabric conservation: injected {} != delivered {} + drops {}",
             self.host_injected,
-            self.host_delivered,
+            delivered,
             drops
         );
     }
@@ -639,7 +986,7 @@ impl Fabric {
     /// steer key maps onto (`cell % central_pipes` — the same modulo the
     /// data plane applies to `SetCentralPipe`).
     fn owner_cell(&self, owners: &[u32], reg: RegId, cell: usize) -> u64 {
-        let leaf = &self.leaves[owners[cell] as usize];
+        let leaf = self.leaf(owners[cell] as usize);
         let cpipe = cell % leaf.num_central();
         leaf.central_register(cpipe, reg)
             .map(|r| r.peek(cell as u64))
@@ -657,7 +1004,7 @@ impl Fabric {
 
     /// [`Fabric::merged_register_with`] using the spec's own ownership.
     pub fn merged_register(&self, reg: RegId, cells: usize) -> Vec<u64> {
-        self.merged_register_with(&self.spec.owners.clone(), reg, cells)
+        self.merged_register_with(&self.spec.owners, reg, cells)
     }
 
     /// Non-zero register cells living on a leaf that does **not** own
@@ -671,7 +1018,7 @@ impl Fabric {
         cells: usize,
     ) -> Vec<(usize, usize, u64)> {
         let mut leaks = Vec::new();
-        for (l, leaf) in self.leaves.iter().enumerate() {
+        for (l, leaf) in self.leaves().iter().map(|d| &d.sw).enumerate() {
             for (c, &owner) in owners.iter().enumerate().take(cells) {
                 if owner as usize == l {
                     continue;
@@ -691,7 +1038,7 @@ impl Fabric {
 
     /// [`Fabric::register_leaks_with`] using the spec's own ownership.
     pub fn register_leaks(&self, reg: RegId, cells: usize) -> Vec<(usize, usize, u64)> {
-        self.register_leaks_with(&self.spec.owners.clone(), reg, cells)
+        self.register_leaks_with(&self.spec.owners, reg, cells)
     }
 
     fn switch_report(device: String, sw: &AdcpSwitch) -> SwitchReport {
@@ -713,44 +1060,31 @@ impl Fabric {
     /// drain the delivered list — call before [`Fabric::take_delivered`]
     /// when both are needed.
     pub fn report(&self) -> FabricReport {
-        let leaves = self
-            .leaves
-            .iter()
-            .enumerate()
-            .map(|(l, sw)| Self::switch_report(format!("leaf{l}"), sw))
-            .collect();
-        let spines = self
-            .spines
-            .iter()
-            .enumerate()
-            .map(|(s, sw)| Self::switch_report(format!("spine{s}"), sw))
-            .collect();
+        let n = self.n_leaves();
+        let name = |d: usize| self.device_name(d as u16);
+        let mut leaves = Vec::new();
+        let mut spines = Vec::new();
         let mut links = Vec::new();
-        for (l, row) in self.up.iter().enumerate() {
-            for (s, link) in row.iter().enumerate() {
+        for (d, dev) in self.devices.iter().enumerate() {
+            let tier = if d < n { &mut leaves } else { &mut spines };
+            tier.push(Self::switch_report(name(d), &dev.sw));
+            // A leaf's links go to the spines, a spine's to the leaves.
+            let peer = if d < n { n } else { 0 };
+            for (p, link) in dev.links.iter().enumerate() {
                 links.push(LinkReport {
-                    name: format!("leaf{l}->spine{s}"),
+                    name: format!("{}->{}", name(d), name(peer + p)),
                     frames: link.frames,
                     wire_bytes: link.wire_bytes,
                 });
             }
         }
-        for (s, row) in self.down.iter().enumerate() {
-            for (l, link) in row.iter().enumerate() {
-                links.push(LinkReport {
-                    name: format!("spine{s}->leaf{l}"),
-                    frames: link.frames,
-                    wire_bytes: link.wire_bytes,
-                });
-            }
-        }
-        let delivered_digest = fold_hash(self.delivered.iter().flat_map(|d| {
+        let delivered_digest = fold_hash(self.harvest.delivered.iter().flat_map(|d| {
             [d.port.0 as u64, d.time.0, d.meta.id]
                 .into_iter()
                 .chain(d.data.iter().map(|b| *b as u64))
         }));
         let mut reg_words = Vec::new();
-        for leaf in &self.leaves {
+        for leaf in self.leaves().iter().map(|d| &d.sw) {
             for cpipe in 0..leaf.num_central() {
                 for r in 0..leaf.program().registers.len() {
                     if let Some(file) = leaf.central_register(cpipe, RegId(r as u16)) {
@@ -762,8 +1096,8 @@ impl Fabric {
         let register_digest = fold_hash(reg_words);
         FabricReport {
             host_injected: self.host_injected,
-            host_delivered: self.host_delivered,
-            forwarded: self.forwarded,
+            host_delivered: self.harvest.host_delivered,
+            forwarded: self.harvest.forwarded,
             leaves,
             spines,
             links,
@@ -1042,6 +1376,74 @@ mod tests {
         fabric.run_until_idle();
         assert_eq!(fabric.host_delivered(), 1);
         fabric.check_conservation();
+    }
+
+    /// The demo fabric on `threads` threads with INT stamping, hop tracing
+    /// and host-link faults on, dense enough that most windows have work on
+    /// several devices, and cut into slices so a worker is spawned and
+    /// joined more than once. Returns everything the run left behind, as
+    /// text, and the windows offered to the worker.
+    fn observed(threads: usize) -> (Vec<String>, u64) {
+        use adcp_sim::{FaultConfig, FaultInjector, FaultOutcome};
+        let cfg = FabricConfig {
+            switch: AdcpConfig {
+                trace: true,
+                int: true,
+                ..AdcpConfig::default()
+            },
+            ..FabricConfig::default()
+        };
+        let (mut fabric, _) = demo_fabric(5, cfg);
+        fabric.threads = threads;
+        let mut rng = SimRng::seed_from(9);
+        let mut faults = FaultInjector::new(
+            FaultConfig {
+                drop_chance: 0.05,
+                corrupt_chance: 0.05,
+                delay_chance: 0.1,
+                max_delay: Duration::from_ns(500),
+            },
+            SimRng::seed_from(10),
+        );
+        let ports = u64::from(fabric.spec().logical_ports());
+        for i in 0..600u64 {
+            let frame = demo::frame(rng.range(0u64..1 << 32), rng.range(0..64), 3);
+            let mut pkt = Packet::new(i, FlowId(1000 + i), frame).seal();
+            let base = SimTime::from_ns(1 + i * 20);
+            let at = match faults.apply(&mut pkt) {
+                FaultOutcome::Dropped => continue,
+                FaultOutcome::Delayed(d) => base + d,
+                FaultOutcome::Corrupted | FaultOutcome::Pass => base,
+            };
+            fabric.inject((i % ports) as u32, pkt, at);
+        }
+        for k in 1..=4 {
+            fabric.run_until(SimTime::from_ns(k * 2_500));
+        }
+        fabric.run_until_idle();
+        fabric.check_conservation();
+        let mut seen = vec![
+            format!("{:?}", fabric.report()),
+            format!("{:?}", fabric.crossings()),
+            format!("{:?}", fabric.drain_postcards()),
+            format!("{:?}", fabric.take_delivered()),
+        ];
+        seen.extend((0..fabric.n_devices()).map(|d| format!("{:?}", fabric.device_trace_json(d))));
+        (seen, fabric.split.tally.shared)
+    }
+
+    #[test]
+    fn thread_count_changes_nothing() {
+        let (one, offered) = observed(1);
+        assert_eq!(offered, 0, "one thread never offers a window");
+        let (two, offered) = observed(2);
+        assert!(offered > 10, "two threads shared only {offered} windows");
+        assert_eq!(one.len(), two.len());
+        for (a, b) in one.iter().zip(&two) {
+            assert!(a == b, "the thread count changed the run:\n{a}\n{b}");
+        }
+        assert!(one[1].len() > 2, "no crossings recorded");
+        assert!(one[2].len() > 2, "no postcards");
     }
 
     #[test]

@@ -32,13 +32,14 @@
 //! COST_PIN_UPDATE=1 cargo test --release --test cost_pin
 //! ```
 //!
-//! It is its own test binary because the counting allocator is global and
-//! the three observability knobs are set process-wide.
+//! It is its own test binary, holding one test, because the counting
+//! allocator is global and counts every thread while a count is on — a
+//! fabric advances its devices on a worker thread as well — and the three
+//! observability knobs are set process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 use adcp::apps::suite::{self, Scale};
 use adcp::core::{AdcpConfig, AdcpSwitch};
@@ -53,31 +54,27 @@ use adcp::sim::time::SimTime;
 use adcpd::daemon::{Daemon, DaemonCfg};
 use serde_json::{Map, Value};
 
-thread_local! {
-    /// Counting is on for this thread only: the test harness's own threads
-    /// allocate whenever they like.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
+/// Counting is on for every thread of the process: whatever a run does on
+/// a thread it spawns is its cost too. The harness's own threads wait for
+/// the one test while it runs, so they allocate nothing meanwhile.
+static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator, plus a counter of the calls made by a counting
-/// thread.
+/// The system allocator, plus a counter of the calls made while counting.
 struct Counting;
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
 fn note() {
-    // `try_with`: a thread's storage may already be gone when its last
-    // allocations are made.
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+    if COUNTING.load(Relaxed) {
         ALLOCS.fetch_add(1, Relaxed);
     }
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees carry over; the counter is a plain
-// atomic and a const-initialised thread-local, neither of which allocates.
+// unchanged, so `System`'s guarantees carry over; the flag and the counter
+// are plain atomics, neither of which allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note();
@@ -104,12 +101,12 @@ unsafe impl GlobalAlloc for Counting {
 }
 
 /// Run `f` with counting on; returns its result and the allocations it
-/// made.
+/// made, on any thread, threads it spawned and joined included.
 fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let a0 = ALLOCS.load(Relaxed);
-    COUNTING.with(|c| c.set(true));
+    COUNTING.store(true, Relaxed);
     let out = f();
-    COUNTING.with(|c| c.set(false));
+    COUNTING.store(false, Relaxed);
     (out, ALLOCS.load(Relaxed) - a0)
 }
 
