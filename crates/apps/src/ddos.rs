@@ -559,14 +559,16 @@ fn security_tick(
     let map = sw.partition_map()?.clone();
     let pipes = sw.num_central() as u32;
     // The detector's own output is the control signal: promoted slots,
-    // read out of the live mitigation register on each cell's owner.
-    let hot: Vec<u64> = (0..n_slots)
-        .filter(|&s| {
-            let owner = map.owner(s) as usize;
-            sw.central_register(owner, state_reg)
-                .is_some_and(|r| r.peek(s) == 1)
-        })
-        .collect();
+    // read out of the live mitigation register on each cell's owner, one
+    // owner run at a time and only where that register has resident pages.
+    let mut hot: Vec<u64> = Vec::new();
+    for (keys, owner) in map.owner_runs(n_slots) {
+        let Some(reg) = sw.central_register(owner as usize, state_reg) else {
+            continue;
+        };
+        let cells = reg.iter_resident(keys.start as usize..keys.end as usize);
+        hot.extend(cells.filter(|&(_, v)| v == 1).map(|(s, _)| s as u64));
+    }
     let unisolated = hot.iter().any(|&s| {
         let (lo, hi) = bucket_span(&map, s);
         hi.wrapping_sub(lo) != 1

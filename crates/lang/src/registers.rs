@@ -8,6 +8,7 @@
 //! performs w independent RMWs on consecutive cells (§3.2).
 
 use serde::Serialize;
+use std::ops::Range;
 
 /// Identifies a register array declared by a program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
@@ -237,14 +238,22 @@ impl RegisterFile {
     /// Iterate the nonzero cells as `(index, value)` pairs, visiting only
     /// resident pages (control-plane readout at scale).
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.pages.iter().enumerate().flat_map(move |(pi, page)| {
+        self.iter_resident(0..self.len).filter(|&(_, c)| c != 0)
+    }
+
+    /// Iterate the cells of `cells` (clipped to the file) that lie on
+    /// resident pages, as `(index, value)` pairs in ascending order. A cell
+    /// on an absent page reads zero and is skipped, so a scan costs one
+    /// check per page plus the resident cells in range.
+    pub fn iter_resident(&self, cells: Range<usize>) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let end = cells.end.min(self.len);
+        let start = cells.start.min(end);
+        (start / PAGE_CELLS..end.div_ceil(PAGE_CELLS)).flat_map(move |pi| {
             let base = pi * PAGE_CELLS;
-            page.iter().flat_map(move |p| {
-                p.iter()
-                    .enumerate()
-                    .filter(|(_, c)| **c != 0)
-                    .map(move |(o, c)| (base + o, *c))
-            })
+            let span = start.max(base)..end.min(base + PAGE_CELLS);
+            self.pages[pi]
+                .iter()
+                .flat_map(move |p| span.clone().map(move |i| (i, p[i - base])))
         })
     }
 }
@@ -422,5 +431,55 @@ mod tests {
         f.restore(999_999, 42);
         assert_eq!(f.peek(999_999), 42);
         assert!(f.resident_bytes() > fresh);
+    }
+
+    #[test]
+    fn resident_iteration_matches_per_cell_peek() {
+        let mut seed = 11u64;
+        let mut below = |n: u64| {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        // A partial last page, exact pages, and a single cell.
+        for len in [1usize, 4095, 4096, 4097, 3 * PAGE_CELLS + 17] {
+            let mut f = file(len as u32, 8);
+            // The model: pages a write touched are resident, the rest absent.
+            let mut resident = vec![false; len.div_ceil(PAGE_CELLS)];
+            // Rounds 0, 1 and 3 write; round 2 resets the file.
+            for round in 0..4 {
+                if round == 2 {
+                    f.clear();
+                    resident.fill(false);
+                } else {
+                    for _ in 0..1 + below(5) {
+                        let idx = below(len as u64);
+                        f.rmw(idx, RegAluOp::Write, below(3));
+                        resident[idx as usize / PAGE_CELLS] = true;
+                    }
+                }
+                let ranges = [
+                    0..len,
+                    0..len + 100,
+                    below(len as u64) as usize..len + below(5000) as usize,
+                    len..len + 10,
+                    // Empty: starts past its end.
+                    len / 2 + 1..len / 2,
+                ];
+                for cells in ranges {
+                    let got: Vec<_> = f.iter_resident(cells.clone()).collect();
+                    let want: Vec<_> = (cells.start..cells.end.min(len))
+                        .filter(|&i| resident[i / PAGE_CELLS])
+                        .map(|i| (i, f.peek(i as u64)))
+                        .collect();
+                    assert_eq!(got, want, "len {len}, cells {cells:?}, round {round}");
+                    // Every cell it skips reads zero.
+                    let mut nonzero =
+                        (cells.start..cells.end.min(len)).filter(|&i| f.peek(i as u64) != 0);
+                    assert!(nonzero.all(|i| got.iter().any(|&(j, _)| j == i)));
+                }
+            }
+        }
     }
 }

@@ -421,6 +421,41 @@ mod tests {
     }
 
     #[test]
+    fn thirty_day_horizon_is_exact_and_checked_add_stops_at_the_wrap() {
+        // u64 picoseconds last about 213 days; a 30-day `adcpd` horizon is
+        // 2.592e18 ps, so every step up to it must be exact integer math.
+        const DAY_S: u64 = 86_400;
+        let horizon = SimTime::ZERO + Duration::from_secs(30 * DAY_S);
+        assert_eq!(horizon.as_ps(), 2_592_000 * PS_PER_S);
+        assert_eq!(horizon.as_secs_f64(), 2_592_000.0);
+        let mut t = SimTime::ZERO;
+        for _ in 0..30 {
+            t += Duration::from_secs(DAY_S);
+        }
+        assert_eq!(t, horizon);
+        assert_eq!(horizon - SimTime::ZERO, Duration::from_secs(30 * DAY_S));
+        let before = SimTime(horizon.as_ps() - 1);
+        assert_eq!(horizon.saturating_since(before), Duration(1));
+        assert_eq!(before.saturating_since(horizon), Duration::ZERO);
+        // The daemon's 250 us slices reach the horizon on an exact index.
+        let width = Duration::from_us(250);
+        let mut last = TimeSlicer::new(SimTime(horizon.as_ps() - width.as_ps()), width);
+        assert_eq!(last.upcoming_index(), 30 * DAY_S * 4_000 - 1);
+        assert_eq!(last.next().map(|s| s.end), Some(horizon));
+        // Past the wrap `checked_add` refuses instead of wrapping.
+        assert_eq!(
+            SimTime(u64::MAX - 1).checked_add(Duration(1)),
+            Some(SimTime::NEVER)
+        );
+        assert_eq!(
+            SimTime::NEVER.checked_add(Duration::ZERO),
+            Some(SimTime::NEVER)
+        );
+        assert_eq!(SimTime::NEVER.checked_add(Duration(1)), None);
+        assert_eq!(horizon.checked_add(Duration::from_secs(200 * DAY_S)), None);
+    }
+
+    #[test]
     fn period_of_paper_frequencies() {
         // The frequencies that appear in Tables 2 and 3 of the paper.
         assert_eq!(Freq::ghz(1.0).period(), Duration(1000));
