@@ -14,7 +14,7 @@
 //!   program's global partitioned area across the leaves by steer-key
 //!   range; ownership comes from the same `adcp-ctrl` planners that
 //!   balance central pipelines inside a single switch ([`plan_owners`]).
-//! * **Driving loop** — each member switch keeps its own calendar queue;
+//! * **Driving loop** — each member switch keeps its own event queue;
 //!   [`Fabric::run_until_idle`] runs in conservative windows. A round
 //!   takes `t0`, the earliest pending event or held arrival, advances
 //!   every switch to `t0 + L − 1 ps` (`L` the link latency: nothing sent

@@ -813,7 +813,7 @@ enum SlabEntry {
 /// 4-byte [`Parked`] handle, and every handler borrows the packet in place
 /// ([`Agenda::pkt`]) beside the shell, the codec and the pipes — sibling
 /// fields of the switch — so no hop, queue, fan-out or parse moves a
-/// 216-byte `Packet`, and a calendar-queue entry is 32 bytes. The slab
+/// 216-byte `Packet`, and an event-queue entry is 32 bytes. The slab
 /// grows on demand and reuses freed slots last-in first-out through a free
 /// list threaded through the free slots themselves (no second buffer to
 /// grow), so its storage follows the high-water mark of packets in flight,
@@ -911,7 +911,7 @@ impl<E> Agenda<E> {
     /// `None`) to `handle` and return the time of the last one.
     ///
     /// Every event sharing the minimal timestamp is drained in one
-    /// calendar-queue operation into a reusable buffer. Handlers that push
+    /// `pop_batch` call into a reusable buffer. Handlers that push
     /// more work at the same timestamp get a later seq, so those land in
     /// the *next* batch — the order is identical to a one-event-at-a-time
     /// loop, and a run cut into `until`-slices handles the same events in
