@@ -44,7 +44,7 @@ use adcp_sim::packet::PortId;
 use adcp_sim::rng::SimRng;
 use adcp_sim::shutdown;
 use adcp_sim::stats::LatencyHist;
-use adcp_sim::telemetry::{Collector, CollectorCfg};
+use adcp_sim::telemetry::{Collector, BURST_FACTOR, EWMA_ALPHA, MIN_BURST_DEPTH};
 use adcp_sim::time::{Duration, SimTime, TimeSlicer};
 use adcp_sim::trace::JourneyTracer;
 use adcp_workloads::arrival::{DiurnalCfg, MmppCfg, OpenLoopSource};
@@ -388,7 +388,6 @@ pub struct Daemon {
     trace: TraceBuilder,
     collector: PortId,
     telemetry: Collector,
-    burst_cfg: CollectorCfg,
     burst_ewma: Option<f64>,
     microburst_slices: u64,
     telemetry_alerts: u64,
@@ -463,7 +462,6 @@ impl Daemon {
             stream,
             trace: TraceBuilder::new(),
             telemetry: Collector::default(),
-            burst_cfg: CollectorCfg::default(),
             burst_ewma: None,
             microburst_slices: 0,
             telemetry_alerts: 0,
@@ -486,11 +484,6 @@ impl Daemon {
     /// Active central pipes right now (autoscaler's current answer).
     pub fn active_pipes(&self) -> usize {
         self.sw.active_central_pipes()
-    }
-
-    /// Slices completed so far.
-    pub fn slices_run(&self) -> u64 {
-        self.slices_run
     }
 
     /// Run exactly one time slice: admit arrivals (through the fault
@@ -571,10 +564,9 @@ impl Daemon {
                 self.telemetry.ingest(pc);
             }
             let burst = self.burst_ewma.is_some_and(|base| {
-                slice_depth >= self.burst_cfg.min_burst_depth
-                    && slice_depth as f64 >= self.burst_cfg.burst_factor * base
+                slice_depth >= MIN_BURST_DEPTH && slice_depth as f64 >= BURST_FACTOR * base
             });
-            let a = self.burst_cfg.ewma_alpha;
+            let a = EWMA_ALPHA;
             self.burst_ewma = Some(match self.burst_ewma {
                 None => slice_depth as f64,
                 Some(base) => a * slice_depth as f64 + (1.0 - a) * base,

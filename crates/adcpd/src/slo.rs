@@ -77,11 +77,6 @@ impl SloTracker {
         }
     }
 
-    /// The policy under evaluation.
-    pub fn policy(&self) -> &SloPolicy {
-        &self.policy
-    }
-
     /// Push one slice's latency histogram; evicts the oldest slice once
     /// the window is full. Returns the slice verdict.
     pub fn push_slice(&mut self, h: LatencyHist) -> SliceVerdict {
@@ -126,15 +121,6 @@ impl SloTracker {
             burn_rate: self.burn_rate(),
             window_full: self.window_full(),
         }
-    }
-
-    /// Exact merge of every slice currently in the window.
-    pub fn window_hist(&self) -> LatencyHist {
-        let mut all = LatencyHist::new();
-        for (h, _) in &self.window {
-            all.merge(h);
-        }
-        all
     }
 
     /// Lifetime latency histogram (all slices ever pushed).
@@ -205,18 +191,5 @@ mod tests {
         assert!(t.window_full());
         assert_eq!(t.burn_rate(), 0.0);
         assert!(t.signal().window_full);
-    }
-
-    #[test]
-    fn window_hist_is_exact_merge_of_retained_slices() {
-        let mut t = SloTracker::new(policy());
-        for i in 0..6u64 {
-            t.push_slice(slice_at(100 * (i + 1), 5));
-        }
-        // Window holds the last 4 slices: 5 × {300,400,500,600} ns.
-        let w = t.window_hist();
-        assert_eq!(w.count(), 20);
-        assert!(w.min_ps() >= 300_000);
-        assert_eq!(t.cumulative().count(), 30);
     }
 }

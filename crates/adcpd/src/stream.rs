@@ -116,12 +116,6 @@ impl TraceBuilder {
         self.events.push(ev);
     }
 
-    /// A counter sample (`ph:"C"`), e.g. the per-snapshot metric deltas.
-    pub fn counter(&mut self, name: &str, at: SimTime, args: &[Arg]) {
-        self.events
-            .push(event(name, "metrics", "C", us(at), 1, args));
-    }
-
     /// Drain into a complete Chrome trace document.
     pub fn build(&mut self) -> Value {
         let mut root = Map::new();
@@ -196,11 +190,6 @@ impl MetricsStream {
             telemetry_schema: load_telemetry_schema()?,
             written: 0,
         })
-    }
-
-    /// The stream directory.
-    pub fn dir(&self) -> &Path {
-        &self.cfg.dir
     }
 
     /// Validate and write one generation: the full metrics snapshot, the

@@ -56,7 +56,7 @@ pub struct DdosCfg {
     /// Packets in the attack phase (ramp to peak, then flat).
     pub pkts: u64,
     /// Packets in the cooldown phase (attack share drops to
-    /// `cool_share`, so windows close under `t_lo` and demotion fires).
+    /// `COOL_SHARE`, so windows close under `t_lo` and demotion fires).
     pub cool_pkts: u64,
     /// Packets per tumbling window (the window id is stamped into the
     /// header by the edge, so window semantics are exact).
@@ -65,8 +65,6 @@ pub struct DdosCfg {
     pub skew: f64,
     /// Attack share of the mix at the ramp's peak.
     pub peak_share: f64,
-    /// Attack share during cooldown (must sit below the demote rate).
-    pub cool_share: f64,
     /// Promote when a source's in-window count reaches this.
     pub t_hi: u32,
     /// Demote when a closed window stayed strictly below this.
@@ -92,7 +90,6 @@ impl Default for DdosCfg {
             window_pkts: 500,
             skew: 0.9,
             peak_share: 0.6,
-            cool_share: 0.05,
             t_hi: 25,
             t_lo: 8,
             clients: 4,
@@ -153,6 +150,9 @@ const HDR_BYTES: usize = 49;
 /// queue empty, so per-slot processing order equals injection order and
 /// the host reference is exact on every target.
 const INJECT_GAP_PS: u64 = 5_000;
+
+/// Attack share during cooldown (must sit below the demote rate).
+const COOL_SHARE: f64 = 0.05;
 
 /// State slots for a target: exact per-source on the ADCP, hash-folded
 /// on the RMT lowerings (collisions accepted — the structural contrast).
@@ -630,7 +630,7 @@ pub fn run(kind: TargetKind, cfg: &DdosCfg) -> DdosOutcome {
             attackers: cfg.attackers,
             start_frac: 0.0,
             full_frac: 0.01,
-            peak_share: cfg.cool_share,
+            peak_share: COOL_SHARE,
         }),
         seed: cfg.seed + 1,
         ..TrafficCfg::default()

@@ -63,7 +63,7 @@ use adcp_bench::journey::{
 use adcp_bench::report::{print_json, print_table};
 use adcp_bench::trace::{diff_metrics, flatten, metrics_block, parse_target, run_one_with};
 use adcp_sim::schema::{load_chrome_trace_schema, load_metrics_schema, validate};
-use adcp_sim::telemetry::{Collector, CollectorCfg};
+use adcp_sim::telemetry::Collector;
 
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -140,7 +140,7 @@ fn fabric_main(chrome: Option<&str>, quick: bool) -> ! {
         std::process::exit(1);
     }
 
-    let mut coll = Collector::new(CollectorCfg::default());
+    let mut coll = Collector::default();
     for d in 0..fabric.n_devices() {
         coll.set_device_name(d, fabric.device_name(d));
     }

@@ -34,11 +34,6 @@ use adcp_sim::time::{Duration, SimTime};
 use serde::Serialize;
 use std::ops::Range;
 
-/// Default bucket count for [`PartitionMap::uniform`]. 64 matches the
-/// register-file sizes the conformance harness exercises, but any count
-/// works — buckets are a routing-granularity choice, not a state size.
-pub const DEFAULT_BUCKETS: u32 = 64;
-
 /// How keys fold into buckets.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum PartitionScheme {

@@ -39,7 +39,7 @@ use adcp_lang::{
     RegionRunStats, RegionState, RegisterFile, TableError,
 };
 use adcp_sim::datapath::{Agenda, Fanout, Parked, Shell, ShellSpec, Slot};
-use adcp_sim::int::{IntFlowCell, IntFlowTable};
+use adcp_sim::int::IntFlowTable;
 use adcp_sim::metrics::HistId;
 use adcp_sim::packet::{EgressSpec, Packet, PortId};
 use adcp_sim::queue::Held;
@@ -71,8 +71,6 @@ pub enum DemuxPolicy {
 pub struct AdcpConfig {
     /// Cells in each TM's shared buffer.
     pub tm_cells: u64,
-    /// Bytes per buffer cell.
-    pub cell_bytes: u32,
     /// Per-queue depth in packets (both TMs).
     pub queue_depth: usize,
     /// RX demultiplexing policy.
@@ -113,7 +111,6 @@ impl Default for AdcpConfig {
     fn default() -> Self {
         AdcpConfig {
             tm_cells: 65_536,
-            cell_bytes: 80,
             queue_depth: 512,
             demux: DemuxPolicy::default(),
             trace: false,
@@ -281,7 +278,6 @@ impl AdcpSwitch {
             int: cfg.int,
             device: cfg.device,
             tm_cells: cfg.tm_cells,
-            cell_bytes: cfg.cell_bytes,
             scopes: &[
                 "rx", "mac", "parser", "ingress", "tm1", "central", "tm2", "egress", "deparser",
                 "mat", "drops", "tx", "ctrl", "int",
@@ -603,17 +599,6 @@ impl AdcpSwitch {
             ("int", "active_flow_cells", self.int_flows.active_cells()),
         ];
         self.shell.metrics_json(&counters, &gauges)
-    }
-
-    /// The central-register-resident per-flow INT aggregation cell for
-    /// `flow`.
-    pub fn int_flow_cell(&self, flow: u64) -> IntFlowCell {
-        *self.int_flows.cell(flow)
-    }
-
-    /// The whole per-flow INT aggregation table.
-    pub fn int_flow_table(&self) -> &IntFlowTable {
-        &self.int_flows
     }
 
     /// Time of the switch's next pending event, if any. A fabric driving

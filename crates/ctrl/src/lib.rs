@@ -197,49 +197,6 @@ pub fn plan_scale_to(map: &PartitionMap, bucket_load: &[u64], n_pipes: u32) -> P
     with_owners(map, owners)
 }
 
-/// Split one bucket of a range map in two at key `at` (the new bound).
-/// Both halves keep the original owner, so nothing moves until a later
-/// rebalance reassigns one of them — splitting is how a single hot range
-/// becomes movable. `None` if the map is not range-partitioned or `at`
-/// does not fall strictly inside the bucket.
-pub fn split_range_bucket(map: &PartitionMap, bucket: u32, at: u64) -> Option<PartitionMap> {
-    let PartitionScheme::Range { bounds, owners } = map.scheme() else {
-        return None;
-    };
-    let b = bucket as usize;
-    if b >= owners.len() {
-        return None;
-    }
-    let lo = if b == 0 { 0 } else { bounds[b - 1] };
-    let hi = bounds.get(b).copied().unwrap_or(u64::MAX);
-    if at <= lo || at >= hi {
-        return None;
-    }
-    let mut bounds = bounds.clone();
-    let mut owners = owners.clone();
-    bounds.insert(b, at);
-    owners.insert(b, owners[b]);
-    Some(PartitionMap::from_ranges(bounds, owners))
-}
-
-/// Merge bucket `b` of a range map with its right neighbour `b + 1`; the
-/// merged bucket keeps `b`'s owner. `None` if the map is not
-/// range-partitioned or `b + 1` does not exist.
-pub fn merge_range_buckets(map: &PartitionMap, bucket: u32) -> Option<PartitionMap> {
-    let PartitionScheme::Range { bounds, owners } = map.scheme() else {
-        return None;
-    };
-    let b = bucket as usize;
-    if b + 1 >= owners.len() {
-        return None;
-    }
-    let mut bounds = bounds.clone();
-    let mut owners = owners.clone();
-    bounds.remove(b);
-    owners.remove(b + 1);
-    Some(PartitionMap::from_ranges(bounds, owners))
-}
-
 /// SLO-aware autoscaling policy: when to grow or shrink the set of
 /// active central pipes in response to the observed burn rate.
 ///
@@ -610,29 +567,6 @@ mod tests {
         let used: std::collections::BTreeSet<u32> =
             (0..8u32).map(|b| six.owner_of_bucket(b)).collect();
         assert_eq!(used.len(), 6);
-    }
-
-    #[test]
-    fn range_split_and_merge() {
-        let map = PartitionMap::from_ranges(vec![100], vec![0, 1]);
-        let split = split_range_bucket(&map, 0, 50).unwrap();
-        assert_eq!(split.num_buckets(), 3);
-        assert_eq!(split.owner(10), 0);
-        assert_eq!(split.owner(60), 0, "both halves keep the owner");
-        assert_eq!(split.owner(200), 1);
-        assert!(
-            split_range_bucket(&map, 0, 100).is_none(),
-            "bound not inside"
-        );
-        assert!(split_range_bucket(&map, 5, 50).is_none(), "no such bucket");
-        let merged = merge_range_buckets(&split, 1).unwrap();
-        assert_eq!(merged.num_buckets(), 2);
-        assert_eq!(merged.owner(60), 0);
-        assert_eq!(merged.owner(200), 0, "merged keeps left owner");
-        assert!(merge_range_buckets(&map, 1).is_none(), "no right neighbour");
-        let hash = PartitionMap::uniform(4, 2);
-        assert!(split_range_bucket(&hash, 0, 1).is_none());
-        assert!(merge_range_buckets(&hash, 0).is_none());
     }
 
     #[test]

@@ -57,8 +57,6 @@ pub use adcp_lang::fabric as placement;
 /// Knobs for a fabric instance.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
-    /// Rate of every inter-switch link.
-    pub link_speed: LinkSpeed,
     /// Propagation latency of every inter-switch link (must be > 0).
     pub link_latency: Duration,
     /// Per-switch configuration (buffering, demux, tracing, INT, …).
@@ -68,7 +66,6 @@ pub struct FabricConfig {
 impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
-            link_speed: LinkSpeed::gbps(400),
             link_latency: Duration::from_ns(200),
             switch: AdcpConfig::default(),
         }
@@ -127,6 +124,9 @@ pub struct SwitchReport {
     /// MAT lookups that hit.
     pub mat_hits: u64,
 }
+
+/// Rate of every inter-switch link.
+const LINK_SPEED: LinkSpeed = LinkSpeed::G400;
 
 /// Retained link-crossing records per fabric run (bounded; the count of
 /// crossings past the cap is kept so nothing truncates silently).
@@ -642,7 +642,7 @@ impl Fabric {
         };
         let links = |n: u32| -> Vec<Link> {
             (0..n)
-                .map(|_| Link::new(cfg.link_speed, cfg.link_latency))
+                .map(|_| Link::new(LINK_SPEED, cfg.link_latency))
                 .collect()
         };
         let mut devices = Vec::new();
@@ -799,16 +799,6 @@ impl Fabric {
     /// Crossings that did not fit the bounded record.
     pub fn crossings_truncated(&self) -> u64 {
         self.harvest.crossings_truncated
-    }
-
-    /// The INT device id of leaf `l`.
-    pub fn device_of_leaf(&self, l: usize) -> u16 {
-        l as u16
-    }
-
-    /// The INT device id of spine `s`.
-    pub fn device_of_spine(&self, s: usize) -> u16 {
-        (self.spec.n_leaves as usize + s) as u16
     }
 
     /// Total device count: leaves first, then spines.

@@ -104,15 +104,6 @@ impl RegionPlan {
         self.stages.iter().map(|s| s.mem_bits_used).sum()
     }
 
-    /// Total replicas across placed tables (Fig. 3 metric).
-    pub fn total_replicas(&self) -> u32 {
-        self.stages
-            .iter()
-            .flat_map(|s| &s.tables)
-            .map(|t| t.replicas as u32)
-            .sum()
-    }
-
     fn find(&self, table: usize) -> Option<(usize, &PlacedTable)> {
         for (si, st) in self.stages.iter().enumerate() {
             if let Some(t) = st.tables.iter().find(|t| t.table == table) {

@@ -137,14 +137,6 @@ impl HeaderDef {
         panic!("field {:?} not in header {}", fid, self.name);
     }
 
-    /// Look up a field by name (test/builder convenience).
-    pub fn field_named(&self, name: &str) -> Option<FieldId> {
-        self.fields
-            .iter()
-            .position(|f| f.name == name)
-            .map(|i| FieldId(i as u16))
-    }
-
     /// The field definition for `fid`.
     pub fn field(&self, fid: FieldId) -> &FieldDef {
         &self.fields[fid.0 as usize]
@@ -300,12 +292,5 @@ mod tests {
         let mut data = [0u8; 2];
         assert!(!deposit_bits(&mut data, 10, 8, 0xFF));
         assert_eq!(data, [0, 0]);
-    }
-
-    #[test]
-    fn field_lookup_by_name() {
-        let h = kv_header();
-        assert_eq!(h.field_named("seq"), Some(FieldId(1)));
-        assert_eq!(h.field_named("nope"), None);
     }
 }

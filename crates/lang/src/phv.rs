@@ -115,16 +115,6 @@ impl PhvLayout {
         self.total_bits
     }
 
-    /// Number of scalar slots.
-    pub fn num_scalars(&self) -> usize {
-        self.slots.len() - self.num_arrays()
-    }
-
-    /// Number of array slots.
-    pub fn num_arrays(&self) -> usize {
-        self.slots.iter().filter(|s| s.count > 1).count()
-    }
-
     /// The slot of `f`, or `None` if its header is not in the layout or its
     /// field index runs past that header's fields.
     fn slot(&self, f: FieldRef) -> Option<usize> {
@@ -340,8 +330,6 @@ mod tests {
     #[test]
     fn layout_counts_and_bits() {
         let (_, l) = layout();
-        assert_eq!(l.num_scalars(), 3);
-        assert_eq!(l.num_arrays(), 1);
         assert_eq!(l.total_bits(), 48 + 16 + 8 + 256);
         assert!(l.is_array(fr(1, 1)));
         assert!(!l.is_array(fr(0, 0)));

@@ -128,16 +128,6 @@ impl Program {
             .collect()
     }
 
-    /// True if any table is keyed on an array field or uses array ops —
-    /// i.e. the program exercises §3.2.
-    pub fn uses_arrays(&self) -> bool {
-        let layout = self.layout();
-        self.tables.iter().any(|t| {
-            t.key.map(|k| layout.is_array(k.field)).unwrap_or(false)
-                || t.actions.iter().any(|a| a.has_array_ops())
-        })
-    }
-
     /// True if the program has central-region tables — i.e. it needs the
     /// global partitioned area of §3.1 (or a lowering on RMT).
     pub fn uses_central(&self) -> bool {
@@ -340,12 +330,6 @@ impl ProgramBuilder {
         self
     }
 
-    /// Set TM2 policy.
-    pub fn tm2(&mut self, spec: TmSpec) -> &mut Self {
-        self.tm2 = spec;
-        self
-    }
-
     /// Finish. Panics if no parser was set (programmer error, not input).
     pub fn build(self) -> Program {
         Program {
@@ -410,7 +394,6 @@ mod tests {
         let p = b.build();
         assert!(p.validate().is_empty());
         assert!(!p.uses_central());
-        assert!(!p.uses_arrays());
     }
 
     #[test]
@@ -418,7 +401,6 @@ mod tests {
         let mut b = minimal();
         b.table(table_on(fr(0, 2), 32, Region::Central));
         let p = b.build();
-        assert!(p.uses_arrays());
         assert!(p.uses_central());
         let layout = p.layout();
         assert_eq!(p.table_width(&layout, &p.tables[0]), 4);

@@ -19,9 +19,9 @@ use crate::parser::{ParserSpec, ParserState, StateId, Transition};
 use crate::program::ProgramBuilder;
 
 /// EtherType carried by raw app-on-Ethernet packets.
-pub const APP_ETHERTYPE: u64 = 0x88B5; // IEEE local experimental
+const APP_ETHERTYPE: u64 = 0x88B5; // IEEE local experimental
 /// IPv4 protocol number for UDP.
-pub const IPPROTO_UDP: u64 = 17;
+const IPPROTO_UDP: u64 = 17;
 
 /// Ethernet II: dst, src, ethertype.
 pub fn ethernet() -> HeaderDef {

@@ -36,23 +36,22 @@ use adcp_sim::metrics::HistId;
 use adcp_sim::packet::{EgressSpec, Packet, PortId};
 use adcp_sim::queue::Held;
 use adcp_sim::sched::ScheduledQueues;
-use adcp_sim::time::{Duration, SimTime};
+use adcp_sim::time::{Duration, SimTime, PS_PER_NS};
 use adcp_sim::trace::{DropReason, HopCtx, Site};
 
 /// The one traffic manager, mapped onto the journey model's TM1.
 const TM: usize = 0;
+
+/// Loop latency of the recirculation path.
+const RECIRC_LATENCY: Duration = Duration(400 * PS_PER_NS);
 
 /// Tuning knobs for an [`RmtSwitch`].
 #[derive(Debug, Clone)]
 pub struct RmtConfig {
     /// Shared TM buffer: number of cells.
     pub tm_cells: u64,
-    /// Shared TM buffer: bytes per cell.
-    pub cell_bytes: u32,
     /// Per-egress-queue depth in packets.
     pub queue_depth: usize,
-    /// Loop latency of the recirculation path.
-    pub recirc_latency: Duration,
     /// Retain a packet-walk trace (costs memory; used by tests/examples).
     pub trace: bool,
     /// Stamp in-band telemetry ([`adcp_sim::int`]) onto transiting
@@ -70,9 +69,7 @@ impl Default for RmtConfig {
     fn default() -> Self {
         RmtConfig {
             tm_cells: 65_536,
-            cell_bytes: 80,
             queue_depth: 512,
-            recirc_latency: Duration::from_ns(400),
             trace: false,
             int: false,
             device: 0,
@@ -125,7 +122,6 @@ pub struct RmtSwitch {
     codec: PacketCodec,
     /// Compilation result the switch was built from.
     pub placement: Placement,
-    recirc_latency: Duration,
     shell: Shell,
     ingress: Vec<IngressPipe>,
     egress: Vec<EgressPipe>,
@@ -192,7 +188,6 @@ impl RmtSwitch {
             int: cfg.int,
             device: cfg.device,
             tm_cells: cfg.tm_cells,
-            cell_bytes: cfg.cell_bytes,
             scopes: &[
                 "rx", "mac", "parser", "ingress", "recirc", "tm", "egress", "deparser", "mat",
                 "drops", "tx", "int",
@@ -214,7 +209,6 @@ impl RmtSwitch {
             target,
             codec: PacketCodec::new(program),
             placement,
-            recirc_latency: cfg.recirc_latency,
             shell,
             ingress,
             egress,
@@ -235,13 +229,6 @@ impl RmtSwitch {
     /// Ingress pipeline serving a port.
     pub fn pipe_of_port(&self, port: PortId) -> usize {
         (port.0 / self.target.ports_per_pipe) as usize
-    }
-
-    /// Ports attached to an egress pipeline — the only ports a packet
-    /// processed there can leave from (Fig. 2).
-    pub fn ports_of_pipe(&self, pipe: usize) -> Vec<PortId> {
-        let ppp = self.target.ports_per_pipe;
-        (0..ppp).map(|i| PortId(pipe as u16 * ppp + i)).collect()
     }
 
     // ---------------- control plane ----------------
@@ -269,16 +256,6 @@ impl RmtSwitch {
             CentralImpl::EgressPinned => self.egress[pipe].central.register(reg),
             _ => self.ingress[pipe].central.register(reg),
         }
-    }
-
-    /// Read an egress-region register file of one pipeline.
-    pub fn egress_register(&self, pipe: usize, reg: RegId) -> &RegisterFile {
-        self.egress[pipe].state.register(reg)
-    }
-
-    /// Read an ingress-region register file of one pipeline.
-    pub fn ingress_register(&self, pipe: usize, reg: RegId) -> &RegisterFile {
-        self.ingress[pipe].state.register(reg)
     }
 
     // ---------------- data plane ----------------
@@ -453,7 +430,7 @@ impl RmtSwitch {
                 pkt: h,
                 pass: 1,
             };
-            return self.agenda.events.push(now + self.recirc_latency, ev);
+            return self.agenda.events.push(now + RECIRC_LATENCY, ev);
         }
         // The TM replicates multicast; each copy is accounted separately.
         match self.shell.fan_out(TM, now, pkt) {

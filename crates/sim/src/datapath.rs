@@ -31,6 +31,9 @@ use crate::trace::{DropReason, HopCtx, JourneyTracer, Site};
 /// Retained points per queue-depth/buffer-occupancy time series.
 const SERIES_CAP: usize = 512;
 
+/// Bytes per TM buffer cell, on every target.
+const CELL_BYTES: u32 = 80;
+
 /// One traffic manager's drop classes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TmDrops {
@@ -220,8 +223,6 @@ pub struct ShellSpec<'a> {
     pub device: u16,
     /// Cells in each TM's shared buffer.
     pub tm_cells: u64,
-    /// Bytes per buffer cell.
-    pub cell_bytes: u32,
     /// Every registry scope of the target, in export order. The JSON
     /// export lists scopes in creation order, so they are created up
     /// front and everything registered later only looks them up.
@@ -280,7 +281,7 @@ impl Shell {
             .map(|(&scope, (site, number))| {
                 let s = m.scope(scope);
                 Tm {
-                    pool: BufferPool::new(spec.tm_cells, spec.cell_bytes),
+                    pool: BufferPool::new(spec.tm_cells, CELL_BYTES),
                     site,
                     number,
                     scope,
@@ -296,9 +297,7 @@ impl Shell {
             rx: (0..spec.ports)
                 .map(|p| RxPort::new(PortId(p), speed_of(p)))
                 .collect(),
-            tx: (0..spec.ports)
-                .map(|p| TxPort::new(PortId(p), speed_of(p)))
-                .collect(),
+            tx: (0..spec.ports).map(|p| TxPort::new(speed_of(p))).collect(),
             tms,
             counters: Counters::default(),
             out_meter: Meter::default(),
@@ -721,13 +720,6 @@ impl Shell {
     /// INT totals: (stamps written, postcards emitted, stamps truncated).
     pub fn int_totals(&self) -> (u64, u64, u64) {
         (self.int_stamps, self.int_postcards, self.int_truncated)
-    }
-
-    /// Postcards shed because the sink FIFO was full — nonzero only when
-    /// nothing drained [`Shell::take_postcards`] for [`POSTCARDS_CAP`]
-    /// sampled transmissions.
-    pub fn int_postcards_dropped(&self) -> u64 {
-        self.int_postcards_dropped
     }
 
     /// Sabotage hook for the conformance harness: when set, every INT

@@ -353,11 +353,6 @@ impl IntFlowTable {
         &self.cells[self.slot_of(flow)]
     }
 
-    /// All cells (slot order).
-    pub fn cells(&self) -> &[IntFlowCell] {
-        &self.cells
-    }
-
     /// Cells with at least one flow folded in.
     pub fn active_cells(&self) -> u64 {
         self.cells.iter().filter(|c| c.active).count() as u64

@@ -3,8 +3,8 @@
 //! Cycle-level simulation primitives shared by the RMT baseline
 //! (`adcp-rmt`) and the ADCP switch model (`adcp-core`):
 //!
-//! * [`time`] — picosecond timestamps, frequencies, clocks, and multi-clock
-//!   domains (the currency of the paper's Tables 2 and 3).
+//! * [`time`] — picosecond timestamps and frequencies turned into clock
+//!   periods (the currency of the paper's Tables 2 and 3).
 //! * [`packet`] — packets, flows, coflows, and forwarding specs.
 //! * [`port`] — RX/TX link models with exact serialization timing.
 //! * [`link`] — inter-switch cables (store-and-forward serialization plus
@@ -75,5 +75,5 @@ pub use rng::SimRng;
 pub use sched::{Policy, ScheduledQueues};
 pub use shaper::TokenBucket;
 pub use stats::{LatencyHist, LatencySummary, Meter};
-pub use time::{Clock, ClockId, ClockSet, Duration, Freq, SimTime};
+pub use time::{Duration, Freq, SimTime};
 pub use trace::{CtrlEvent, DropReason, Hop, HopCtx, JourneyTracer, Site};

@@ -48,21 +48,6 @@ impl Link {
         }
     }
 
-    /// Link speed.
-    pub fn speed(&self) -> LinkSpeed {
-        self.speed
-    }
-
-    /// Propagation latency.
-    pub fn latency(&self) -> Duration {
-        self.latency
-    }
-
-    /// When the wire is next free.
-    pub fn ready_at(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Carry `p`, whose last bit left the sending switch at `tx_done`.
     /// Returns the arrival time at the peer switch: serialization onto the
     /// wire (queued behind any frame still being serialized) plus the

@@ -240,14 +240,6 @@ impl FrameBuf {
         }
     }
 
-    /// Extract the bytes as an `Arc<[u8]>`, copying only if still owned.
-    pub fn into_arc(self) -> Arc<[u8]> {
-        match self {
-            FrameBuf::Owned(v) => v.into(),
-            FrameBuf::Shared(a) => a,
-        }
-    }
-
     /// The bytes, writable in place. Copy-on-write: a shared frame becomes
     /// an owned copy first (one allocation + copy, so that the sibling
     /// clones never see the write); an owned one is handed out as is.

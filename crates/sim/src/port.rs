@@ -33,11 +33,6 @@ impl LinkSpeed {
         LinkSpeed { gbps: g }
     }
 
-    /// Speed in Gbps.
-    pub fn as_gbps(self) -> u32 {
-        self.gbps
-    }
-
     /// Speed in bits per second.
     pub fn bits_per_sec(self) -> u64 {
         self.gbps as u64 * 1_000_000_000
@@ -81,7 +76,6 @@ impl fmt::Display for LinkSpeed {
 /// line.
 #[derive(Debug, Clone)]
 pub struct TxPort {
-    id: PortId,
     speed: LinkSpeed,
     busy_until: SimTime,
     /// Packets fully transmitted.
@@ -94,9 +88,8 @@ pub struct TxPort {
 
 impl TxPort {
     /// New idle TX port.
-    pub fn new(id: PortId, speed: LinkSpeed) -> Self {
+    pub fn new(speed: LinkSpeed) -> Self {
         TxPort {
-            id,
             speed,
             busy_until: SimTime::ZERO,
             pkts: 0,
@@ -105,24 +98,9 @@ impl TxPort {
         }
     }
 
-    /// Port identity.
-    pub fn id(&self) -> PortId {
-        self.id
-    }
-
-    /// Link speed.
-    pub fn speed(&self) -> LinkSpeed {
-        self.speed
-    }
-
     /// Earliest time a new packet could start serializing.
     pub fn ready_at(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// True if the port can start a packet at `now`.
-    pub fn is_idle(&self, now: SimTime) -> bool {
-        self.busy_until <= now
     }
 
     /// Transmit a packet starting no earlier than `now`; returns the time
@@ -183,21 +161,6 @@ impl RxPort {
         }
     }
 
-    /// Port identity.
-    pub fn id(&self) -> PortId {
-        self.id
-    }
-
-    /// Link speed.
-    pub fn speed(&self) -> LinkSpeed {
-        self.speed
-    }
-
-    /// Earliest time a new arrival could begin.
-    pub fn ready_at(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Receive a packet whose first bit arrives no earlier than `now`;
     /// returns the completion time and stamps `meta.arrived`.
     pub fn receive(&mut self, p: &mut Packet, now: SimTime) -> SimTime {
@@ -230,7 +193,7 @@ mod tests {
 
     #[test]
     fn tx_port_paces_back_to_back() {
-        let mut tx = TxPort::new(PortId(0), LinkSpeed::G100);
+        let mut tx = TxPort::new(LinkSpeed::G100);
         let p = synthetic_packet(1, FlowId(1), 64); // 84 B → 6.72 ns at 100G
         let t1 = tx.transmit(&p, SimTime::ZERO);
         assert_eq!(t1.as_ps(), 6_720);
@@ -243,7 +206,7 @@ mod tests {
 
     #[test]
     fn tx_throughput_at_line_rate() {
-        let mut tx = TxPort::new(PortId(0), LinkSpeed::G10);
+        let mut tx = TxPort::new(LinkSpeed::G10);
         let p = synthetic_packet(1, FlowId(1), 1500);
         let mut now = SimTime::ZERO;
         for _ in 0..1000 {

@@ -54,13 +54,6 @@ impl SimRng {
         result
     }
 
-    /// Derive an independent child generator. Used to give each traffic
-    /// source its own stream so adding a source does not perturb others.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        let s = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SimRng::seed_from(s)
-    }
-
     /// Uniform value in `[0, n)` without modulo bias (rejection sampling).
     fn bounded(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
@@ -170,22 +163,6 @@ mod tests {
         let mut b = SimRng::seed_from(2);
         let same = (0..64).filter(|_| a.u64() == b.u64()).count();
         assert_eq!(same, 0);
-    }
-
-    #[test]
-    fn fork_is_deterministic_and_independent() {
-        let mut parent1 = SimRng::seed_from(7);
-        let mut parent2 = SimRng::seed_from(7);
-        let mut c1 = parent1.fork(3);
-        let mut c2 = parent2.fork(3);
-        for _ in 0..32 {
-            assert_eq!(c1.u64(), c2.u64());
-        }
-        // A different salt gives a different stream.
-        let mut parent3 = SimRng::seed_from(7);
-        let mut c3 = parent3.fork(4);
-        let equal = (0..32).filter(|_| c1.u64() == c3.u64()).count();
-        assert!(equal < 2);
     }
 
     #[test]

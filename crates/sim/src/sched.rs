@@ -76,16 +76,6 @@ impl ScheduledQueues {
         }
     }
 
-    /// Number of queues.
-    pub fn num_queues(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
     /// Direct read access to one queue (for stats / assertions).
     pub fn queue(&self, i: usize) -> &BoundedQueue {
         &self.queues[i]

@@ -50,15 +50,6 @@ impl Meter {
     pub fn elements_per_sec(&self, elapsed: Duration) -> f64 {
         per_sec(self.elements, elapsed)
     }
-
-    /// Goodput fraction of wire bytes, in `[0, 1]`.
-    pub fn goodput_ratio(&self) -> f64 {
-        if self.wire_bytes == 0 {
-            0.0
-        } else {
-            self.goodput_bytes as f64 / self.wire_bytes as f64
-        }
-    }
 }
 
 fn per_sec(count: u64, elapsed: Duration) -> f64 {
@@ -370,7 +361,6 @@ mod tests {
         assert!((m.pps(dt) - 1e9).abs() < 1.0);
         assert!((m.gbps(dt) - 672.0).abs() < 0.01);
         assert!((m.elements_per_sec(dt) - 8e9).abs() < 1.0);
-        assert!((m.goodput_ratio() - 32.0 / 84.0).abs() < 1e-12);
         assert_eq!(m.pps(Duration::ZERO), 0.0);
     }
 

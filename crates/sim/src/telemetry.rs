@@ -17,7 +17,7 @@
 //!   detects **path changes** (digest flips) with the before/after chains;
 //! * **per-queue series** — every TM-residency stamp contributes its queue
 //!   depth to a per-`(device, site)` series; an EWMA baseline flags
-//!   **microbursts** (depth ≥ `burst_factor`× the baseline and above an
+//!   **microbursts** (depth ≥ `BURST_FACTOR`× the baseline and above an
 //!   absolute floor);
 //! * **drop hotspots** — exact per-`(site, reason)` drop totals ingested
 //!   from each device's trace block, ranked.
@@ -33,35 +33,18 @@ use std::collections::BTreeMap;
 use crate::int::Postcard;
 use crate::time::SimTime;
 
-/// Detection knobs. The defaults are deliberately conservative: a
-/// microburst must stand `burst_factor`× above the EWMA baseline *and*
-/// clear an absolute depth floor, so an idle queue's first packet (EWMA 0)
-/// is never an anomaly.
-#[derive(Debug, Clone, Copy)]
-pub struct CollectorCfg {
-    /// EWMA smoothing factor for the per-queue depth baseline.
-    pub ewma_alpha: f64,
-    /// A sample is a microburst when `depth >= burst_factor * ewma`.
-    pub burst_factor: f64,
-    /// ... and at least this deep (absolute floor).
-    pub min_burst_depth: u32,
-    /// Cap on retained events per category (excess is counted, not kept).
-    pub max_events: usize,
-    /// Cap on per-flow summaries in the report (largest flows win).
-    pub max_flow_summaries: usize,
-}
-
-impl Default for CollectorCfg {
-    fn default() -> Self {
-        CollectorCfg {
-            ewma_alpha: 0.3,
-            burst_factor: 4.0,
-            min_burst_depth: 8,
-            max_events: 4096,
-            max_flow_summaries: 64,
-        }
-    }
-}
+/// EWMA smoothing factor for the per-queue depth baseline.
+pub const EWMA_ALPHA: f64 = 0.3;
+/// A sample is a microburst when `depth >= BURST_FACTOR * ewma` and it
+/// clears [`MIN_BURST_DEPTH`]. Deliberately conservative: an idle queue's
+/// first packet (EWMA 0) is never an anomaly.
+pub const BURST_FACTOR: f64 = 4.0;
+/// The absolute depth floor of a microburst.
+pub const MIN_BURST_DEPTH: u32 = 8;
+/// Cap on retained events per category (excess is counted, not kept).
+const MAX_EVENTS: usize = 4096;
+/// Cap on per-flow summaries in the report (largest flows win).
+const MAX_FLOW_SUMMARIES: usize = 64;
 
 /// One microburst: a queue-depth sample far above its EWMA baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,8 +126,8 @@ struct FlowAgg {
 /// The collector. Feed it postcards (and optionally trace blocks for drop
 /// hotspots), then ask for [`report`](Collector::report) /
 /// [`chrome_overlay_events`](Collector::chrome_overlay_events).
+#[derive(Default)]
 pub struct Collector {
-    cfg: CollectorCfg,
     names: BTreeMap<u16, String>,
     pkts: BTreeMap<u64, PktRecord>,
     queues: BTreeMap<(u16, String), QueueSeries>,
@@ -153,26 +136,7 @@ pub struct Collector {
     stamps: u64,
 }
 
-impl Default for Collector {
-    fn default() -> Self {
-        Collector::new(CollectorCfg::default())
-    }
-}
-
 impl Collector {
-    /// A collector with the given detection knobs.
-    pub fn new(cfg: CollectorCfg) -> Self {
-        Collector {
-            cfg,
-            names: BTreeMap::new(),
-            pkts: BTreeMap::new(),
-            queues: BTreeMap::new(),
-            drops: BTreeMap::new(),
-            postcards: 0,
-            stamps: 0,
-        }
-    }
-
     /// Register a display name for a device (e.g. `"leaf0"`, `"spine1"`).
     /// Unnamed devices render as `"dev<N>"`.
     pub fn set_device_name(&mut self, device: u16, name: impl Into<String>) {
@@ -265,7 +229,7 @@ impl Collector {
     }
 
     /// Detect microbursts: per `(device, site)` series in time order, flag
-    /// samples ≥ `burst_factor`× the running EWMA (and above the floor).
+    /// samples ≥ [`BURST_FACTOR`]× the running EWMA (and above the floor).
     pub fn microbursts(&self) -> (Vec<Microburst>, u64) {
         let mut out = Vec::new();
         let mut suppressed = 0u64;
@@ -275,10 +239,8 @@ impl Collector {
             let mut ewma: Option<f64> = None;
             for (t, pkt, depth) in samples {
                 if let Some(base) = ewma {
-                    if depth >= self.cfg.min_burst_depth
-                        && (depth as f64) >= self.cfg.burst_factor * base
-                    {
-                        if out.len() < self.cfg.max_events {
+                    if depth >= MIN_BURST_DEPTH && (depth as f64) >= BURST_FACTOR * base {
+                        if out.len() < MAX_EVENTS {
                             out.push(Microburst {
                                 device: *device,
                                 site: site.clone(),
@@ -292,7 +254,7 @@ impl Collector {
                         }
                     }
                 }
-                let a = self.cfg.ewma_alpha;
+                let a = EWMA_ALPHA;
                 ewma = Some(match ewma {
                     None => depth as f64,
                     Some(base) => a * depth as f64 + (1.0 - a) * base,
@@ -314,7 +276,7 @@ impl Collector {
         for (pkt, r) in by_time {
             match last.insert(r.flow, r.digest) {
                 Some(prev) if prev != r.digest => {
-                    if out.len() < self.cfg.max_events {
+                    if out.len() < MAX_EVENTS {
                         out.push(PathChange {
                             flow: r.flow,
                             device: r.last_device,
@@ -462,7 +424,7 @@ impl Collector {
 
         let mut rows: Vec<(u64, FlowAgg)> = flows.into_iter().collect();
         rows.sort_by(|a, b| b.1.packets.cmp(&a.1.packets).then_with(|| a.0.cmp(&b.0)));
-        rows.truncate(self.cfg.max_flow_summaries);
+        rows.truncate(MAX_FLOW_SUMMARIES);
         let mut fs = Vec::new();
         for (flow, agg) in rows {
             let mut o = Map::new();

@@ -1,11 +1,12 @@
-//! Simulation time, clocks, and clock domains.
+//! Simulation time and clock frequencies.
 //!
-//! The entire reproduction runs on integer **picosecond** timestamps. The
-//! paper's arguments are about clock frequencies (Tables 2 and 3 are entirely
-//! about pipeline frequency vs. port speed), so the substrate models clock
-//! domains explicitly: every pipeline, traffic manager, and memory belongs to
-//! a [`Clock`] with its own period, and components only make progress on
-//! their own clock edges.
+//! The entire reproduction runs on integer **picosecond** timestamps
+//! ([`SimTime`], [`Duration`]). The paper's arguments are about clock
+//! frequencies (Tables 2 and 3 trade pipeline frequency against port
+//! speed), so a [`Freq`] exists to be turned into its clock period
+//! ([`Freq::period`]). The one-PHV-per-cycle rule is enforced where the
+//! period is spent: a pipeline's [`crate::datapath::Slot`] claims one
+//! period per packet.
 //!
 //! Integer picoseconds keep the simulation deterministic (no floating-point
 //! drift) while still resolving the frequencies the paper discusses: a
@@ -189,14 +190,6 @@ impl Freq {
         }
     }
 
-    /// Construct from megahertz.
-    pub fn mhz(m: f64) -> Self {
-        assert!(m > 0.0, "frequency must be positive");
-        Freq {
-            khz: (m * 1_000.0).round() as u64,
-        }
-    }
-
     /// Construct from an exact kilohertz count.
     pub fn from_khz(khz: u64) -> Self {
         assert!(khz > 0, "frequency must be positive");
@@ -220,138 +213,11 @@ impl Freq {
         // period_ps = 1e12 / hz = 1e9 / khz
         Duration((1_000_000_000 + self.khz / 2) / self.khz)
     }
-
-    /// A frequency scaled by an integer multiplier (used by the §4
-    /// multi-clock MAT memory, clocked `w×` the pipeline).
-    pub fn times(self, n: u64) -> Freq {
-        Freq { khz: self.khz * n }
-    }
-
-    /// A frequency divided by an integer (used by §3.3 port demultiplexing:
-    /// each of the `m` pipelines behind a port runs at `1/m` of the rate the
-    /// multiplexed design would need).
-    #[allow(clippy::should_implement_trait)] // not `Div`: keeps `Freq / u64` out of the API
-    pub fn div(self, n: u64) -> Freq {
-        assert!(n > 0);
-        Freq { khz: self.khz / n }
-    }
 }
 
 impl fmt::Display for Freq {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.2}GHz", self.as_ghz_f64())
-    }
-}
-
-/// A free-running clock: a frequency plus a tick counter.
-///
-/// Components that belong to a clock domain ask the clock when their next
-/// edge is and advance one unit of work per edge. This is what makes
-/// "a pipeline retires at most one PHV per cycle" an enforced invariant
-/// rather than a convention.
-#[derive(Debug, Clone)]
-pub struct Clock {
-    freq: Freq,
-    period: Duration,
-    /// Number of edges that have fired.
-    ticks: u64,
-}
-
-impl Clock {
-    /// Create a clock at the given frequency, first edge at t = 0.
-    pub fn new(freq: Freq) -> Self {
-        Clock {
-            freq,
-            period: freq.period(),
-            ticks: 0,
-        }
-    }
-
-    /// The clock's frequency.
-    pub fn freq(&self) -> Freq {
-        self.freq
-    }
-
-    /// The clock's period.
-    pub fn period(&self) -> Duration {
-        self.period
-    }
-
-    /// Number of edges fired so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Time of the next edge.
-    pub fn next_edge(&self) -> SimTime {
-        SimTime(self.ticks * self.period.0)
-    }
-
-    /// Fire the edge at `now`, if due. Returns `true` when the edge fired.
-    pub fn try_tick(&mut self, now: SimTime) -> bool {
-        if now >= self.next_edge() {
-            self.ticks += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Wall-clock time corresponding to a given number of this clock's cycles.
-    pub fn cycles_to_time(&self, cycles: u64) -> Duration {
-        Duration(cycles * self.period.0)
-    }
-}
-
-/// A coordinator for several clock domains.
-///
-/// `next_due` returns the earliest next edge across all registered domains,
-/// which drives the main simulation loop: advance global time to that edge,
-/// tick everything that is due, repeat.
-#[derive(Debug, Default)]
-pub struct ClockSet {
-    clocks: Vec<Clock>,
-}
-
-/// Handle to a clock registered in a [`ClockSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ClockId(pub usize);
-
-impl ClockSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a new clock domain; returns its handle.
-    pub fn add(&mut self, freq: Freq) -> ClockId {
-        self.clocks.push(Clock::new(freq));
-        ClockId(self.clocks.len() - 1)
-    }
-
-    /// Access a clock by handle.
-    pub fn get(&self, id: ClockId) -> &Clock {
-        &self.clocks[id.0]
-    }
-
-    /// Mutable access to a clock by handle.
-    pub fn get_mut(&mut self, id: ClockId) -> &mut Clock {
-        &mut self.clocks[id.0]
-    }
-
-    /// The earliest pending edge across all domains, or `None` if empty.
-    pub fn next_due(&self) -> Option<SimTime> {
-        self.clocks.iter().map(|c| c.next_edge()).min()
-    }
-
-    /// Number of registered domains.
-    pub fn len(&self) -> usize {
-        self.clocks.len()
-    }
-
-    /// True when no clocks are registered.
-    pub fn is_empty(&self) -> bool {
-        self.clocks.is_empty()
     }
 }
 
@@ -467,39 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn freq_scaling() {
-        let f = Freq::ghz(0.8);
-        assert_eq!(f.times(2), Freq::ghz(1.6));
-        assert_eq!(f.div(2), Freq::ghz(0.4));
-        // §4: MAT memory clocked w× the pipeline.
-        let mem = Freq::ghz(0.6).times(16);
-        assert!((mem.as_ghz_f64() - 9.6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clock_ticks_in_order() {
-        let mut c = Clock::new(Freq::ghz(1.0)); // 1000 ps period
-        assert_eq!(c.next_edge(), SimTime(0));
-        assert!(c.try_tick(SimTime(0)));
-        assert_eq!(c.next_edge(), SimTime(1000));
-        assert!(!c.try_tick(SimTime(999)));
-        assert!(c.try_tick(SimTime(1000)));
-        assert_eq!(c.ticks(), 2);
-    }
-
-    #[test]
-    fn clock_set_orders_domains() {
-        let mut set = ClockSet::new();
-        let slow = set.add(Freq::ghz(0.5)); // 2000 ps
-        let fast = set.add(Freq::ghz(2.0)); // 500 ps
-        assert_eq!(set.next_due(), Some(SimTime(0)));
-        assert!(set.get_mut(slow).try_tick(SimTime(0)));
-        assert!(set.get_mut(fast).try_tick(SimTime(0)));
-        // fast is due at 500, slow at 2000.
-        assert_eq!(set.next_due(), Some(SimTime(500)));
-    }
-
-    #[test]
     fn time_arithmetic_and_display() {
         let t = SimTime::from_ns(3) + Duration::from_ps(500);
         assert_eq!(t.as_ps(), 3500);
@@ -511,11 +344,5 @@ mod tests {
             SimTime::from_us(2).saturating_since(SimTime::from_us(5)),
             Duration::ZERO
         );
-    }
-
-    #[test]
-    fn cycles_convert_to_time() {
-        let c = Clock::new(Freq::ghz(1.25));
-        assert_eq!(c.cycles_to_time(10), Duration(8000));
     }
 }

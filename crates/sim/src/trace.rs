@@ -534,11 +534,6 @@ impl JourneyTracer {
         self.drops_truncated
     }
 
-    /// Exact per-`(site, reason)` drop counts — never truncated.
-    pub fn drop_counts(&self) -> &BTreeMap<(Site, DropReason), u64> {
-        &self.drop_counts
-    }
-
     /// Total drops recorded in this tracer (from the exact aggregation,
     /// so unaffected by log truncation).
     pub fn total_drops(&self) -> u64 {

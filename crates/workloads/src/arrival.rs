@@ -1,10 +1,8 @@
 //! Arrival processes: when packets hit the switch.
 //!
-//! The regenerators drive the switch models either at a constant offered
-//! load (rate sweeps) or with Poisson arrivals (queueing behaviour). The
-//! serving daemon (`adcpd`) additionally needs *open-loop* sources that
-//! model a large user population over long horizons: a diurnal rate
-//! profile (day/night swing of an aggregate of millions of users) with a
+//! The serving daemon (`adcpd`) needs *open-loop* sources that model a
+//! large user population over long horizons: a diurnal rate profile
+//! (day/night swing of an aggregate of millions of users) with a
 //! Markov-modulated burst overlay (MMPP) on top. [`OpenLoopSource`]
 //! composes both via Lewis–Shedler thinning, so arrival times are a pure
 //! function of the seed — offered load can never depend on how fast the
@@ -12,63 +10,6 @@
 
 use adcp_sim::rng::SimRng;
 use adcp_sim::time::{Duration, SimTime};
-
-/// An arrival process generating a monotone sequence of times.
-#[derive(Debug, Clone)]
-pub enum Arrivals {
-    /// Constant bit-rate style: one arrival every `gap`.
-    Cbr {
-        /// Inter-arrival gap.
-        gap: Duration,
-    },
-    /// Poisson process with the given mean inter-arrival gap.
-    Poisson {
-        /// Mean inter-arrival gap.
-        mean_gap: Duration,
-    },
-}
-
-impl Arrivals {
-    /// CBR at `pps` packets per second.
-    pub fn cbr_pps(pps: f64) -> Self {
-        assert!(pps > 0.0);
-        Arrivals::Cbr {
-            gap: Duration((1e12 / pps) as u64),
-        }
-    }
-
-    /// Poisson at an average of `pps` packets per second.
-    pub fn poisson_pps(pps: f64) -> Self {
-        assert!(pps > 0.0);
-        Arrivals::Poisson {
-            mean_gap: Duration((1e12 / pps) as u64),
-        }
-    }
-
-    /// Next arrival after `t`.
-    pub fn next(&self, t: SimTime, rng: &mut SimRng) -> SimTime {
-        match self {
-            Arrivals::Cbr { gap } => t + *gap,
-            Arrivals::Poisson { mean_gap } => {
-                // Inverse-CDF exponential; clamp u away from 0.
-                let u = rng.f64().max(1e-12);
-                let gap = (-(u.ln()) * mean_gap.as_ps() as f64) as u64;
-                t + Duration(gap.max(1))
-            }
-        }
-    }
-
-    /// The first `n` arrival times starting from `start`.
-    pub fn take(&self, start: SimTime, n: usize, rng: &mut SimRng) -> Vec<SimTime> {
-        let mut t = start;
-        (0..n)
-            .map(|_| {
-                t = self.next(t, rng);
-                t
-            })
-            .collect()
-    }
-}
 
 /// Sinusoidal diurnal rate profile for an aggregate user population: the
 /// instantaneous offered load swings around `base_pps` once per `period`.
@@ -301,28 +242,6 @@ impl OpenLoopSource {
 mod tests {
     use super::*;
 
-    #[test]
-    fn cbr_is_evenly_spaced() {
-        let a = Arrivals::cbr_pps(1e9); // 1 per ns
-        let mut r = SimRng::seed_from(1);
-        let times = a.take(SimTime::ZERO, 5, &mut r);
-        let gaps: Vec<u64> = times.windows(2).map(|w| (w[1] - w[0]).as_ps()).collect();
-        assert!(gaps.iter().all(|&g| g == 1000), "{gaps:?}");
-    }
-
-    #[test]
-    fn poisson_mean_close_to_target() {
-        let a = Arrivals::poisson_pps(1e9);
-        let mut r = SimRng::seed_from(2);
-        let n = 50_000;
-        let times = a.take(SimTime::ZERO, n, &mut r);
-        let mean_gap = times.last().unwrap().as_ps() as f64 / n as f64;
-        assert!(
-            (900.0..1100.0).contains(&mean_gap),
-            "mean gap = {mean_gap} ps"
-        );
-    }
-
     fn diurnal() -> DiurnalCfg {
         DiurnalCfg {
             base_pps: 1e9,
@@ -393,18 +312,6 @@ mod tests {
         // regimes alternate from there.
         for (i, &(_, burst)) in a.iter().enumerate() {
             assert_eq!(burst, i % 2 == 0);
-        }
-    }
-
-    #[test]
-    fn arrivals_strictly_increase() {
-        for proc_ in [Arrivals::cbr_pps(5e8), Arrivals::poisson_pps(5e8)] {
-            let mut r = SimRng::seed_from(3);
-            let times = proc_.take(SimTime::from_ns(10), 1000, &mut r);
-            for w in times.windows(2) {
-                assert!(w[1] > w[0]);
-            }
-            assert!(times[0] > SimTime::from_ns(10));
         }
     }
 }

@@ -1,120 +1,14 @@
-//! Coflow generation and completion tracking.
+//! Coflow completion tracking.
 //!
 //! A coflow (Chowdhury & Stoica, the paper's [6]) is a set of flows with a
 //! shared completion semantics: the application advances only when *all*
-//! of them finish. The generators here produce the structures in Table 1:
-//! all-to-all shuffles (DB analytics, BSP supersteps), many-to-one
-//! aggregations (ML parameter aggregation), and one-to-many group
-//! transfers. [`CoflowTracker`] computes coflow completion times (CCT) —
+//! of them finish. [`CoflowTracker`] computes coflow completion times (CCT) —
 //! the metric that matters to coflow applications, as opposed to per-flow
 //! throughput.
 
-use adcp_sim::packet::{CoflowId, FlowId, PortId};
-use adcp_sim::rng::SimRng;
+use adcp_sim::packet::CoflowId;
 use adcp_sim::time::SimTime;
 use std::collections::HashMap;
-
-/// One flow inside a coflow.
-#[derive(Debug, Clone)]
-pub struct FlowSpec {
-    /// Flow identity.
-    pub flow: FlowId,
-    /// Source (sender's switch port).
-    pub src: PortId,
-    /// Destination (receiver's switch port).
-    pub dst: PortId,
-    /// Packets this flow will send.
-    pub packets: u32,
-}
-
-/// A coflow: a set of flows that complete together.
-#[derive(Debug, Clone)]
-pub struct CoflowSpec {
-    /// Coflow identity.
-    pub id: CoflowId,
-    /// Component flows.
-    pub flows: Vec<FlowSpec>,
-}
-
-impl CoflowSpec {
-    /// Total packets across all flows.
-    pub fn total_packets(&self) -> u64 {
-        self.flows.iter().map(|f| f.packets as u64).sum()
-    }
-
-    /// An `m × r` shuffle: every mapper port sends one flow to every
-    /// reducer port (the filter–aggregate–reshuffle pattern of Table 1).
-    pub fn shuffle(
-        id: CoflowId,
-        mappers: &[PortId],
-        reducers: &[PortId],
-        pkts_per_flow: u32,
-    ) -> Self {
-        let mut flows = Vec::new();
-        for (i, &src) in mappers.iter().enumerate() {
-            for (j, &dst) in reducers.iter().enumerate() {
-                flows.push(FlowSpec {
-                    flow: FlowId((id.0 as u64) << 32 | (i as u64) << 16 | j as u64),
-                    src,
-                    dst,
-                    packets: pkts_per_flow,
-                });
-            }
-        }
-        CoflowSpec { id, flows }
-    }
-
-    /// Many-to-one aggregation: every worker sends to one sink (the ML
-    /// parameter-aggregation input pattern).
-    pub fn aggregation(id: CoflowId, workers: &[PortId], sink: PortId, pkts: u32) -> Self {
-        let flows = workers
-            .iter()
-            .enumerate()
-            .map(|(i, &src)| FlowSpec {
-                flow: FlowId((id.0 as u64) << 32 | i as u64),
-                src,
-                dst: sink,
-                packets: pkts,
-            })
-            .collect();
-        CoflowSpec { id, flows }
-    }
-
-    /// One-to-many group transfer (the zero-sided-RDMA style pattern).
-    pub fn broadcast(id: CoflowId, src: PortId, receivers: &[PortId], pkts: u32) -> Self {
-        let flows = receivers
-            .iter()
-            .enumerate()
-            .map(|(i, &dst)| FlowSpec {
-                flow: FlowId((id.0 as u64) << 32 | i as u64),
-                src,
-                dst,
-                packets: pkts,
-            })
-            .collect();
-        CoflowSpec { id, flows }
-    }
-
-    /// A random sparse coflow: `k` flows between random distinct ports.
-    pub fn random(id: CoflowId, ports: u16, k: usize, max_pkts: u32, rng: &mut SimRng) -> Self {
-        let flows = (0..k)
-            .map(|i| {
-                let src = PortId(rng.range(0..ports));
-                let mut dst = PortId(rng.range(0..ports));
-                while dst == src && ports > 1 {
-                    dst = PortId(rng.range(0..ports));
-                }
-                FlowSpec {
-                    flow: FlowId((id.0 as u64) << 32 | i as u64),
-                    src,
-                    dst,
-                    packets: rng.range(1..=max_pkts),
-                }
-            })
-            .collect();
-        CoflowSpec { id, flows }
-    }
-}
 
 /// Tracks coflow completion: feed it every expected packet, then record
 /// deliveries; a coflow completes when its last packet lands.
@@ -161,74 +55,15 @@ impl CoflowTracker {
         Some(end.saturating_since(start))
     }
 
-    /// Number of completed coflows.
-    pub fn completed_count(&self) -> usize {
-        self.completed.len()
-    }
-
     /// True when every expected coflow has completed.
     pub fn all_done(&self) -> bool {
         self.expected.len() == self.completed.len()
-    }
-
-    /// Mean CCT over completed coflows, in nanoseconds.
-    pub fn mean_cct_ns(&self) -> f64 {
-        if self.completed.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .completed
-            .keys()
-            .filter_map(|id| self.cct(*id))
-            .map(|d| d.as_ns_f64())
-            .sum();
-        sum / self.completed.len() as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ports(v: &[u16]) -> Vec<PortId> {
-        v.iter().map(|&p| PortId(p)).collect()
-    }
-
-    #[test]
-    fn shuffle_builds_m_by_r_flows() {
-        let c = CoflowSpec::shuffle(CoflowId(1), &ports(&[0, 1, 2]), &ports(&[4, 5]), 10);
-        assert_eq!(c.flows.len(), 6);
-        assert_eq!(c.total_packets(), 60);
-        // Every (mapper, reducer) pair appears exactly once.
-        let mut pairs: Vec<(u16, u16)> = c.flows.iter().map(|f| (f.src.0, f.dst.0)).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        assert_eq!(pairs.len(), 6);
-    }
-
-    #[test]
-    fn aggregation_targets_one_sink() {
-        let c = CoflowSpec::aggregation(CoflowId(2), &ports(&[0, 1, 2, 3]), PortId(9), 5);
-        assert_eq!(c.flows.len(), 4);
-        assert!(c.flows.iter().all(|f| f.dst == PortId(9)));
-        assert_eq!(c.total_packets(), 20);
-    }
-
-    #[test]
-    fn broadcast_fans_out() {
-        let c = CoflowSpec::broadcast(CoflowId(3), PortId(0), &ports(&[1, 2, 3]), 7);
-        assert_eq!(c.flows.len(), 3);
-        assert!(c.flows.iter().all(|f| f.src == PortId(0)));
-    }
-
-    #[test]
-    fn random_coflow_avoids_self_loops() {
-        let mut r = SimRng::seed_from(9);
-        let c = CoflowSpec::random(CoflowId(4), 8, 32, 20, &mut r);
-        assert_eq!(c.flows.len(), 32);
-        assert!(c.flows.iter().all(|f| f.src != f.dst));
-        assert!(c.flows.iter().all(|f| (1..=20).contains(&f.packets)));
-    }
 
     #[test]
     fn tracker_computes_cct() {
@@ -240,8 +75,6 @@ mod tests {
         assert!(t.deliver(CoflowId(1), SimTime::from_ns(400)));
         assert!(t.all_done());
         assert_eq!(t.cct(CoflowId(1)).unwrap().as_ns_f64(), 300.0);
-        assert_eq!(t.completed_count(), 1);
-        assert_eq!(t.mean_cct_ns(), 300.0);
     }
 
     #[test]

@@ -164,25 +164,6 @@ impl ZipfCdf {
     }
 }
 
-/// Uniform key sampler over `0..n`.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformKeys {
-    n: u64,
-}
-
-impl UniformKeys {
-    /// Keys `0..n`.
-    pub fn new(n: u64) -> Self {
-        assert!(n > 0);
-        UniformKeys { n }
-    }
-
-    /// Draw one key.
-    pub fn sample(&self, rng: &mut SimRng) -> u64 {
-        rng.range(0..self.n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,17 +270,6 @@ mod tests {
         for _ in 0..10_000 {
             assert_eq!(zr.sample(&mut r), 0);
         }
-    }
-
-    #[test]
-    fn uniform_covers_range() {
-        let u = UniformKeys::new(16);
-        let mut r = SimRng::seed_from(3);
-        let mut seen = [false; 16];
-        for _ in 0..1000 {
-            seen[u.sample(&mut r) as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -4,15 +4,14 @@
 //! datasets; these generators synthesize the *communication structure*
 //! that matters to the switch (see DESIGN.md's substitution table):
 //!
-//! * [`size`] — packet-size distributions (fixed / uniform / IMIX / DC).
-//! * [`keys`] — Zipf and uniform key popularity.
-//! * [`coflow`] — coflow structures (shuffle, aggregation, broadcast) and
-//!   coflow-completion-time tracking.
+//! * [`keys`] — Zipf key popularity.
+//! * [`coflow`] — coflow-completion-time tracking.
 //! * [`gradient`] — ML parameter-aggregation steps with closed-form
 //!   expected aggregates.
 //! * [`shuffle`] — database filter–aggregate–reshuffle row streams.
 //! * [`graph`] — BSP graph-pattern-mining supersteps (grow-then-collapse).
-//! * [`arrival`] — CBR and Poisson arrival processes.
+//! * [`arrival`] — open-loop arrivals: a diurnal profile with an MMPP burst
+//!   overlay.
 //! * [`traffic`] — million-flow TE/security mixes: heavy-tailed benign
 //!   traffic, bursty arrivals, and an adversarial attack ramp.
 
@@ -25,14 +24,11 @@ pub mod gradient;
 pub mod graph;
 pub mod keys;
 pub mod shuffle;
-pub mod size;
 pub mod traffic;
 
-pub use arrival::Arrivals;
-pub use coflow::{CoflowSpec, CoflowTracker, FlowSpec};
+pub use coflow::CoflowTracker;
 pub use gradient::{GradientChunk, GradientWorkload};
 pub use graph::{BspJob, BspWorkload, StepMessage};
-pub use keys::{UniformKeys, ZipfCdf, ZipfKeys};
+pub use keys::{ZipfCdf, ZipfKeys};
 pub use shuffle::{Row, ShuffleWorkload};
-pub use size::SizeDist;
 pub use traffic::{AttackRamp, FlowEvent, TrafficCfg, TrafficGen};

@@ -43,12 +43,6 @@ pub struct ShuffleWorkload {
 }
 
 impl ShuffleWorkload {
-    /// The reducer owning a key (hash partitioning — the criterion the
-    /// paper gives for the first TM).
-    pub fn reducer_of(&self, key: u64) -> u32 {
-        (adcp_lang_hash(key) % self.reducers as u64) as u32
-    }
-
     /// Generate every mapper's row stream. Deterministic for a given rng.
     pub fn generate(&self, rng: &mut SimRng) -> Vec<Row> {
         let keys = ZipfKeys::new(self.distinct_keys, self.skew);
@@ -79,12 +73,6 @@ impl ShuffleWorkload {
     }
 }
 
-/// The same stable hash the switch programs use, so partitioning decisions
-/// agree between the workload and the data plane.
-fn adcp_lang_hash(v: u64) -> u64 {
-    adcp_lang::fold_hash([v])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,17 +95,6 @@ mod tests {
         assert_eq!(rows.len(), 4000);
         let kept = rows.iter().filter(|r| r.keep).count() as f64 / 4000.0;
         assert!((0.45..0.55).contains(&kept), "selectivity = {kept}");
-    }
-
-    #[test]
-    fn partitioning_is_stable_and_total() {
-        let w = wl();
-        for key in 0..64u64 {
-            let r1 = w.reducer_of(key);
-            let r2 = w.reducer_of(key);
-            assert_eq!(r1, r2);
-            assert!(r1 < 3);
-        }
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl TrafficGen {
         }
     }
 
-    /// Total packets this generator will emit.
-    pub fn len_total(&self) -> u64 {
-        self.cfg.pkts
-    }
-
     fn next_gap(&mut self) -> u64 {
         let mean = self.cfg.mean_gap_ps as f64;
         if self.cfg.burstiness <= 0.0 {

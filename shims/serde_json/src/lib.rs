@@ -248,28 +248,47 @@ impl Parser<'_> {
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid utf-8"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid hex digits"))?;
+        let mut v = 0;
+        for &b in &self.bytes[self.pos..end] {
+            // `from_str_radix` would also take a leading sign.
+            let d = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid hex digits"))?;
+            v = v * 16 + d;
+        }
         self.pos = end;
         Ok(v)
     }
 
+    /// Skip a run of ASCII digits; how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, as RFC 8259
+    /// writes it: no leading zeros, and no bare `.` or exponent.
     fn number(&mut self) -> Result<Value> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let lead = self.peek();
+        match self.digits() {
+            0 => return Err(self.err("expected digits")),
+            n if n > 1 && lead == Some(b'0') => return Err(self.err("leading zero")),
+            _ => {}
         }
         let mut integral = true;
         if self.peek() == Some(b'.') {
             integral = false;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected fraction digits"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -278,8 +297,8 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected exponent digits"));
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
@@ -298,9 +317,10 @@ impl Parser<'_> {
                 }
             }
         }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| self.err("invalid number"))
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::F64(f)),
+            _ => Err(self.err("number out of range")),
+        }
     }
 }
 
@@ -417,6 +437,176 @@ mod tests {
         }
         // Far past the limit: an error, not a stack overflow.
         assert!(from_str(&"[".repeat(1_000_000)).is_err());
+    }
+
+    /// splitmix64: the shim has no dependencies, so the generator lives
+    /// here.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn random_string(rng: &mut Rng) -> String {
+        const POOL: &[char] = &[
+            'a',
+            'Z',
+            '0',
+            ' ',
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\r',
+            '\t',
+            '\u{0}',
+            '\u{1f}',
+            '\u{7f}',
+            'é',
+            '\u{2028}',
+            '\u{fffd}',
+            '😀',
+            '\u{10ffff}',
+        ];
+        (0..rng.below(8))
+            .map(|_| POOL[rng.below(POOL.len() as u64) as usize])
+            .collect()
+    }
+
+    /// A random value in the form the encoder maps back one-to-one: `I64`
+    /// only below zero, `U128` only past `u64`, `F64` finite and not
+    /// integral (the encoder writes `2.0` as `2`), and unique object keys.
+    fn random_value(rng: &mut Rng, depth: u32) -> Value {
+        let leaf = depth == 0 || rng.below(3) > 0;
+        match rng.below(if leaf { 7 } else { 9 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.below(2) == 1),
+            2 => Value::U64(rng.next() >> rng.below(64)),
+            3 => Value::U128(u64::MAX as u128 + 1 + (rng.next() as u128) * (rng.next() as u128)),
+            4 => Value::I64(-1 - (rng.next() >> (1 + rng.below(63))) as i64),
+            5 => loop {
+                let f = f64::from_bits(rng.next());
+                if f.is_finite() && f.fract() != 0.0 {
+                    break Value::F64(f);
+                }
+            },
+            6 => Value::String(random_string(rng)),
+            7 => Value::Array(
+                (0..rng.below(5))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => {
+                let mut m = Map::new();
+                for i in 0..rng.below(5) {
+                    let key = format!("{i}{}", random_string(rng));
+                    m.insert(key, random_value(rng, depth - 1));
+                }
+                Value::Object(m)
+            }
+        }
+    }
+
+    #[test]
+    fn random_values_round_trip_compact_and_pretty() {
+        let mut rng = Rng(0x5EED_0001);
+        for case in 0..2_000 {
+            let v = random_value(&mut rng, 4);
+            for text in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {
+                let back = from_str(&text).unwrap_or_else(|e| panic!("case {case}: {e}: {text}"));
+                assert_eq!(back, v, "case {case}: {text}");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_input_is_an_error_never_a_panic() {
+        let deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let corpus: &[&str] = &[
+            // Numbers outside the RFC 8259 grammar.
+            "01",
+            "00",
+            "-01",
+            "-00",
+            "1.",
+            "-.5",
+            ".5",
+            "1.e5",
+            "1e",
+            "1e+",
+            "1E-",
+            "-",
+            "+1",
+            "0x10",
+            "1.5.2",
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "1e400",
+            "-1e400",
+            "[01]",
+            // Escapes: signed or short hex, unknown letters.
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u12""#,
+            r#""\u12G4""#,
+            r#""\x41""#,
+            r#""\'""#,
+            r#""\"#,
+            r#""\u"#,
+            // Lone or mismatched surrogates.
+            r#""\ud800""#,
+            r#""\udc00""#,
+            r#""\ud800A""#,
+            r#""\ud800x""#,
+            r#""\udbff\udbff""#,
+            // Raw control characters inside a string.
+            "\"a\u{1}b\"",
+            "\"a\nb\"",
+            "\"a\tb\"",
+            "\"\u{0}\"",
+            // Structure.
+            "",
+            " ",
+            "tru",
+            "nulll",
+            "[1 2]",
+            "[,]",
+            "[1,]",
+            "{\"a\" 1}",
+            "{1:2}",
+            "{\"a\":1,}",
+            "{\"a\"}",
+            "\"abc",
+            "]",
+            "}",
+            "1 2",
+            &deep,
+        ];
+        for text in corpus {
+            assert!(from_str(text).is_err(), "accepted {text:?}");
+        }
+        // Every proper prefix of a nested document is truncated input.
+        let mut rng = Rng(0x5EED_0002);
+        for _ in 0..200 {
+            let v = Value::Array(vec![random_value(&mut rng, 3)]);
+            for text in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {
+                for (cut, _) in text.char_indices().skip(1) {
+                    let head = &text[..cut];
+                    assert!(from_str(head).is_err(), "accepted truncation {head:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -227,7 +227,6 @@ fn run_fabric(seed: u64, latency: Duration, cuts: &[SimTime]) -> String {
             int: true,
             ..Default::default()
         },
-        ..Default::default()
     };
     let (mut fabric, _program) = demo_fabric(seed, cfg);
     let mut rng = SimRng::seed_from(seed);
