@@ -30,7 +30,7 @@ impl Mask {
 /// What any one device — a switch on its own, or a leaf or spine of a
 /// fabric — must look like once its run is idle: the journey tracer's
 /// forensic drop aggregation equals the exported drop counters (through
-/// the exporter/cross-check path `adcp-trace --forensics` uses; exact at
+/// the exporter/cross-check path `adcp trace --forensics` uses; exact at
 /// any sampling rate, and skipped when `ADCP_TRACE=off` / `ADCP_METRICS=off`
 /// leave nothing to check), nothing fell through parsing, forwarding or
 /// the TMs, nothing was replicated, and every packet that entered is

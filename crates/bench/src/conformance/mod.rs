@@ -190,3 +190,27 @@ pub enum BugHook {
     /// check exists to catch.
     LieIntStamp,
 }
+
+/// The sabotage hooks `CONFORMANCE_BUG` can arm, by name.
+pub const BUG_HOOKS: [(&str, BugHook); 4] = [
+    ("swap-add-max", BugHook::SwapAddMax),
+    ("lose-drop-forensics", BugHook::LoseDropForensics),
+    ("misroute-boundary-key", BugHook::MisrouteBoundaryKey),
+    ("lie-int-stamp", BugHook::LieIntStamp),
+];
+
+/// The hook `CONFORMANCE_BUG` names; unset or empty is no sabotage. An
+/// unknown name is an error: running unsabotaged to `PASS` would read as
+/// "the harness missed the bug".
+pub fn bug_from_env() -> Result<BugHook, String> {
+    let name = std::env::var("CONFORMANCE_BUG").unwrap_or_default();
+    if name.is_empty() {
+        return Ok(BugHook::None);
+    }
+    let hook = BUG_HOOKS.iter().find(|(n, _)| *n == name);
+    hook.map(|&(_, hook)| hook).ok_or_else(|| {
+        let names: Vec<&str> = BUG_HOOKS.iter().map(|&(n, _)| n).collect();
+        let names = names.join(", ");
+        format!("unknown CONFORMANCE_BUG {name:?} (want one of: {names})")
+    })
+}

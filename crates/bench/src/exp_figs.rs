@@ -1,17 +1,138 @@
 //! Regenerators for the paper's figures.
 //!
-//! Figures 1 and 4 are the architectures themselves (exercised by every
-//! run); Figures 2, 3, 5 and 6 each make a claim we measure.
+//! Figures 1 and 4 are the architectures themselves (one program's
+//! placement and one packet's walk on each); Figures 2, 3, 5 and 6 each
+//! make a claim we measure.
 
-use adcp_apps::driver::TargetKind;
+use std::fmt::Write;
+
+use adcp_apps::driver::{build_with, TargetKind};
 use adcp_apps::{kvcache, paramserv};
 use adcp_core::{AdcpConfig, AdcpSwitch};
-use adcp_lang::{compile, CompileOptions, TargetModel};
-use adcp_sim::packet::PortId;
+use adcp_lang::{
+    compile, describe_placement, ActionDef, ActionOp, CompileOptions, Entry, FieldDef, FieldId,
+    FieldRef, HeaderDef, HeaderId, KeySpec, MatchKind, MatchValue, Operand, ParserSpec, Program,
+    ProgramBuilder, RegAluOp, Region, RegisterDef, TableDef, TargetModel,
+};
+use adcp_rmt::RmtConfig;
+use adcp_sim::packet::{FlowId, Packet, PortId};
 use adcp_sim::rng::SimRng;
 use adcp_sim::time::SimTime;
 use adcp_workloads::gradient::GradientWorkload;
 use serde::Serialize;
+use TargetKind::{RmtPinned, RmtRecirc};
+
+// -------------------------------------------------------------------
+// Figures 1 and 4 — the two architectures
+// -------------------------------------------------------------------
+
+/// The walk program: an ingress `route` table and a central `count`
+/// register. Under the recirculation lowering `route` also marks the
+/// packet for its second ingress pass, the way the apps' RMT lowerings
+/// do, and carries its port in `pad`: the second pass re-parses the
+/// packet, so the central `count` re-asserts the decision from there.
+fn walk_program(recirculate: bool) -> Program {
+    let fr = |f: u16| FieldRef::new(HeaderId(0), FieldId(f));
+    let mut b = ProgramBuilder::new("walk");
+    let h = b.header(HeaderDef::new(
+        "fwd",
+        vec![FieldDef::scalar("dst", 16), FieldDef::scalar("pad", 16)],
+    ));
+    b.parser(ParserSpec::single(h));
+    let ctr = b.register(RegisterDef::new("coflow_ctr", 64, 64));
+    let mut fwd = vec![ActionOp::SetEgress(Operand::Param(0))];
+    let mut count = vec![ActionOp::RegRmw {
+        reg: ctr,
+        index: Operand::Field(fr(0)),
+        op: RegAluOp::Add,
+        value: Operand::Const(1),
+        fetch: None,
+    }];
+    if recirculate {
+        fwd.extend([
+            ActionOp::Set {
+                dst: fr(1),
+                src: Operand::Param(0),
+            },
+            ActionOp::Recirculate,
+        ]);
+        count.push(ActionOp::SetEgress(Operand::Field(fr(1))));
+    }
+    b.table(TableDef {
+        name: "route".into(),
+        region: Region::Ingress,
+        key: Some(KeySpec {
+            field: fr(0),
+            kind: MatchKind::Exact,
+            bits: 16,
+        }),
+        actions: vec![
+            ActionDef::new("fwd", fwd),
+            ActionDef::new("drop", vec![ActionOp::Drop]),
+        ],
+        default_action: 1,
+        default_params: vec![],
+        size: 64,
+    });
+    b.table(TableDef {
+        name: "count".into(),
+        region: Region::Central,
+        key: None,
+        actions: vec![ActionDef::new("count", count)],
+        default_action: 0,
+        default_params: vec![],
+        size: 1,
+    });
+    b.build()
+}
+
+/// Figures 1 and 4: the walk program placed on the RMT under both central
+/// lowerings and on the ADCP, with one packet's walk through each.
+pub fn fig1_fig4() -> String {
+    let mut out = String::new();
+    for (kind, heading, walk, port) in [
+        (RmtPinned, FIG1, " (EgressPin)", 20),
+        (RmtRecirc, "", " (Recirculate)", 20),
+        (TargetKind::Adcp, FIG4, "", 12),
+    ] {
+        let adcp = AdcpConfig {
+            trace: true,
+            ..Default::default()
+        };
+        let rmt = RmtConfig {
+            trace: true,
+            ..Default::default()
+        };
+        let mut sw = build_with(kind, adcp, rmt, |_| walk_program(kind == RmtRecirc))
+            .expect("the walk program compiles everywhere");
+        let entry = Entry {
+            value: MatchValue::Exact(3),
+            action: 0,
+            params: vec![port],
+        };
+        sw.install_all("route", entry).unwrap();
+        let mut data = vec![0u8; 64];
+        data[..2].copy_from_slice(&3u16.to_be_bytes());
+        sw.inject(PortId(1), Packet::new(1, FlowId(3), data), SimTime::ZERO);
+        sw.run_until_idle();
+        writeln!(
+            out,
+            "{heading}{}\n\npacket walk{walk}:\n{}",
+            describe_placement(sw.placement()),
+            sw.tracer.format_journey(1)
+        )
+        .expect("writing to a String");
+    }
+    out.push_str(
+        "reading: same program, three physical realizations — the central\n\
+         'count' table lands in the egress pipelines (pinned), on a second\n\
+         ingress pass (recirculated), or in the native central region.\n",
+    );
+    out
+}
+
+const FIG1: &str = "== Fig. 1 — the RMT architecture (32x400G, 4 pipelines) ==\n\n";
+const FIG4: &str = "== Fig. 4 — the ADCP architecture (16x800G, 1:2 demux, 4 central pipes) ==\n\n";
 
 // -------------------------------------------------------------------
 // Figure 2 — coflow convergence restrictions
@@ -52,11 +173,7 @@ fn fig2_impl(quick: bool, parallel: bool) -> Vec<Fig2Row> {
         width: 1,
         seed: 2,
     };
-    let kinds = vec![
-        TargetKind::Adcp,
-        TargetKind::RmtRecirc,
-        TargetKind::RmtPinned,
-    ];
+    let kinds = vec![TargetKind::Adcp, RmtRecirc, RmtPinned];
     crate::par::map_points(parallel, kinds, |kind| {
         // Force scalar on ADCP too for the like-for-like convergence
         // comparison.
@@ -66,7 +183,7 @@ fn fig2_impl(quick: bool, parallel: bool) -> Vec<Fig2Row> {
             target: kind.label().into(),
             correct: r.correct,
             // Egress pinning: only the pinned pipeline's ports.
-            reachable_ports: if kind == TargetKind::RmtPinned {
+            reachable_ports: if kind == RmtPinned {
                 t.ports_per_pipe
             } else {
                 t.ports
@@ -114,31 +231,25 @@ pub fn fig3() -> Vec<Fig3Row> {
     let adcp = TargetModel::adcp_reference();
     crate::par::par_map(vec![1u16, 2, 4, 8, 16], |width| {
         let prog = kvcache::program(width, 1024, PortId(0));
-        let p_rmt = compile(&prog, &rmt, CompileOptions::default())
-            .expect("1024-entry cache fits both targets");
-        let p_adcp = compile(&prog, &adcp, CompileOptions::default()).expect("fits");
-        let cache_rmt = p_rmt
-            .ingress
-            .stages
-            .iter()
-            .flat_map(|s| &s.tables)
-            .find(|t| t.name == "cache")
-            .expect("cache placed");
-        let cache_adcp = p_adcp
-            .ingress
-            .stages
-            .iter()
-            .flat_map(|s| &s.tables)
-            .find(|t| t.name == "cache")
-            .expect("cache placed");
+        // The placed cache table's (replicas, memory bits) on `target`.
+        let cache = |target: &TargetModel| {
+            let placement = compile(&prog, target, CompileOptions::default())
+                .expect("1024-entry cache fits both targets");
+            (placement.ingress.stages.iter())
+                .flat_map(|s| &s.tables)
+                .find(|t| t.name == "cache")
+                .map(|t| (t.replicas, t.mem_bits))
+                .expect("cache placed")
+        };
+        let ((rmt_replicas, rmt_bits), (_, adcp_bits)) = (cache(&rmt), cache(&adcp));
         let rmt_max = kvcache::max_cache_entries(&rmt, width);
         let drmt_max = kvcache::max_cache_entries(&drmt, width);
         let adcp_max = kvcache::max_cache_entries(&adcp, width);
         Fig3Row {
             width,
-            rmt_replicas: cache_rmt.replicas,
-            rmt_mem_kib: cache_rmt.mem_bits / 8 / 1024,
-            adcp_mem_kib: cache_adcp.mem_bits / 8 / 1024,
+            rmt_replicas,
+            rmt_mem_kib: rmt_bits / 8 / 1024,
+            adcp_mem_kib: adcp_bits / 8 / 1024,
             rmt_max_entries: rmt_max,
             drmt_max_entries: drmt_max,
             adcp_max_entries: adcp_max,
@@ -166,7 +277,7 @@ pub fn fig3_hit_rates(quick: bool) -> Vec<Fig3HitRow> {
         requests: if quick { 300 } else { 2_000 },
         ..Default::default()
     };
-    crate::par::par_map(vec![TargetKind::Adcp, TargetKind::RmtPinned], |kind| {
+    crate::par::par_map(vec![TargetKind::Adcp, RmtPinned], |kind| {
         let out = kvcache::run(kind, &cfg);
         Fig3HitRow {
             target: kind.label().into(),

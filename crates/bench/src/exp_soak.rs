@@ -64,10 +64,13 @@ fn row(app: ServeApp, r: &SoakReport, identical_rerun: bool) -> SoakRow {
     }
 }
 
+/// The daemon seed every run uses.
+const SEED: u64 = 7;
+
 /// Run the E-D1 matrix: `{shardcount, shardmax}`, each run twice, quick
 /// (compressed) or full (4× sim time). Interruptible at run boundaries via
 /// [`crate::shutdown`]; completed rows are still returned.
-pub fn exp_soak(quick: bool, seed: u64) -> Vec<SoakRow> {
+pub fn exp_soak(quick: bool) -> Vec<SoakRow> {
     let mut rows = Vec::new();
     for app in [ServeApp::ShardCount, ServeApp::ShardMax] {
         let mut runs = Vec::new();
@@ -76,9 +79,9 @@ pub fn exp_soak(quick: bool, seed: u64) -> Vec<SoakRow> {
                 return rows;
             }
             let mut cfg = if quick {
-                DaemonCfg::soak_quick(seed)
+                DaemonCfg::soak_quick(SEED)
             } else {
-                DaemonCfg::soak(seed)
+                DaemonCfg::soak(SEED)
             };
             cfg.app = app;
             runs.push(Daemon::new(cfg).expect("daemon builds").run());
@@ -95,7 +98,7 @@ mod tests {
 
     #[test]
     fn quick_matrix_is_healthy_and_rerun_identical() {
-        let rows = exp_soak(true, 7);
+        let rows = exp_soak(true);
         assert_eq!(rows.len(), 2);
         for r in &rows {
             assert!(r.healthy, "{} unhealthy", r.app);

@@ -12,30 +12,22 @@ use adcp_apps::driver::{AppReport, TargetKind};
 use adcp_apps::suite::{self, App, Scale};
 use serde::Serialize;
 
-/// One Table 1 row: an app on a variant.
-#[derive(Debug, Clone, Serialize)]
-pub struct Table1Row {
-    /// The underlying app report.
-    #[serde(flatten)]
-    pub report: AppReport,
-}
-
 /// Run every Table 1 application on every architecture variant: the
 /// first [`suite::TABLE1`] rows of [`suite::APPS`], each on the ADCP and on
 /// every RMT lowering its row lists.
 ///
-/// `quick` picks the rows' quick size (used by tests; the binary default
+/// `quick` picks the rows' quick size (used by tests; `adcp exp table1`
 /// runs the full sizes). The 16 runs are independent simulations, so they
 /// run on scoped threads ([`crate::par::par_map`]) and are collected in
 /// table order.
-pub fn table1(quick: bool) -> Vec<Table1Row> {
+pub fn table1(quick: bool) -> Vec<AppReport> {
     table1_impl(quick, true)
 }
 
-fn table1_impl(quick: bool, parallel: bool) -> Vec<Table1Row> {
+fn table1_impl(quick: bool, parallel: bool) -> Vec<AppReport> {
     let scale = Scale::of(quick);
-    crate::par::map_points(parallel, table1_jobs(), |(app, kind)| Table1Row {
-        report: (app.run)(kind, scale),
+    crate::par::map_points(parallel, table1_jobs(), |(app, kind)| {
+        (app.run)(kind, scale)
     })
 }
 
@@ -60,22 +52,29 @@ pub struct ScalingCmpRow {
     pub matches_paper: bool,
 }
 
-/// Regenerate Table 2.
-pub fn table2() -> Vec<ScalingCmpRow> {
-    scaling::table2()
-        .into_iter()
-        .zip(PAPER_TABLE2)
-        .map(|(derived, paper)| {
-            let matches_paper = (derived.min_packet_bytes as i64 - paper.4 as i64).abs() <= 1
-                && (derived.pipeline_freq_ghz - paper.5).abs() < 0.011;
+/// Pair derived rows with the paper's printed (min packet B, freq GHz).
+fn compare(
+    derived: Vec<ScalingRow>,
+    paper: impl Iterator<Item = (u32, f64)>,
+) -> Vec<ScalingCmpRow> {
+    (derived.into_iter().zip(paper))
+        .map(|(derived, (paper_min_packet, paper_freq_ghz))| {
+            let matches_paper = (derived.min_packet_bytes as i64 - paper_min_packet as i64).abs()
+                <= 1
+                && (derived.pipeline_freq_ghz - paper_freq_ghz).abs() < 0.011;
             ScalingCmpRow {
                 derived,
-                paper_min_packet: paper.4,
-                paper_freq_ghz: paper.5,
+                paper_min_packet,
+                paper_freq_ghz,
                 matches_paper,
             }
         })
         .collect()
+}
+
+/// Regenerate Table 2.
+pub fn table2() -> Vec<ScalingCmpRow> {
+    compare(scaling::table2(), PAPER_TABLE2.iter().map(|p| (p.4, p.5)))
 }
 
 /// The paper's printed Table 3 (ports/pipe, min packet B, freq GHz).
@@ -88,42 +87,7 @@ pub const PAPER_TABLE3: [(f64, u32, f64); 4] = [
 
 /// Regenerate Table 3.
 pub fn table3() -> Vec<ScalingCmpRow> {
-    scaling::table3()
-        .into_iter()
-        .zip(PAPER_TABLE3)
-        .map(|(derived, paper)| {
-            let matches_paper = (derived.min_packet_bytes as i64 - paper.1 as i64).abs() <= 1
-                && (derived.pipeline_freq_ghz - paper.2).abs() < 0.011;
-            ScalingCmpRow {
-                derived,
-                paper_min_packet: paper.1,
-                paper_freq_ghz: paper.2,
-                matches_paper,
-            }
-        })
-        .collect()
-}
-
-/// Render Table 2/3 comparison rows for the console.
-pub fn scaling_cells(rows: &[ScalingCmpRow]) -> Vec<Vec<String>> {
-    rows.iter()
-        .map(|r| {
-            vec![
-                format!("{}", r.derived.throughput_gbps),
-                format!("{}", r.derived.port_speed_gbps),
-                format!("{}", r.derived.num_pipelines),
-                format!("{}", r.derived.ports_per_pipeline),
-                format!("{}", r.derived.min_packet_bytes),
-                format!("{:.2}", r.derived.pipeline_freq_ghz),
-                format!("{}B/{:.2}GHz", r.paper_min_packet, r.paper_freq_ghz),
-                if r.matches_paper {
-                    "yes".into()
-                } else {
-                    "NO".into()
-                },
-            ]
-        })
-        .collect()
+    compare(scaling::table3(), PAPER_TABLE3.iter().map(|p| (p.1, p.2)))
 }
 
 #[cfg(test)]
@@ -158,22 +122,18 @@ mod tests {
         for r in &rows {
             // netlock on rmt/pinned is *expected* to fail: the release
             // broadcast cannot leave the pinned pipeline (Fig. 2).
-            let expected_failure = r.report.app == "netlock" && r.report.target == "rmt/pinned";
-            assert_eq!(
-                r.report.correct, !expected_failure,
-                "{} on {}",
-                r.report.app, r.report.target
-            );
+            let expected_failure = r.app == "netlock" && r.target == "rmt/pinned";
+            assert_eq!(r.correct, !expected_failure, "{} on {}", r.app, r.target);
         }
         // The architectural signatures: recirc variants recirculate,
         // ADCP never does.
         assert!(rows
             .iter()
-            .filter(|r| r.report.target == "rmt/recirc")
-            .all(|r| r.report.recirc_passes > 0));
+            .filter(|r| r.target == "rmt/recirc")
+            .all(|r| r.recirc_passes > 0));
         assert!(rows
             .iter()
-            .filter(|r| r.report.target == "adcp")
-            .all(|r| r.report.recirc_passes == 0));
+            .filter(|r| r.target == "adcp")
+            .all(|r| r.recirc_passes == 0));
     }
 }

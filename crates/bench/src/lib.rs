@@ -1,8 +1,10 @@
 //! # adcp-bench — the experiment harness
 //!
-//! Library behind the regenerator binaries (one per paper table/figure,
-//! see `src/bin/`):
+//! Library behind the `adcp` command (`src/main.rs`):
 //!
+//! * [`experiments`] — the regenerators as rows: one `Experiment` per
+//!   paper table or figure, each rendering its tables' rows and console
+//!   text; `adcp exp <name>` runs one.
 //! * [`exp_tables`] — Table 1 (live application matrix: a loop over the
 //!   Table-1 rows of `adcp_apps::suite::APPS` × each row's targets),
 //!   Tables 2/3 (scaling arithmetic vs the paper's printed rows).
@@ -22,8 +24,8 @@
 //! * [`exp_soak`] — E-D1: the `adcpd` serving-daemon soak matrix — both
 //!   serving apps through the fault choreography, each run twice, graded
 //!   on invariant health and byte-identity of the rerun.
-//! * [`conformance`] — the E-C1 differential conformance harness behind the
-//!   `conformance` binary, a module directory: `gen` (random program and
+//! * [`conformance`] — the E-C1 differential conformance harness behind
+//!   `adcp conformance`, a module directory: `gen` (random program and
 //!   workload, fault schedule), `reference` (the plain interpreter),
 //!   `legs` (one row per target — ADCP, both RMT lowerings, partitioned
 //!   and migrated ADCP, the fabric — and the sabotage hooks), `checks`
@@ -32,17 +34,17 @@
 //!   (minimise a failure, write and replay its artifact).
 //! * [`journey`] — journey-tracer consumers: Chrome-trace/Perfetto export,
 //!   drop forensics cross-checked against the exported counters, and
-//!   packet-walk printing (behind `adcp-trace --chrome/--forensics/
+//!   packet-walk printing (behind `adcp trace --chrome/--forensics/
 //!   --journeys`).
 //! * [`par`] — order-preserving scoped-thread map; every sweep above runs
 //!   its config points through it.
 //! * [`report`] — console tables and `--json` output.
 //! * [`trace`] — lookup of a `suite::APPS` row by name and per-stage
-//!   flattening for the `adcp-trace` binary.
+//!   flattening for `adcp trace`.
 //! * [`shutdown`] — SIGINT/SIGTERM latch (re-exported from `adcp-sim`)
-//!   behind the graceful-exit paths of `adcp-trace --app table1`,
-//!   `conformance`, and `exp_soak`: long sweeps stop at the next case
-//!   boundary and still flush a partial report.
+//!   behind the graceful-exit paths of `adcp trace --app table1`,
+//!   `adcp conformance`, and `adcp exp exp_soak`: long sweeps stop at the
+//!   next case boundary and still flush a partial report.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,6 +59,7 @@ pub mod exp_sched;
 pub mod exp_soak;
 pub mod exp_tables;
 pub mod exp_tse;
+pub mod experiments;
 pub mod journey;
 pub mod par;
 pub mod report;

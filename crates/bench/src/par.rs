@@ -52,16 +52,7 @@ where
         .collect()
 }
 
-/// Sequential reference implementation of [`par_map`]; the determinism tests
-/// compare its rows against the parallel version bit for bit.
-pub fn seq_map<T, O, F>(items: Vec<T>, f: F) -> Vec<O>
-where
-    F: Fn(T) -> O,
-{
-    items.into_iter().map(f).collect()
-}
-
-/// Dispatch to [`par_map`] or [`seq_map`].
+/// [`par_map`], or with `parallel` off a plain sequential map.
 ///
 /// Sweeps route through this so their determinism tests can run the exact
 /// same point closure both ways and compare encoded rows.
@@ -74,7 +65,7 @@ where
     if parallel {
         par_map(items, f)
     } else {
-        seq_map(items, f)
+        items.into_iter().map(f).collect()
     }
 }
 
@@ -93,7 +84,7 @@ mod tests {
     fn matches_sequential() {
         let items: Vec<u64> = (0..37).collect();
         let par = par_map(items.clone(), |x| x.wrapping_mul(0x9E37_79B9).to_string());
-        let seq = seq_map(items, |x| x.wrapping_mul(0x9E37_79B9).to_string());
+        let seq = map_points(false, items, |x| x.wrapping_mul(0x9E37_79B9).to_string());
         assert_eq!(par, seq);
     }
 

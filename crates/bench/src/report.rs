@@ -1,14 +1,15 @@
 //! Console/JSON reporting for the regenerators.
 //!
-//! Every experiment returns serializable rows; the binaries print an
+//! Every experiment returns serializable rows; `adcp exp` prints an
 //! aligned text table (what EXPERIMENTS.md quotes) and, with `--json`,
 //! machine-readable lines for downstream plotting.
 
 use serde::Serialize;
 
-/// Print a titled, aligned table from header + rows of strings.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
+/// A titled, aligned table from header + rows of strings, as the
+/// console shows it: a blank line, the title, the header, a rule, the rows.
+pub fn table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+    use std::fmt::Write;
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
@@ -26,46 +27,38 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
             .join("  ")
     };
     let head: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&head));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
-    );
+    let mut out = format!("\n== {title} ==\n{}\n", fmt_row(&head));
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+    out.push('\n');
     for row in rows {
-        println!("{}", fmt_row(row));
+        writeln!(out, "{}", fmt_row(row)).expect("writing to a String");
     }
+    out
 }
 
-/// Tag a serialized row with its experiment name.
-fn tagged_row<T: Serialize>(experiment: &str, row: &T) -> serde_json::Value {
-    let mut v = serde_json::to_value(row).expect("rows serialize");
-    if let Some(obj) = v.as_object_mut() {
-        obj.insert(
-            "experiment".into(),
-            serde_json::Value::String(experiment.into()),
-        );
-    }
-    v
+/// Print [`table`] to stdout.
+pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+    print!("{}", table(title, header, rows));
 }
 
-/// Emit one JSON line per row through a locked, buffered stdout handle,
-/// flushing once at the end (rows can number in the thousands; per-row
-/// unbuffered writes dominated the old profile).
+/// Emit one JSON line per row, tagged with its experiment name, through a
+/// locked, buffered stdout handle flushed once at the end (rows can number
+/// in the thousands; per-row unbuffered writes dominated the old profile).
 pub fn print_json<T: Serialize>(experiment: &str, rows: &[T]) {
     use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
     for r in rows {
-        let v = tagged_row(experiment, r);
+        let mut v = serde_json::to_value(r).expect("rows serialize");
+        if let Some(obj) = v.as_object_mut() {
+            obj.insert(
+                "experiment".into(),
+                serde_json::Value::String(experiment.into()),
+            );
+        }
         writeln!(out, "{}", serde_json::to_string(&v).expect("json encodes"))
             .expect("stdout write");
     }
     out.flush().expect("stdout flush");
-}
-
-/// True when the process args ask for JSON output.
-pub fn want_json() -> bool {
-    std::env::args().any(|a| a == "--json")
 }
 
 /// Format a float with engineering-style precision.

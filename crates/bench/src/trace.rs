@@ -1,4 +1,4 @@
-//! Per-stage trace support for the `adcp-trace` binary.
+//! Per-stage trace support for `adcp trace`.
 //!
 //! Runs one named application on one architecture variant and flattens the
 //! [`AppReport`]'s embedded metrics block into printable per-stage rows.
@@ -31,7 +31,7 @@ pub fn run_one(app: &str, kind: TargetKind, quick: bool) -> Option<AppReport> {
 /// [`run_one`] with the driver's `--migrate` policy applied to the one row
 /// that has a control-plane knob, `partmigrate`: `Some(Some(s))` picks the
 /// controller's strategy, `Some(None)` disables the controller. Every other
-/// row runs as it always does (the `adcp-trace` binary refuses `--migrate`
+/// row runs as it always does (`adcp trace` refuses `--migrate`
 /// with a single `--app` that would ignore it).
 pub fn run_one_with(
     app: &str,
@@ -133,7 +133,7 @@ pub fn flatten(metrics: &Value) -> Vec<TraceRow> {
     rows
 }
 
-/// One line of a metrics diff (`adcp-trace --diff a.json b.json`).
+/// One line of a metrics diff (`adcp trace --diff a.json b.json`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffRow {
     /// Stage scope.
@@ -155,23 +155,10 @@ pub fn metrics_block(doc: &Value) -> Option<&Value> {
     if doc.get("scopes").is_some() {
         return Some(doc);
     }
-    if let Some(m) = doc.get("metrics") {
-        if m.get("scopes").is_some() {
-            return Some(m);
-        }
+    if let Some(m) = doc.get("metrics").filter(|m| m.get("scopes").is_some()) {
+        return Some(m);
     }
-    if let Some(obj) = doc.as_object() {
-        for (_, v) in obj.iter() {
-            if let Some(arr) = v.as_array() {
-                if let Some(first) = arr.first() {
-                    if let Some(m) = metrics_block(first) {
-                        return Some(m);
-                    }
-                }
-            }
-        }
-    }
-    None
+    (doc.as_object()?.iter()).find_map(|(_, v)| metrics_block(v.as_array()?.first()?))
 }
 
 fn counter_like(v: &Value) -> Option<u64> {
@@ -221,16 +208,14 @@ pub fn diff_metrics(a: &Value, b: &Value) -> Vec<DiffRow> {
                     metric_names.sort();
                     metric_names.dedup();
                     for name in metric_names {
-                        let va = ga.get(name.as_str()).and_then(|v| match key {
-                            "hists" => v.get("count").and_then(Value::as_u64),
-                            "series" => v.get("offered").and_then(Value::as_u64),
-                            _ => counter_like(v),
-                        });
-                        let vb = gb.get(name.as_str()).and_then(|v| match key {
-                            "hists" => v.get("count").and_then(Value::as_u64),
-                            "series" => v.get("offered").and_then(Value::as_u64),
-                            _ => counter_like(v),
-                        });
+                        let headline = |g: &serde_json::Map| {
+                            g.get(name.as_str()).and_then(|v| match key {
+                                "hists" => v.get("count").and_then(Value::as_u64),
+                                "series" => v.get("offered").and_then(Value::as_u64),
+                                _ => counter_like(v),
+                            })
+                        };
+                        let (va, vb) = (headline(ga), headline(gb));
                         if va == vb {
                             continue;
                         }

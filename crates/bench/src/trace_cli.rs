@@ -1,59 +1,30 @@
-//! `adcp-trace` — run one application and dump its per-stage breakdown.
+//! `adcp trace` — run one application and dump its per-stage breakdown.
 //!
-//! Usage: `cargo run --release -p adcp-bench --bin adcp-trace --
-//!         [--app NAME|table1] [--target adcp|rmt-pinned|rmt-recirc]
+//! Usage: `adcp trace [--app NAME|table1] [--target adcp|rmt-pinned|rmt-recirc]
 //!         [--quick] [--json] [--validate]
 //!         [--migrate drain|incremental|off]
 //!         [--sample N] [--chrome OUT.json] [--journeys [PKT]]
 //!         [--forensics]`
-//!        `adcp-trace --fabric --chrome OUT.json [--quick]`
-//!        `adcp-trace --diff A.json B.json`
+//!        `adcp trace --fabric --chrome OUT.json [--quick]`
+//!        `adcp trace --diff A.json B.json`
 //!
 //! Default output is a per-stage table of every counter, gauge, span
 //! histogram, and queue-depth series the switch recorded. `--json` prints
-//! the full `AppReport` (metrics block included) instead. `--validate`
-//! checks the exported metrics block against
-//! `schemas/metrics.schema.json` and exits non-zero on any violation —
-//! CI runs this on a quick regenerator.
+//! the full `AppReport` instead, and `--validate` checks each exported
+//! metrics block against `schemas/metrics.schema.json` (exit 1 on a
+//! violation). The journey consumers — `--chrome` (a schema-checked
+//! Chrome trace-event document), `--journeys` (packet walks) and
+//! `--forensics` (drops by site and reason, cross-checked against the
+//! registry's drop counters; exit 1 on a mismatch) — force tracing on,
+//! keeping hop spans for packet ids with `fnv(id) % N == 0` under
+//! `--sample N` (default 1; drops are always kept).
 //!
-//! The journey-tracer consumers (any of them force-enables tracing for
-//! the run; `--sample N` keeps hop spans for packet ids where
-//! `fnv(id) % N == 0`, default 1 = every packet):
-//!
-//! * `--chrome OUT.json` writes a Chrome trace-event document loadable in
-//!   Perfetto / `chrome://tracing` — one track per pipe/TM, journey spans
-//!   as duration events, drops and control-plane actions as instants.
-//!   The document is validated against `schemas/chrome_trace.schema.json`
-//!   before it is written.
-//! * `--journeys [PKT]` pretty-prints reconstructed packet walks (all
-//!   sampled packets, or just `PKT`).
-//! * `--forensics` groups every recorded drop by site+reason with the
-//!   queue state at the moment of death and cross-checks the per-reason
-//!   totals against the metrics registry's drop counters, exiting
-//!   non-zero on any mismatch. Drops are captured at every sampling
-//!   rate, so the check is exact even under `--sample 64`.
-//!
-//! `--app table1` is a pseudo-app: every application of the paper's
-//! Table 1, each run on both the ADCP and the RMT baseline — the
-//! configuration under which the forensics invariant is asserted across
-//! the whole matrix.
-//!
-//! `--fabric --chrome OUT.json` runs the 2-spine × 4-leaf demo fabric
-//! with tracing and INT stamping on and writes ONE Chrome trace for the
-//! whole topology: `pid` = device, flow events (`ph:s`/`ph:f`, bound by
-//! packet id) for every inter-switch link crossing, and the INT
-//! collector's microburst / path-change anomalies overlaid per device.
-//!
-//! `--migrate` sets the control-plane policy of `partmigrate`, the one
-//! app that carries one: pick the migration strategy or turn the
-//! controller off entirely. It applies to `--app partmigrate` and to the
-//! `partmigrate` row of an `--app table1` sweep; with any other single
-//! `--app` it is a usage error (exit 2).
-//!
-//! `--diff A.json B.json` compares two saved metrics exports (raw blocks
-//! or `--json` AppReports) and prints changed counters/gauges plus scopes
-//! present on only one side — the quickest way to see what a code or
-//! config change did to the per-stage picture.
+//! `--app table1` runs every app of the suite on the ADCP and the RMT
+//! baseline. `--migrate` sets the controller policy of `partmigrate`, the
+//! one app with a control-plane knob (alone or as that row of `table1`);
+//! with any other `--app` it exits 2. `--diff` compares two saved metrics
+//! exports (raw blocks or `--json` AppReports) and prints what changed per
+//! stage. EXPERIMENTS.md ("Per-stage observability") walks through each.
 
 use adcp_apps::driver::{AppReport, TargetKind};
 use adcp_apps::suite;
@@ -65,34 +36,53 @@ use adcp_bench::trace::{diff_metrics, flatten, metrics_block, parse_target, run_
 use adcp_sim::schema::{load_chrome_trace_schema, load_metrics_schema, validate};
 use adcp_sim::telemetry::Collector;
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
+fn arg_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+fn has(args: &[String], flag: &str) -> bool {
+    args.iter().any(|a| a == flag)
+}
+
+/// Report a usage or input error and exit with `code`.
+fn die(code: i32, msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code)
+}
+
+/// Validate a Chrome trace document against its schema and write it to
+/// `path`; returns its event count. `what` names the export in errors.
+fn write_chrome(doc: &serde::Value, path: &str, what: &str) -> usize {
+    let schema = load_chrome_trace_schema()
+        .unwrap_or_else(|e| die(2, format!("cannot load chrome trace schema: {e}")));
+    if let Err(errors) = validate(doc, &schema) {
+        eprintln!("{what} violates schemas/chrome_trace.schema.json:");
+        for e in &errors {
+            eprintln!("  {e}");
+        }
+        std::process::exit(1);
+    }
+    let text = serde_json::to_string_pretty(doc).expect("chrome doc serializes");
+    std::fs::write(path, text).unwrap_or_else(|e| die(2, format!("cannot write {path}: {e}")));
+    (doc.get("traceEvents").and_then(serde::Value::as_array)).map_or(0, |a| a.len())
+}
+
 fn diff_main(path_a: &str, path_b: &str) -> ! {
     let load = |path: &str| -> serde::Value {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        serde_json::from_str(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {path}: {e}");
-            std::process::exit(2);
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| die(2, format!("cannot read {path}: {e}")));
+        serde_json::from_str(&text).unwrap_or_else(|e| die(2, format!("cannot parse {path}: {e}")))
+    };
+    let (doc_a, doc_b) = (load(path_a), load(path_b));
+    let block = |doc, path| {
+        metrics_block(doc).unwrap_or_else(|| {
+            let want = "want a raw export or an AppReport";
+            die(2, format!("{path}: no metrics block found ({want})"))
         })
     };
-    let doc_a = load(path_a);
-    let doc_b = load(path_b);
-    let a = metrics_block(&doc_a).unwrap_or_else(|| {
-        eprintln!("{path_a}: no metrics block found (want a raw export or an AppReport)");
-        std::process::exit(2);
-    });
-    let b = metrics_block(&doc_b).unwrap_or_else(|| {
-        eprintln!("{path_b}: no metrics block found (want a raw export or an AppReport)");
-        std::process::exit(2);
-    });
+    let (a, b) = (block(&doc_a, path_a), block(&doc_b, path_b));
     let rows = diff_metrics(a, b);
     if rows.is_empty() {
         println!("no metric differences between {path_a} and {path_b}");
@@ -127,8 +117,10 @@ fn diff_main(path_a: &str, path_b: &str) -> ! {
 /// per-device `telemetry` track.
 fn fabric_main(chrome: Option<&str>, quick: bool) -> ! {
     let Some(path) = chrome else {
-        eprintln!("--fabric needs --chrome OUT.json (it is a trace exporter)");
-        std::process::exit(2);
+        die(
+            2,
+            "--fabric needs --chrome OUT.json (it is a trace exporter)",
+        )
     };
     let packets = if quick { 400 } else { 4000 };
     let mut cfg = adcp_fabric::FabricConfig::default();
@@ -136,8 +128,10 @@ fn fabric_main(chrome: Option<&str>, quick: bool) -> ! {
     cfg.switch.int = true;
     let (demo, mut fabric) = adcp_fabric::run_demo_keep(7, packets, cfg);
     if !demo.correct {
-        eprintln!("fabric demo run diverged from its oracle: {demo:?}");
-        std::process::exit(1);
+        die(
+            1,
+            format!("fabric demo run diverged from its oracle: {demo:?}"),
+        );
     }
 
     let mut coll = Collector::default();
@@ -160,26 +154,7 @@ fn fabric_main(chrome: Option<&str>, quick: bool) -> ! {
         .collect();
     let overlay = coll.chrome_overlay_events(950);
     let doc = fabric_chrome_trace(&devices, fabric.crossings(), overlay);
-    let schema = load_chrome_trace_schema().unwrap_or_else(|e| {
-        eprintln!("cannot load chrome trace schema: {e}");
-        std::process::exit(2);
-    });
-    if let Err(errors) = validate(&doc, &schema) {
-        eprintln!("fabric chrome export violates schemas/chrome_trace.schema.json:");
-        for e in &errors {
-            eprintln!("  {e}");
-        }
-        std::process::exit(1);
-    }
-    let n_events = doc
-        .get("traceEvents")
-        .and_then(serde::Value::as_array)
-        .map_or(0, |a| a.len());
-    let text = serde_json::to_string_pretty(&doc).expect("chrome doc serializes");
-    std::fs::write(path, text).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(2);
-    });
+    let n_events = write_chrome(&doc, path, "fabric chrome export");
     let (stamps, postcards, truncated) = fabric.int_totals();
     let (bursts, _) = coll.microbursts();
     let (changes, _) = coll.path_changes();
@@ -210,8 +185,7 @@ fn fabric_main(chrome: Option<&str>, quick: bool) -> ! {
 
 /// `--journeys` takes an optional packet id: present when the next token
 /// parses as one, absent when the flag is last or followed by a flag.
-fn journeys_arg() -> Option<Option<u64>> {
-    let args: Vec<String> = std::env::args().collect();
+fn journeys_arg(args: &[String]) -> Option<Option<u64>> {
     let i = args.iter().position(|a| a == "--journeys")?;
     Some(args.get(i + 1).and_then(|v| v.parse::<u64>().ok()))
 }
@@ -238,7 +212,7 @@ fn print_forensics(name: &str, report: &AppReport) -> bool {
                 c.forensic.to_string(),
                 c.counter.to_string(),
                 c.counter_name.clone(),
-                if c.ok { "ok".into() } else { "MISMATCH".into() },
+                if c.ok { "ok" } else { "MISMATCH" }.into(),
             ]
         })
         .collect();
@@ -282,52 +256,48 @@ fn print_forensics(name: &str, report: &AppReport) -> bool {
     f.ok()
 }
 
-fn main() {
-    if let Some(a) = arg_value("--diff") {
-        let args: Vec<String> = std::env::args().collect();
+/// Run `adcp trace` with the arguments after `trace`.
+pub fn main(args: &[String]) {
+    if let Some(a) = arg_value(args, "--diff") {
         let b = args
             .iter()
             .position(|x| x == "--diff")
             .and_then(|i| args.get(i + 2).cloned())
-            .unwrap_or_else(|| {
-                eprintln!("--diff needs two file arguments: --diff A.json B.json");
-                std::process::exit(2);
-            });
+            .unwrap_or_else(|| die(2, "--diff needs two file arguments: --diff A.json B.json"));
         diff_main(&a, &b);
     }
-    if std::env::args().any(|a| a == "--fabric") {
-        let chrome = arg_value("--chrome");
-        let quick = std::env::args().any(|a| a == "--quick");
-        fabric_main(chrome.as_deref(), quick);
+    if has(args, "--fabric") {
+        fabric_main(arg_value(args, "--chrome").as_deref(), has(args, "--quick"));
     }
-    let app = arg_value("--app").unwrap_or_else(|| "paramserv".into());
-    let target = match arg_value("--target") {
+    let app = arg_value(args, "--app").unwrap_or_else(|| "paramserv".into());
+    let target = match arg_value(args, "--target") {
         None => TargetKind::Adcp,
         Some(s) => parse_target(&s).unwrap_or_else(|| {
-            eprintln!("unknown --target {s:?} (want adcp, rmt-pinned, or rmt-recirc)");
-            std::process::exit(2);
+            die(
+                2,
+                format!("unknown --target {s:?} (want adcp, rmt-pinned, or rmt-recirc)"),
+            )
         }),
     };
-    let migrate = arg_value("--migrate").map(|s| {
+    let migrate = arg_value(args, "--migrate").map(|s| {
         adcp_apps::migrate::parse_strategy(&s).unwrap_or_else(|| {
-            eprintln!("unknown --migrate {s:?} (want drain, incremental, or off)");
-            std::process::exit(2);
+            die(
+                2,
+                format!("unknown --migrate {s:?} (want drain, incremental, or off)"),
+            )
         })
     });
-    let quick = std::env::args().any(|a| a == "--quick");
-    let json = std::env::args().any(|a| a == "--json");
-    let do_validate = std::env::args().any(|a| a == "--validate");
-    let chrome = arg_value("--chrome");
-    let journeys = journeys_arg();
-    let do_forensics = std::env::args().any(|a| a == "--forensics");
-    let sample = arg_value("--sample").map(|s| {
+    let quick = has(args, "--quick");
+    let json = has(args, "--json");
+    let do_validate = has(args, "--validate");
+    let chrome = arg_value(args, "--chrome");
+    let journeys = journeys_arg(args);
+    let do_forensics = has(args, "--forensics");
+    let sample = arg_value(args, "--sample").map(|s| {
         s.parse::<u64>()
             .ok()
             .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                eprintln!("--sample wants an integer N >= 1, got {s:?}");
-                std::process::exit(2);
-            })
+            .unwrap_or_else(|| die(2, format!("--sample wants an integer N >= 1, got {s:?}")))
     });
 
     // Any journey consumer force-enables tracing for the run (the env
@@ -336,18 +306,17 @@ fn main() {
         std::env::set_var("ADCP_TRACE", sample.unwrap_or(1).to_string());
     }
 
-    // SIGINT/SIGTERM finish the app run in progress, then fall through to
-    // the consumers below with whatever completed — a partial table1 sweep
-    // still validates, exports, and prints its forensics.
-    adcp_bench::shutdown::install();
-
     let runs: Vec<(String, AppReport)> = if app == "table1" {
+        // SIGINT/SIGTERM finish the app run in progress, then fall through
+        // to the consumers below with whatever completed — a partial sweep
+        // still validates, exports, and prints its forensics.
+        adcp_bench::shutdown::install();
         let mut v = Vec::new();
         'sweep: for a in suite::names() {
             for kind in [TargetKind::Adcp, TargetKind::RmtPinned] {
                 if adcp_bench::shutdown::requested() {
                     eprintln!(
-                        "adcp-trace: interrupted by signal — flushing the {} completed run(s)",
+                        "adcp trace: interrupted by signal — flushing the {} completed run(s)",
                         v.len()
                     );
                     break 'sweep;
@@ -357,36 +326,33 @@ fn main() {
             }
         }
         if v.is_empty() {
-            eprintln!("adcp-trace: no runs completed before the signal");
-            std::process::exit(130);
+            die(130, "adcp trace: no runs completed before the signal");
         }
         v
     } else {
         if suite::app(&app).is_none() {
             let names: Vec<&str> = suite::names().collect();
-            eprintln!(
-                "unknown --app {app:?} (want table1 or one of: {})",
-                names.join(", ")
+            let names = names.join(", ");
+            die(
+                2,
+                format!("unknown --app {app:?} (want table1 or one of: {names})"),
             );
-            std::process::exit(2);
         }
         if migrate.is_some() && app != suite::PARTMIGRATE {
-            eprintln!(
+            let msg = format!(
                 "--migrate sets the controller policy of --app {0} (or of the {0} row of \
                  --app table1); {app} has no control-plane knob",
                 suite::PARTMIGRATE
             );
-            std::process::exit(2);
+            die(2, msg);
         }
         let report = run_one_with(&app, target, quick, migrate).expect("known app");
         vec![(format!("{app} on {}", target.label()), report)]
     };
 
     if do_validate {
-        let schema = load_metrics_schema().unwrap_or_else(|e| {
-            eprintln!("cannot load metrics schema: {e}");
-            std::process::exit(2);
-        });
+        let schema = load_metrics_schema()
+            .unwrap_or_else(|e| die(2, format!("cannot load metrics schema: {e}")));
         for (name, report) in &runs {
             match validate(&report.metrics, &schema) {
                 Ok(()) => println!("{name}: metrics block conforms to schemas/metrics.schema.json"),
@@ -409,27 +375,7 @@ fn main() {
                 trace: r.trace.clone(),
             })
             .collect();
-        let doc = chrome_trace(&chrome_runs);
-        let schema = load_chrome_trace_schema().unwrap_or_else(|e| {
-            eprintln!("cannot load chrome trace schema: {e}");
-            std::process::exit(2);
-        });
-        if let Err(errors) = validate(&doc, &schema) {
-            eprintln!("chrome export violates schemas/chrome_trace.schema.json:");
-            for e in &errors {
-                eprintln!("  {e}");
-            }
-            std::process::exit(1);
-        }
-        let n_events = doc
-            .get("traceEvents")
-            .and_then(serde::Value::as_array)
-            .map_or(0, |a| a.len());
-        let text = serde_json::to_string_pretty(&doc).expect("chrome doc serializes");
-        std::fs::write(path, text).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
+        let n_events = write_chrome(&chrome_trace(&chrome_runs), path, "chrome export");
         println!(
             "wrote {n_events} trace events to {path} (schema-valid; load in \
              https://ui.perfetto.dev or chrome://tracing)"
@@ -449,8 +395,7 @@ fn main() {
             all_ok &= print_forensics(name, report);
         }
         if !all_ok {
-            eprintln!("forensic drop counts disagree with the metrics registry");
-            std::process::exit(1);
+            die(1, "forensic drop counts disagree with the metrics registry");
         }
         println!(
             "forensics: every recorded drop reason matches its registry counter \

@@ -1,7 +1,7 @@
 //! The app-set lane of the conformance story: every application in the
 //! trace menu (`suite::APPS`, including the TE/security pair `flowlet-ldf`
 //! and `ddos`) must pass its own reference oracle AND the drop-forensics
-//! ↔ metrics-registry cross-check — the same invariant `adcp-trace
+//! ↔ metrics-registry cross-check — the same invariant `adcp trace
 //! --forensics` asserts interactively and the random-program conformance
 //! harness asserts per generated case.
 //!

@@ -1,7 +1,8 @@
-//! Golden-snapshot tests for every figure/table regenerator in quick mode.
+//! Golden snapshots of every experiment in quick mode.
 //!
-//! Each regenerator's rows are serialized to JSON and compared against the
-//! committed snapshot in `tests/golden/<name>.json` (repo root). Numeric
+//! Every row of `experiments::ROWS` runs at `Scale::Quick`, and each table
+//! it renders is compared against the committed snapshot in
+//! `tests/golden/<table>.json` (repo root). Numeric
 //! fields compare with a small relative tolerance so harmless float
 //! formatting/platform noise does not fail the build, while any real model
 //! change does.
@@ -16,7 +17,9 @@
 
 use std::path::PathBuf;
 
-use serde::Serialize;
+use adcp_apps::suite::Scale;
+use adcp_bench::experiments::ROWS;
+use serde_json::Value;
 
 /// Relative tolerance for numeric comparisons.
 const REL_TOL: f64 = 1e-6;
@@ -27,20 +30,16 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
 }
 
-fn as_number(v: &serde_json::Value) -> Option<f64> {
+fn as_number(v: &Value) -> Option<f64> {
     match v {
-        serde_json::Value::U64(_)
-        | serde_json::Value::U128(_)
-        | serde_json::Value::I64(_)
-        | serde_json::Value::F64(_) => v.as_f64(),
+        Value::U64(_) | Value::U128(_) | Value::I64(_) | Value::F64(_) => v.as_f64(),
         _ => None,
     }
 }
 
 /// Recursively diff `got` against `want`, collecting human-readable
 /// mismatch locations.
-fn diff(path: &str, got: &serde_json::Value, want: &serde_json::Value, errs: &mut Vec<String>) {
-    use serde_json::Value;
+fn diff(path: &str, got: &Value, want: &Value, errs: &mut Vec<String>) {
     if errs.len() > 20 {
         return; // enough to act on
     }
@@ -94,8 +93,7 @@ fn diff(path: &str, got: &serde_json::Value, want: &serde_json::Value, errs: &mu
 /// `points` array with a compact digest — kept length plus an FNV-1a hash
 /// over the pairs — which still locks the exact contents without tens of
 /// thousands of committed lines.
-fn digest_series_points(v: &mut serde_json::Value) {
-    use serde_json::Value;
+fn digest_series_points(v: &mut Value) {
     let Some(obj) = v.as_object_mut() else {
         if let Value::Array(items) = v {
             for item in items {
@@ -104,13 +102,9 @@ fn digest_series_points(v: &mut serde_json::Value) {
         }
         return;
     };
-    let is_series = obj.get("offered").is_some()
-        && obj.get("stride").is_some()
-        && matches!(obj.get("points"), Some(Value::Array(_)));
-    if is_series {
-        let Some(Value::Array(points)) = obj.get("points") else {
-            unreachable!("checked above");
-        };
+    if let (Some(_), Some(_), Some(Value::Array(points))) =
+        (obj.get("offered"), obj.get("stride"), obj.get("points"))
+    {
         let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |x: u64| {
             for b in x.to_le_bytes() {
@@ -141,118 +135,48 @@ fn digest_series_points(v: &mut serde_json::Value) {
     }
 }
 
-/// Compare (or, with `GOLDEN_UPDATE=1`, bless) one regenerator's rows.
-fn check<T: Serialize>(name: &str, rows: &[T]) {
-    assert!(!rows.is_empty(), "{name}: regenerator produced no rows");
-    let mut got = serde_json::to_value(rows).expect("rows serialize");
+/// Compare (or, with `GOLDEN_UPDATE=1`, bless) one table's rows, adding
+/// what drifted to `errs`.
+fn check(name: &str, mut got: Value, errs: &mut Vec<String>) {
+    if got.as_array().is_none_or(|rows| rows.is_empty()) {
+        return errs.push(format!("{name}: experiment produced no rows"));
+    }
     digest_series_points(&mut got);
     let path = golden_dir().join(format!("{name}.json"));
     if std::env::var("GOLDEN_UPDATE").is_ok() {
         std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
         let text = serde_json::to_string_pretty(&got).expect("encode snapshot");
-        std::fs::write(&path, text + "\n").expect("write snapshot");
-        return;
+        return std::fs::write(&path, text + "\n").expect("write snapshot");
     }
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
+    match std::fs::read_to_string(&path) {
+        Ok(text) => diff(
+            name,
+            &got,
+            &serde_json::from_str(&text).expect("parse golden"),
+            errs,
+        ),
+        Err(e) => errs.push(format!(
             "{name}: missing golden snapshot {} ({e}); run with GOLDEN_UPDATE=1 to create it",
             path.display()
-        )
-    });
-    let want = serde_json::from_str(&text).expect("parse golden snapshot");
+        )),
+    }
+}
+
+#[test]
+fn every_experiment_matches_its_goldens() {
+    let runs = adcp_bench::par::par_map(ROWS.iter().collect(), |e| (e.name, (e.run)(Scale::Quick)));
     let mut errs = Vec::new();
-    diff(name, &got, &want, &mut errs);
+    for (name, rendered) in runs {
+        if !rendered.ok {
+            errs.push(format!("{name}: a row failed the experiment's own check"));
+        }
+        for (table, rows) in rendered.tables {
+            check(table, rows, &mut errs);
+        }
+    }
     assert!(
         errs.is_empty(),
-        "{name}: output drifted from tests/golden/{name}.json \
-         (GOLDEN_UPDATE=1 blesses intentional changes):\n  {}",
+        "output drifted from tests/golden/ (GOLDEN_UPDATE=1 blesses intentional changes):\n  {}",
         errs.join("\n  ")
     );
-}
-
-#[test]
-fn golden_table1() {
-    check("table1", &adcp_bench::exp_tables::table1(true));
-}
-
-#[test]
-fn golden_table2() {
-    check("table2", &adcp_bench::exp_tables::table2());
-}
-
-#[test]
-fn golden_table3() {
-    check("table3", &adcp_bench::exp_tables::table3());
-}
-
-#[test]
-fn golden_fig2() {
-    check("fig2", &adcp_bench::exp_figs::fig2(true));
-}
-
-#[test]
-fn golden_fig3() {
-    check("fig3", &adcp_bench::exp_figs::fig3());
-}
-
-#[test]
-fn golden_fig3_hit_rates() {
-    check(
-        "fig3_hit_rates",
-        &adcp_bench::exp_figs::fig3_hit_rates(true),
-    );
-}
-
-#[test]
-fn golden_fig5() {
-    check("fig5", &adcp_bench::exp_figs::fig5(true));
-}
-
-#[test]
-fn golden_fig6() {
-    check("fig6", &adcp_bench::exp_figs::fig6(true));
-}
-
-#[test]
-fn golden_ablate_demux() {
-    check("ablate_demux", &adcp_bench::exp_ablations::ablate_demux());
-}
-
-#[test]
-fn golden_ablate_tm_floorplan() {
-    check(
-        "ablate_tm_floorplan",
-        &adcp_bench::exp_ablations::ablate_tm_floorplan(),
-    );
-}
-
-#[test]
-fn golden_ablate_multiclock() {
-    check(
-        "ablate_multiclock",
-        &adcp_bench::exp_ablations::ablate_multiclock(),
-    );
-}
-
-#[test]
-fn golden_ablate_sched() {
-    check("ablate_sched", &adcp_bench::exp_sched::ablate_sched(true));
-}
-
-#[test]
-fn golden_ablate_faults() {
-    check(
-        "ablate_faults",
-        &adcp_bench::exp_faults::ablate_faults(true),
-    );
-}
-
-#[test]
-fn golden_exp_migrate() {
-    check("exp_migrate", &adcp_bench::exp_migrate::exp_migrate(true));
-}
-
-#[test]
-fn golden_ablate_load() {
-    check("ablate_load", &adcp_bench::exp_load::ablate_load(true));
 }

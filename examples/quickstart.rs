@@ -149,5 +149,5 @@ fn main() {
     print!("{}", rmt.tracer.format_journey(2));
     let out = rmt.take_delivered();
     println!("  delivered on {} at {}", out[0].port, out[0].time);
-    println!("\nNext: cargo run -p adcp-bench --bin table1 -- --quick");
+    println!("\nNext: cargo run -p adcp-bench -- exp table1 --quick");
 }

@@ -22,8 +22,8 @@
 //!
 //! See `README.md` for a quickstart, `DESIGN.md` for the system
 //! inventory, and `EXPERIMENTS.md` for paper-vs-measured results. The
-//! regenerator binaries live in the `adcp-bench` crate
-//! (`cargo run -p adcp-bench --bin table1`).
+//! regenerators are rows of the `adcp-bench` crate's `experiments::ROWS`,
+//! run by its one command (`cargo run -p adcp-bench -- exp table1`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -11,19 +11,23 @@
 //!    the next device before it left the previous one).
 //! 3. **Forensics ≡ registry**: on every device, the journey tracer's
 //!    forensic drop aggregation agrees with the metrics registry, through
-//!    the same exporter path the `adcp-trace --forensics` CLI uses.
+//!    the same exporter path `adcp trace --forensics` uses.
+//! 4. **Links queue and count**: frames sent back to back onto a 400G
+//!    link leave at least one frame time apart, and each link's reported
+//!    `wire_bytes` is the sum over the frames that crossed it.
 //!
 //! Inputs are generated with the simulator's own deterministic [`SimRng`]
 //! (the offline build cannot fetch proptest), so failures reproduce
 //! exactly from the printed seed.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use adcp::core::{AdcpConfig, AdcpSwitch};
 use adcp::fabric::{demo_fabric, Fabric, FabricConfig, DEMO_CELLS};
 use adcp::lang::deposit_bits;
 use adcp::sim::fault::{FaultConfig, FaultInjector, FaultOutcome};
 use adcp::sim::packet::{FlowId, Packet};
+use adcp::sim::port::LinkSpeed;
 use adcp::sim::rng::SimRng;
 use adcp::sim::time::{Duration, SimTime};
 use adcp::sim::trace::{Hop, Site};
@@ -306,4 +310,89 @@ fn forensics_agree_with_metrics_on_every_switch() {
             ),
         }
     }
+}
+
+/// The switch ports run at 800G and the links at 400G, so a burst that
+/// leaves a switch onto one link faster than the wire drains must queue
+/// there. From the fabric's own record: consecutive arrivals on each link
+/// are at least the later frame's 400G serialization time apart, some
+/// frames did wait for the wire, and every link's reported `wire_bytes`
+/// is the sum of the wire bytes of the frames that crossed it.
+#[test]
+fn links_queue_frames_and_count_their_wire_bytes() {
+    let cfg = FabricConfig {
+        switch: AdcpConfig {
+            trace: true, // the crossing record is kept while tracing
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let latency = cfg.link_latency;
+    let (mut fabric, _program) = demo_fabric(0x11AC, cfg);
+    let mut rng = SimRng::seed_from(0x11AC);
+    let ports = fabric.spec().logical_ports() as u64;
+    let mut wire_bytes = BTreeMap::new();
+    for i in 0..PKTS {
+        let mut data = frame(
+            rng.range(0u64..1 << 32),
+            rng.range(0u64..DEMO_CELLS as u64),
+            rng.range(1u64..1000),
+        );
+        // Frame lengths vary, so a byte count is not a frame count.
+        data.resize(64 + 96 * (i as usize % 4), 0);
+        let p = Packet::new(i, FlowId(1000 + i), data).seal();
+        wire_bytes.insert(i, p.wire_bytes() as u64);
+        // Bursts of 32 frames at one instant over all host ports.
+        fabric.inject((i % ports) as u32, p, SimTime::from_ns(1 + i / 32 * GAP_NS));
+    }
+    fabric.run_until_idle();
+    fabric.check_conservation();
+    assert_eq!(fabric.crossings_truncated(), 0);
+
+    let leaves = fabric.n_leaves() as u16;
+    let link_name = |from: u16, to: u16| {
+        if from < leaves {
+            format!("leaf{from}->spine{}", to - leaves)
+        } else {
+            format!("spine{}->leaf{to}", from - leaves)
+        }
+    };
+    let mut per_link: BTreeMap<String, Vec<(SimTime, SimTime, u64)>> = BTreeMap::new();
+    for c in fabric.crossings() {
+        per_link
+            .entry(link_name(c.from_device, c.to_device))
+            .or_default()
+            .push((c.arrive, c.depart, wire_bytes[&c.pkt]));
+    }
+    let report = fabric.report();
+    let frame_time = |bytes: u64| LinkSpeed::gbps(400).serialize(bytes * 8);
+    let mut queued = 0;
+    for link in &report.links {
+        let mut crossed = per_link.remove(&link.name).unwrap_or_default();
+        let bytes: u64 = crossed.iter().map(|&(.., b)| b).sum();
+        assert_eq!(link.wire_bytes, bytes, "{}: wire_bytes", link.name);
+        assert_eq!(link.frames, crossed.len() as u64, "{}: frames", link.name);
+        crossed.sort();
+        for w in crossed.windows(2) {
+            let ((a0, ..), (a1, _, b1)) = (w[0], w[1]);
+            assert!(
+                a1 >= a0 + frame_time(b1),
+                "{}: arrivals {a0} and {a1} closer than one 400G frame time",
+                link.name
+            );
+        }
+        // A frame that found the wire idle arrives one frame time plus the
+        // propagation latency after its last bit left the switch.
+        queued += (crossed.iter())
+            .filter(|&&(arrive, depart, b)| arrive > depart + frame_time(b) + latency)
+            .count();
+    }
+    assert!(
+        per_link.is_empty(),
+        "crossings on unreported links: {per_link:?}"
+    );
+    assert!(
+        queued > 0,
+        "no frame waited for a busy wire; the burst queued nothing"
+    );
 }

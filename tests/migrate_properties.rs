@@ -10,6 +10,10 @@
 //! skips a value, and a misrouted packet double-counts on the wrong pipe —
 //! any of which breaks the multiset. Faulted packets (link-dropped or
 //! corrupted) must contribute nothing.
+//!
+//! A second property times the incremental copy: a first touch stalls its
+//! new owner's central pipe for the copy window *after* whatever work the
+//! pipe has already claimed, never over it.
 
 use adcp::core::{AdcpConfig, AdcpSwitch, MigrationStrategy, PartitionMap};
 use adcp::lang::{
@@ -21,6 +25,7 @@ use adcp::sim::fault::{FaultConfig, FaultInjector, FaultOutcome};
 use adcp::sim::packet::{FlowId, Packet, PortId};
 use adcp::sim::rng::SimRng;
 use adcp::sim::time::SimTime;
+use adcp::sim::trace::Site;
 
 const CELLS: u64 = 64;
 const PACKETS: u64 = 250;
@@ -219,4 +224,85 @@ fn no_update_lost_or_doubled_under_faulted_incremental_migration() {
     for seed in 0..6u64 {
         soak(0x14C2_2000 + seed, MigrationStrategy::Incremental);
     }
+}
+
+/// Where one packet's journey entered `site`.
+fn entered(sw: &AdcpSwitch, id: u64, site: impl Fn(Site) -> bool) -> SimTime {
+    (sw.tracer.journey_of(id).iter())
+        .find(|h| site(h.site))
+        .unwrap_or_else(|| panic!("pkt {id} never reached the site"))
+        .enter
+}
+
+/// Rotate the map on an idle switch with the incremental strategy, then
+/// send first touches of the given keys, `GAP` apart on separate ports.
+/// Returns each packet's TM1 arrival (its first touch) and the start of its
+/// central hop.
+fn first_touches(keys: &[u16]) -> Vec<(SimTime, SimTime)> {
+    const GAP_PS: u64 = 1_000;
+    let (prog, _) = counting_program();
+    let cfg = AdcpConfig {
+        trace: true,
+        ..Default::default()
+    };
+    let mut sw = AdcpSwitch::new(
+        prog,
+        TargetModel::adcp_reference(),
+        CompileOptions::default(),
+        cfg,
+    )
+    .unwrap();
+    let uniform = PartitionMap::uniform(CELLS as u32, 4);
+    sw.install_partition_map(uniform.clone()).unwrap();
+    sw.begin_migration(rotated(&uniform, 4), MigrationStrategy::Incremental)
+        .unwrap();
+    for (i, &key) in keys.iter().enumerate() {
+        let at = SimTime(1_000_000 + i as u64 * GAP_PS);
+        sw.inject(PortId(8 * i as u16), mk_pkt(i as u64, key), at);
+    }
+    sw.run_until_idle();
+    assert_eq!(sw.migration_stats().redirected_pkts, keys.len() as u64);
+    (0..keys.len() as u64)
+        .map(|id| {
+            let tm1 = entered(&sw, id, |s| s == Site::Tm1);
+            let central = entered(&sw, id, |s| matches!(s, Site::CentralPipe(_)));
+            (tm1, central)
+        })
+        .collect()
+}
+
+/// The copy window of a first touch queues behind the work its new
+/// owner's pipe has already claimed. Two keys whose buckets move to the
+/// same pipe are first-touched a nanosecond apart: the second touch
+/// lands while the pipe is still busy with the first one's copy, so its
+/// packet's central hop must start no earlier than the end of that copy
+/// plus its own copy window. A stall that started its window at the
+/// touch instead would overlap the two copies.
+#[test]
+fn first_touch_copy_waits_for_claimed_work() {
+    let next = rotated(&PartitionMap::uniform(CELLS as u32, 4), 4);
+    let (a, b) = (0u16, 4u16);
+    assert_eq!(next.owner(a as u64), next.owner(b as u64));
+    assert_ne!(a as u64 % CELLS, b as u64 % CELLS);
+
+    // Alone, a first touch on an idle pipe waits out one copy window.
+    let [(tm1, central)] = first_touches(&[a])[..] else {
+        unreachable!()
+    };
+    let window = central.as_ps() - tm1.as_ps();
+    assert!(window > 0, "a first touch copied nothing");
+
+    let both = first_touches(&[a, b]);
+    let (first_touch, second_touch) = (both[0].0, both[1].0);
+    let claimed_until = first_touch.as_ps() + window;
+    assert!(
+        second_touch.as_ps() < claimed_until,
+        "the second first touch must land while the first copy is under way"
+    );
+    let second_central = both[1].1.as_ps();
+    assert!(
+        second_central >= claimed_until + window,
+        "second first touch entered its central pipe at {second_central} ps, \
+         before the first copy ended ({claimed_until} ps) plus its own window ({window} ps)"
+    );
 }
