@@ -1,5 +1,5 @@
 //! The suite: one row per application, the one list every driver loops
-//! over (`table1`, `adcp-trace`, the datapath pin, the cost pin).
+//! over (`table1`, `adcp trace`, the datapath pin, the cost pin).
 //!
 //! Adding an app is one module plus one row here. A row names the app,
 //! the RMT lowerings that make sense for it, and how to run it at either
@@ -112,7 +112,7 @@ pub static APPS: [App; 9] = [
 pub const TABLE1: usize = 6;
 
 /// The one row with a control-plane knob a driver may set
-/// (`adcp-trace --migrate`, through [`partmigrate_with`]).
+/// (`adcp trace --migrate`, through [`partmigrate_with`]).
 pub const PARTMIGRATE: &str = "partmigrate";
 
 /// Every row's name, in menu order.

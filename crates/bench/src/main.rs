@@ -14,7 +14,9 @@
 //! differential harness (EXPERIMENTS.md): failures are shrunk into
 //! replayable `CONFORMANCE_FAIL_<seed>.json` artifacts in `--out DIR`,
 //! exit 1 on any; `CONFORMANCE_BUG` arms one of
-//! [`conformance::BUG_HOOKS`], and an unknown name exits 2.
+//! [`conformance::BUG_HOOKS`], and an unknown name exits 2. An unknown
+//! flag, or a flag with a missing or unparsable value, prints the usage
+//! and exits 2 under `exp` and `conformance` alike.
 
 mod trace_cli;
 
@@ -90,36 +92,49 @@ fn exp(args: &[String]) -> ExitCode {
     }
 }
 
-fn conformance(args: &[String]) -> ExitCode {
+/// Parse `adcp conformance`'s flags: the run's configuration and the
+/// artifact to replay, if any. A missing or unparsable value, or an
+/// unknown flag, is an error naming it.
+fn parse_conformance(args: &[String]) -> Result<(RunConfig, Option<PathBuf>), String> {
     let mut cfg = RunConfig::default();
     let mut replay_path: Option<PathBuf> = None;
     let mut args = args.iter();
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("conformance: {name} needs a value"))
-        };
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
-            "--cases" => cfg.cases = value("--cases").parse().expect("--cases: not a number"),
+            "--cases" => {
+                let v = value()?;
+                cfg.cases = v
+                    .parse()
+                    .map_err(|_| format!("--cases: {v:?} is not a number"))?;
+            }
             "--seed" => {
-                let v = value("--seed");
+                let v = value()?;
                 cfg.master_seed = v
                     .strip_prefix("0x")
                     .map(|h| u64::from_str_radix(h, 16))
                     .unwrap_or_else(|| v.parse())
-                    .expect("--seed: not a number");
+                    .map_err(|_| format!("--seed: {v:?} is not a number"))?;
             }
             "--quick" => cfg.quick = true,
             "--migrate" => cfg.migrate = true,
             "--fabric" => cfg.fabric = true,
-            "--out" => cfg.out_dir = PathBuf::from(value("--out")),
-            "--replay" => replay_path = Some(PathBuf::from(value("--replay"))),
-            other => {
-                eprintln!("conformance: unknown argument {other:?}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
+            "--out" => cfg.out_dir = PathBuf::from(value()?),
+            "--replay" => replay_path = Some(PathBuf::from(value()?)),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
+    Ok((cfg, replay_path))
+}
+
+fn conformance(args: &[String]) -> ExitCode {
+    let (mut cfg, replay_path) = match parse_conformance(args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("adcp conformance: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     cfg.bug = match conformance::bug_from_env() {
         Ok(bug) => bug,
         Err(e) => {
@@ -160,4 +175,49 @@ fn conformance(args: &[String]) -> ExitCode {
         );
     }
     ExitCode::from(u8::from(report.failed > 0))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(RunConfig, Option<PathBuf>), String> {
+        parse_conformance(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn conformance_flags_parse() {
+        let (cfg, replay) = parse(&[
+            "--cases", "7", "--seed", "0x1f", "--quick", "--fabric", "--out", "d",
+        ])
+        .unwrap();
+        assert_eq!((cfg.cases, cfg.master_seed), (7, 0x1f));
+        assert!(cfg.quick && cfg.fabric && !cfg.migrate);
+        assert_eq!(cfg.out_dir, PathBuf::from("d"));
+        assert_eq!(replay, None);
+        let (cfg, replay) = parse(&["--seed", "12", "--replay", "f.json"]).unwrap();
+        assert_eq!(cfg.master_seed, 12);
+        assert_eq!(replay, Some(PathBuf::from("f.json")));
+    }
+
+    #[test]
+    fn bad_conformance_flags_are_errors_not_panics() {
+        for bad in [
+            &["--cases"][..],
+            &["--cases", "x"],
+            &["--seed", "zz"],
+            &["--seed", "0xzz"],
+            &["--seed"],
+            &["--out"],
+            &["--replay"],
+            &["--frobnicate"],
+            &["--quick", "7"],
+        ] {
+            let err = parse(bad).expect_err(&format!("{bad:?} parsed"));
+            assert!(
+                err.contains(bad[bad.len() - 1]) || err.contains(bad[0]),
+                "{bad:?}: {err}"
+            );
+        }
+    }
 }

@@ -101,7 +101,7 @@ fn diff_main(path_a: &str, path_b: &str) -> ! {
         })
         .collect();
     print_table(
-        &format!("adcp-trace --diff {path_a} {path_b}"),
+        &format!("adcp trace --diff {path_a} {path_b}"),
         &["stage", "metric", "a", "b", "delta"],
         &cells,
     );
@@ -430,7 +430,7 @@ pub fn main(args: &[String]) {
         .collect();
     print_table(
         &format!(
-            "adcp-trace — {} on {} ({} run): per-stage metrics",
+            "adcp trace — {} on {} ({} run): per-stage metrics",
             report.app,
             report.target,
             if quick { "quick" } else { "full" },

@@ -259,7 +259,7 @@ impl AdcpSwitch {
             .map(|_| CentralPipe {
                 slot: Slot::default(),
                 merge_wait_since: None,
-                state: RegionState::new(&program, Region::Central),
+                state: RegionState::striped(&program, Region::Central, n_central),
                 queues: ScheduledQueues::new(n_ing, cfg.queue_depth, program.tm1.policy),
             })
             .collect();

@@ -17,7 +17,7 @@
 //! tracer's control-plane track (`adcp_sim::trace::CtrlEvent`: migration
 //! begin / epoch bump / commit / finalize, with strategy and moved-key
 //! counts), so a rebalance can be laid over the per-packet journeys it
-//! fenced — `adcp-trace --chrome` renders both on one timeline.
+//! fenced — `adcp trace --chrome` renders both on one timeline.
 
 use adcp_core::{AdcpSwitch, MigrateError, MigrationStrategy, PartitionMap, PartitionScheme};
 use adcp_sim::time::SimTime;

@@ -1,8 +1,8 @@
 //! # adcp-fabric — a leaf–spine network of ADCP switches
 //!
 //! Every experiment below this crate runs **one** switch in isolation; the
-//! paper's ambition (and ROADMAP item 2) is a network. This crate wires
-//! [`adcp_core::AdcpSwitch`] instances into a leaf–spine fabric:
+//! paper's ambition is a network. This crate wires [`adcp_core::AdcpSwitch`]
+//! instances into a leaf–spine fabric:
 //!
 //! * **Topology** — `n_leaves` leaf switches host the endpoints (ports
 //!   `0..hosts_per_leaf` per leaf) and connect to every one of `n_spines`

@@ -57,8 +57,15 @@ pub struct RegionState {
 }
 
 impl RegionState {
-    /// Fresh state for `region` of `program`.
+    /// Fresh state for `region` of `program`, registers in one stripe.
     pub fn new(program: &Program, region: Region) -> Self {
+        Self::striped(program, region, 1)
+    }
+
+    /// Fresh state whose registers are laid out residue-major over
+    /// `stripes` ([`RegisterFile::striped`]): one of `stripes` sibling
+    /// pipelines that split the register keys by residue.
+    pub fn striped(program: &Program, region: Region, stripes: usize) -> Self {
         RegionState {
             region,
             tables: program
@@ -66,7 +73,11 @@ impl RegionState {
                 .into_iter()
                 .map(|(gi, def)| (gi, TableRuntime::new(def)))
                 .collect(),
-            registers: program.registers.iter().map(RegisterFile::new).collect(),
+            registers: program
+                .registers
+                .iter()
+                .map(|def| RegisterFile::striped(def, stripes))
+                .collect(),
             stats: RegionRunStats::default(),
         }
     }

@@ -54,11 +54,25 @@ const PAGE_CELLS: usize = 4096;
 /// `cells × 8 B × pipelines × regions` up front — ~80 MB per instance at
 /// the 10⁷-flow scale. Pages materialize on first write; untouched cells
 /// read as zero, which is also their architectural reset value.
+///
+/// Cells are laid out residue-major over `stripes`: cell `c` lives in
+/// stripe `c % stripes` at offset `c / stripes`, and the stripes sit back
+/// to back (the first `len % stripes` hold one cell more). A file built
+/// for one of `S` sibling central pipelines gets `stripes = S`, so a pipe
+/// that owns the keys `≡ p (mod S)` touches only stripe `p`'s pages. With
+/// one stripe the layout is the identity. Either way the file has the
+/// same `len.div_ceil(4096)` pages, and every accessor speaks logical
+/// cell indices.
 #[derive(Debug, Clone)]
 pub struct RegisterFile {
     pages: Vec<Option<Box<[u64; PAGE_CELLS]>>>,
     len: usize,
     bits: u8,
+    stripes: u32,
+    /// Cells in each of the shorter stripes (`len / stripes`).
+    stripe_len: u32,
+    /// How many leading stripes hold one cell more (`len % stripes`).
+    longer: u32,
     /// Total single-cell read-modify-write operations performed.
     pub ops: u64,
 }
@@ -77,14 +91,25 @@ pub enum RegAluOp {
 }
 
 impl RegisterFile {
-    /// Zero-initialized instance of a definition. Allocates only the page
-    /// table (one pointer-sized slot per 4096 cells); no cell storage.
+    /// Zero-initialized instance of a definition, in one stripe. Allocates
+    /// only the page table (one pointer-sized slot per 4096 cells); no cell
+    /// storage.
     pub fn new(def: &RegisterDef) -> Self {
+        Self::striped(def, 1)
+    }
+
+    /// Zero-initialized instance laid out residue-major over `stripes`
+    /// (the number of sibling pipelines that split its keys by residue).
+    pub fn striped(def: &RegisterDef, stripes: usize) -> Self {
         let len = def.entries as usize;
+        let stripes = u32::try_from(stripes.max(1)).expect("stripe count fits u32");
         RegisterFile {
             pages: vec![None; len.div_ceil(PAGE_CELLS)],
             len,
             bits: def.bits,
+            stripes,
+            stripe_len: def.entries / stripes,
+            longer: def.entries % stripes,
             ops: 0,
         }
     }
@@ -116,19 +141,33 @@ impl RegisterFile {
         }
     }
 
+    /// Storage position of stripe `s`'s first cell.
+    fn stripe_start(&self, s: u32) -> usize {
+        (s * self.stripe_len + s.min(self.longer)) as usize
+    }
+
+    /// Storage position of logical cell `idx` (`idx < len`, so it fits the
+    /// `u32` of `RegisterDef::entries`).
+    fn slot(&self, idx: usize) -> usize {
+        let idx = idx as u32;
+        self.stripe_start(idx % self.stripes) + (idx / self.stripes) as usize
+    }
+
     fn get(&self, idx: usize) -> u64 {
         if idx >= self.len {
             return 0;
         }
-        match &self.pages[idx / PAGE_CELLS] {
-            Some(p) => p[idx % PAGE_CELLS],
+        let at = self.slot(idx);
+        match &self.pages[at / PAGE_CELLS] {
+            Some(p) => p[at % PAGE_CELLS],
             None => 0,
         }
     }
 
     fn cell_mut(&mut self, idx: usize) -> &mut u64 {
-        let page = self.pages[idx / PAGE_CELLS].get_or_insert_with(|| Box::new([0; PAGE_CELLS]));
-        &mut page[idx % PAGE_CELLS]
+        let at = self.slot(idx);
+        let page = self.pages[at / PAGE_CELLS].get_or_insert_with(|| Box::new([0; PAGE_CELLS]));
+        &mut page[at % PAGE_CELLS]
     }
 
     /// Read a cell. Out-of-range indices read as 0 (and are counted as an
@@ -182,8 +221,9 @@ impl RegisterFile {
         if idx >= self.len {
             return 0;
         }
-        match &mut self.pages[idx / PAGE_CELLS] {
-            Some(p) => std::mem::take(&mut p[idx % PAGE_CELLS]),
+        let at = self.slot(idx);
+        match &mut self.pages[at / PAGE_CELLS] {
+            Some(p) => std::mem::take(&mut p[at % PAGE_CELLS]),
             None => 0,
         }
     }
@@ -197,26 +237,21 @@ impl RegisterFile {
         if idx >= self.len {
             return;
         }
-        if masked == 0 && self.pages[idx / PAGE_CELLS].is_none() {
+        if masked == 0 && self.pages[self.slot(idx) / PAGE_CELLS].is_none() {
             return;
         }
         *self.cell_mut(idx) = masked;
     }
 
     /// Control-plane state migration: extract every cell selected by
-    /// `select`, returning `(index, value)` pairs for the nonzero ones.
-    /// Selected cells are zeroed; does not count toward `ops`. Only
-    /// resident pages are visited, so the cost is O(occupied), not O(cells).
+    /// `select`, returning `(index, value)` pairs for the nonzero ones in
+    /// ascending order. Selected cells are zeroed; does not count toward
+    /// `ops`. Only resident pages are visited, so the cost is O(occupied),
+    /// not O(cells).
     pub fn drain(&mut self, mut select: impl FnMut(usize) -> bool) -> Vec<(usize, u64)> {
-        let mut out = Vec::new();
-        for (pi, page) in self.pages.iter_mut().enumerate() {
-            let Some(p) = page else { continue };
-            let base = pi * PAGE_CELLS;
-            for (o, c) in p.iter_mut().enumerate() {
-                if *c != 0 && select(base + o) {
-                    out.push((base + o, std::mem::take(c)));
-                }
-            }
+        let out: Vec<_> = self.iter_nonzero().filter(|&(i, _)| select(i)).collect();
+        for &(i, _) in &out {
+            self.extract(i);
         }
         out
     }
@@ -226,11 +261,8 @@ impl RegisterFile {
     /// million-cell files on the hot path.
     pub fn snapshot(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.len];
-        for (pi, page) in self.pages.iter().enumerate() {
-            let Some(p) = page else { continue };
-            let base = pi * PAGE_CELLS;
-            let n = PAGE_CELLS.min(self.len - base);
-            out[base..base + n].copy_from_slice(&p[..n]);
+        for (i, c) in self.iter_resident(0..self.len) {
+            out[i] = c;
         }
         out
     }
@@ -243,17 +275,58 @@ impl RegisterFile {
 
     /// Iterate the cells of `cells` (clipped to the file) that lie on
     /// resident pages, as `(index, value)` pairs in ascending order. A cell
-    /// on an absent page reads zero and is skipped, so a scan costs one
-    /// check per page plus the resident cells in range.
+    /// on an absent page reads zero and is skipped.
+    ///
+    /// The walk goes by bands: runs of rows (`stripes` consecutive cells,
+    /// one per stripe) over which every stripe stays on one page. A band
+    /// costs one page check per stripe, and a band whose pages are all
+    /// absent is skipped whole; so a scan costs about one check per page
+    /// plus one step per cell of the bands that hold a resident page. With
+    /// one stripe a band is a page.
     pub fn iter_resident(&self, cells: Range<usize>) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let n = self.stripes as usize;
         let end = cells.end.min(self.len);
-        let start = cells.start.min(end);
-        (start / PAGE_CELLS..end.div_ceil(PAGE_CELLS)).flat_map(move |pi| {
-            let base = pi * PAGE_CELLS;
-            let span = start.max(base)..end.min(base + PAGE_CELLS);
-            self.pages[pi]
-                .iter()
-                .flat_map(move |p| span.clone().map(move |i| (i, p[i - base])))
+        let mut i = cells.start.min(end);
+        // Cell `i` is stripe `s` at offset `row`.
+        let (mut s, mut row) = ((i % n) as u32, i / n);
+        let mut band_end = i;
+        std::iter::from_fn(move || {
+            while i < end {
+                if i == band_end {
+                    let (rows, resident) = self.band(row);
+                    band_end = ((row + rows) * n).min(end);
+                    if !resident {
+                        i = band_end;
+                        (s, row) = ((i % n) as u32, i / n);
+                        continue;
+                    }
+                }
+                let (at, cell) = (self.stripe_start(s) + row, i);
+                i += 1;
+                s += 1;
+                if s == self.stripes {
+                    (s, row) = (0, row + 1);
+                }
+                if let Some(p) = &self.pages[at / PAGE_CELLS] {
+                    return Some((cell, p[at % PAGE_CELLS]));
+                }
+            }
+            None
+        })
+    }
+
+    /// The band that starts at `row`: how many rows keep every stripe on
+    /// the page it is on at `row`, and whether any of those pages is
+    /// resident. A stripe shorter than `row` points past its end; that
+    /// only shortens the band or walks it, never skips a resident cell.
+    fn band(&self, row: usize) -> (usize, bool) {
+        (0..self.stripes).fold((usize::MAX, false), |(rows, resident), s| {
+            let at = self.stripe_start(s) + row;
+            let page = self.pages.get(at / PAGE_CELLS);
+            (
+                rows.min(PAGE_CELLS - at % PAGE_CELLS),
+                resident || matches!(page, Some(Some(_))),
+            )
         })
     }
 }
@@ -442,42 +515,57 @@ mod tests {
             let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             (z ^ (z >> 31)) % n
         };
-        // A partial last page, exact pages, and a single cell.
-        for len in [1usize, 4095, 4096, 4097, 3 * PAGE_CELLS + 17] {
-            let mut f = file(len as u32, 8);
-            // The model: pages a write touched are resident, the rest absent.
-            let mut resident = vec![false; len.div_ceil(PAGE_CELLS)];
-            // Rounds 0, 1 and 3 write; round 2 resets the file.
-            for round in 0..4 {
-                if round == 2 {
-                    f.clear();
-                    resident.fill(false);
-                } else {
-                    for _ in 0..1 + below(5) {
-                        let idx = below(len as u64);
-                        f.rmw(idx, RegAluOp::Write, below(3));
-                        resident[idx as usize / PAGE_CELLS] = true;
+        // A partial last page, exact pages, and a single cell; one stripe
+        // (the identity layout), stripes that do and do not divide a page.
+        for stripes in [1usize, 3, 4] {
+            for len in [1usize, 4095, 4096, 4097, 3 * PAGE_CELLS + 17] {
+                let mut f = RegisterFile::striped(&RegisterDef::new("r", len as u32, 8), stripes);
+                // The layout model: stripe `t` holds the cells `≡ t`, the
+                // stripes are stored back to back, and cell `c` sits at
+                // its stripe's start plus `c / stripes`.
+                let stripe_len = |t: usize| (len + stripes - 1 - t) / stripes;
+                let page_of = |c: usize| {
+                    let start: usize = (0..c % stripes).map(stripe_len).sum();
+                    (start + c / stripes) / PAGE_CELLS
+                };
+                // The residency model: pages a write touched are resident,
+                // the rest absent.
+                let mut resident = vec![false; len.div_ceil(PAGE_CELLS)];
+                // Rounds 0, 1 and 3 write; round 2 resets the file.
+                for round in 0..4 {
+                    if round == 2 {
+                        f.clear();
+                        resident.fill(false);
+                    } else {
+                        for _ in 0..1 + below(5) {
+                            let idx = below(len as u64);
+                            f.rmw(idx, RegAluOp::Write, below(3));
+                            resident[page_of(idx as usize)] = true;
+                        }
                     }
-                }
-                let ranges = [
-                    0..len,
-                    0..len + 100,
-                    below(len as u64) as usize..len + below(5000) as usize,
-                    len..len + 10,
-                    // Empty: starts past its end.
-                    len / 2 + 1..len / 2,
-                ];
-                for cells in ranges {
-                    let got: Vec<_> = f.iter_resident(cells.clone()).collect();
-                    let want: Vec<_> = (cells.start..cells.end.min(len))
-                        .filter(|&i| resident[i / PAGE_CELLS])
-                        .map(|i| (i, f.peek(i as u64)))
-                        .collect();
-                    assert_eq!(got, want, "len {len}, cells {cells:?}, round {round}");
-                    // Every cell it skips reads zero.
-                    let mut nonzero =
-                        (cells.start..cells.end.min(len)).filter(|&i| f.peek(i as u64) != 0);
-                    assert!(nonzero.all(|i| got.iter().any(|&(j, _)| j == i)));
+                    let ranges = [
+                        0..len,
+                        0..len + 100,
+                        below(len as u64) as usize..len + below(5000) as usize,
+                        len..len + 10,
+                        // Empty: starts past its end.
+                        len / 2 + 1..len / 2,
+                    ];
+                    for cells in ranges {
+                        let got: Vec<_> = f.iter_resident(cells.clone()).collect();
+                        let want: Vec<_> = (cells.start..cells.end.min(len))
+                            .filter(|&i| resident[page_of(i)])
+                            .map(|i| (i, f.peek(i as u64)))
+                            .collect();
+                        assert_eq!(
+                            got, want,
+                            "stripes {stripes}, len {len}, cells {cells:?}, round {round}"
+                        );
+                        // Every cell it skips reads zero.
+                        let mut nonzero =
+                            (cells.start..cells.end.min(len)).filter(|&i| f.peek(i as u64) != 0);
+                        assert!(nonzero.all(|i| got.iter().any(|&(j, _)| j == i)));
+                    }
                 }
             }
         }

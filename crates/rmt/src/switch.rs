@@ -167,7 +167,7 @@ impl RmtSwitch {
             .map(|_| IngressPipe {
                 slot: Slot::default(),
                 state: RegionState::new(&program, Region::Ingress),
-                central: RegionState::new(&program, Region::Central),
+                central: RegionState::striped(&program, Region::Central, n_pipes),
             })
             .collect();
         let ppp = target.ports_per_pipe as usize;
@@ -175,7 +175,7 @@ impl RmtSwitch {
             .map(|_| EgressPipe {
                 slot: Slot::default(),
                 port_cursor: 0,
-                central: RegionState::new(&program, Region::Central),
+                central: RegionState::striped(&program, Region::Central, n_pipes),
                 state: RegionState::new(&program, Region::Egress),
                 queues: ScheduledQueues::new(ppp, cfg.queue_depth, program.tm2.policy),
             })

@@ -29,7 +29,7 @@
 //!   batch run loop that both switch models are wired from.
 //! * [`rng`] — deterministic, forkable randomness.
 //! * [`shutdown`] — cooperative SIGINT/SIGTERM shutdown flag for the
-//!   long-running binaries (`adcpd`, `adcp-trace`, `conformance`).
+//!   long-running commands (`adcpd`, `adcp trace`, `adcp conformance`).
 //!
 //! Everything is synchronous, allocation-light, and deterministic given a
 //! seed; the models that build on it are CPU-bound state machines, so there

@@ -28,8 +28,7 @@
 //!
 //! [`MetricsRegistry::to_json`] exports everything as one JSON object with
 //! a stable shape (validated against `schemas/metrics.schema.json` in CI),
-//! embedded in every `--json` AppReport and dumped by the `adcp-trace`
-//! binary.
+//! embedded in every `--json` AppReport and dumped by `adcp trace`.
 
 use crate::stats::LatencyHist;
 use crate::time::{Duration, SimTime};

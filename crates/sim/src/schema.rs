@@ -9,7 +9,7 @@
 //!
 //! It lives in the substrate (rather than the bench harness, where it
 //! started) because every consumer of the simulator's JSON exports wants
-//! it: `adcp-trace --validate`, the conformance harness, and the serving
+//! it: `adcp trace --validate`, the conformance harness, and the serving
 //! daemon's rotating metrics stream all validate against
 //! `schemas/*.schema.json` before writing.
 
@@ -142,7 +142,7 @@ pub fn load_metrics_schema() -> Result<Value, String> {
 }
 
 /// The checked-in Chrome trace-event schema
-/// (`schemas/chrome_trace.schema.json`), which `adcp-trace --chrome`
+/// (`schemas/chrome_trace.schema.json`), which `adcp trace --chrome`
 /// output and the daemon's journey stream are validated against before
 /// they are written.
 pub fn load_chrome_trace_schema() -> Result<Value, String> {
